@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every bench writes its reproduction artifact (the regenerated table or
-figure) into ``benchmarks/results/`` so the paper-vs-measured record in
-EXPERIMENTS.md can be refreshed from a single run.
+figure) into ``benchmarks/results/`` so every measured figure can be
+refreshed from a single run.
 """
 
 from __future__ import annotations

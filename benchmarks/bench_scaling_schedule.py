@@ -62,8 +62,7 @@ def test_scaling_with_schedule_length(benchmark):
     # SP area near-flat over three decades of schedule length: the only
     # growth is the log-width operations-memory read counter (the paper
     # states "constant"; strictly it is O(log waits), ~7 slices across
-    # 10 -> 10k ops — recorded as a measured deviation in
-    # EXPERIMENTS.md).
+    # 10 -> 10k ops — a measured deviation from the paper).
     assert max(sp_slices) - min(sp_slices) <= 10
     assert max(sp_slices) < 2 * min(sp_slices)
     # SP frequency flat (within 15 %).

@@ -6,11 +6,4 @@ pyproject.toml (PEP 621), which setuptools>=61 reads natively.
 """
 from setuptools import setup
 
-setup(
-    # NumPy is optional: the vectorized verify engine's lane-batched
-    # harness (repro.verify.lanestep) imports it behind a guard and
-    # falls back to a per-lane object loop — identical results, scalar
-    # speed — when it is absent.  Install with `.[fast]` to hit the
-    # benchmarked 10x lane-batch throughput.
-    extras_require={"fast": ["numpy>=1.22"]},
-)
+setup()

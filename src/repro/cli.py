@@ -19,13 +19,9 @@ Subcommands:
   ``--perturb-floorplan`` adds floorplan-driven variants,
   ``--perturb-dynamic`` adds mid-run stall-plan variants, and
   ``--perturb-styles all`` runs every variant under every wrapper
-  style); ``--engine vectorized`` packs same-shape cases into the
-  word-level lanes of one bit-parallel RTL simulation
-  (:mod:`repro.verify.vectorize`) with identical results, batching
-  the behavioural harness through NumPy when available and covering
-  ``rtl-shiftreg`` via lane-indexed activation ROMs — ``--lanes N``
-  sets the batch width (default 32, results lane-count independent);
-  ``--list-styles`` prints the style registry;
+  style); ``--engine compiled|interp`` picks the RTL simulation
+  backend of the rtl-* styles; ``--list-styles`` prints the style
+  registry;
   ``--coverage`` / ``--coverage-json`` report topology-shape
   histograms; ``--gen coverage [--corpus DIR]`` switches topology
   generation to the coverage-guided corpus scheduler
@@ -195,6 +191,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # --engine flag overrides the recorded engine; the fallback
         # resolves engine=None exactly like BatchConfig.__post_init__,
         # so a replay runs under the engine the failure was found with.
+        # Reproducers from the retired "vectorized" engine replay under
+        # "compiled": their outcomes were byte-identical by contract.
+        # Their legacy "lanes" key is ignored.
+        recorded_engine = data.get("engine")
+        if recorded_engine == "vectorized":
+            recorded_engine = "compiled"
         topology = topology_from_dict(data)
         case = VerifyCase(
             index=0,
@@ -215,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             engine=resolve_engine(
                 args.engine
                 if args.engine is not None
-                else data.get("engine")
+                else recorded_engine
             ),
             perturb=int(data.get("perturb", args.perturb)),
             perturb_floorplan=bool(
@@ -227,9 +229,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             perturb_dynamic=bool(
                 data.get("perturb_dynamic", args.perturb_dynamic)
             ),
-            # Liveness-only, but replayed so lane-width-sensitive
-            # faults reproduce under the recorded batching.
-            lanes=int(data.get("lanes", args.lanes)),
             # Pinned variants replay verbatim; without them --perturb
             # re-derives from the topology and seed.
             variants=(
@@ -276,7 +275,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             cases=args.cases,
             seed=args.seed,
             jobs=args.jobs,
-            lanes=args.lanes,
             cycles=args.cycles,
             profile=args.profile,
             traffic=args.traffic,
@@ -312,7 +310,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "cases": args.cases,
                     "seed": args.seed,
                     "jobs": args.jobs,
-                    "lanes": args.lanes,
                     "profile": args.profile,
                     "traffic": args.traffic,
                     "engine": args.engine,
@@ -610,16 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "RTL simulation backend for the rtl-* styles (default: "
             "compiled, or the REPRO_RTL_ENGINE environment override); "
-            "'vectorized' packs same-shape cases into word-level "
-            "lanes of one bit-parallel simulation"
-        ),
-    )
-    verify.add_argument(
-        "--lanes", type=int, default=32, metavar="N",
-        help=(
-            "lane width for --engine vectorized: same-shape cases "
-            "batched per packed kernel and harness pass (default 32, "
-            "useful to 128+; results are lane-count independent)"
+            "'interp' is the reference tree-walking evaluator"
         ),
     )
     verify.add_argument(
@@ -635,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "per-case wall-clock budget; a case past it is killed and "
             "retried, then reported as a structured 'timeout' outcome "
-            "(lane batches get timeout x lane count; default: none)"
+            "(default: none)"
         ),
     )
     verify.add_argument(

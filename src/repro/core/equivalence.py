@@ -102,7 +102,12 @@ class RTLShell(Shell):
         super().__init__(pearl, port_depth)
         self.module = module
         self.engine = engine
-        self._script = self._build_script(program)
+        self.rtl = Simulator(module, engine=engine)
+        self._script = (
+            _script_from_program(program)
+            if program is not None
+            else _script_from_schedule(pearl.schedule)
+        )
         self._script_pos = 0
         self._rtl_run_left = 0
         self._phase_next = 0
@@ -121,41 +126,23 @@ class RTLShell(Shell):
         ]
         self._pop_names = [f"{port}_pop" for port in self._in_names]
         self._push_names = [f"{port}_push" for port in self._out_names]
-        self.rtl = self._make_rtl()
         self._apply_reset()
-
-    def _build_script(self, program: SPProgram | None):
-        """The expected-operation script (overridden by the
-        lane-batched shell in :mod:`repro.verify.vectorize`, which
-        shares one script list across a whole lane batch — the shell
-        never mutates the list, only its position into it)."""
-        return (
-            _script_from_program(program)
-            if program is not None
-            else _script_from_schedule(self.pearl.schedule)
-        )
-
-    def _make_rtl(self):
-        """The RTL simulation backend behind this shell (overridden by
-        the lane-batched shell in :mod:`repro.verify.vectorize`, whose
-        backend is one lane of a shared vector simulator)."""
-        return Simulator(self.module, engine=self.engine)
 
     def _apply_reset(self) -> None:
         self.rtl.poke("rst", 1)
         self.rtl.step()
         self.rtl.poke("rst", 0)
 
-    # The wrapper step is split in three so a lane-batched driver can
-    # interleave the phases of many shells around *group* settle/step
-    # calls: poke the ready bits (this is all ``_wrapper_step`` does in
-    # the lane shell), settle, read the strobes, step, apply.  The
-    # scalar composition below is behaviourally identical to the
-    # pre-split monolithic step.
-
-    def _read_strobes(self) -> tuple[bool, int, int]:
-        """(ip_enable, pop mask, push mask) from the settled RTL."""
+    def _wrapper_step(self, cycle: int) -> None:
         rtl = self.rtl
+        in_ports = self.in_ports
+        out_ports = self.out_ports
+        for name, poke_name in self._not_empty_pokes:
+            rtl.poke(poke_name, int(in_ports[name].not_empty))
+        for name, poke_name in self._not_full_pokes:
+            rtl.poke(poke_name, int(out_ports[name].not_full))
+        rtl.settle()
+
         enable = bool(rtl.peek("ip_enable"))
         pop_mask = 0
         for bit, name in enumerate(self._pop_names):
@@ -165,12 +152,9 @@ class RTLShell(Shell):
         for bit, name in enumerate(self._push_names):
             if rtl.peek(name):
                 push_mask |= 1 << bit
-        return enable, pop_mask, push_mask
 
-    def _apply_strobes(
-        self, cycle: int, enable: bool, pop_mask: int, push_mask: int
-    ) -> None:
-        """Cross-check one cycle's strobes and execute its effects."""
+        rtl.step()
+
         if not enable:
             if pop_mask or push_mask:
                 raise EquivalenceError(
@@ -187,19 +171,6 @@ class RTLShell(Shell):
         self.enabled_cycles += 1
         if self.trace_enable is not None:
             self.trace_enable.append(True)
-
-    def _wrapper_step(self, cycle: int) -> None:
-        rtl = self.rtl
-        in_ports = self.in_ports
-        out_ports = self.out_ports
-        for name, poke_name in self._not_empty_pokes:
-            rtl.poke(poke_name, int(in_ports[name].not_empty))
-        for name, poke_name in self._not_full_pokes:
-            rtl.poke(poke_name, int(out_ports[name].not_full))
-        rtl.settle()
-        enable, pop_mask, push_mask = self._read_strobes()
-        rtl.step()
-        self._apply_strobes(cycle, enable, pop_mask, push_mask)
 
     def _execute_enabled(
         self, cycle: int, pop_mask: int, push_mask: int
@@ -254,7 +225,7 @@ class RTLShell(Shell):
 
     def reset(self) -> None:
         super().reset()
-        self.rtl = self._make_rtl()
+        self.rtl = Simulator(self.module, engine=self.engine)
         self._script_pos = 0
         self._rtl_run_left = 0
         self._phase_next = 0

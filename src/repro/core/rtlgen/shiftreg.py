@@ -147,108 +147,6 @@ def compute_port_patterns(
     return enable, pops, pushes
 
 
-def validate_activation(
-    schedule: IOSchedule,
-    activation: Sequence[bool],
-    prefix: Sequence[bool] = (),
-) -> None:
-    """Public wrapper around the activation-plan validity check.
-
-    Raises exactly the :class:`ValueError` that
-    :func:`generate_shiftreg_wrapper` would, so callers that validate
-    plans *before* committing to a shared lane-batched module report
-    the same error text as the scalar build path.
-    """
-    _validate_activation(schedule, activation, prefix)
-
-
-def generate_shiftreg_lane_wrapper(
-    schedule: IOSchedule,
-    lane_enables: Sequence[Sequence[bool] | None],
-    name: str = "shiftreg_lane_wrapper",
-) -> Module:
-    """Build a lane-indexed shift-register wrapper.
-
-    Where :func:`generate_shiftreg_wrapper` bakes one activation plan
-    into per-module rings, this variant lifts the plan out of the
-    module structure and into ROM *contents*: every lane of a batch
-    shares one module (hence one compiled vector kernel) and selects
-    its own activation playback through a ``lane_id`` input.
-
-    ``lane_enables`` holds, per lane, the full-horizon activation bit
-    sequence (prefix followed by the unrolled cyclic pattern — what
-    ``StaticActivation.activation(cycles)`` returns), already
-    validated with :func:`validate_activation`; ``None`` marks a dead
-    lane whose wrapper never fires.  All live sequences must share one
-    horizon (batched cases share a cycle budget).
-
-    A free-running slot counter addresses the ROM at
-    ``lane_id * 2**cnt_bits + slot``; each word packs
-    ``enable | pops << 1 | pushes << (1 + n_inputs)`` in schedule port
-    order, so the strobe outputs replay exactly what the per-lane ring
-    wrapper would emit cycle by cycle.  Like the rings, the playback
-    never consults port status.  Reads past the horizon (counter
-    wrap-around) return zero words: the wrapper goes quiet instead of
-    replaying stale strobes.
-    """
-    if not lane_enables:
-        raise ValueError("lane wrapper needs at least one lane")
-    horizons = {
-        len(bits) for bits in lane_enables if bits is not None
-    }
-    if len(horizons) > 1:
-        raise ValueError(
-            f"lane activation horizons differ: {sorted(horizons)}"
-        )
-    horizon = horizons.pop() if horizons else 1
-    if horizon == 0:
-        raise ValueError("lane activation horizon must be >= 1 cycle")
-    lanes = len(lane_enables)
-    cnt_bits = max(1, (horizon - 1).bit_length())
-    lane_bits = max(1, (lanes - 1).bit_length())
-    n_in = len(schedule.inputs)
-    n_out = len(schedule.outputs)
-    data_width = 1 + n_in + n_out
-
-    contents: list[int] = []
-    for bits in lane_enables:
-        words = [0] * (1 << cnt_bits)
-        if bits is not None:
-            enable, pops, pushes, _ = _walk_patterns(schedule, bits, 0)
-            for slot in range(len(bits)):
-                word = int(enable[slot])
-                for index, port in enumerate(schedule.inputs):
-                    if pops[port][slot]:
-                        word |= 1 << (1 + index)
-                for index, port in enumerate(schedule.outputs):
-                    if pushes[port][slot]:
-                        word |= 1 << (1 + n_in + index)
-                words[slot] = word
-        contents.extend(words)
-
-    module = Module(name)
-    iface = WrapperInterface(module, schedule)
-    rst = iface.rst
-    lane_id = module.input("lane_id", lane_bits)
-
-    cnt = module.wire("slot_cnt", cnt_bits)
-    module.register(
-        cnt, cnt + Const(1, cnt_bits), reset=rst, reset_value=0
-    )
-
-    addr = module.wire("plan_addr", lane_bits + cnt_bits)
-    module.assign(addr, Concat([lane_id, cnt]))
-    word = module.wire("plan_word", data_width)
-    module.rom("plan_rom", addr, word, contents)
-
-    module.assign(iface.ip_enable, word.bit(0))
-    for index in range(n_in):
-        module.assign(iface.pop[index], word.bit(1 + index))
-    for index in range(n_out):
-        module.assign(iface.push[index], word.bit(1 + n_in + index))
-    return module
-
-
 def generate_shiftreg_wrapper(
     schedule: IOSchedule,
     activation: Sequence[bool] | None = None,

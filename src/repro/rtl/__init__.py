@@ -38,11 +38,8 @@ from .module import (
 )
 from .compile_sim import (
     CompiledSimulator,
-    VectorLane,
-    VectorSimulator,
     cache_stats,
     compile_design,
-    compile_vector_design,
     reset_cache_stats,
 )
 from .netlist import BitBlaster, Netlist, bit_blast
@@ -87,8 +84,6 @@ __all__ = [
     "Ternary",
     "UnaryOp",
     "VIRTEX2",
-    "VectorLane",
-    "VectorSimulator",
     "WidthError",
     "all_of",
     "any_of",
@@ -97,7 +92,6 @@ __all__ = [
     "check",
     "clog2",
     "compile_design",
-    "compile_vector_design",
     "emit_design",
     "emit_expr",
     "emit_module",

@@ -49,7 +49,6 @@ instead of served stale.
 
 from __future__ import annotations
 
-import re
 import time
 import weakref
 from collections import OrderedDict
@@ -454,23 +453,16 @@ def kernel_cache_info() -> tuple[int, int]:
 
 
 # Engine counters, process-local like the caches they describe.
-# ``hits``/``misses`` count kernel-cache consults (scalar + vector
-# compiles both; a plan-memo short-circuit is a ``memo_hits`` instead,
-# since it never reaches the kernel cache), ``compile_ms`` the
-# wall-clock milliseconds spent exec-compiling missed kernels, and
-# ``vector_packed``/``vector_fallback`` how many combinational items
-# the vector emitter lowered to the eager SWAR form vs the per-lane
-# fallback loop (the lane-fallback rate is structural: it only moves
-# on cache misses).
+# ``hits``/``misses`` count kernel-cache consults (a plan-memo
+# short-circuit is a ``memo_hits`` instead, since it never reaches the
+# kernel cache) and ``compile_ms`` the wall-clock milliseconds spent
+# exec-compiling missed kernels.
 _ENGINE_STATS: dict[str, float] = {}
 
 
 def reset_cache_stats() -> None:
     """Zero every engine counter (the caches themselves are kept)."""
-    _ENGINE_STATS.update(
-        hits=0, misses=0, memo_hits=0, compile_ms=0.0,
-        vector_packed=0, vector_fallback=0,
-    )
+    _ENGINE_STATS.update(hits=0, misses=0, memo_hits=0, compile_ms=0.0)
 
 
 reset_cache_stats()
@@ -478,10 +470,9 @@ reset_cache_stats()
 
 def cache_stats() -> dict[str, float]:
     """Snapshot of the engine counters: ``hits``, ``misses``,
-    ``memo_hits``, ``compile_ms``, ``vector_packed``,
-    ``vector_fallback``.  Counters are cumulative per process; pair
-    with :func:`reset_cache_stats` (or diff two snapshots) to scope a
-    measurement."""
+    ``memo_hits``, ``compile_ms``.  Counters are cumulative per
+    process; pair with :func:`reset_cache_stats` (or diff two
+    snapshots) to scope a measurement."""
     return dict(_ENGINE_STATS)
 
 
@@ -764,1058 +755,3 @@ class CompiledSimulator(Simulator):
         self.cycle += cycles
         if cycles and self._kernel.dead_slots:
             self._dead_stale = True
-
-
-# -- vectorized lane-packed lowering ------------------------------------------
-#
-# The vectorized backend simulates W independent copies ("lanes") of
-# one module shape in a single big-int environment: slot ``s`` holds
-# lane ``i``'s value in bits ``[i*S, i*S + width)`` for a fixed lane
-# stride ``S`` chosen wider than every expression node in the design,
-# so a per-lane value plus one guard bit never crosses into the next
-# lane.  Every operation lowers to a branch-free bitwise form over the
-# packed word (SWAR): add/sub confine carries with guard bits,
-# comparisons become borrow extractions, ternaries and register
-# enables become mask-select chains, and reductions/variable shifts/
-# large ROMs fall back to short per-lane helper loops.  One
-# ``settle``/``step`` then advances all W simulations at once.
-#
-# The emitted source opens with a preamble binding the lane geometry:
-# ``_off`` (lane bit offsets), ``_L`` (a 1 in every lane's LSB),
-# ``_m{w}`` (the w-bit mask replicated per lane), ``_g{w}`` (a guard
-# bit above every lane's w-bit field) and ``_k{i}`` (lane-replicated
-# constants), so kernels still cache purely on their source text.
-#
-# Two optional 1-bit signal bundles fold a whole wrapper-interface
-# handshake into single ints: a *poke bundle* adds a synthetic input
-# slot scattered to its member signals at the top of ``settle``, and a
-# *peek bundle* adds a synthetic output slot gathered at the bottom,
-# so a driver pays one lane insert + one lane extract per cycle
-# instead of one per handshake wire.
-
-
-_HELPER_DEFS = {
-    "_vxor": (
-        "def _vxor(x, m):\n"
-        "    v = 0\n"
-        "    for o in _off:\n"
-        "        v |= ((x >> o & m).bit_count() & 1) << o\n"
-        "    return v"
-    ),
-    "_vshl": (
-        "def _vshl(x, s, m, sm):\n"
-        "    v = 0\n"
-        "    for o in _off:\n"
-        "        v |= ((x >> o & m) << (s >> o & sm) & m) << o\n"
-        "    return v"
-    ),
-    "_vshr": (
-        "def _vshr(x, s, m, sm):\n"
-        "    v = 0\n"
-        "    for o in _off:\n"
-        "        v |= (x >> o & m) >> (s >> o & sm) << o\n"
-        "    return v"
-    ),
-    "_vrom": (
-        "def _vrom(x, table, am):\n"
-        "    v = 0\n"
-        "    n = len(table)\n"
-        "    for o in _off:\n"
-        "        i = x >> o & am\n"
-        "        if i < n:\n"
-        "            v |= table[i] << o\n"
-        "    return v"
-    ),
-}
-
-
-class _VectorCtx:
-    """Shared state of one vector lowering: the lane geometry plus the
-    packed masks/guards/constants and per-lane helpers the emitted
-    source refers to, registered on demand while lowering and turned
-    into the kernel preamble afterwards."""
-
-    __slots__ = (
-        "lanes", "stride", "masks", "guards", "consts", "helpers",
-        "temps", "extras",
-    )
-
-    def __init__(self, lanes: int, stride: int) -> None:
-        self.lanes = lanes
-        self.stride = stride
-        self.masks: set[int] = set()
-        self.guards: set[int] = set()
-        self.consts: dict[int, str] = {}
-        self.helpers: set[str] = set()
-        self.temps = 0
-        self.extras: list[str] = []
-
-    def mask(self, width: int) -> str:
-        self.masks.add(width)
-        return f"_m{width}"
-
-    def guard(self, width: int) -> str:
-        self.guards.add(width)
-        return f"_g{width}"
-
-    def const(self, value: int) -> str:
-        if value == 0:
-            return "0"
-        name = self.consts.get(value)
-        if name is None:
-            name = f"_k{len(self.consts)}"
-            self.consts[value] = name
-        return name
-
-    def helper(self, name: str) -> str:
-        self.helpers.add(name)
-        return name
-
-    def temp(self) -> str:
-        # Walrus temps must be unique kernel-wide: nested mask-selects
-        # sharing one temp name would clobber each other mid-expression.
-        name = f"_t{self.temps}"
-        self.temps += 1
-        return name
-
-    def materialize(self, part: tuple[str, int | str], width: int) -> str:
-        """A packed fragment for a maybe-constant lowered part."""
-        kind, value = part
-        if kind == "c":
-            return self.const(int(value))
-        return str(value)
-
-    def preamble(self) -> list[str]:
-        lines = [
-            f"_off = tuple(range(0, {self.lanes * self.stride}, {self.stride}))",
-            "_L = sum(1 << o for o in _off)",
-        ]
-        for width in sorted(self.masks):
-            lines.append(f"_m{width} = _L * {_mask(width)}")
-        for width in sorted(self.guards):
-            lines.append(f"_g{width} = _L << {width}")
-        for value, name in self.consts.items():
-            lines.append(f"{name} = _L * {value}")
-        for helper in sorted(self.helpers):
-            lines.extend(_HELPER_DEFS[helper].split("\n"))
-        for extra in self.extras:
-            lines.extend(extra.split("\n"))
-        return lines
-
-
-def _vector_stride(elab: _Elaboration, min_bits: int) -> int:
-    """Lane stride: one more bit than the widest expression node (the
-    per-lane guard bit), at least ``min_bits`` (bundle widths), rounded
-    up to a byte so packed hex dumps stay readable."""
-    widest = max(elab.widths, default=1)
-
-    def visit(expr: Expr) -> None:
-        nonlocal widest
-        if expr.width > widest:
-            widest = expr.width
-        for child in expr.children():
-            visit(child)
-
-    for item in elab.comb:
-        visit(item.expr)
-    for item in elab.regs:
-        visit(item.reg.next)
-        if item.reg.enable is not None:
-            visit(item.reg.enable)
-        if item.reg.reset is not None:
-            visit(item.reg.reset)
-    stride = max(widest + 1, min_bits)
-    return (stride + 7) // 8 * 8
-
-
-def _vlower(
-    expr: Expr,
-    local: dict[int, int],
-    const_slots: dict[int, int],
-    used: set[int],
-    ctx: _VectorCtx,
-) -> tuple[str, int | str]:
-    """Vector twin of :func:`_lower`: constants stay *scalar* (lane
-    replication happens in :meth:`_VectorCtx.materialize`), fragments
-    yield lane-packed masked ints."""
-    if isinstance(expr, Signal):
-        slot = local[id(expr)]
-        if slot in const_slots:
-            return ("c", const_slots[slot])
-        used.add(slot)
-        return ("s", f"e[{slot}]")
-    if isinstance(expr, Const):
-        return ("c", expr.value)
-
-    parts = [
-        _vlower(child, local, const_slots, used, ctx)
-        for child in expr.children()
-    ]
-    if all(kind == "c" for kind, _ in parts):
-        return ("c", _const_eval(expr, parts))
-
-    if isinstance(expr, UnaryOp):
-        n = expr.operand.width
-        x = str(parts[0][1])
-        if expr.op == "~":
-            return ("s", f"(~{x} & {ctx.mask(n)})")
-        if n == 1:
-            return parts[0]  # 1-bit reductions are the identity
-        if expr.op == "&":
-            # all-ones test: XOR with the mask, then an eq-zero borrow
-            return (
-                "s",
-                f"(~((({x} ^ {ctx.mask(n)}) | {ctx.guard(n)}) - _L)"
-                f" >> {n} & _L)",
-            )
-        if expr.op == "|":
-            return ("s", f"((({x} | {ctx.guard(n)}) - _L) >> {n} & _L)")
-        return ("s", f"{ctx.helper('_vxor')}({x}, {_mask(n)})")
-
-    if isinstance(expr, BinOp):
-        return _vlower_binop(expr, parts, ctx)
-
-    if isinstance(expr, Ternary):
-        ckind, cond = parts[0]
-        if ckind == "c":
-            return parts[1] if cond else parts[2]
-        w = expr.width
-        k = _mask(w)
-        if parts[2] == ("c", 0):
-            a = ctx.materialize(parts[1], w)
-            return ("s", f"({a} & {cond} * {k})")
-        if parts[1] == ("c", 0):
-            b = ctx.materialize(parts[2], w)
-            return ("s", f"({b} & ({cond} * {k} ^ {ctx.mask(w)}))")
-        a = ctx.materialize(parts[1], w)
-        b = ctx.materialize(parts[2], w)
-        t = ctx.temp()
-        return (
-            "s",
-            f"({a} & ({t} := {cond} * {k}) | {b} & ({t} ^ {ctx.mask(w)}))",
-        )
-
-    if isinstance(expr, BitSelect):
-        (_, x) = parts[0]
-        if expr.index == 0:
-            return ("s", f"({x} & _L)")
-        return ("s", f"({x} >> {expr.index} & _L)")
-
-    if isinstance(expr, Slice):
-        (_, x) = parts[0]
-        if expr.lsb == 0:
-            return ("s", f"({x} & {ctx.mask(expr.width)})")
-        return ("s", f"({x} >> {expr.lsb} & {ctx.mask(expr.width)})")
-
-    if isinstance(expr, Concat):
-        return _vlower_concat(expr, parts, ctx)
-
-    raise TypeError(f"cannot lower {type(expr).__name__}")
-
-
-def _vlower_binop(
-    expr: BinOp,
-    parts: list[tuple[str, int | str]],
-    ctx: _VectorCtx,
-) -> tuple[str, int | str]:
-    op = expr.op
-    (lk, a), (rk, b) = parts
-    w = expr.width
-    if op in ("&", "|", "^"):
-        m = _mask(w)
-        if lk == "c" or rk == "c":
-            c, other = (a, parts[1]) if lk == "c" else (b, parts[0])
-            if op == "&" and c == m:
-                return other
-            if op == "&" and c == 0:
-                return ("c", 0)
-            if op in ("|", "^") and c == 0:
-                return other
-            if op == "|" and c == m:
-                return ("c", m)
-        pa = ctx.materialize(parts[0], w)
-        pb = ctx.materialize(parts[1], w)
-        return ("s", f"({pa} {op} {pb})")
-    if op in ("+", "-"):
-        if rk == "c" and b == 0:
-            return parts[0]
-        if op == "+" and lk == "c" and a == 0:
-            return parts[1]
-        pa = ctx.materialize(parts[0], expr.left.width)
-        pb = ctx.materialize(parts[1], expr.right.width)
-        if op == "+":
-            # per-lane sums stay below the guard bit (w + 1 <= stride)
-            return ("s", f"(({pa} + {pb}) & {ctx.mask(w)})")
-        # guard bits make every per-lane difference positive, so the
-        # big-int subtraction never borrows across lanes
-        return (
-            "s",
-            f"((({pa} | {ctx.guard(w)}) - {pb}) & {ctx.mask(w)})",
-        )
-    if op == "<<":
-        if rk == "c":
-            shift = int(b)
-            if shift == 0:
-                return parts[0]
-            if shift >= w:
-                return ("c", 0)
-            pa = ctx.materialize(parts[0], w)
-            # pre-mask so shifted-out bits cannot invade the next lane
-            return ("s", f"(({pa} & {ctx.mask(w - shift)}) << {shift})")
-        pa = ctx.materialize(parts[0], w)
-        return (
-            "s",
-            f"{ctx.helper('_vshl')}({pa}, {parts[1][1]}, "
-            f"{_mask(w)}, {_mask(expr.right.width)})",
-        )
-    if op == ">>":
-        wl = expr.left.width
-        if rk == "c":
-            shift = int(b)
-            if shift == 0:
-                return parts[0]
-            if shift >= wl:
-                return ("c", 0)
-            # post-mask strips the neighbour lane's low bits
-            return ("s", f"({a} >> {shift} & {ctx.mask(wl - shift)})")
-        pa = ctx.materialize(parts[0], wl)
-        return (
-            "s",
-            f"{ctx.helper('_vshr')}({pa}, {parts[1][1]}, "
-            f"{_mask(wl)}, {_mask(expr.right.width)})",
-        )
-    # Comparisons: unsigned borrow extraction on guarded lanes.
-    n = expr.left.width
-    g = ctx.guard(n)
-    pa = ctx.materialize(parts[0], n)
-    pb = ctx.materialize(parts[1], n)
-    if op in ("==", "!="):
-        z = f"({pa} ^ {pb})"
-        if op == "!=":
-            return ("s", f"((({z} | {g}) - _L) >> {n} & _L)")
-        return ("s", f"(~(({z} | {g}) - _L) >> {n} & _L)")
-    if op == ">=":
-        return ("s", f"((({pa} | {g}) - {pb}) >> {n} & _L)")
-    if op == "<":
-        return ("s", f"(~(({pa} | {g}) - {pb}) >> {n} & _L)")
-    if op == "<=":
-        return ("s", f"((({pb} | {g}) - {pa}) >> {n} & _L)")
-    return ("s", f"(~(({pb} | {g}) - {pa}) >> {n} & _L)")  # >
-
-
-def _vlower_concat(
-    expr: Concat,
-    parts: list[tuple[str, int | str]],
-    ctx: _VectorCtx,
-) -> tuple[str, int | str]:
-    terms: list[str] = []
-    const_acc = 0
-    shift = expr.width
-    for child, (kind, value) in zip(expr.parts, parts):
-        shift -= child.width
-        if kind == "c":
-            const_acc |= int(value) << shift
-        elif shift == 0:
-            terms.append(str(value))
-        else:
-            terms.append(f"({value} << {shift})")
-    if const_acc:
-        terms.append(ctx.const(const_acc))
-    if not terms:
-        return ("c", 0)
-    if len(terms) == 1:
-        return ("s", terms[0])
-    return ("s", f"({' | '.join(terms)})")
-
-
-# SWAR lowering evaluates *every* operand of a mask-select eagerly, so
-# a deep mux tree (an FSM wrapper's next-state "case" over hundreds of
-# states) costs O(nodes) big-int operations per settle — while the
-# scalar kernel's lazy conditional expressions walk only one path.
-# Past this node count the eager form loses to evaluating the scalar
-# lowering once per lane, so such expressions drop to a per-lane loop
-# over the (lazy) scalar fragment instead.  When the expression's live
-# inputs fit in _LANE_TABLE_BITS the fragment is further memoized into
-# a lookup table built once at kernel-exec time, so the steady-state
-# per-lane cost is index-assembly plus one tuple read.
-_LANE_FALLBACK_NODES = 48
-_LANE_TABLE_BITS = 13
-
-_SLOT_REF = re.compile(r"e\[(\d+)\]")
-
-
-def _expr_size(expr: Expr) -> int:
-    return 1 + sum(_expr_size(child) for child in expr.children())
-
-
-def _vemit_lane_fallback(
-    item: _CombItem,
-    const_slots: dict[int, int],
-    used: set[int],
-    ctx: _VectorCtx,
-    widths: list[int],
-    fragment,
-) -> str:
-    """Emit one oversized combinational expression as a per-lane loop
-    evaluating the scalar (lazily branching) lowering, bit-identical
-    to the eager SWAR form by construction.
-
-    Lane traffic goes through bytes, not big-int shifts: the stride is
-    byte-aligned and stored values are width-masked, so each lane's
-    field of an input slot is a short little-endian byte read, and the
-    per-lane results land in a bytearray that converts back to one
-    packed int at the end — every operation inside the loop is
-    small-int, keeping the fallback linear in the lane count.
-
-    Before choosing between the table and plain forms, read slots
-    whose producing assigns are cheap get *inlined* (their scalar
-    fragments substituted for the reads) whenever that shrinks the
-    total input width — an FSM tree reading sixteen derived readiness
-    wires collapses to the handful of primitive status bits beneath
-    them, which is what lets the table form apply at all."""
-    scalar_used: set[int] = set()
-    kind, value = _lower(
-        item.expr, item.local, const_slots, scalar_used
-    )
-    if kind == "c":
-        const_slots[item.target] = int(value)
-        return f"e[{item.target}] = {ctx.const(int(value))}"
-    body = str(value)
-    inputs = set(scalar_used)
-    if sum(widths[s] for s in inputs) > _LANE_TABLE_BITS:
-        # Full closure to primitive inputs: substitute every read slot
-        # that has a cheap producer, transitively.  Individual steps
-        # may *widen* the input set (one readiness wire reads four
-        # status bits), but the closure collapses shared intermediates
-        # onto the same primitives; adopt it only if it lands within
-        # table range and didn't balloon the fragment text.
-        cbody, cinputs = body, set(inputs)
-        while len(cbody) <= 100_000:
-            slot = next(
-                (s for s in sorted(cinputs) if fragment(s) is not None),
-                None,
-            )
-            if slot is None:
-                if sum(widths[s] for s in cinputs) <= _LANE_TABLE_BITS:
-                    body, inputs = cbody, cinputs
-                break
-            text, frag_used = fragment(slot)
-            cbody = re.sub(rf"e\[{slot}\]", lambda _m: text, cbody)
-            cinputs.discard(slot)
-            cinputs |= frag_used
-    used.update(inputs)
-    slots = sorted(inputs)
-    index = len(ctx.extras)
-    nbytes = ctx.lanes * ctx.stride // 8
-    lane_bytes = ctx.stride // 8
-
-    def read(slot: int) -> str:
-        if widths[slot] <= 8:
-            return f"b{slot}[k]"
-        if widths[slot] <= 16:
-            return f"(b{slot}[k] | b{slot}[k + 1] << 8)"
-        span = (widths[slot] + 7) // 8
-        return f"int.from_bytes(b{slot}[k:k + {span}], 'little')"
-
-    lines = [f"def _lf{index}(e):"]
-    for slot in slots:
-        lines.append(
-            f"    b{slot} = e[{slot}].to_bytes({nbytes}, 'little')"
-        )
-    lines.append(f"    out = bytearray({nbytes})")
-    lines.append(f"    for j in range({ctx.lanes}):")
-    lines.append(f"        k = j * {lane_bytes}")
-    body = _SLOT_REF.sub(lambda m: f"s{m.group(1)}", body)
-    if sum(widths[slot] for slot in slots) <= _LANE_TABLE_BITS:
-        params = ", ".join(f"s{slot}" for slot in slots)
-        unpack, terms, shift = [], [], 0
-        for slot in slots:
-            mask = _mask(widths[slot])
-            unpack.append(
-                f"_i >> {shift} & {mask}" if shift else f"_i & {mask}"
-            )
-            terms.append(
-                f"{read(slot)} << {shift}" if shift else read(slot)
-            )
-            shift += widths[slot]
-        table = [
-            f"def _tf{index}({params}):",
-            f"    return {body}",
-            f"_tbl{index} = tuple(",
-            f"    _tf{index}({', '.join(unpack)})",
-            f"    for _i in range({1 << shift})",
-            ")",
-        ]
-        result = f"_tbl{index}[{' | '.join(terms)}]"
-    else:
-        table = []
-        for slot in slots:
-            lines.append(f"        s{slot} = {read(slot)}")
-        result = body
-    target_bytes = (widths[item.target] + 7) // 8
-    if target_bytes == 1:
-        lines.append(f"        out[k] = {result}")
-    elif target_bytes == 2:
-        lines.append(f"        out[k] = (_r := {result}) & 255")
-        lines.append("        out[k + 1] = _r >> 8")
-    else:
-        lines.append(
-            f"        out[k:k + {target_bytes}] = "
-            f"({result}).to_bytes({target_bytes}, 'little')"
-        )
-    lines.append("    return int.from_bytes(out, 'little')")
-    ctx.extras.append("\n".join(table + lines))
-    return f"e[{item.target}] = _lf{index}(e)"
-
-
-def _vemit_comb_line(
-    item: _CombItem,
-    const_slots: dict[int, int],
-    used: set[int],
-    rom_tables: list[tuple[int, ...]],
-    ctx: _VectorCtx,
-    widths: list[int],
-    fragment,
-) -> str:
-    if item.rom is None:
-        if _expr_size(item.expr) >= _LANE_FALLBACK_NODES:
-            _ENGINE_STATS["vector_fallback"] += 1
-            return _vemit_lane_fallback(
-                item, const_slots, used, ctx, widths, fragment
-            )
-        _ENGINE_STATS["vector_packed"] += 1
-        kind, value = _vlower(
-            item.expr, item.local, const_slots, used, ctx
-        )
-        if kind == "c":
-            const_slots[item.target] = int(value)
-            value = ctx.const(int(value))
-        return f"e[{item.target}] = {value}"
-    rom = item.rom
-    akind, addr = _vlower(item.expr, item.local, const_slots, used, ctx)
-    if akind == "c":
-        value = rom.read(int(addr))
-        const_slots[item.target] = value
-        return f"e[{item.target}] = {ctx.const(value)}"
-    index = len(rom_tables)
-    am = _mask(rom.addr.width)
-    if rom.addr.width <= _ROM_PAD_LIMIT:
-        span = 1 << rom.addr.width
-        rom_tables.append(
-            rom.contents + (0,) * (span - len(rom.contents))
-        )
-        t = ctx.temp()
-        terms = [f"_rom{index}[({t} := {addr}) & {am}]"]
-        for lane in range(1, ctx.lanes):
-            offset = lane * ctx.stride
-            terms.append(
-                f"_rom{index}[{t} >> {offset} & {am}] << {offset}"
-            )
-        return f"e[{item.target}] = " + " | ".join(terms)
-    rom_tables.append(rom.contents)
-    return (
-        f"e[{item.target}] = "
-        f"{ctx.helper('_vrom')}({addr}, _rom{index}, {am})"
-    )
-
-
-def _vemit_reg_lines(
-    regs: list[_RegItem],
-    const_slots: dict[int, int],
-    used: set[int],
-    ctx: _VectorCtx,
-) -> list[str]:
-    """Vector twin of :func:`_emit_reg_lines`: the same reset-wins /
-    enable-holds semantics and constant-tied special cases, with every
-    conditional rewritten as a lane mask-select."""
-    samples: list[str] = []
-    commits: list[str] = []
-    for item in regs:
-        reg = item.reg
-        target = item.target
-        w = reg.target.width
-        k = _mask(w)
-        reset = (
-            _vlower(reg.reset, item.local, const_slots, used, ctx)
-            if reg.reset is not None
-            else None
-        )
-        enable = (
-            _vlower(reg.enable, item.local, const_slots, used, ctx)
-            if reg.enable is not None
-            else None
-        )
-        if reset is not None and reset[0] == "c" and not reset[1]:
-            reset = None  # reset tied low: never fires
-        if enable is not None and enable[0] == "c":
-            if enable[1]:
-                enable = None  # enable tied high: plain load
-            elif reset is None:
-                continue  # enable tied low, no reset: inert register
-        if enable is not None and enable[0] == "c":
-            sample = f"e[{target}]"  # tied low; only the reset can act
-        else:
-            sample = ctx.materialize(
-                _vlower(reg.next, item.local, const_slots, used, ctx),
-                w,
-            )
-            if enable is not None:
-                t = ctx.temp()
-                sample = (
-                    f"({sample} & ({t} := {enable[1]} * {k})"
-                    f" | e[{target}] & ({t} ^ {ctx.mask(w)}))"
-                )
-        if reset is not None:
-            value = reg.reset_value & k
-            if reset[0] == "c":  # tied high: unconditional reset
-                sample = ctx.const(value)
-            elif value == 0:
-                sample = (
-                    f"({sample} & ({reset[1]} * {k} ^ {ctx.mask(w)}))"
-                )
-            else:
-                t = ctx.temp()
-                sample = (
-                    f"({ctx.const(value)} & ({t} := {reset[1]} * {k})"
-                    f" | {sample} & ({t} ^ {ctx.mask(w)}))"
-                )
-        name = f"t{len(samples)}"
-        samples.append(f"{name} = {sample}")
-        commits.append(f"e[{target}] = {name}")
-    return samples + commits
-
-
-def _emit_vector(
-    elab: _Elaboration,
-    lanes: int,
-    poke_bundle: tuple[str, ...],
-    peek_bundle: tuple[str, ...],
-    name_slot: dict[str, int],
-) -> tuple[str, list[tuple[int, ...]], frozenset[int], int, int, int | None, int | None]:
-    """Lower a scheduled elaboration to a lane-packed kernel source;
-    returns (source, ROM images, dead slots, slot count incl. bundle
-    slots, lane stride, poke-bundle slot, peek-bundle slot)."""
-    order = elab.schedule()
-    min_bits = max(len(poke_bundle), len(peek_bundle), 1)
-    stride = _vector_stride(elab, min_bits)
-    ctx = _VectorCtx(lanes, stride)
-    const_slots: dict[int, int] = {}
-    rom_tables: list[tuple[int, ...]] = []
-
-    producers = {
-        item.target: item for item in elab.comb if item.rom is None
-    }
-    fragment_cache: dict[int, tuple[str, frozenset[int]] | None] = {}
-
-    def fragment(slot: int) -> tuple[str, frozenset[int]] | None:
-        """Scalar fragment of a cheap comb producer, for inlining into
-        per-lane fallbacks; None when the slot has no such producer."""
-        if slot not in fragment_cache:
-            item = producers.get(slot)
-            result = None
-            if (
-                item is not None
-                and _expr_size(item.expr) < _LANE_FALLBACK_NODES
-            ):
-                frag_used: set[int] = set()
-                kind, value = _lower(
-                    item.expr, item.local, const_slots, frag_used
-                )
-                if kind == "s":
-                    result = (str(value), frozenset(frag_used))
-            fragment_cache[slot] = result
-        return fragment_cache[slot]
-
-    comb_lines: list[tuple[int, str]] = []
-    comb_used: list[set[int]] = []
-    for i in order:
-        used: set[int] = set()
-        line = _vemit_comb_line(
-            elab.comb[i], const_slots, used, rom_tables, ctx,
-            elab.widths, fragment,
-        )
-        comb_lines.append((elab.comb[i].target, line))
-        comb_used.append(used)
-
-    reg_used: set[int] = set()
-    reg_lines = _vemit_reg_lines(elab.regs, const_slots, reg_used, ctx)
-
-    n_slots = len(elab.names)
-    in_slot = None
-    scatter_lines: list[str] = []
-    if poke_bundle:
-        in_slot = n_slots
-        n_slots += 1
-        for position, name in enumerate(poke_bundle):
-            slot = name_slot[name]
-            if position == 0:
-                scatter_lines.append(f"e[{slot}] = e[{in_slot}] & _L")
-            else:
-                scatter_lines.append(
-                    f"e[{slot}] = e[{in_slot}] >> {position} & _L"
-                )
-    out_slot = None
-    gather_lines: list[str] = []
-    gather_used: set[int] = set()
-    if peek_bundle:
-        out_slot = n_slots
-        n_slots += 1
-        terms = []
-        for position, name in enumerate(peek_bundle):
-            slot = name_slot[name]
-            gather_used.add(slot)
-            terms.append(
-                f"e[{slot}]"
-                if position == 0
-                else f"e[{slot}] << {position}"
-            )
-        gather_lines.append(f"e[{out_slot}] = " + " | ".join(terms))
-
-    live: set[int] = set(reg_used)
-    live.update(range(elab.top_slots))
-    live.update(gather_used)
-    live_flags = [False] * len(comb_lines)
-    for pos in range(len(comb_lines) - 1, -1, -1):
-        target, _line = comb_lines[pos]
-        if target in live:
-            live_flags[pos] = True
-            live.update(comb_used[pos])
-    settle_lines = [
-        line
-        for (_t, line), flag in zip(comb_lines, live_flags)
-        if flag
-    ]
-    dead_lines = [
-        line
-        for (_t, line), flag in zip(comb_lines, live_flags)
-        if not flag
-    ]
-    dead_slots = frozenset(
-        target
-        for (target, _line), flag in zip(comb_lines, live_flags)
-        if not flag
-    )
-    settle_body = scatter_lines + settle_lines + gather_lines
-
-    def body(lines: list[str], indent: str) -> str:
-        if not lines:
-            return f"{indent}pass"
-        return "\n".join(indent + line for line in lines)
-
-    source = "\n".join(
-        ctx.preamble()
-        + [
-            "",
-            "def _settle(e):",
-            body(settle_body, "    "),
-            "",
-            "def _settle_dead(e):",
-            body(dead_lines, "    "),
-            "",
-            "def _step(e, cycles):",
-            "    for _ in range(cycles):",
-            body(reg_lines + settle_body, "        "),
-            "",
-        ]
-    )
-    return (
-        source, rom_tables, dead_slots, n_slots, stride, in_slot,
-        out_slot,
-    )
-
-
-class _VectorPlan:
-    """Everything a :class:`VectorSimulator` needs for one module at
-    one (lane count, bundle) variant."""
-
-    __slots__ = (
-        "kernel", "name_slot", "masks", "lanes", "stride", "in_slot",
-        "out_slot",
-    )
-
-    def __init__(
-        self,
-        kernel: _Kernel,
-        name_slot: dict[str, int],
-        masks: list[int],
-        lanes: int,
-        stride: int,
-        in_slot: int | None,
-        out_slot: int | None,
-    ) -> None:
-        self.kernel = kernel
-        self.name_slot = name_slot
-        self.masks = masks
-        self.lanes = lanes
-        self.stride = stride
-        self.in_slot = in_slot
-        self.out_slot = out_slot
-
-
-# Module -> {(lanes, poke bundle, peek bundle): (structure, plan)};
-# same invalidation contract as _PLAN_MEMO.  Vector kernels share
-# _KERNEL_CACHE with the scalar engine — the preamble encodes lane
-# geometry, so the source-text key still discriminates exactly.
-_VECTOR_PLAN_MEMO: "weakref.WeakKeyDictionary[Module, dict[tuple, tuple[tuple, _VectorPlan]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def compile_vector_design(
-    design: Design | Module,
-    lanes: int,
-    poke_bundle: tuple[str, ...] = (),
-    peek_bundle: tuple[str, ...] = (),
-) -> _VectorPlan:
-    """Elaborate + lower + compile one design's lane-packed kernel,
-    memoized per (module, lanes, bundles)."""
-    if isinstance(design, Module):
-        design = Design(design)
-    if lanes < 1:
-        raise ValueError("lane count must be >= 1")
-    poke_bundle = tuple(poke_bundle)
-    peek_bundle = tuple(peek_bundle)
-    variant = (lanes, poke_bundle, peek_bundle)
-    structure = _structure(design)
-    per_module = _VECTOR_PLAN_MEMO.setdefault(design.top, {})
-    memoized = per_module.get(variant)
-    if memoized is not None and memoized[0] == structure:
-        _ENGINE_STATS["memo_hits"] += 1
-        return memoized[1]
-    elab = _Elaboration(design)
-    name_slot: dict[str, int] = {}
-    for slot, name in enumerate(elab.names):
-        name_slot.setdefault(name, slot)
-    for name in (*poke_bundle, *peek_bundle):
-        slot = name_slot.get(name)
-        if slot is None:
-            raise KeyError(f"no signal named {name!r} in top module")
-        if elab.widths[slot] != 1:
-            raise ValueError(
-                f"bundled signal {name!r} must be 1 bit wide, "
-                f"got {elab.widths[slot]}"
-            )
-    (
-        source, rom_tables, dead_slots, n_slots, stride, in_slot,
-        out_slot,
-    ) = _emit_vector(elab, lanes, poke_bundle, peek_bundle, name_slot)
-    key = (n_slots, source, tuple(rom_tables), dead_slots)
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        _ENGINE_STATS["misses"] += 1
-        compile_started = time.perf_counter()
-        kernel = _Kernel(n_slots, source, rom_tables, dead_slots)
-        _ENGINE_STATS["compile_ms"] += (
-            time.perf_counter() - compile_started
-        ) * 1e3
-        _KERNEL_CACHE[key] = kernel
-        if len(_KERNEL_CACHE) > KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.popitem(last=False)
-    else:
-        _ENGINE_STATS["hits"] += 1
-        _KERNEL_CACHE.move_to_end(key)
-    masks = [_mask(width) for width in elab.widths]
-    if poke_bundle:
-        masks.append(_mask(len(poke_bundle)))
-    if peek_bundle:
-        masks.append(_mask(len(peek_bundle)))
-    plan = _VectorPlan(
-        kernel, name_slot, masks, lanes, stride, in_slot, out_slot
-    )
-    per_module[variant] = (structure, plan)
-    return plan
-
-
-class VectorSimulator:
-    """W independent simulations of one module, bit-parallel.
-
-    Each lane is a full, isolated copy of the design: :meth:`lane`
-    returns a scalar poke/peek view over one lane, while
-    :meth:`settle`/:meth:`step` advance *every* lane with a single
-    straight-line pass over the packed environment.  Pokes and peeks
-    are per-lane (there is no shared input), so lanes may diverge
-    arbitrarily — error or deadlocked lanes simply stop being driven.
-
-    ``poke_bundle``/``peek_bundle`` name ordered groups of 1-bit
-    top-level signals that collapse into one packed control word per
-    lane (:meth:`VectorLane.poke_control` / ``peek_status``), turning
-    ~10 per-wire accesses per cycle into 2.
-    """
-
-    engine = "vectorized"
-
-    def __init__(
-        self,
-        design: Design | Module,
-        lanes: int,
-        poke_bundle: tuple[str, ...] = (),
-        peek_bundle: tuple[str, ...] = (),
-    ) -> None:
-        plan = compile_vector_design(
-            design, lanes, poke_bundle, peek_bundle
-        )
-        self._kernel = plan.kernel
-        self._name_slot = plan.name_slot
-        self._masks = plan.masks
-        self.lanes = lanes
-        self.stride = plan.stride
-        self._in_slot = plan.in_slot
-        self._out_slot = plan.out_slot
-        self._lane_lsb = sum(
-            1 << (lane * plan.stride) for lane in range(lanes)
-        )
-        self._env: list[int] = [0] * plan.kernel.n_slots
-        self._dead_stale = False
-        self.cycle = 0
-        self.settle()
-
-    @property
-    def source(self) -> str:
-        """The generated kernel source (for inspection and tests)."""
-        return self._kernel.source
-
-    # -- environment access ----------------------------------------------------
-
-    def lane(self, index: int) -> "VectorLane":
-        if not 0 <= index < self.lanes:
-            raise IndexError(
-                f"lane {index} out of range for {self.lanes} lanes"
-            )
-        return VectorLane(self, index)
-
-    def _slot(self, name: str) -> int:
-        slot = self._name_slot.get(name)
-        if slot is None:
-            raise KeyError(f"no signal named {name!r} in top module")
-        return slot
-
-    def _refresh_dead(self) -> None:
-        self._kernel.settle_dead(self._env)
-        self._dead_stale = False
-
-    def _poke_slot(self, slot: int, lane: int, value: int) -> None:
-        if self._dead_stale:
-            # Same contract as the scalar engine: flush pruned nets
-            # against the pre-poke environment first.
-            self._refresh_dead()
-        mask = self._masks[slot]
-        offset = lane * self.stride
-        env = self._env
-        env[slot] = (
-            env[slot] & ~(mask << offset) | (value & mask) << offset
-        )
-
-    def _peek_slot(self, slot: int, lane: int) -> int:
-        if self._dead_stale and slot in self._kernel.dead_slots:
-            self._refresh_dead()
-        return self._env[slot] >> lane * self.stride & self._masks[slot]
-
-    def poke_lane(self, lane: int, name: str, value: int) -> None:
-        """Drive a top-level input in one lane."""
-        self._poke_slot(self._slot(name), lane, value)
-
-    def peek_lane(self, lane: int, name: str) -> int:
-        """Read a top-level signal's settled value in one lane."""
-        return self._peek_slot(self._slot(name), lane)
-
-    def broadcast(self, name: str, value: int) -> None:
-        """Drive one input to the same value in every lane at once."""
-        if self._dead_stale:
-            self._refresh_dead()
-        slot = self._slot(name)
-        self._env[slot] = (value & self._masks[slot]) * self._lane_lsb
-
-    def poke_control_packed(self, packed: int) -> None:
-        """Drive every lane's poke bundle from one packed integer.
-
-        ``packed`` holds lane ``k``'s control word at bit offset
-        ``k * stride`` (the environment's native layout), so a batched
-        harness can assemble all lanes' handshake bits off-simulator
-        and install them in one slot write instead of ``lanes``
-        read-modify-write :meth:`VectorLane.poke_control` calls.
-        """
-        if self._in_slot is None:
-            raise RuntimeError(
-                "simulator was compiled without a poke bundle"
-            )
-        if self._dead_stale:
-            self._refresh_dead()
-        self._env[self._in_slot] = (
-            packed & self._masks[self._in_slot] * self._lane_lsb
-        )
-
-    def peek_status_packed(self) -> int:
-        """Read every lane's peek bundle as one packed integer (lane
-        ``k``'s status word at bit offset ``k * stride``)."""
-        if self._out_slot is None:
-            raise RuntimeError(
-                "simulator was compiled without a peek bundle"
-            )
-        if (
-            self._dead_stale
-            and self._out_slot in self._kernel.dead_slots
-        ):
-            self._refresh_dead()
-        return self._env[self._out_slot]
-
-    # -- execution ---------------------------------------------------------------
-
-    def settle(self) -> None:
-        """Propagate combinational logic in all lanes (one pass)."""
-        self._kernel.settle(self._env)
-        if self._kernel.dead_slots:
-            self._dead_stale = True
-
-    def step(self, cycles: int = 1) -> None:
-        """Advance every lane's clock by ``cycles`` rising edges."""
-        self._kernel.step(self._env, cycles)
-        self.cycle += cycles
-        if cycles and self._kernel.dead_slots:
-            self._dead_stale = True
-
-
-class VectorLane:
-    """Scalar poke/peek view of one :class:`VectorSimulator` lane.
-
-    Exposes the subset of the scalar :class:`Simulator` surface a
-    driver needs per lane; clocking stays group-wide on the parent
-    (``lane.sim.settle()`` / ``lane.sim.step()``).
-    """
-
-    __slots__ = ("sim", "index")
-
-    engine = "vectorized"
-
-    def __init__(self, sim: VectorSimulator, index: int) -> None:
-        self.sim = sim
-        self.index = index
-
-    @property
-    def cycle(self) -> int:
-        return self.sim.cycle
-
-    def poke(self, name: str, value: int) -> None:
-        self.sim._poke_slot(self.sim._slot(name), self.index, value)
-
-    def peek(self, name: str) -> int:
-        return self.sim._peek_slot(self.sim._slot(name), self.index)
-
-    def poke_control(self, bits: int) -> None:
-        """Drive the whole poke bundle from one packed int (bit ``k``
-        drives the bundle's ``k``-th signal)."""
-        sim = self.sim
-        if sim._in_slot is None:
-            raise RuntimeError(
-                "simulator was compiled without a poke bundle"
-            )
-        sim._poke_slot(sim._in_slot, self.index, bits)
-
-    def peek_status(self) -> int:
-        """Read the whole peek bundle as one packed int (bit ``k`` is
-        the bundle's ``k``-th signal)."""
-        sim = self.sim
-        if sim._out_slot is None:
-            raise RuntimeError(
-                "simulator was compiled without a peek bundle"
-            )
-        return sim._peek_slot(sim._out_slot, self.index)

@@ -14,22 +14,14 @@ flat environment.  This mirrors the flattening performed by
 :mod:`repro.rtl.netlist`, keeping simulation and the area model
 consistent with each other and with the emitted Verilog.
 
-Three interchangeable engines implement these semantics:
+Two interchangeable engines implement these semantics:
 
 * ``"compiled"`` (default) — :mod:`repro.rtl.compile_sim` lowers the
   flattened design to one straight-line Python ``settle``/``step``
   function pair, compiled once per module *shape* and cached;
 * ``"interp"`` — the reference tree-walking evaluator below, kept as
   the semantic oracle the compiled engine is differentially tested
-  against;
-* ``"vectorized"`` — the lane-packed SWAR backend
-  (:class:`~repro.rtl.compile_sim.VectorSimulator`), which advances W
-  same-shape simulations per ``settle``/``step``.  Lane packing only
-  pays off when a *batch* of simulations is driven together, so a
-  scalar ``Simulator(design, engine="vectorized")`` request falls
-  back to the compiled engine; the verify layer
-  (:mod:`repro.verify.vectorize`) is what actually groups cases into
-  lanes.
+  against.
 
 ``Simulator(design)`` dispatches on the ``engine`` argument (or the
 ``REPRO_RTL_ENGINE`` environment variable); both engines expose the
@@ -45,7 +37,7 @@ from typing import Callable, Mapping
 from .ast import Expr, Signal
 from .module import Design, Module, Register, Rom
 
-ENGINES = ("compiled", "interp", "vectorized")
+ENGINES = ("compiled", "interp")
 
 DEFAULT_ENGINE = "compiled"
 
@@ -118,9 +110,6 @@ class Simulator:
             if resolve_engine(engine) == "interp":
                 cls = InterpSimulator
             else:
-                # "compiled", and the scalar fallback for "vectorized":
-                # lane packing needs a whole batch, so a single-module
-                # request runs on the compiled kernels it shares.
                 from .compile_sim import CompiledSimulator
 
                 cls = CompiledSimulator

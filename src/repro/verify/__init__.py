@@ -192,15 +192,6 @@ from .supervise import (
     WorkerFault,
     backoff_delay,
 )
-from .vectorize import (
-    DEFAULT_LANES,
-    LaneRTLShell,
-    bucket_cases,
-    chunk_cases,
-    run_cases_vectorized,
-    shape_key,
-    vectorizable_style,
-)
 
 __all__ = [
     "ALL_STYLES",
@@ -217,14 +208,12 @@ __all__ = [
     "CoverageDiff",
     "CoverageReport",
     "CycleExactOracle",
-    "DEFAULT_LANES",
     "DEFAULT_STYLES",
     "Divergence",
     "EVENTS_VERSION",
     "EventWriter",
     "ExceptionOracle",
     "GEN_MODES",
-    "LaneRTLShell",
     "MAX_BACKOFF",
     "MixPearl",
     "Oracle",
@@ -245,12 +234,10 @@ __all__ = [
     "VerifyCase",
     "WorkerFault",
     "backoff_delay",
-    "bucket_cases",
     "build_system",
     "case_bins",
     "case_variants",
     "check_perturbations",
-    "chunk_cases",
     "config_fingerprint",
     "corpus_digest",
     "cycle_exact_pairs",
@@ -276,13 +263,11 @@ __all__ = [
     "rollup_from_records",
     "run_case",
     "run_cases_supervised",
-    "run_cases_vectorized",
     "run_pipeline",
     "run_styles",
     "run_variant",
     "save_topology",
     "select_interesting",
-    "shape_key",
     "shrink_case",
     "simulate_topology",
     "style_specs",
@@ -294,6 +279,5 @@ __all__ = [
     "topology_features",
     "topology_marked_graph",
     "uniform_loop_bounds",
-    "vectorizable_style",
     "write_atomic",
 ]

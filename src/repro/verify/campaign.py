@@ -81,10 +81,8 @@ def config_fingerprint(config) -> dict:
 
     Everything that feeds the job-count-independence invariant —
     results are a pure function of these fields — and nothing that
-    only affects liveness (jobs, lanes, timeout, retries, backoff) or
-    reporting (shrink).  ``lanes`` in particular stays out: vectorized
-    outcomes are lane-count independent, so a journal resumes cleanly
-    under a different ``--lanes``.
+    only affects liveness (jobs, timeout, retries, backoff) or
+    reporting (shrink).
 
     The generator strategy (``gen``) and — for coverage-guided
     batches — a digest of the corpus directory contents are part of

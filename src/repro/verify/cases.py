@@ -130,7 +130,6 @@ def build_system(
     trace: bool = False,
     engine: str | None = None,
     activations: Mapping[str, StaticActivation] | None = None,
-    shell_factory: Any = None,
 ) -> tuple[System, dict[str, Shell], dict[str, Sink]]:
     """Instantiate ``topology`` with wrappers of ``style``.
 
@@ -143,29 +142,22 @@ def build_system(
     it).  The shift-register styles (``shiftreg`` / ``rtl-shiftreg``)
     additionally need ``activations`` — per-process static activation
     plans from :func:`repro.verify.regular.plan_topology_activations`.
-    ``shell_factory`` — a ``(pearl, node) -> Shell`` callable —
-    replaces the registry builder per process while keeping all the
-    wiring below; the lane-batched vectorized path uses it to install
-    shells driven by shared lane-packed simulators.
     """
     spec = get_style(style)
     system = System(f"{topology.name}:{style}")
     shells: dict[str, Shell] = {}
     for node in topology.processes:
         pearl = MixPearl(node.name, node.schedule)
-        if shell_factory is not None:
-            shell = shell_factory(pearl, node)
-        else:
-            shell = spec.build(
-                pearl,
-                node,
-                topology.port_depth,
-                engine=engine,
-                activation=(
-                    None if activations is None
-                    else activations.get(node.name)
-                ),
-            )
+        shell = spec.build(
+            pearl,
+            node,
+            topology.port_depth,
+            engine=engine,
+            activation=(
+                None if activations is None
+                else activations.get(node.name)
+            ),
+        )
         if trace:
             shell.trace_enable = []
         system.add_patient(shell)
@@ -250,11 +242,6 @@ class VerifyCase:
     # shrinker pins derived variants here to minimize the failing set,
     # and reproducer JSON carries them verbatim).
     variants: tuple[TopologyVariant, ...] | None = None
-    # Lane width the vectorized engine batches this case with.
-    # Liveness-only metadata: results are lane-count independent, so
-    # this rides along for replay fidelity (reproducer JSON, --repro)
-    # but stays out of campaign fingerprints.
-    lanes: int = 32
 
 
 @dataclass(frozen=True)
@@ -479,10 +466,7 @@ def run_styles(
     return runs
 
 
-def run_case(
-    case: VerifyCase,
-    runs: Mapping[str, StyleRun] | None = None,
-) -> CaseOutcome:
+def run_case(case: VerifyCase) -> CaseOutcome:
     """Execute every style of one case and fold the oracle pipeline
     over the results.
 
@@ -491,11 +475,6 @@ def run_case(
     it if ``fsm`` is absent or ordered after them), so a case that
     includes them simulates the topology once more than its style
     count suggests only in that fallback.
-
-    ``runs`` short-circuits the style simulations with precomputed
-    per-style results covering every style of the case (the
-    lane-batched vectorized path supplies them); the oracle fold is
-    unchanged either way.
     """
     # Imported lazily: the oracle pipeline consumes this module's
     # data types.
@@ -507,14 +486,13 @@ def run_case(
             seed=case.seed,
             topology_stats=case.topology.stats(),
         )
-        if runs is None:
-            runs = run_styles(
-                case.topology,
-                case.styles,
-                case.cycles,
-                case.deadlock_window,
-                engine=case.engine,
-            )
+        runs = run_styles(
+            case.topology,
+            case.styles,
+            case.cycles,
+            case.deadlock_window,
+            engine=case.engine,
+        )
         for style, run in runs.items():
             outcome.cycles_executed[style] = run.executed
         reference = next(

@@ -10,10 +10,10 @@ retry — the transient-failure model retries exist for), or **delay**
 (sleep briefly but succeed, for jitter without faults).
 
 Faults are keyed by case *index*, so the same config hits the same
-cases whatever the job count or lane batching — chaos runs stay as
-reproducible as the campaigns they sabotage.  Configs come from
-explicit index sets (tests), seeded rates (:meth:`ChaosConfig.seeded`,
-CI smokes), or the CLI spec grammar (:func:`parse_chaos`):
+cases whatever the job count — chaos runs stay as reproducible as the
+campaigns they sabotage.  Configs come from explicit index sets
+(tests), seeded rates (:meth:`ChaosConfig.seeded`, CI smokes), or the
+CLI spec grammar (:func:`parse_chaos`):
 
     crash:3,11;hang:7;flaky:5
     seed:7;crash-rate:0.1;hang-rate:0.05;flaky-rate:0.1;hang-s:30

@@ -60,13 +60,6 @@ class BatchConfig:
       are drawn once from the master seed so the case list is
       deterministic;
     * ``jobs`` — worker processes (results are job-count independent);
-    * ``lanes`` — lane width for ``engine="vectorized"``: how many
-      same-shape cases share one packed kernel and one batched
-      harness pass (``--lanes``, default 32, useful to 128+ — wider
-      words amortize dispatch further).  Liveness-only: results are
-      lane-count independent, so it stays out of campaign
-      fingerprints and a journal resumes cleanly across ``--lanes``
-      changes;
     * ``cycles`` — simulated cycles per case and style;
     * ``styles`` — wrapper styles to cross-check; ``None`` (the
       default) resolves by traffic regime: the five random-traffic
@@ -81,12 +74,10 @@ class BatchConfig:
     * ``shrink`` — minimize failing cases into replayable topology-JSON
       reproducers;
     * ``engine`` — RTL simulation backend for the RTL-in-the-loop
-      styles (``"compiled"`` / ``"interp"`` / ``"vectorized"``);
-      ``None`` resolves once at construction through the simulator
-      default (so the ``REPRO_RTL_ENGINE`` environment override
-      applies to verify runs); ``"vectorized"`` batches same-shape
-      cases into the word-level lane simulator
-      (:mod:`repro.verify.vectorize`) with identical results;
+      styles (``"compiled"`` / ``"interp"``); ``None`` resolves once
+      at construction through the simulator default (so the
+      ``REPRO_RTL_ENGINE`` environment override applies to verify
+      runs);
     * ``perturb`` / ``perturb_floorplan`` — metamorphic latency
       perturbation (:mod:`repro.verify.perturb`): derive this many
       latency-perturbed variants per case and demand stream
@@ -101,8 +92,7 @@ class BatchConfig:
       mid-run link/relay stall plans (:mod:`repro.lis.stall`) over
       the unchanged topology;
     * ``timeout`` — per-case wall-clock seconds before the supervisor
-      kills and retries/faults the case (``None`` disables deadlines;
-      lane batches get ``timeout × lane count``);
+      kills and retries/faults the case (``None`` disables deadlines);
     * ``retries`` / ``retry_backoff`` — how many extra attempts a
       crashed or timed-out case gets, and the base of the capped
       exponential delay between them (:func:`~repro.verify.supervise.
@@ -122,8 +112,8 @@ class BatchConfig:
       completed batch persists its interesting survivors (plus any
       shrunk failure reproducers) back into it.
 
-    ``timeout``, ``retries``, ``retry_backoff``, ``jobs`` and
-    ``lanes`` affect liveness only — never results.  The generated case list — and so
+    ``timeout``, ``retries``, ``retry_backoff`` and ``jobs`` affect
+    liveness only — never results.  The generated case list — and so
     the whole report — is a pure function of ``(seed, cases, gen,
     profile, traffic)`` plus, for ``--gen coverage``, the corpus
     contents at generation time.
@@ -132,10 +122,6 @@ class BatchConfig:
     cases: int = 50
     seed: int = 0
     jobs: int = 1
-    # Lane width for the vectorized engine; mirrors
-    # repro.verify.vectorize.DEFAULT_LANES (kept literal so importing
-    # this module never pulls the vectorized machinery in).
-    lanes: int = 32
     cycles: int = 300
     styles: tuple[str, ...] | None = None
     profile: TopologyProfile | str = "small"
@@ -159,8 +145,6 @@ class BatchConfig:
             raise ValueError("need at least one case")
         if self.jobs < 1:
             raise ValueError("need at least one job")
-        if self.lanes < 1:
-            raise ValueError("need at least one lane")
         if self.cycles < 1:
             raise ValueError("need at least one cycle")
         if self.deadlock_window is not None and self.deadlock_window < 1:
@@ -275,7 +259,6 @@ def make_cases(config: BatchConfig) -> list[VerifyCase]:
             perturb_floorplan=config.perturb_floorplan,
             perturb_styles=config.perturb_styles,
             perturb_dynamic=config.perturb_dynamic,
-            lanes=config.lanes,
         )
         for index, (case_seed, topology) in enumerate(
             zip(seeds, topologies)
@@ -296,9 +279,6 @@ def reproducer_dict(minimal: VerifyCase) -> dict:
     # engine-dependent failures.
     reproducer["seed"] = minimal.seed
     reproducer["engine"] = minimal.engine
-    # Liveness-only, but recorded so a replay exercises the same lane
-    # batching (e.g. a fault that only manifests at one lane width).
-    reproducer["lanes"] = minimal.lanes
     if minimal.variants is not None or minimal.perturb:
         reproducer["perturb"] = (
             len(minimal.variants)
@@ -494,33 +474,16 @@ class BatchReport:
 
 
 def _campaign_worker(
-    cases: list[VerifyCase], attempt: int, chaos: ChaosConfig | None
-) -> list[CaseOutcome]:
-    """Worker-side unit of campaign work: one case (scalar) or one
-    same-shape lane chunk (vectorized).  Runs in a supervised child
-    process; the chaos hook fires *before* the work so an injected
-    crash looks exactly like a real worker death."""
+    case: VerifyCase, attempt: int, chaos: ChaosConfig | None
+) -> CaseOutcome:
+    """Worker-side unit of campaign work: one case.  Runs in a
+    supervised child process; the chaos hook fires *before* the work so
+    an injected crash looks exactly like a real worker death."""
     if chaos is not None:
-        for case in cases:
-            chaos.apply(case.index, attempt)
-    if len(cases) == 1:
-        outcomes = [run_case(cases[0])]
-    else:
-        from .vectorize import run_chunk
-
-        outcomes = run_chunk(list(cases))
-    for outcome in outcomes:
-        outcome.attempts = attempt + 1
-    return outcomes
-
-
-def _split_chunk(cases: list[VerifyCase]) -> list[list[VerifyCase]] | None:
-    """Supervised-pool split policy: a faulting multi-case lane chunk
-    degrades to per-case scalar singletons (fresh retry budgets);
-    singletons retry as themselves."""
-    if len(cases) <= 1:
-        return None
-    return [[case] for case in cases]
+        chaos.apply(case.index, attempt)
+    outcome = run_case(case)
+    outcome.attempts = attempt + 1
+    return outcome
 
 
 def _fault_outcome(case: VerifyCase, fault: WorkerFault) -> CaseOutcome:
@@ -573,36 +536,23 @@ def run_cases_supervised(
     retries: int = 1,
     backoff: float = 0.1,
     chaos: ChaosConfig | None = None,
-    lanes: int | None = None,
     on_result=None,
 ) -> list[CaseOutcome]:
     """Run ``cases`` under the supervised pool; crashes and timeouts
     become ``crash``/``timeout`` outcomes instead of exceptions.
 
-    With ``lanes`` set, cases are shape-bucketed into vectorized lane
-    chunks (:mod:`repro.verify.vectorize`); a chunk whose worker
-    faults is split back to scalar singletons so one poisoned lane
-    can't sink its bucket.  ``on_result`` fires once per finalized
-    outcome, in completion order (the checkpoint journal hangs off
-    it); the returned list is in case order.
+    ``on_result`` fires once per finalized outcome, in completion order
+    (the checkpoint journal hangs off it); the returned list is in case
+    order.
     """
-    if lanes is not None:
-        from .vectorize import chunk_cases
-
-        payloads = chunk_cases(cases, lanes)
-    else:
-        payloads = [[case] for case in cases]
     outcomes: list[CaseOutcome] = []
 
-    def handle(payload: list[VerifyCase], result) -> None:
+    def handle(case: VerifyCase, result) -> None:
         if isinstance(result, WorkerFault):
-            finalized = [_fault_outcome(case, result) for case in payload]
-        else:
-            finalized = result
-        for outcome in finalized:
-            outcomes.append(outcome)
-            if on_result is not None:
-                on_result(outcome)
+            result = _fault_outcome(case, result)
+        outcomes.append(result)
+        if on_result is not None:
+            on_result(result)
 
     pool = SupervisedPool(
         _campaign_worker,
@@ -611,10 +561,8 @@ def run_cases_supervised(
         retries=retries,
         backoff=backoff,
         worker_args=(chaos,),
-        split=_split_chunk,
-        timeout_scale=len,
     )
-    pool.run(payloads, on_result=handle)
+    pool.run(cases, on_result=handle)
     return sorted(outcomes, key=lambda outcome: outcome.index)
 
 
@@ -765,22 +713,8 @@ class BatchRunner:
                 retries=config.retries,
                 backoff=config.retry_backoff,
                 chaos=config.chaos,
-                lanes=(
-                    config.lanes
-                    if config.engine == "vectorized"
-                    else None
-                ),
                 on_result=record,
             )
-        elif config.engine == "vectorized":
-            # Shape-bucketed lane batching in-process: same-shape cases
-            # share one vector RTL simulation; results are case-order
-            # identical to the scalar path.
-            from .vectorize import chunk_cases, run_chunk
-
-            for chunk in chunk_cases(cases, config.lanes):
-                for outcome in run_chunk(chunk):
-                    record(outcome)
         else:
             for case in cases:
                 record(run_case(case))

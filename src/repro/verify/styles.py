@@ -30,7 +30,6 @@ from ..core.rtlgen import (
     generate_shiftreg_wrapper,
     generate_sp_wrapper,
 )
-from ..core.rtlgen.shiftreg import generate_shiftreg_lane_wrapper
 from ..core.wrappers import (
     CombinationalWrapper,
     FSMWrapper,
@@ -66,23 +65,9 @@ class StyleSpec:
     * ``needs_activation`` — the builder requires a planned static
       activation (:mod:`repro.verify.regular`);
     * ``uses_engine`` — the builder honours the RTL engine selection
-      (``compiled``/``interp``/``vectorized``);
+      (``compiled``/``interp``);
     * ``builder`` — ``(pearl, node, port_depth, engine, activation)
-      -> Shell``;
-    * ``rtl_parts`` — for RTL-in-the-loop styles, ``(node) ->
-      (module, program | None)``: the generated wrapper module (and,
-      for SP wrappers, the expected operation stream) the builder
-      wraps an :class:`RTLShell` around.  The lane-batched vectorized
-      engine (:mod:`repro.verify.vectorize`) uses it to compile one
-      shared lane-packed kernel per process shape;
-    * ``rtl_lane_parts`` — for RTL styles whose module depends on
-      per-case planned data (``needs_activation``), ``(node,
-      lane_activations) -> (module, program | None)`` builds one
-      *lane-indexed* module covering a whole batch: the per-lane plans
-      move into ROM contents selected by a ``lane_id`` input, so
-      same-shape cases still share one compiled kernel.  Styles with
-      neither hook fall back to the scalar path under ``--engine
-      vectorized``.
+      -> Shell``.
     """
 
     name: str
@@ -92,8 +77,6 @@ class StyleSpec:
     needs_activation: bool
     uses_engine: bool
     builder: Callable[..., Shell]
-    rtl_parts: Callable[..., tuple] | None = None
-    rtl_lane_parts: Callable[..., tuple] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in STYLE_KINDS:
@@ -234,7 +217,7 @@ def _build_combinational(
     return CombinationalWrapper(pearl, port_depth)
 
 
-def _rtl_sp_parts(node):
+def _build_rtl_sp(pearl, node, port_depth, engine, activation) -> Shell:
     # fuse=False keeps op.point_index aligned with the pearl's own
     # schedule, exactly as the behavioural SPWrapper compiles it.
     program = compile_schedule(
@@ -243,16 +226,6 @@ def _rtl_sp_parts(node):
     module = generate_sp_wrapper(
         program, name=f"sp_{node.name}", schedule=node.schedule
     )
-    return module, program
-
-
-def _rtl_fsm_parts(node):
-    module = generate_fsm_wrapper(node.schedule, name=f"fsm_{node.name}")
-    return module, None
-
-
-def _build_rtl_sp(pearl, node, port_depth, engine, activation) -> Shell:
-    module, program = _rtl_sp_parts(node)
     return RTLShell(
         pearl, module, program=program, port_depth=port_depth,
         engine=engine,
@@ -260,7 +233,7 @@ def _build_rtl_sp(pearl, node, port_depth, engine, activation) -> Shell:
 
 
 def _build_rtl_fsm(pearl, node, port_depth, engine, activation) -> Shell:
-    module, _program = _rtl_fsm_parts(node)
+    module = generate_fsm_wrapper(node.schedule, name=f"fsm_{node.name}")
     return RTLShell(pearl, module, port_depth=port_depth, engine=engine)
 
 
@@ -273,17 +246,6 @@ def _build_shiftreg(
         pattern=list(activation.pattern),
         prefix=activation.prefix,
     )
-
-
-def _rtl_shiftreg_lane_parts(node, lane_enables):
-    # ``lane_enables`` holds per-lane full-horizon activation bit
-    # sequences (None for lanes whose planning failed); the wrapper
-    # replays them from a lane-indexed ROM so the whole batch shares
-    # one module and hence one compiled vector kernel.
-    module = generate_shiftreg_lane_wrapper(
-        node.schedule, lane_enables, name=f"srl_{node.name}"
-    )
-    return module, None
 
 
 def _build_rtl_shiftreg(
@@ -333,7 +295,6 @@ register_style(StyleSpec(
     needs_activation=False,
     uses_engine=True,
     builder=_build_rtl_sp,
-    rtl_parts=_rtl_sp_parts,
 ))
 register_style(StyleSpec(
     name="rtl-fsm",
@@ -343,7 +304,6 @@ register_style(StyleSpec(
     needs_activation=False,
     uses_engine=True,
     builder=_build_rtl_fsm,
-    rtl_parts=_rtl_fsm_parts,
 ))
 # Shift-register styles: their static activation is planned from the
 # FSM reference run (:mod:`repro.verify.regular`), so they only join
@@ -366,7 +326,6 @@ register_style(StyleSpec(
     needs_activation=True,
     uses_engine=True,
     builder=_build_rtl_shiftreg,
-    rtl_lane_parts=_rtl_shiftreg_lane_parts,
 ))
 
 

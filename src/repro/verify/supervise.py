@@ -11,20 +11,15 @@ explicitly:
 * every worker is one ``multiprocessing.Process`` with a private
   duplex :func:`multiprocessing.Pipe` — a worker killed mid-message
   can corrupt only its own channel, never a shared result queue;
-* each task carries a wall-clock **deadline** (``timeout`` seconds,
-  optionally scaled per payload via ``timeout_scale``); a worker that
-  blows its deadline is SIGKILLed and replaced;
+* each task carries a wall-clock **deadline** (``timeout`` seconds);
+  a worker that blows its deadline is SIGKILLed and replaced;
 * a worker that dies (segfault, OOM kill, ``os._exit``) while holding
   a task is detected promptly via its process sentinel and replaced;
 * failed tasks are retried up to ``retries`` times with capped
   exponential backoff (:func:`backoff_delay`), and a task still
   failing after its budget is *finalized* as a structured
   :class:`WorkerFault` instead of an exception — the caller decides
-  what a crash means;
-* a multi-item task (e.g. a vectorized lane batch) can declare a
-  ``split`` policy: on its first fault it is replaced by its
-  sub-tasks, so one poisoned item degrades the batch to per-item
-  isolation instead of sinking it.
+  what a crash means.
 
 The pool is generic — ``worker(payload, attempt, *worker_args)`` is
 any picklable module-level callable — and makes no ordering promise:
@@ -202,13 +197,9 @@ class SupervisedPool:
       callable executed in the worker processes;
     * ``jobs`` — worker process count;
     * ``timeout`` — per-task wall-clock seconds (``None`` disables
-      deadlines); ``timeout_scale(payload)`` multiplies it per task
-      (lane batches scale with their width);
+      deadlines);
     * ``retries`` / ``backoff`` — attempt budget beyond the first try,
-      and the base of the capped exponential retry delay;
-    * ``split`` — optional ``payload -> list[payload] | None``; a
-      faulting task whose payload splits is replaced by its sub-tasks
-      (fresh attempt budgets) instead of being retried whole.
+      and the base of the capped exponential retry delay.
     """
 
     def __init__(
@@ -220,8 +211,6 @@ class SupervisedPool:
         retries: int = 1,
         backoff: float = 0.1,
         worker_args: tuple = (),
-        split: Callable[[Any], list | None] | None = None,
-        timeout_scale: Callable[[Any], int] | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("need at least one worker")
@@ -237,8 +226,6 @@ class SupervisedPool:
         self.retries = retries
         self.backoff = backoff
         self.worker_args = tuple(worker_args)
-        self.split = split
-        self.timeout_scale = timeout_scale
         self._ctx = mp.get_context()
 
     # -- internals -------------------------------------------------------------
@@ -255,16 +242,10 @@ class SupervisedPool:
         telemetry.count("supervise.dispatch")
         worker.conn.send((task.attempts, task.payload))
         worker.task = task
-        worker.deadline = None
-        if self.timeout is not None:
-            scale = (
-                self.timeout_scale(task.payload)
-                if self.timeout_scale is not None
-                else 1
-            )
-            worker.deadline = (
-                time.monotonic() + self.timeout * max(1, scale)
-            )
+        worker.deadline = (
+            None if self.timeout is None
+            else time.monotonic() + self.timeout
+        )
 
     def run(
         self,
@@ -294,17 +275,7 @@ class SupervisedPool:
         def fault(
             task: _Task, kind: str, detail: str, pid: int | None = None
         ) -> None:
-            nonlocal outstanding
             task.attempts += 1
-            if self.split is not None:
-                subs = self.split(task.payload)
-                if subs:
-                    # Degrade, don't retry: the faulting batch is
-                    # replaced by its items, each with a fresh budget.
-                    telemetry.event("supervise.split", pid=pid)
-                    outstanding += len(subs) - 1
-                    pending.extend(_Task(sub) for sub in subs)
-                    return
             if task.attempts <= self.retries:
                 telemetry.event(
                     "supervise.retry", pid=pid, attempts=task.attempts
@@ -340,23 +311,18 @@ class SupervisedPool:
 
         def on_deadline(worker: _Worker) -> None:
             task, worker.task = worker.task, None
-            budget = self.timeout
-            if self.timeout_scale is not None and task is not None:
-                budget = self.timeout * max(
-                    1, self.timeout_scale(task.payload)
-                )
             worker.discard()
             workers.remove(worker)
             if task is not None:
                 telemetry.event(
                     "supervise.timeout",
                     pid=worker.process.pid,
-                    detail=f"exceeded {budget:.1f}s",
+                    detail=f"exceeded {self.timeout:.1f}s",
                 )
                 fault(
                     task,
                     "timeout",
-                    f"exceeded {budget:.1f}s wall clock",
+                    f"exceeded {self.timeout:.1f}s wall clock",
                     pid=worker.process.pid,
                 )
 

@@ -255,20 +255,12 @@ class Rollup:
         misses = self.counters.get("rtl.cache.misses", 0)
         if hits or misses:
             rate = 100.0 * hits / (hits + misses)
-            line = (
+            lines.append(
                 f"  rtl kernel cache: {hits:.0f} hit(s) / "
                 f"{misses:.0f} miss(es) ({rate:.0f}%), "
                 f"{self.counters.get('rtl.cache.compile_ms', 0):.1f}ms "
                 "compiling"
             )
-            packed = self.counters.get("rtl.vector.packed", 0)
-            fallback = self.counters.get("rtl.vector.fallback", 0)
-            if packed or fallback:
-                line += (
-                    f"; vector comb: {packed:.0f} packed / "
-                    f"{fallback:.0f} lane-fallback"
-                )
-            lines.append(line)
         tournaments = self.counters.get("corpus.tournaments", 0)
         if tournaments:
             mutants = self.counters.get("corpus.mutant_won", 0)
@@ -464,17 +456,14 @@ def engine_stats() -> dict[str, float]:
 
 def emit_engine_delta(before: Mapping[str, float]) -> None:
     """Emit the engine-counter movement since ``before`` as
-    ``rtl.cache.*`` / ``rtl.vector.*`` counts (only keys that moved)."""
+    ``rtl.cache.*`` counts (only keys that moved)."""
     if _active is None:
         return
     after = engine_stats()
     for key, value in after.items():
         delta = value - before.get(key, 0)
         if delta:
-            group = "vector" if key.startswith("vector_") else "cache"
-            count(
-                f"rtl.{group}.{key.removeprefix('vector_')}", delta
-            )
+            count(f"rtl.cache.{key}", delta)
 
 
 # -- the JSONL sink ------------------------------------------------------------

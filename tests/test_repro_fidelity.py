@@ -7,8 +7,9 @@ the {random, regular} x {plain, perturb-dynamic} matrix with engines
 spread across it, engine-pinned failures that vanish under the wrong
 engine, the replay parameter precedence rules (explicit ``--engine``
 wins; absent keys resolve like ``BatchConfig``; missing style lists
-follow the topology's traffic regime), and the hard shrink-attempt
-budget shared between both shrinking passes.
+follow the topology's traffic regime; reproducers recorded under the
+retired ``vectorized`` engine replay under ``compiled``), and the hard
+shrink-attempt budget shared between both shrinking passes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.verify import (
     CaseOutcome,
     Divergence,
     VerifyCase,
+    reproducer_dict,
     run_case,
     shrink_case,
     styles_for_traffic,
@@ -133,8 +135,8 @@ def _plain_failing_case(traffic, monkeypatch):
 def _spy_replay(monkeypatch, recorded):
     """Route the CLI --repro path's run_case through a recorder."""
 
-    def spy(case, runs=None):
-        outcome = run_case(case, runs=runs)
+    def spy(case):
+        outcome = run_case(case)
         recorded["case"] = case
         recorded["outcome"] = outcome
         return outcome
@@ -150,7 +152,7 @@ class TestWriteReplayMatrix:
         "traffic,mode,engine",
         [
             ("random", "plain", "interp"),
-            ("random", "perturb-dynamic", "vectorized"),
+            ("random", "perturb-dynamic", "interp"),
             ("regular", "plain", "interp"),
             ("regular", "perturb-dynamic", "compiled"),
         ],
@@ -235,13 +237,39 @@ class TestWriteReplayMatrix:
         assert "no divergence" in capsys.readouterr().out
 
 
+def test_legacy_vectorized_reproducer_replays_like_compiled(
+    tmp_path, monkeypatch, capsys
+):
+    """A reproducer written by the retired ``vectorized`` engine (with
+    its ``lanes`` key) replays through ``--repro`` to exactly the
+    outcome the same file yields under ``compiled``."""
+    case = replace(
+        _perturbed_failing_case("random"), styles=("fsm", "rtl-fsm")
+    )
+    outcomes = {}
+    for engine in ("compiled", "vectorized"):
+        data = reproducer_dict(replace(case, engine="compiled"))
+        data["engine"] = engine
+        if engine == "vectorized":
+            data["lanes"] = 64
+        path = tmp_path / f"{engine}.json"
+        path.write_text(json.dumps(data))
+        recorded = {}
+        _spy_replay(monkeypatch, recorded)
+        assert main(["verify", "--repro", str(path)]) == 1
+        assert "DIVERGED" in capsys.readouterr().out
+        assert recorded["case"].engine == "compiled"
+        outcomes[engine] = recorded["outcome"]
+    assert outcomes["vectorized"] == outcomes["compiled"]
+
+
 class TestReplayParameters:
     """Unit-level precedence rules of the --repro parameter handling."""
 
     def _replay(self, tmp_path, monkeypatch, data, extra=()):
         recorded = {}
 
-        def fake(case, runs=None):
+        def fake(case):
             recorded["case"] = case
             return CaseOutcome(index=case.index, seed=case.seed)
 
@@ -264,9 +292,9 @@ class TestReplayParameters:
         data["engine"] = "interp"
         case = self._replay(
             tmp_path, monkeypatch, data,
-            extra=("--engine", "vectorized"),
+            extra=("--engine", "compiled"),
         )
-        assert case.engine == "vectorized"
+        assert case.engine == "compiled"
 
     def test_absent_engine_resolves_like_batch_config(
         self, tmp_path, monkeypatch
@@ -312,7 +340,7 @@ class TestShrinkBudget:
 
         calls = {"n": 0}
 
-        def always_failing(case, runs=None):
+        def always_failing(case):
             calls["n"] += 1
             return CaseOutcome(
                 index=case.index,
@@ -362,7 +390,7 @@ class TestShrinkBudget:
 
         calls = {"n": 0}
 
-        def never_failing(case, runs=None):
+        def never_failing(case):
             calls["n"] += 1
             return CaseOutcome(index=case.index, seed=case.seed)
 

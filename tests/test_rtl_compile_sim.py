@@ -13,7 +13,11 @@ import random
 import pytest
 
 from repro.core.compiler import CompilerOptions, compile_schedule
-from repro.core.rtlgen import generate_fsm_wrapper, generate_sp_wrapper
+from repro.core.rtlgen import (
+    generate_fsm_wrapper,
+    generate_shiftreg_wrapper,
+    generate_sp_wrapper,
+)
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.synthesis import SYNTH_STYLES, synthesize_wrapper
 from repro.rtl.compile_sim import (
@@ -29,8 +33,8 @@ from repro.rtl.simulator import (
     SimulationError,
     Simulator,
 )
-from repro.sched.generate import random_topology
-from repro.verify import VerifyCase, run_case
+from repro.sched.generate import PROFILE_PRESETS, random_topology
+from repro.verify import VerifyCase, plan_topology_activations, run_case
 
 
 def _reference_schedule() -> IOSchedule:
@@ -107,6 +111,24 @@ class TestRandomTopologyParity:
                 node.schedule, name=f"fsm_{node.name}"
             )
             _assert_parity(fsm, cycles=60, seed=seed * 7 + 2)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_planned_shiftreg_wrappers(self, seed):
+        """The rtl-shiftreg style's modules: rings plus the one-shot
+        prefix lines planned from a regular topology's FSM run."""
+        topology = random_topology(seed, PROFILE_PRESETS["regular"])
+        plans = plan_topology_activations(topology, 150)
+        for node in topology.processes[:2]:
+            plan = plans[node.name]
+            module = generate_shiftreg_wrapper(
+                node.schedule,
+                activation=plan.pattern,
+                name=f"sr_{node.name}",
+                prefix=plan.prefix,
+            )
+            _assert_parity(
+                module, cycles=len(plan.prefix) + 60, seed=seed * 7 + 3
+            )
 
 
 class TestHierarchyParity:
@@ -354,7 +376,6 @@ class TestCacheStats:
         stats = cache_stats()
         assert set(stats) == {
             "hits", "misses", "memo_hits", "compile_ms",
-            "vector_packed", "vector_fallback",
         }
         assert all(value == 0 for value in stats.values())
 

@@ -352,6 +352,14 @@ class TestVerifyCli:
         assert main(["verify", "--repro", str(bad)]) == 2
         assert "cannot load reproducer" in capsys.readouterr().err
 
+    def test_retired_vectorized_engine_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--cases", "1", "--engine", "vectorized"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'vectorized'" in err
+        assert "'compiled', 'interp'" in err
+
     def test_vacuous_batch_exits_nonzero(self, capsys):
         assert main(["verify", "--cases", "2", "--cycles", "1"]) == 1
         assert "VACUOUS" in capsys.readouterr().out

@@ -157,7 +157,7 @@ def test_resume_with_complete_journal_runs_nothing(tmp_path, monkeypatch):
     config = _config()
     full = BatchRunner(config, checkpoint=path).run()
 
-    def explode(case, runs=None):
+    def explode(case):
         raise AssertionError("resume re-ran a recorded case")
 
     monkeypatch.setattr(runner_mod, "run_case", explode)
@@ -242,7 +242,7 @@ def test_keyboard_interrupt_yields_partial_report(tmp_path, monkeypatch):
     real = runner_mod.run_case
     ran = []
 
-    def interrupt_after_two(case, runs=None):
+    def interrupt_after_two(case):
         if len(ran) == 2:
             raise KeyboardInterrupt
         outcome = real(case)
@@ -265,7 +265,7 @@ def test_keyboard_interrupt_yields_partial_report(tmp_path, monkeypatch):
 
 
 def test_cli_interrupt_exits_130(tmp_path, monkeypatch, capsys):
-    def interrupt(case, runs=None):
+    def interrupt(case):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(runner_mod, "run_case", interrupt)

@@ -1,7 +1,7 @@
 """Supervised worker pool + chaos fault-injection tests.
 
 Two layers: generic :class:`~repro.verify.supervise.SupervisedPool`
-unit tests over toy workers (crash, hang, flaky, raise, split), and
+unit tests over toy workers (crash, hang, flaky, raise), and
 chaos-driven batch tests proving the campaign runner's fault model —
 an injected crash/hang yields a structured ``crash``/``timeout``
 outcome while every other case's results stay identical to a
@@ -55,21 +55,6 @@ def _flaky(payload, attempt):
 
 def _raises(payload, attempt):
     raise RuntimeError(f"no thanks to {payload}")
-
-
-def _chunk_boom(payload, attempt):
-    # A multi-item payload containing 13 dies; singletons succeed.
-    if len(payload) > 1 and 13 in payload:
-        os._exit(3)
-    if payload == [13]:
-        os._exit(3)
-    return [("item", item) for item in payload]
-
-
-def _split_items(payload):
-    if len(payload) <= 1:
-        return None
-    return [[item] for item in payload]
 
 
 # -- backoff -------------------------------------------------------------------
@@ -147,30 +132,6 @@ def test_worker_exception_is_a_crash_fault_without_respawn():
     assert fault.kind == "crash"
     assert "RuntimeError" in fault.detail
     assert "no thanks to x" in fault.detail
-
-
-def test_faulting_chunk_splits_to_singletons():
-    pool = SupervisedPool(
-        _chunk_boom,
-        jobs=2,
-        retries=1,
-        backoff=0.01,
-        split=_split_items,
-    )
-    results = pool.run([[1, 2, 13, 4], [5, 6]])
-    flat: dict[int, object] = {}
-    for payload, result in results:
-        if isinstance(result, WorkerFault):
-            assert payload == [13]
-            flat[13] = result
-        else:
-            for _, item in result:
-                flat[item] = "ok"
-    # The poisoned chunk degraded: 1, 2, 4 completed as singletons,
-    # only 13 itself was finalized as a crash.
-    assert flat[1] == flat[2] == flat[4] == "ok"
-    assert flat[5] == flat[6] == "ok"
-    assert isinstance(flat[13], WorkerFault)
 
 
 def test_on_result_fires_per_completion():
@@ -367,35 +328,6 @@ def test_chaos_forces_supervision_at_jobs_1():
         "completed",
         "completed",
     ]
-
-
-def test_vectorized_poisoned_chunk_degrades_to_scalar():
-    base_config = BatchConfig(
-        cases=8, seed=11, jobs=2, cycles=120, engine="vectorized"
-    )
-    base = BatchRunner(base_config).run()
-    chaotic = BatchRunner(
-        BatchConfig(
-            cases=8,
-            seed=11,
-            jobs=2,
-            cycles=120,
-            engine="vectorized",
-            retries=1,
-            retry_backoff=0.01,
-            chaos=ChaosConfig(crash=(3,)),
-        )
-    ).run()
-    assert chaotic.outcomes[3].status == "crash"
-    # Every case that shared a lane chunk with the poisoned one was
-    # re-run scalar and matches the fault-free vectorized results.
-    for outcome in chaotic.outcomes:
-        if outcome.index == 3:
-            continue
-        assert outcome.status == "completed"
-        assert _fingerprint(outcome) == _fingerprint(
-            base.outcomes[outcome.index]
-        )
 
 
 def test_run_cases_supervised_preserves_case_order():

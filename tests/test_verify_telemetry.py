@@ -252,7 +252,7 @@ def test_cli_interrupted_batch_flushes_partial_telemetry(
     real = runner_mod.run_case
     calls = []
 
-    def interrupt_on_second(case, runs=None):
+    def interrupt_on_second(case):
         if len(calls) == 1:
             raise KeyboardInterrupt
         calls.append(case.index)
