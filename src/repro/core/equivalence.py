@@ -126,14 +126,63 @@ class RTLShell(Shell):
         ]
         self._pop_names = [f"{port}_pop" for port in self._in_names]
         self._push_names = [f"{port}_push" for port in self._out_names]
+        # Per script entry: the ports to pop (schedule order) and the
+        # outputs the pearl must push.
+        schedule = pearl.schedule
+        self._script_io = [
+            (
+                tuple(
+                    name
+                    for bit, name in enumerate(schedule.inputs)
+                    if entry.in_mask >> bit & 1
+                ),
+                schedule.outputs_from_mask(entry.out_mask),
+            )
+            for entry in self._script
+        ]
         self._apply_reset()
 
     def _apply_reset(self) -> None:
         self.rtl.poke("rst", 1)
         self.rtl.step()
         self.rtl.poke("rst", 0)
+        self._slots = self._resolve_slots()
 
-    def _wrapper_step(self, cycle: int) -> None:
+    def _resolve_slots(self) -> tuple | None:
+        """Env slots of the per-cycle FIFO-status inputs and strobe
+        outputs under the compiled engine, so each cycle reads and
+        writes the env list directly instead of going through
+        ``poke``/``peek`` name lookups.  None under ``interp``."""
+        rtl = self.rtl
+        if rtl.engine != "compiled":
+            return None
+        strobes = [
+            (1 << bit, rtl.slot(name))
+            for names in (self._pop_names, self._push_names)
+            for bit, name in enumerate(names)
+        ]
+        enable = rtl.slot("ip_enable")
+        # Direct reads never refresh pruned nets the way peek does.
+        assert rtl.is_live(enable) and all(
+            rtl.is_live(slot) for _bit, slot in strobes
+        ), "wrapper outputs must stay live"
+        n_pops = len(self._pop_names)
+        in_slots = [
+            (name, rtl.slot(poke)) for name, poke in self._not_empty_pokes
+        ]
+        out_slots = [
+            (name, rtl.slot(poke)) for name, poke in self._not_full_pokes
+        ]
+        return (
+            rtl.env,
+            in_slots,
+            out_slots,
+            enable,
+            strobes[:n_pops],
+            strobes[n_pops:],
+        )
+
+    def _strobes_by_name(self) -> tuple[bool, int, int]:
         rtl = self.rtl
         in_ports = self.in_ports
         out_ports = self.out_ports
@@ -152,7 +201,37 @@ class RTLShell(Shell):
         for bit, name in enumerate(self._push_names):
             if rtl.peek(name):
                 push_mask |= 1 << bit
+        return enable, pop_mask, push_mask
 
+    def _wrapper_step(self, cycle: int) -> None:
+        rtl = self.rtl
+        slots = self._slots
+        if slots is None:
+            enable, pop_mask, push_mask = self._strobes_by_name()
+        else:
+            (
+                env, in_slots, out_slots, enable_slot, pop_slots, push_slots,
+            ) = slots
+            if in_slots or out_slots:
+                # Stale pruned nets are flushed before the first write
+                # of a cycle, as poke does.
+                rtl.flush_dead()
+            in_ports = self.in_ports
+            for name, slot in in_slots:
+                env[slot] = 1 if in_ports[name].not_empty else 0
+            out_ports = self.out_ports
+            for name, slot in out_slots:
+                env[slot] = 1 if out_ports[name].not_full else 0
+            rtl.settle()
+            enable = env[enable_slot]
+            pop_mask = 0
+            for bit, slot in pop_slots:
+                if env[slot]:
+                    pop_mask |= bit
+            push_mask = 0
+            for bit, slot in push_slots:
+                if env[slot]:
+                    push_mask |= bit
         rtl.step()
 
         if not enable:
@@ -175,7 +254,6 @@ class RTLShell(Shell):
     def _execute_enabled(
         self, cycle: int, pop_mask: int, push_mask: int
     ) -> None:
-        schedule = self.pearl.schedule
         if self._rtl_run_left > 0:
             if pop_mask or push_mask:
                 raise EquivalenceError(
@@ -187,24 +265,25 @@ class RTLShell(Shell):
             self._rtl_run_left -= 1
             return
 
-        entry = self._script[self._script_pos]
-        if (pop_mask, push_mask) != (entry.in_mask, entry.out_mask):
+        position = self._script_pos
+        entry = self._script[position]
+        if pop_mask != entry.in_mask or push_mask != entry.out_mask:
             raise EquivalenceError(
                 f"{self.name!r} cycle {cycle}: RTL strobes "
                 f"(pop={pop_mask:#x}, push={push_mask:#x}) != expected "
                 f"(pop={entry.in_mask:#x}, push={entry.out_mask:#x}) at "
-                f"script position {self._script_pos}"
+                f"script position {position}"
             )
         if entry.kind == "sync":
-            popped: dict[str, Any] = {}
-            for bit, name in enumerate(schedule.inputs):
-                if entry.in_mask >> bit & 1:
-                    popped[name] = self.in_ports[name].pop()
+            pops, expected = self._script_io[position]
+            in_ports = self.in_ports
+            popped: dict[str, Any] = {
+                name: in_ports[name].pop() for name in pops
+            }
             pushed = dict(
                 self.pearl.on_sync(entry.point_index, popped) or {}
             )
-            expected = schedule.outputs_from_mask(entry.out_mask)
-            if set(pushed) != set(expected):
+            if pushed.keys() != expected:
                 raise ShellError(
                     f"pearl {self.pearl.name!r} produced {sorted(pushed)} "
                     f"at point {entry.point_index}, expected "
@@ -218,10 +297,11 @@ class RTLShell(Shell):
             self._phase_next = entry.first_phase + 1
         self._running_point = entry.point_index
         self._rtl_run_left = entry.run
-        self._script_pos += 1
-        if self._script_pos == len(self._script):
-            self._script_pos = 0
+        position += 1
+        if position == len(self._script):
+            position = 0
             self.periods_completed += 1
+        self._script_pos = position
 
     def reset(self) -> None:
         super().reset()

@@ -55,32 +55,51 @@ class SPWrapper(Shell):
         self.program = compile_schedule(pearl.schedule, options)
         self.processor = SyncProcessor(self.program)
         self._phase_next = 0
-        self._ordered_in: list | None = None
-        self._ordered_out: list | None = None
+        self._sp_ports: tuple | None = None
+
+    def _resolve_ports(self) -> tuple:
+        """Ports are bound after construction; snapshot them on first
+        use: ``(input (bit, port) pairs, output (bit, port) pairs, per
+        operation (pops, expected outputs, pushes))``, pops in mask-bit
+        order and pushes sorted by name, as ``(name, port)`` pairs."""
+        schedule = self.pearl.schedule
+        in_ports = [self.in_ports[name] for name in schedule.inputs]
+        out_ports = [self.out_ports[name] for name in schedule.outputs]
+        op_ports = []
+        for op in self.program.ops:
+            expected = schedule.outputs_from_mask(op.out_mask)
+            pops = tuple(
+                (name, port)
+                for bit, (name, port) in enumerate(
+                    zip(schedule.inputs, in_ports)
+                )
+                if op.in_mask >> bit & 1
+            )
+            pushes = tuple(
+                (name, self.out_ports[name]) for name in sorted(expected)
+            )
+            op_ports.append((pops, expected, pushes))
+        return (
+            [(1 << bit, port) for bit, port in enumerate(in_ports)],
+            [(1 << bit, port) for bit, port in enumerate(out_ports)],
+            op_ports,
+        )
 
     # The SP drives everything from its program; bypass the base class's
     # generic scheduler.
     def _wrapper_step(self, cycle: int) -> None:
-        ordered_in = self._ordered_in
-        if ordered_in is None:
-            # Ports are bound after construction; snapshot them in mask
-            # bit order on first use.
-            ordered_in = self._ordered_in = [
-                self.in_ports[name]
-                for name in self.pearl.schedule.inputs
-            ]
-            self._ordered_out = [
-                self.out_ports[name]
-                for name in self.pearl.schedule.outputs
-            ]
+        ports = self._sp_ports
+        if ports is None:
+            ports = self._sp_ports = self._resolve_ports()
+        in_bits, out_bits, op_ports = ports
         in_ready = 0
-        for bit, port in enumerate(ordered_in):
+        for bit, port in in_bits:
             if port.not_empty:
-                in_ready |= 1 << bit
+                in_ready |= bit
         out_ready = 0
-        for bit, port in enumerate(self._ordered_out):
+        for bit, port in out_bits:
             if port.not_full:
-                out_ready |= 1 << bit
+                out_ready |= bit
         action = self.processor.step(in_ready, out_ready)
 
         if not action.enable:
@@ -92,25 +111,19 @@ class SPWrapper(Shell):
         if action.op is not None:
             op = action.op
             if op.is_head:
-                popped = {
-                    name: self.in_ports[name].pop()
-                    for bit, name in enumerate(self.pearl.schedule.inputs)
-                    if op.in_mask >> bit & 1
-                }
+                pops, expected, pushes = op_ports[action.addr]
+                popped = {name: port.pop() for name, port in pops}
                 pushed = dict(
                     self.pearl.on_sync(op.point_index, popped) or {}
                 )
-                expected = self.pearl.schedule.outputs_from_mask(
-                    op.out_mask
-                )
-                if set(pushed) != set(expected):
+                if pushed.keys() != expected:
                     raise ShellError(
                         f"pearl {self.pearl.name!r} produced "
                         f"{sorted(pushed)} at point {op.point_index}, "
                         f"operation expects {sorted(expected)}"
                     )
-                for name, value in sorted(pushed.items()):
-                    self.out_ports[name].push(value)
+                for name, port in pushes:
+                    port.push(pushed[name])
                 self._phase_next = 0
             else:
                 # Continuation op: its fire cycle is one free-run phase.
@@ -145,12 +158,14 @@ class FSMWrapper(Shell):
     style = "fsm"
 
     def _sync_ready(self) -> bool:
-        point = self.pearl.schedule.points[self._point_index]
-        return all(
-            self.in_ports[name].not_empty for name in point.inputs
-        ) and all(
-            self.out_ports[name].not_full for name in point.outputs
-        )
+        ins, outs, _pops, _pushes = self._point_ports()[self._point_index]
+        for _name, port in ins:
+            if not port.not_empty:
+                return False
+        for _name, port in outs:
+            if not port.not_full:
+                return False
+        return True
 
 
 class CombinationalWrapper(Shell):
@@ -165,9 +180,13 @@ class CombinationalWrapper(Shell):
     style = "combinational"
 
     def _all_ports_ready(self) -> bool:
-        return all(
-            port.not_empty for port in self.in_ports.values()
-        ) and all(port.not_full for port in self.out_ports.values())
+        for port in self.in_ports.values():
+            if not port.not_empty:
+                return False
+        for port in self.out_ports.values():
+            if not port.not_full:
+                return False
+        return True
 
     def _sync_ready(self) -> bool:
         return self._all_ports_ready()
@@ -248,17 +267,19 @@ class ShiftRegisterWrapper(Shell):
             self.pearl.on_run(self._running_point, phase)
             self._run_left -= 1
         else:
-            point = self.pearl.schedule.points[self._point_index]
-            for name in point.inputs:
-                if not self.in_ports[name].not_empty:
+            ins, outs, _pops, _pushes = self._point_ports()[
+                self._point_index
+            ]
+            for name, port in ins:
+                if not port.not_empty:
                     raise ShellError(
                         f"static schedule violated: {self.name!r} input "
                         f"{name!r} empty at cycle {cycle} (irregular "
                         "stream — shift-register wrappers require "
                         "perfectly regular environments)"
                     )
-            for name in point.outputs:
-                if not self.out_ports[name].not_full:
+            for name, port in outs:
+                if not port.not_full:
                     raise ShellError(
                         f"static schedule violated: {self.name!r} output "
                         f"{name!r} full at cycle {cycle} (downstream "

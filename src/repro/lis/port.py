@@ -72,18 +72,20 @@ class InputPort(Block):
 
     @property
     def not_empty(self) -> bool:
-        return len(self._fifo) - self._popped > 0
+        return len(self._fifo) > self._popped
 
     def peek(self) -> Any:
-        if not self.not_empty:
+        if len(self._fifo) <= self._popped:
             raise RuntimeError(f"peek on empty input port {self.name!r}")
         return self._fifo[self._popped]
 
     def pop(self) -> Any:
         """Consume the head token (takes effect this cycle)."""
-        value = self.peek()
-        self._popped += 1
-        return value
+        popped = self._popped
+        if len(self._fifo) <= popped:
+            raise RuntimeError(f"peek on empty input port {self.name!r}")
+        self._popped = popped + 1
+        return self._fifo[popped]
 
     # two-phase protocol ----------------------------------------------------------
 
@@ -153,9 +155,9 @@ class OutputPort(Block):
 
     def push(self, value: Any) -> None:
         """Enqueue a result token (takes effect this cycle)."""
-        if is_void(value):
+        if value is VOID:
             raise ValueError("cannot push VOID into an output port")
-        if not self.not_full:
+        if len(self._fifo) + len(self._pushed) >= self.depth:
             raise RuntimeError(
                 f"push on full output port {self.name!r} (wrapper bug: "
                 "push without not_full guard)"

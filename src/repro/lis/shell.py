@@ -50,6 +50,7 @@ class Shell(Block):
         self.periods_completed = 0
         self.trace_enable: list[bool] | None = None
         self._port_cache: list[InputPort | OutputPort] | None = None
+        self._point_cache: list[tuple] | None = None
 
     # -- wiring ------------------------------------------------------------------
 
@@ -66,7 +67,7 @@ class Shell(Block):
             f"{self.name}.{port_name}", link, self.port_depth
         )
         self.in_ports[port_name] = port
-        self._port_cache = None
+        self._port_cache = self._point_cache = None
         return port
 
     def bind_output(self, port_name: str, link: Link) -> OutputPort:
@@ -82,7 +83,7 @@ class Shell(Block):
             f"{self.name}.{port_name}", link, self.port_depth
         )
         self.out_ports[port_name] = port
-        self._port_cache = None
+        self._port_cache = self._point_cache = None
         return port
 
     def check_bound(self) -> None:
@@ -105,6 +106,25 @@ class Shell(Block):
                 *self.out_ports.values(),
             ]
         return ports
+
+    def _point_ports(self) -> list[tuple]:
+        """Per sync point: ``(inputs, outputs, pops, pushes)`` as
+        ``(name, port)`` pairs — the point's port subsets in their
+        iteration order (readiness tests and their error messages),
+        then the same subsets sorted by name (pop and push order)."""
+        table = self._point_cache
+        if table is None:
+            in_ports, out_ports = self.in_ports, self.out_ports
+            table = self._point_cache = [
+                (
+                    tuple((n, in_ports[n]) for n in point.inputs),
+                    tuple((n, out_ports[n]) for n in point.outputs),
+                    tuple((n, in_ports[n]) for n in sorted(point.inputs)),
+                    tuple((n, out_ports[n]) for n in sorted(point.outputs)),
+                )
+                for point in self.pearl.schedule.points
+            ]
+        return table
 
     # -- firing policy (overridden by wrapper styles) -----------------------------
 
@@ -186,27 +206,28 @@ class Shell(Block):
             self.trace_enable.append(enabled)
 
     def _fire_sync(self) -> None:
-        schedule = self.pearl.schedule
-        point = schedule.points[self._point_index]
-        popped: dict[str, Any] = {}
-        for name in sorted(point.inputs):
-            popped[name] = self.in_ports[name].pop()
-        pushed = self.pearl.on_sync(self._point_index, popped)
+        index = self._point_index
+        points = self.pearl.schedule.points
+        point = points[index]
+        _ins, _outs, pops, pushes = self._point_ports()[index]
+        popped: dict[str, Any] = {name: port.pop() for name, port in pops}
+        pushed = self.pearl.on_sync(index, popped)
         pushed = dict(pushed or {})
-        if set(pushed) != set(point.outputs):
+        if pushed.keys() != point.outputs:
             raise PearlError(
-                f"pearl {self.pearl.name!r} sync {self._point_index}: "
+                f"pearl {self.pearl.name!r} sync {index}: "
                 f"produced {sorted(pushed)}, schedule says "
                 f"{sorted(point.outputs)}"
             )
-        for name, value in sorted(pushed.items()):
-            self.out_ports[name].push(value)
-        self._running_point = self._point_index
+        for name, port in pushes:
+            port.push(pushed[name])
+        self._running_point = index
         self._run_left = point.run
-        self._point_index += 1
-        if self._point_index == len(schedule.points):
-            self._point_index = 0
+        index += 1
+        if index == len(points):
+            index = 0
             self.periods_completed += 1
+        self._point_index = index
 
     # -- inspection -----------------------------------------------------------------------
 

@@ -136,7 +136,7 @@ class Block:
 
     def phase_parts(self):
         """``(produce, consume, commit)`` callable lists for the
-        simulator's flattened fast path.
+        simulator's flattened reference loop.
 
         Blocks whose phases decompose into independent sub-steps (e.g.
         a shell delegating to its ports) may override this so the

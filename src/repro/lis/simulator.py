@@ -6,12 +6,13 @@ state), then every ``consume`` (inputs -> next state), then every
 ``commit``.  No fixed-point iteration is needed because no block has a
 same-cycle input-to-output path.
 
-The driver keeps precomputed per-phase bound-method lists (built once,
-when the :class:`Simulation` is constructed) and :meth:`Simulation.run`
-has a *trace-free fast path*: with no watchers attached and no deadlock
-window requested, the cycle loop is a tight sweep over those lists with
-no per-cycle bookkeeping at all.  Batch verification
-(:mod:`repro.verify`) and the throughput benches run in that mode.
+Two engines run that schedule.  :meth:`Simulation.run` lowers a system
+built from stock fabric blocks into one generated run loop
+(:mod:`repro.lis.compile_fabric`) whenever no watchers are attached.
+Everything else, and every :meth:`Simulation.step`, takes the
+object-level *reference loop* over per-phase bound-method lists built
+once at construction; the lowering is differentially tested against
+it.
 """
 
 from __future__ import annotations
@@ -68,26 +69,42 @@ class Simulation:
         self.system = system
         self.cycle = 0
         self._watchers: list[Callable[[int], None]] = []
+        self._blocks = system.blocks
         self._produce: list[Callable[[int], None]] = []
         self._consume: list[Callable[[int], None]] = []
         self._commit: list[Callable[[], None]] = []
-        for block in system.blocks:
+        for block in self._blocks:
             produce, consume, commit = block.phase_parts()
             self._produce.extend(produce)
             self._consume.extend(consume)
             self._commit.extend(commit)
         self._shells = list(system.shells.values())
+        # The lowered run loop: False until the first run() tries to
+        # lower the system, None when it cannot be lowered.
+        self._fabric: Callable | None | bool = False
 
     def add_watcher(self, fn: Callable[[int], None]) -> None:
         """``fn(cycle)`` runs after every commit (trace collection)."""
         self._watchers.append(fn)
 
     def step(self, cycles: int = 1) -> None:
+        self._reference(cycles, None)
+
+    def _reference(
+        self, cycles: int, deadlock_window: int | None
+    ) -> tuple[int, bool]:
+        """The object-level reference loop: ``(cycles executed,
+        deadlocked)``."""
         produce = self._produce
         consume = self._consume
         commit = self._commit
         watchers = self._watchers
-        cycle = self.cycle
+        shells = self._shells
+        cycle = start = self.cycle
+        quiet = 0
+        # enabled_cycles counters only ever grow, so the sum moves
+        # exactly when some shell made progress.
+        last_total = sum(shell.enabled_cycles for shell in shells)
         try:
             for _ in range(cycles):
                 for fn in produce:
@@ -99,6 +116,13 @@ class Simulation:
                 for watcher in watchers:
                     watcher(cycle)
                 cycle += 1
+                if deadlock_window is not None:
+                    total = sum(shell.enabled_cycles for shell in shells)
+                    quiet = 0 if total != last_total else quiet + 1
+                    last_total = total
+                    if quiet >= deadlock_window:
+                        return cycle - start, True
+            return cycle - start, False
         finally:
             self.cycle = cycle
 
@@ -109,45 +133,14 @@ class Simulation:
     ) -> SimulationResult:
         """Run for ``cycles`` cycles; optionally stop early if no shell
         fires for ``deadlock_window`` consecutive cycles."""
-        deadlocked = False
-        executed = 0
-        if deadlock_window is None and not self._watchers:
-            # Trace-free fast path: nothing to observe per cycle.
-            produce = self._produce
-            consume = self._consume
-            commit = self._commit
-            cycle = self.cycle
-            try:
-                for _ in range(cycles):
-                    for fn in produce:
-                        fn(cycle)
-                    for fn in consume:
-                        fn(cycle)
-                    for fn in commit:
-                        fn()
-                    cycle += 1
-                    executed += 1
-            finally:
-                self.cycle = cycle
+        # Imported here so that importing the package stays cheap.
+        from .compile_fabric import runner_for
+
+        lowered = runner_for(self)
+        if lowered is not None:
+            executed, deadlocked = lowered(self, cycles, deadlock_window)
         else:
-            quiet = 0
-            # enabled_cycles counters only ever grow, so the sum moves
-            # exactly when some shell made progress.
-            last_total = sum(
-                shell.enabled_cycles for shell in self._shells
-            )
-            for _ in range(cycles):
-                self.step()
-                executed += 1
-                if deadlock_window is not None:
-                    total = sum(
-                        shell.enabled_cycles for shell in self._shells
-                    )
-                    quiet = 0 if total != last_total else quiet + 1
-                    last_total = total
-                    if quiet >= deadlock_window:
-                        deadlocked = True
-                        break
+            executed, deadlocked = self._reference(cycles, deadlock_window)
         return SimulationResult(
             cycles=executed,
             shell_enabled={

@@ -700,7 +700,8 @@ class CompiledSimulator(Simulator):
 
     # -- environment access ----------------------------------------------------
 
-    def _slot(self, name: str) -> int:
+    def slot(self, name: str) -> int:
+        """The env slot of a top-level signal."""
         slot = self._name_slot.get(name)
         if slot is None:
             raise KeyError(f"no signal named {name!r} in top module")
@@ -716,7 +717,7 @@ class CompiledSimulator(Simulator):
             # Flush pruned nets against the pre-poke environment so a
             # later peek sees exactly the values of the last settle.
             self._refresh_dead()
-        slot = self._slot(name)
+        slot = self.slot(name)
         self._env[slot] = value & self._masks[slot]
 
     def poke_settle(self, name: str, value: int) -> None:
@@ -726,7 +727,7 @@ class CompiledSimulator(Simulator):
 
     def peek(self, name: str) -> int:
         """Read a top-level signal's settled value."""
-        slot = self._slot(name)
+        slot = self.slot(name)
         if self._dead_stale and slot in self._kernel.dead_slots:
             self._refresh_dead()
         return self._env[slot]
@@ -740,6 +741,28 @@ class CompiledSimulator(Simulator):
 
     def flat_names(self) -> list[str]:
         return sorted(self._name_slot)
+
+    # -- direct slot access ------------------------------------------------------
+    # For per-cycle drivers (``RTLShell``) that resolve top-level names
+    # once and then read and write :attr:`env` in place.  Writes must be
+    # preceded by :meth:`flush_dead`, exactly as :meth:`poke` does, and
+    # values must already fit the signal's width.
+
+    @property
+    def env(self) -> list[int]:
+        """The slot-list environment the kernels update in place."""
+        return self._env
+
+    def is_live(self, slot: int) -> bool:
+        """True when ``slot`` is refreshed by every settle (not a
+        pruned net that only :meth:`peek` refreshes lazily)."""
+        return slot not in self._kernel.dead_slots
+
+    def flush_dead(self) -> None:
+        """Bring pruned nets up to date before the env is mutated, as
+        :meth:`poke` does."""
+        if self._dead_stale:
+            self._refresh_dead()
 
     # -- execution ---------------------------------------------------------------
 

@@ -89,6 +89,10 @@ class MixPearl(Pearl):
     def __init__(self, name: str, schedule) -> None:
         super().__init__(name, schedule)
         self._acc = self._initial_acc(name)
+        self._outputs = [
+            tuple(enumerate(sorted(point.outputs)))
+            for point in schedule.points
+        ]
 
     @staticmethod
     def _initial_acc(name: str) -> int:
@@ -107,10 +111,9 @@ class MixPearl(Pearl):
             ) & _MASK
         acc = (acc * 1000003 + index + 1) & _MASK
         self._acc = acc
-        point = self.schedule.points[index]
         return {
             port: (acc ^ (bit * _MIX)) & _MASK
-            for bit, port in enumerate(sorted(point.outputs))
+            for bit, port in self._outputs[index]
         }
 
     def on_reset(self) -> None:

@@ -24,7 +24,7 @@ relay worker-side records over its result pipes):
   field, ``case`` and ``shrink`` spans a ``case`` index;
 * ``count`` — ``{kind, name, t, n}``: a monotonic counter increment
   (``supervise.*``, ``fault.*``, ``corpus.*``, ``rtl.*``,
-  ``shrink.*``);
+  ``fabric.*``, ``shrink.*``);
 * ``gauge`` — ``{kind, name, t, value}``: a point-in-time level;
 * ``event`` — ``{kind, name, t, ...fields}``: a discrete occurrence
   (worker lifecycle, faults — chaos-injected ones tagged
@@ -261,6 +261,9 @@ class Rollup:
                 f"{self.counters.get('rtl.cache.compile_ms', 0):.1f}ms "
                 "compiling"
             )
+        fabric = _render_fabric(self.counters)
+        if fabric:
+            lines.append(fabric)
         tournaments = self.counters.get("corpus.tournaments", 0)
         if tournaments:
             mutants = self.counters.get("corpus.mutant_won", 0)
@@ -284,6 +287,30 @@ class Rollup:
                 "executions used"
             )
         return "\n".join(lines)
+
+
+def _render_fabric(counters: Mapping[str, float]) -> str:
+    """The fabric-engine summary line: runs per engine and the code
+    cache, flagging a campaign that never took the lowered loop."""
+    lowered = counters.get("fabric.lowered", 0)
+    reference = counters.get("fabric.reference", 0)
+    if not lowered and not reference:
+        return ""
+    line = (
+        f"  lis fabric: {lowered:.0f} lowered / {reference:.0f} "
+        "reference run(s)"
+    )
+    hits = counters.get("fabric.cache.hits", 0)
+    misses = counters.get("fabric.cache.misses", 0)
+    if hits or misses:
+        line += (
+            f", code cache {hits:.0f} hit(s) / {misses:.0f} miss(es) "
+            f"({100.0 * hits / (hits + misses):.0f}%), "
+            f"{counters.get('fabric.cache.compile_ms', 0):.1f}ms compiling"
+        )
+    if not lowered:
+        line += " -- every run fell back to the reference loop"
+    return line
 
 
 def _render_op_yield(counters: Mapping[str, float]) -> str:
@@ -447,23 +474,31 @@ def event(name: str, **fields: Any) -> None:
 
 
 def engine_stats() -> dict[str, float]:
-    """Snapshot of :func:`repro.rtl.compile_sim.cache_stats` (imported
-    lazily so probes never drag the RTL engine in)."""
-    from ..rtl.compile_sim import cache_stats
+    """Snapshot of the engine counters under their counter names:
+    :func:`repro.rtl.compile_sim.cache_stats` as ``rtl.cache.*``, and
+    :func:`repro.lis.compile_fabric.cache_stats` as
+    ``fabric.lowered``/``fabric.reference`` (``Simulation.run`` calls
+    per engine) plus ``fabric.cache.*``.  Both modules are imported
+    lazily so probes never drag the engines in."""
+    from ..lis.compile_fabric import cache_stats as fabric_stats
+    from ..rtl.compile_sim import cache_stats as rtl_stats
 
-    return cache_stats()
+    stats = {f"rtl.cache.{key}": value for key, value in rtl_stats().items()}
+    for key, value in fabric_stats().items():
+        runs = key in ("lowered", "reference")
+        stats[f"fabric.{key}" if runs else f"fabric.cache.{key}"] = value
+    return stats
 
 
 def emit_engine_delta(before: Mapping[str, float]) -> None:
-    """Emit the engine-counter movement since ``before`` as
-    ``rtl.cache.*`` counts (only keys that moved)."""
+    """Emit the engine-counter movement since ``before`` (an
+    :func:`engine_stats` snapshot) as counts (only keys that moved)."""
     if _active is None:
         return
-    after = engine_stats()
-    for key, value in after.items():
+    for key, value in engine_stats().items():
         delta = value - before.get(key, 0)
         if delta:
-            count(f"rtl.cache.{key}", delta)
+            count(key, delta)
 
 
 # -- the JSONL sink ------------------------------------------------------------
