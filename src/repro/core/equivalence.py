@@ -146,16 +146,21 @@ class RTLShell(Shell):
         self.rtl.poke("rst", 1)
         self.rtl.step()
         self.rtl.poke("rst", 0)
-        self._slots = self._resolve_slots()
+        # Ports bind after construction and reset() replaces the
+        # simulator, so slots are (re)bound at the next wrapper step.
+        self._slots: tuple | None = None
 
-    def _resolve_slots(self) -> tuple | None:
-        """Env slots of the per-cycle FIFO-status inputs and strobe
-        outputs under the compiled engine, so each cycle reads and
-        writes the env list directly instead of going through
-        ``poke``/``peek`` name lookups.  None under ``interp``."""
+    def _resolve_slots(self) -> tuple:
+        """Per-cycle bindings under the compiled engine, so each cycle
+        reads and writes the env list directly instead of going through
+        ``poke``/``peek`` name lookups: ``(env, input (fifo, slot)
+        pairs, output (fifo, pushed, depth, slot) tuples, enable slot,
+        pop (bit, slot) pairs, push (bit, slot) pairs)``.  Readiness is
+        computed from the port FIFOs themselves.  Empty under
+        ``interp``."""
         rtl = self.rtl
         if rtl.engine != "compiled":
-            return None
+            return ()
         strobes = [
             (1 << bit, rtl.slot(name))
             for names in (self._pop_names, self._push_names)
@@ -167,12 +172,18 @@ class RTLShell(Shell):
             rtl.is_live(slot) for _bit, slot in strobes
         ), "wrapper outputs must stay live"
         n_pops = len(self._pop_names)
+        # A wrapper step starts with nothing popped this cycle (ports
+        # drop their pops at commit), so not_empty is a non-empty FIFO.
         in_slots = [
-            (name, rtl.slot(poke)) for name, poke in self._not_empty_pokes
+            (self.in_ports[name]._fifo, rtl.slot(poke))
+            for name, poke in self._not_empty_pokes
         ]
-        out_slots = [
-            (name, rtl.slot(poke)) for name, poke in self._not_full_pokes
-        ]
+        out_slots = []
+        for name, poke in self._not_full_pokes:
+            port = self.out_ports[name]
+            out_slots.append(
+                (port._fifo, port._pushed, port.depth, rtl.slot(poke))
+            )
         return (
             rtl.env,
             in_slots,
@@ -207,21 +218,17 @@ class RTLShell(Shell):
         rtl = self.rtl
         slots = self._slots
         if slots is None:
+            slots = self._slots = self._resolve_slots()
+        if not slots:
             enable, pop_mask, push_mask = self._strobes_by_name()
         else:
             (
                 env, in_slots, out_slots, enable_slot, pop_slots, push_slots,
             ) = slots
-            if in_slots or out_slots:
-                # Stale pruned nets are flushed before the first write
-                # of a cycle, as poke does.
-                rtl.flush_dead()
-            in_ports = self.in_ports
-            for name, slot in in_slots:
-                env[slot] = 1 if in_ports[name].not_empty else 0
-            out_ports = self.out_ports
-            for name, slot in out_slots:
-                env[slot] = 1 if out_ports[name].not_full else 0
+            for fifo, slot in in_slots:
+                env[slot] = 1 if fifo else 0
+            for fifo, pushed, depth, slot in out_slots:
+                env[slot] = 1 if len(fifo) + len(pushed) < depth else 0
             rtl.settle()
             enable = env[enable_slot]
             pop_mask = 0

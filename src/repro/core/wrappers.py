@@ -25,7 +25,7 @@ from typing import Sequence
 
 from ..lis.pearl import Pearl
 from ..lis.port import DEFAULT_PORT_DEPTH
-from ..lis.shell import Shell, ShellError
+from ..lis.shell import Shell, ShellError, fifos_ready
 from .compiler import CompilerOptions, compile_schedule
 from .processor import SPState, SyncProcessor
 
@@ -59,9 +59,10 @@ class SPWrapper(Shell):
 
     def _resolve_ports(self) -> tuple:
         """Ports are bound after construction; snapshot them on first
-        use: ``(input (bit, port) pairs, output (bit, port) pairs, per
-        operation (pops, expected outputs, pushes))``, pops in mask-bit
-        order and pushes sorted by name, as ``(name, port)`` pairs."""
+        use: ``(input (bit, fifo) pairs, output (bit, fifo, pushed,
+        depth) tuples, per operation (pops, expected outputs,
+        pushes))``, pops in mask-bit order and pushes sorted by name,
+        as ``(name, port)`` pairs."""
         schedule = self.pearl.schedule
         in_ports = [self.in_ports[name] for name in schedule.inputs]
         out_ports = [self.out_ports[name] for name in schedule.outputs]
@@ -80,8 +81,11 @@ class SPWrapper(Shell):
             )
             op_ports.append((pops, expected, pushes))
         return (
-            [(1 << bit, port) for bit, port in enumerate(in_ports)],
-            [(1 << bit, port) for bit, port in enumerate(out_ports)],
+            [(1 << bit, port._fifo) for bit, port in enumerate(in_ports)],
+            [
+                (1 << bit, port._fifo, port._pushed, port.depth)
+                for bit, port in enumerate(out_ports)
+            ],
             op_ports,
         )
 
@@ -92,13 +96,14 @@ class SPWrapper(Shell):
         if ports is None:
             ports = self._sp_ports = self._resolve_ports()
         in_bits, out_bits, op_ports = ports
+        # Readiness from the FIFOs themselves (see Shell._readiness).
         in_ready = 0
-        for bit, port in in_bits:
-            if port.not_empty:
+        for bit, fifo in in_bits:
+            if fifo:
                 in_ready |= bit
         out_ready = 0
-        for bit, port in out_bits:
-            if port.not_full:
+        for bit, fifo, pushed, depth in out_bits:
+            if len(fifo) + len(pushed) < depth:
                 out_ready |= bit
         action = self.processor.step(in_ready, out_ready)
 
@@ -158,14 +163,8 @@ class FSMWrapper(Shell):
     style = "fsm"
 
     def _sync_ready(self) -> bool:
-        ins, outs, _pops, _pushes = self._point_ports()[self._point_index]
-        for _name, port in ins:
-            if not port.not_empty:
-                return False
-        for _name, port in outs:
-            if not port.not_full:
-                return False
-        return True
+        ins, outs = self._readiness()[2][self._point_index]
+        return fifos_ready(ins, outs)
 
 
 class CombinationalWrapper(Shell):
@@ -180,13 +179,8 @@ class CombinationalWrapper(Shell):
     style = "combinational"
 
     def _all_ports_ready(self) -> bool:
-        for port in self.in_ports.values():
-            if not port.not_empty:
-                return False
-        for port in self.out_ports.values():
-            if not port.not_full:
-                return False
-        return True
+        ins, outs, _points = self._readiness()
+        return fifos_ready(ins, outs)
 
     def _sync_ready(self) -> bool:
         return self._all_ports_ready()

@@ -29,6 +29,18 @@ class ShellError(RuntimeError):
     """Raised for wiring mistakes or schedule violations."""
 
 
+def fifos_ready(inputs, outputs) -> bool:
+    """Every input FIFO non-empty and every output FIFO below depth
+    (views from :meth:`Shell._readiness`)."""
+    for fifo in inputs:
+        if not fifo:
+            return False
+    for fifo, pushed, depth in outputs:
+        if len(fifo) + len(pushed) >= depth:
+            return False
+    return True
+
+
 class Shell(Block):
     """Base patient-process wrapper around one pearl."""
 
@@ -51,6 +63,7 @@ class Shell(Block):
         self.trace_enable: list[bool] | None = None
         self._port_cache: list[InputPort | OutputPort] | None = None
         self._point_cache: list[tuple] | None = None
+        self._ready_cache: tuple | None = None
 
     # -- wiring ------------------------------------------------------------------
 
@@ -67,7 +80,7 @@ class Shell(Block):
             f"{self.name}.{port_name}", link, self.port_depth
         )
         self.in_ports[port_name] = port
-        self._port_cache = self._point_cache = None
+        self._port_cache = self._point_cache = self._ready_cache = None
         return port
 
     def bind_output(self, port_name: str, link: Link) -> OutputPort:
@@ -83,7 +96,7 @@ class Shell(Block):
             f"{self.name}.{port_name}", link, self.port_depth
         )
         self.out_ports[port_name] = port
-        self._port_cache = self._point_cache = None
+        self._port_cache = self._point_cache = self._ready_cache = None
         return port
 
     def check_bound(self) -> None:
@@ -125,6 +138,33 @@ class Shell(Block):
                 for point in self.pearl.schedule.points
             ]
         return table
+
+    def _readiness(self) -> tuple:
+        """FIFO views for readiness tests: ``(inputs, outputs, per sync
+        point (inputs, outputs))`` with input FIFO deques and output
+        ``(fifo, pushed, depth)`` triples.  Tests run at the start of a
+        wrapper step, before anything is popped that cycle (ports drop
+        their pops at commit), so an input is ready exactly when its
+        deque is non-empty."""
+        views = self._ready_cache
+        if views is None:
+            ins = {name: port._fifo for name, port in self.in_ports.items()}
+            outs = {
+                name: (port._fifo, port._pushed, port.depth)
+                for name, port in self.out_ports.items()
+            }
+            views = self._ready_cache = (
+                tuple(ins.values()),
+                tuple(outs.values()),
+                [
+                    (
+                        tuple(ins[name] for name in point.inputs),
+                        tuple(outs[name] for name in point.outputs),
+                    )
+                    for point in self.pearl.schedule.points
+                ],
+            )
+        return views
 
     # -- firing policy (overridden by wrapper styles) -----------------------------
 

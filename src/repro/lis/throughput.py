@@ -124,7 +124,11 @@ class MarkedGraph:
     ) -> Fraction:
         """Lawler's test: throughput >= r iff the graph with edge weights
         ``tokens - r * (latency + 1)`` has no negative cycle.  Binary
-        search on r, then snap to the nearest exact cycle ratio."""
+        search on r, then snap to the nearest exact cycle ratio.
+
+        Every midpoint is dyadic, ``r = p / 2**k``, so each test runs in
+        integers on the weights ``tokens * 2**k - p * (latency + 1)``
+        (scaling by ``2**k > 0`` keeps each cycle's sign)."""
         if self._graph.number_of_edges() == 0:
             return Fraction(1)
         if not any(True for _ in nx.simple_cycles(
@@ -132,34 +136,35 @@ class MarkedGraph:
         )):
             return Fraction(1)
 
-        def has_negative_cycle(rate: Fraction) -> bool:
-            weighted = nx.DiGraph()
-            weighted.add_nodes_from(self._graph.nodes)
-            for u, v, data in self._graph.edges(data=True):
-                weight = Fraction(data["tokens"]) - rate * (
-                    data["latency"] + 1
-                )
-                if weighted.has_edge(u, v):
-                    weight = min(weight, weighted[u][v]["weight"])
-                    weighted[u][v]["weight"] = weight
-                else:
-                    weighted.add_edge(u, v, weight=weight)
-            return _negative_cycle(weighted)
+        index = {node: i for i, node in enumerate(self._graph.nodes)}
+        edges = [
+            (index[u], index[v], data["tokens"], data["latency"] + 1)
+            for u, v, data in self._graph.edges(data=True)
+        ]
 
-        low, high = Fraction(0), Fraction(1)
-        if has_negative_cycle(low):
+        def has_negative_cycle(p: int, q: int) -> bool:
+            return _negative_cycle(
+                len(index),
+                [(u, v, tokens * q - p * hop) for u, v, tokens, hop in edges],
+            )
+
+        # The search interval is [low, high] / scale.
+        low, high, scale = 0, 1, 1
+        if has_negative_cycle(low, scale):
             return Fraction(0)
-        while high - low > tolerance:
-            mid = (low + high) / 2
-            if has_negative_cycle(mid):
+        while Fraction(high - low, scale) > tolerance:
+            low, high, scale = 2 * low, 2 * high, 2 * scale
+            mid = (low + high) // 2
+            if has_negative_cycle(mid, scale):
                 high = mid
             else:
                 low = mid
+        low_rate = Fraction(low, scale)
         # Snap to the exact enumerated value when it is within reach.
         exact = self.throughput_enumerated()
-        if abs(exact - low) <= 2 * tolerance:
+        if abs(exact - low_rate) <= 2 * tolerance:
             return exact
-        return low
+        return low_rate
 
 
 def _min_ratio_choice(
@@ -190,14 +195,16 @@ def _min_ratio_choice(
         ratio = new_ratio
 
 
-def _negative_cycle(graph: nx.DiGraph) -> bool:
-    """Bellman-Ford negative-cycle test over the whole graph."""
-    distance = {node: Fraction(0) for node in graph.nodes}
-    nodes = list(graph.nodes)
-    for _ in range(len(nodes)):
+def _negative_cycle(
+    n_nodes: int, edges: list[tuple[int, int, int]]
+) -> bool:
+    """Bellman-Ford negative-cycle test over ``(u, v, weight)`` edges
+    on nodes ``0 .. n_nodes - 1`` (every node a source)."""
+    distance = [0] * n_nodes
+    for _ in range(n_nodes):
         changed = False
-        for u, v, data in graph.edges(data=True):
-            candidate = distance[u] + data["weight"]
+        for u, v, weight in edges:
+            candidate = distance[u] + weight
             if candidate < distance[v]:
                 distance[v] = candidate
                 changed = True

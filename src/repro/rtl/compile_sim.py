@@ -4,8 +4,8 @@ The interpreter in :mod:`repro.rtl.simulator` walks every expression
 tree per cycle through rename-map dict views.  This backend instead
 *schedules once and executes straight-line*: a :class:`Design` is
 elaborated one time and emitted as Python source for one flat
-``settle`` function and one ``step`` function, which are ``exec``'d and
-then called per cycle with a plain list environment.
+``settle`` function and one registers-only ``edge`` function, which are
+``exec``'d and then called per cycle with a plain list environment.
 
 Lowering pipeline (:func:`compile_design`):
 
@@ -27,9 +27,19 @@ Lowering pipeline (:func:`compile_design`):
    such a net is actually peeked (the laziness is exact: a pending
    refresh is flushed *before* any poke mutates the environment);
 5. **emit + cache** — register sampling and commits are unrolled into
-   the generated ``step`` body (sample all, commit all, then the
-   inlined settle body), ROMs become padded tuple lookups, and the
-   whole kernel is compiled once per *shape*.
+   a registers-only ``edge`` body (sample all, commit all), ROMs become
+   padded tuple lookups, and the whole kernel is compiled once per
+   *shape*.
+
+Settle-once clocking: :meth:`CompiledSimulator.step` runs only the
+edge and marks the environment *unsettled*; the settle the interpreter
+runs at the end of every step is deferred until something observes the
+environment (``peek``, ``peek_flat``, ``poke``, ``env``, a pruned-net
+refresh, the next edge) or :meth:`~CompiledSimulator.settle` is called.
+A per-cycle driver that writes its inputs and then settles (``RTLShell``)
+thus settles each cycle once instead of twice, while every observation
+equals the interpreter's, including the "pre-poke" view a poke after a
+step leaves behind.
 
 Cache-key contract: kernels are cached per worker process under the
 structural key ``(slot count, generated source, ROM images)``.  The
@@ -370,11 +380,11 @@ class _Elaboration:
 
 
 class _Kernel:
-    """One exec'd settle/step/settle_dead function triple."""
+    """One exec'd settle/edge/settle_dead function triple."""
 
     __slots__ = (
         "settle",
-        "step",
+        "edge",
         "settle_dead",
         "dead_slots",
         "n_slots",
@@ -393,7 +403,7 @@ class _Kernel:
         }
         exec(compile(source, "<compiled-rtl>", "exec"), namespace)
         self.settle = namespace["_settle"]
-        self.step = namespace["_step"]
+        self.edge = namespace["_edge"]
         self.settle_dead = namespace["_settle_dead"]
         self.dead_slots = dead_slots
         self.n_slots = n_slots
@@ -621,9 +631,8 @@ def _emit(
             "def _settle_dead(e):",
             body(dead_lines, "    "),
             "",
-            "def _step(e, cycles):",
-            "    for _ in range(cycles):",
-            body(reg_lines + settle_lines, "        "),
+            "def _edge(e):",
+            body(reg_lines, "    "),
             "",
         ]
     )
@@ -677,7 +686,12 @@ def compile_design(design: Design | Module) -> _Plan:
 
 class CompiledSimulator(Simulator):
     """Drop-in :class:`~repro.rtl.simulator.Simulator` running exec'd
-    straight-line kernels over a slot-list environment."""
+    straight-line kernels over a slot-list environment.
+
+    ``step`` clocks registers only and leaves the environment
+    *unsettled*; every observation settles first while it is (see the
+    module docstring), so the view always equals the interpreter's.
+    """
 
     engine = "compiled"
 
@@ -690,6 +704,7 @@ class CompiledSimulator(Simulator):
         self._masks = plan.masks
         self._env: list[int] = [0] * plan.kernel.n_slots
         self._dead_stale = False
+        self._unsettled = False
         self.cycle = 0
         self.settle()
 
@@ -708,11 +723,17 @@ class CompiledSimulator(Simulator):
         return slot
 
     def _refresh_dead(self) -> None:
+        if self._unsettled:
+            self.settle()
         self._kernel.settle_dead(self._env)
         self._dead_stale = False
 
     def poke(self, name: str, value: int) -> None:
         """Drive a top-level input (propagates at the next settle/step)."""
+        if self._unsettled:
+            # Settle against the pre-poke inputs, as the interpreter's
+            # step already did.
+            self.settle()
         if self._dead_stale:
             # Flush pruned nets against the pre-poke environment so a
             # later peek sees exactly the values of the last settle.
@@ -728,6 +749,8 @@ class CompiledSimulator(Simulator):
     def peek(self, name: str) -> int:
         """Read a top-level signal's settled value."""
         slot = self.slot(name)
+        if self._unsettled:
+            self.settle()
         if self._dead_stale and slot in self._kernel.dead_slots:
             self._refresh_dead()
         return self._env[slot]
@@ -735,6 +758,8 @@ class CompiledSimulator(Simulator):
     def peek_flat(self, flat_name: str) -> int:
         """Read a hierarchical flat name, e.g. ``"sp0.state"``."""
         slot = self._name_slot[flat_name]
+        if self._unsettled:
+            self.settle()
         if self._dead_stale and slot in self._kernel.dead_slots:
             self._refresh_dead()
         return self._env[slot]
@@ -744,13 +769,18 @@ class CompiledSimulator(Simulator):
 
     # -- direct slot access ------------------------------------------------------
     # For per-cycle drivers (``RTLShell``) that resolve top-level names
-    # once and then read and write :attr:`env` in place.  Writes must be
-    # preceded by :meth:`flush_dead`, exactly as :meth:`poke` does, and
-    # values must already fit the signal's width.
+    # once and then read and write :attr:`env` in place.  Values written
+    # must already fit the signal's width.  Such a driver may write its
+    # inputs right after :meth:`step`, but must call :meth:`settle`
+    # before it reads the env: a direct read never settles lazily, and
+    # pruned nets (see :meth:`is_live`) are refreshed only by ``peek``.
 
     @property
     def env(self) -> list[int]:
-        """The slot-list environment the kernels update in place."""
+        """The slot-list environment the kernels update in place
+        (settled first if a step left it unsettled)."""
+        if self._unsettled:
+            self.settle()
         return self._env
 
     def is_live(self, slot: int) -> bool:
@@ -758,23 +788,23 @@ class CompiledSimulator(Simulator):
         pruned net that only :meth:`peek` refreshes lazily)."""
         return slot not in self._kernel.dead_slots
 
-    def flush_dead(self) -> None:
-        """Bring pruned nets up to date before the env is mutated, as
-        :meth:`poke` does."""
-        if self._dead_stale:
-            self._refresh_dead()
-
     # -- execution ---------------------------------------------------------------
 
     def settle(self) -> None:
         """Propagate combinational logic (one straight-line pass)."""
         self._kernel.settle(self._env)
+        self._unsettled = False
         if self._kernel.dead_slots:
             self._dead_stale = True
 
     def step(self, cycles: int = 1) -> None:
-        """Advance the clock by ``cycles`` rising edges."""
-        self._kernel.step(self._env, cycles)
+        """Advance the clock by ``cycles`` rising edges, leaving the
+        combinational logic to settle when next observed."""
+        edge = self._kernel.edge
+        env = self._env
+        for _ in range(cycles):
+            if self._unsettled:
+                self.settle()
+            edge(env)
+            self._unsettled = True
         self.cycle += cycles
-        if cycles and self._kernel.dead_slots:
-            self._dead_stale = True

@@ -17,8 +17,9 @@ consistent with each other and with the emitted Verilog.
 Two interchangeable engines implement these semantics:
 
 * ``"compiled"`` (default) — :mod:`repro.rtl.compile_sim` lowers the
-  flattened design to one straight-line Python ``settle``/``step``
-  function pair, compiled once per module *shape* and cached;
+  flattened design to one straight-line Python ``settle``/``edge``
+  function pair, compiled once per module *shape* and cached; it
+  defers each step's final settle until the state is next observed;
 * ``"interp"`` — the reference tree-walking evaluator below, kept as
   the semantic oracle the compiled engine is differentially tested
   against.

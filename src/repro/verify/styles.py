@@ -20,8 +20,9 @@ JSON stay valid.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from ..core.compiler import CompilerOptions, compile_schedule
 from ..core.equivalence import RTLShell
@@ -217,14 +218,47 @@ def _build_combinational(
     return CombinationalWrapper(pearl, port_depth)
 
 
-def _build_rtl_sp(pearl, node, port_depth, engine, activation) -> Shell:
+# Generated wrapper RTL, memoized per schedule.  Processes, cases and
+# perturbation variants repeat schedules, so most RTL builds can share
+# one (program, Module) pair, which also hits compile_sim's per-Module
+# plan memo and skips elaboration.  The key is the wrapper's structural
+# inputs only: the module name is left out (no outcome, reproducer or
+# error text reads it), so a memoized module keeps its generator's
+# default name.  Shared modules are never mutated.
+
+#: Cap on memoized wrapper modules per process; beyond it the least
+#: recently used one is evicted.
+WRAPPER_MEMO_MAX = 256
+
+_WRAPPER_MEMO: OrderedDict[Hashable, tuple] = OrderedDict()
+
+
+def _memoized(key: Hashable, generate: Callable[[], tuple]) -> tuple:
+    entry = _WRAPPER_MEMO.get(key)
+    if entry is None:
+        entry = _WRAPPER_MEMO[key] = generate()
+        if len(_WRAPPER_MEMO) > WRAPPER_MEMO_MAX:
+            _WRAPPER_MEMO.popitem(last=False)
+    else:
+        _WRAPPER_MEMO.move_to_end(key)
+    return entry
+
+
+def _schedule_key(schedule) -> tuple:
+    return (schedule.inputs, schedule.outputs, schedule.points)
+
+
+def _sp_rtl(schedule) -> tuple:
     # fuse=False keeps op.point_index aligned with the pearl's own
     # schedule, exactly as the behavioural SPWrapper compiles it.
-    program = compile_schedule(
-        node.schedule, CompilerOptions(fuse=False)
-    )
-    module = generate_sp_wrapper(
-        program, name=f"sp_{node.name}", schedule=node.schedule
+    program = compile_schedule(schedule, CompilerOptions(fuse=False))
+    return program, generate_sp_wrapper(program, schedule=schedule)
+
+
+def _build_rtl_sp(pearl, node, port_depth, engine, activation) -> Shell:
+    schedule = node.schedule
+    program, module = _memoized(
+        ("rtl-sp", _schedule_key(schedule)), lambda: _sp_rtl(schedule)
     )
     return RTLShell(
         pearl, module, program=program, port_depth=port_depth,
@@ -233,7 +267,11 @@ def _build_rtl_sp(pearl, node, port_depth, engine, activation) -> Shell:
 
 
 def _build_rtl_fsm(pearl, node, port_depth, engine, activation) -> Shell:
-    module = generate_fsm_wrapper(node.schedule, name=f"fsm_{node.name}")
+    schedule = node.schedule
+    _, module = _memoized(
+        ("rtl-fsm", _schedule_key(schedule)),
+        lambda: (None, generate_fsm_wrapper(schedule)),
+    )
     return RTLShell(pearl, module, port_depth=port_depth, engine=engine)
 
 
@@ -251,11 +289,17 @@ def _build_shiftreg(
 def _build_rtl_shiftreg(
     pearl, node, port_depth, engine, activation
 ) -> Shell:
-    module = generate_shiftreg_wrapper(
-        node.schedule,
-        activation=activation.pattern,
-        name=f"sr_{node.name}",
-        prefix=activation.prefix,
+    schedule = node.schedule
+    pattern = tuple(activation.pattern)
+    prefix = tuple(activation.prefix)
+    _, module = _memoized(
+        ("rtl-shiftreg", _schedule_key(schedule), pattern, prefix),
+        lambda: (
+            None,
+            generate_shiftreg_wrapper(
+                schedule, activation=pattern, prefix=prefix
+            ),
+        ),
     )
     return RTLShell(pearl, module, port_depth=port_depth, engine=engine)
 

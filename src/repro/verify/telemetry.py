@@ -251,13 +251,17 @@ class Rollup:
                 f"{timeouts} timeout(s), {retries} retr"
                 f"{'y' if retries == 1 else 'ies'}"
             )
+        memo = self.counters.get("rtl.cache.memo_hits", 0)
         hits = self.counters.get("rtl.cache.hits", 0)
         misses = self.counters.get("rtl.cache.misses", 0)
-        if hits or misses:
-            rate = 100.0 * hits / (hits + misses)
+        if memo or hits or misses:
+            # A plan-memo hit reuses a whole compiled module and never
+            # consults the kernel cache; both count as reuse.
+            rate = 100.0 * (memo + hits) / (memo + hits + misses)
             lines.append(
-                f"  rtl kernel cache: {hits:.0f} hit(s) / "
-                f"{misses:.0f} miss(es) ({rate:.0f}%), "
+                f"  rtl kernel cache: {memo:.0f} plan-memo hit(s), "
+                f"{hits:.0f} kernel hit(s) / {misses:.0f} miss(es) "
+                f"({rate:.0f}% reused), "
                 f"{self.counters.get('rtl.cache.compile_ms', 0):.1f}ms "
                 "compiling"
             )

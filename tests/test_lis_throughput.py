@@ -125,6 +125,31 @@ class TestParametricAgreesWithEnumeration:
         approx = g.throughput_parametric()
         assert abs(exact - approx) < Fraction(1, 10**6)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_search_returns_the_exact_fraction(self, data):
+        """Self-loops and parallel edges included: the integer-weight
+        search lands on the enumerated Fraction exactly."""
+        n = data.draw(st.integers(1, 5))
+        g = MarkedGraph()
+        for i in range(n):
+            g.add_process(f"p{i}")
+        for _ in range(data.draw(st.integers(1, 10))):
+            g.add_channel(
+                f"p{data.draw(st.integers(0, n - 1))}",
+                f"p{data.draw(st.integers(0, n - 1))}",
+                latency=data.draw(st.integers(1, 5)),
+                tokens=data.draw(st.integers(0, 3)),
+            )
+        assert g.throughput_parametric() == g.throughput_enumerated()
+
+    def test_negative_cycle_test_on_integer_weights(self):
+        from repro.lis.throughput import _negative_cycle
+
+        ring = [(0, 1, 2), (1, 2, -1)]
+        assert not _negative_cycle(3, ring + [(2, 0, -1)])
+        assert _negative_cycle(3, ring + [(2, 0, -2)])
+
     def test_parametric_on_acyclic(self):
         g = MarkedGraph()
         g.add_channel("a", "b", latency=2)

@@ -246,6 +246,33 @@ def test_cli_writes_event_stream_and_metrics(tmp_path, capsys):
     assert telemetry.active() is None
 
 
+def test_rtl_cache_line_counts_plan_memo_hits():
+    rollup = Rollup()
+    for name, n in (
+        ("rtl.cache.memo_hits", 90), ("rtl.cache.hits", 5),
+        ("rtl.cache.misses", 5), ("rtl.cache.compile_ms", 12.5),
+    ):
+        rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
+    assert (
+        "  rtl kernel cache: 90 plan-memo hit(s), 5 kernel hit(s) / "
+        "5 miss(es) (95% reused), 12.5ms compiling"
+    ) in rollup.render().splitlines()
+
+
+def test_cli_metrics_carry_plan_memo_hits(tmp_path, capsys):
+    # Perturbation variants rebuild every RTL style on the base's
+    # schedules, so the second build of each one is a plan-memo hit.
+    metrics = tmp_path / "metrics.json"
+    code = cli.main([
+        "verify", "--cases", "2", "--cycles", "60", "--perturb", "1",
+        "--perturb-styles", "all", "--metrics-json", str(metrics),
+    ])
+    assert code == 0
+    counters = json.loads(metrics.read_text())["counters"]
+    assert counters["rtl.cache.memo_hits"] > 0
+    assert "plan-memo hit(s)" in capsys.readouterr().out
+
+
 def test_cli_interrupted_batch_flushes_partial_telemetry(
     tmp_path, monkeypatch, capsys
 ):
