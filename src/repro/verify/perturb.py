@@ -50,6 +50,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..sched.generate import SystemTopology, TopologyVariant, derive_variants
+from . import telemetry
 from .cases import (
     CaseOutcome,
     Divergence,
@@ -143,9 +144,25 @@ def run_variant(
     )
 
 
+def lowers_latency(base: SystemTopology, variant: SystemTopology) -> bool:
+    """True when ``variant`` shortens some connection (channel, source
+    or sink link) of ``base``, i.e. removes relay storage."""
+    return any(
+        new.latency < old.latency
+        for olds, news in (
+            (base.channels, variant.channels),
+            (base.sources, variant.sources),
+            (base.sinks, variant.sinks),
+        )
+        for old, new in zip(olds, news)
+    )
+
+
 def _check_variant_progress(
     label: str,
     base_tokens: int,
+    base_deadlocked: bool,
+    lowers: bool,
     run: StyleRun,
     outcome: CaseOutcome,
 ) -> bool:
@@ -153,9 +170,20 @@ def _check_variant_progress(
     tokens at all while the base did (e.g. it deadlocked under the
     deeper segmentation) would otherwise pass every prefix check over
     empty data — exactly the failure class this oracle exists to
-    catch.  Returns True when the variant made progress."""
+    catch.  Returns True when the variant made progress, or when the
+    guard does not apply.
+
+    The one exemption: a base run that itself deadlocked after a few
+    tokens, against a variant that ``lowers`` some latency.  Less relay
+    storage on a system that already runs out of buffering can
+    legitimately deadlock before the first token, so the guard is
+    skipped (and counted as ``perturb.vacuity_skips``) and the variant
+    goes on to the remaining checks."""
     moved = sum(len(stream) for stream in run.streams.values())
     if base_tokens == 0 or moved > 0:
+        return True
+    if base_deadlocked and lowers:
+        telemetry.count("perturb.vacuity_skips")
         return True
     outcome.checks += 1
     outcome.divergences.append(
@@ -222,7 +250,7 @@ def check_perturbations(
     if base is not None:
         if base.error is not None:
             return
-        base_streams = base.streams
+        base_run = base
     else:
         # The style loop never ran the reference style: measure a base.
         base_run = run_variant(
@@ -242,28 +270,25 @@ def check_perturbations(
                 )
             )
             return
-        base_streams = base_run.streams
-    base_tokens = sum(
-        len(stream) for stream in base_streams.values()
-    )
-    # Progress is judged per style against that style's own base run:
-    # a policy that already stalls on the unperturbed topology (the
-    # all-ports-ready combinational wrapper has strictly harsher
-    # liveness requirements) must not fail the vacuity guard for
-    # stalling under a variant too.
+    base_streams = base_run.streams
+    # Progress is judged per style against that style's own base run
+    # (tokens moved, deadlocked): a policy that already stalls on the
+    # unperturbed topology (the all-ports-ready combinational wrapper
+    # has strictly harsher liveness requirements) must not fail the
+    # vacuity guard for stalling under a variant too.
     base_progress = {}
     for style in styles:
         style_base = runs.get(style)
-        if style_base is not None and style_base.error is None:
-            base_progress[style] = sum(
-                len(stream)
-                for stream in style_base.streams.values()
-            )
-        else:
-            base_progress[style] = base_tokens
+        if style_base is None or style_base.error is not None:
+            style_base = base_run
+        base_progress[style] = (
+            sum(len(stream) for stream in style_base.streams.values()),
+            style_base.deadlocked,
+        )
     pairs = cycle_exact_pairs(styles) if all_mode else ()
     for variant in variants:
         bounds, slack = _variant_bounds(variant.topology)
+        lowers = lowers_latency(case.topology, variant.topology)
         variant_runs = run_styles(
             variant.topology,
             styles,
@@ -288,7 +313,7 @@ def check_perturbations(
                 )
                 continue
             if not _check_variant_progress(
-                label, base_progress[style], run, outcome
+                label, *base_progress[style], lowers, run, outcome
             ):
                 continue
             compare_stream_prefixes(

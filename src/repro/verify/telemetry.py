@@ -268,6 +268,12 @@ class Rollup:
         fabric = _render_fabric(self.counters)
         if fabric:
             lines.append(fabric)
+        skips = self.counters.get("perturb.vacuity_skips", 0)
+        if skips:
+            lines.append(
+                f"  perturb: {skips:.0f} vacuity-guard skip(s) (base "
+                "deadlocked, variant lowers a latency)"
+            )
         tournaments = self.counters.get("corpus.tournaments", 0)
         if tournaments:
             mutants = self.counters.get("corpus.mutant_won", 0)

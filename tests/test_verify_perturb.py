@@ -37,7 +37,13 @@ from repro.verify import (
     run_variant,
     shrink_case,
 )
-from repro.verify.perturb import reference_style
+from repro.verify import telemetry
+from repro.verify.perturb import (
+    lowers_latency,
+    perturb_style_set,
+    reference_style,
+)
+from repro.verify.telemetry import TelemetrySession
 
 
 def _case(topology, **kwargs):
@@ -297,6 +303,68 @@ class TestPerturbOracle:
             if d.check == "perturb-streams"
         )
         assert "moved no tokens" in divergence.detail
+
+
+def _deadlocking_case(seed: int, index: int) -> VerifyCase:
+    """A generated case whose base runs deadlock after two tokens and
+    whose ``resegment1`` variant shortens a channel latency."""
+    config = BatchConfig(
+        cases=index + 1, seed=seed, cycles=300, profile="small",
+        perturb=2, perturb_dynamic=True, perturb_styles="all",
+    )
+    return make_cases(config)[index]
+
+
+class TestVacuityExemption:
+    """A base that deadlocks after a few tokens can legitimately move
+    none once a variant removes relay storage; the guard must not call
+    that vacuous, and must keep firing everywhere else."""
+
+    @pytest.mark.parametrize("seed, index", [(43001, 7), (44002, 32)])
+    def test_lowered_latency_on_deadlocked_base_passes(self, seed, index):
+        case = _deadlocking_case(seed, index)
+        variant = next(
+            v for v in case_variants(case) if v.label == "resegment1"
+        )
+        assert lowers_latency(case.topology, variant.topology)
+        base = run_variant(case.topology, "fsm", case.cycles)
+        assert base.deadlocked and 0 < sum(map(len, base.streams.values()))
+        assert not sum(
+            map(len, run_variant(variant.topology, "fsm", case.cycles)
+                .streams.values())
+        )
+        session = telemetry.activate(TelemetrySession())
+        try:
+            outcome = run_case(case)
+        finally:
+            telemetry.deactivate()
+        assert outcome.ok, [str(d) for d in outcome.divergences]
+        skips = session.rollup.counters["perturb.vacuity_skips"]
+        assert skips == len(perturb_style_set(case))
+        assert f"perturb: {skips} vacuity-guard skip(s)" in (
+            session.rollup.render()
+        )
+
+    def test_guard_still_fires_without_a_lowered_latency(self):
+        case = _deadlocking_case(43001, 7)
+        starved = TopologyVariant(
+            kind="resegment",
+            index=0,
+            topology=replace(
+                case.topology,
+                sinks=tuple(
+                    replace(snk, stalls=(False,))
+                    for snk in case.topology.sinks
+                ),
+            ),
+        )
+        assert not lowers_latency(case.topology, starved.topology)
+        outcome = run_case(
+            replace(case, styles=("fsm",), variants=(starved,))
+        )
+        assert any(
+            "moved no tokens" in d.detail for d in outcome.divergences
+        )
 
     def test_crashed_reference_style_not_reported_twice(self):
         """When the reference style already crashed in the style loop,
