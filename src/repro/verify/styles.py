@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from ..core.compiler import CompilerOptions, compile_schedule
 from ..core.equivalence import RTLShell
@@ -220,7 +220,7 @@ def _build_combinational(
 
 # Generated wrapper RTL, memoized per schedule.  Processes, cases and
 # perturbation variants repeat schedules, so most RTL builds can share
-# one (program, Module) pair, which also hits compile_sim's per-Module
+# one Module (with its SP program), which also hits compile_sim's per-Module
 # plan memo and skips elaboration.  The key is the wrapper's structural
 # inputs only: the module name is left out (no outcome, reproducer or
 # error text reads it), so a memoized module keeps its generator's
@@ -230,10 +230,10 @@ def _build_combinational(
 #: recently used one is evicted.
 WRAPPER_MEMO_MAX = 256
 
-_WRAPPER_MEMO: OrderedDict[Hashable, tuple] = OrderedDict()
+_WRAPPER_MEMO: OrderedDict[Hashable, Any] = OrderedDict()
 
 
-def _memoized(key: Hashable, generate: Callable[[], tuple]) -> tuple:
+def _memoized(key: Hashable, generate: Callable[[], Any]) -> Any:
     entry = _WRAPPER_MEMO.get(key)
     if entry is None:
         entry = _WRAPPER_MEMO[key] = generate()
@@ -268,9 +268,9 @@ def _build_rtl_sp(pearl, node, port_depth, engine, activation) -> Shell:
 
 def _build_rtl_fsm(pearl, node, port_depth, engine, activation) -> Shell:
     schedule = node.schedule
-    _, module = _memoized(
+    module = _memoized(
         ("rtl-fsm", _schedule_key(schedule)),
-        lambda: (None, generate_fsm_wrapper(schedule)),
+        lambda: generate_fsm_wrapper(schedule),
     )
     return RTLShell(pearl, module, port_depth=port_depth, engine=engine)
 
@@ -292,13 +292,10 @@ def _build_rtl_shiftreg(
     schedule = node.schedule
     pattern = tuple(activation.pattern)
     prefix = tuple(activation.prefix)
-    _, module = _memoized(
+    module = _memoized(
         ("rtl-shiftreg", _schedule_key(schedule), pattern, prefix),
-        lambda: (
-            None,
-            generate_shiftreg_wrapper(
-                schedule, activation=pattern, prefix=prefix
-            ),
+        lambda: generate_shiftreg_wrapper(
+            schedule, activation=pattern, prefix=prefix
         ),
     )
     return RTLShell(pearl, module, port_depth=port_depth, engine=engine)

@@ -121,7 +121,8 @@ def test_outcomes_never_read_the_module_name(case):
     )
     cold = run_case(verify)
     assert styles._WRAPPER_MEMO
-    for _program, module in styles._WRAPPER_MEMO.values():
+    for entry in styles._WRAPPER_MEMO.values():
+        module = entry[1] if isinstance(entry, tuple) else entry
         module.name = "renamed"
     warm = run_case(verify)
     assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
