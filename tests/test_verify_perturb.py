@@ -304,6 +304,27 @@ class TestPerturbOracle:
         )
         assert "moved no tokens" in divergence.detail
 
+    def test_crashed_reference_style_not_reported_twice(self):
+        """When the reference style already crashed in the style loop,
+        the perturbation pass skips instead of re-running the crash
+        and duplicating the exception divergence."""
+        topology = random_topology(7)
+        outcome = run_case(
+            _case(topology, styles=("bogus",), perturb=2)
+        )
+        assert not outcome.ok
+        exceptions = [
+            d for d in outcome.divergences if d.check == "exception"
+        ]
+        assert len(exceptions) == 1
+
+    def test_regular_traffic_cases_accept_perturbation(self):
+        topology = random_topology(2, PROFILE_PRESETS["regular"])
+        outcome = run_case(
+            _case(topology, styles=("fsm", "shiftreg"), perturb=2)
+        )
+        assert outcome.ok, [str(d) for d in outcome.divergences]
+
 
 def _deadlocking_case(seed: int, index: int) -> VerifyCase:
     """A generated case whose base runs deadlock after two tokens and
@@ -365,27 +386,6 @@ class TestVacuityExemption:
         assert any(
             "moved no tokens" in d.detail for d in outcome.divergences
         )
-
-    def test_crashed_reference_style_not_reported_twice(self):
-        """When the reference style already crashed in the style loop,
-        the perturbation pass skips instead of re-running the crash
-        and duplicating the exception divergence."""
-        topology = random_topology(7)
-        outcome = run_case(
-            _case(topology, styles=("bogus",), perturb=2)
-        )
-        assert not outcome.ok
-        exceptions = [
-            d for d in outcome.divergences if d.check == "exception"
-        ]
-        assert len(exceptions) == 1
-
-    def test_regular_traffic_cases_accept_perturbation(self):
-        topology = random_topology(2, PROFILE_PRESETS["regular"])
-        outcome = run_case(
-            _case(topology, styles=("fsm", "shiftreg"), perturb=2)
-        )
-        assert outcome.ok, [str(d) for d in outcome.divergences]
 
 
 def _tampered_variant(topology):
