@@ -9,6 +9,7 @@ from repro.core.equivalence import (
     EquivalenceError,
     RTLShell,
     Stimulus,
+    _build_single,
     co_simulate,
 )
 from repro.core.operations import Operation, SPProgram
@@ -20,7 +21,10 @@ from repro.core.rtlgen import (
 )
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.wrappers import FSMWrapper, SPWrapper
+from repro.lis.simulator import Simulation
 from repro.lis.stream import burst_gaps
+from repro.rtl.ast import Const
+from repro.rtl.module import Assign
 
 from tests.conftest import make_adder_pearl, make_passthrough_pearl
 
@@ -193,6 +197,72 @@ class TestDivergenceDetection:
                 JITTERY,
                 400,
             )
+
+    # The error texts below are pinned byte for byte under both RTL
+    # engines: the compiled engine checks one packed strobe word and
+    # decodes the masks only to build these messages.
+
+    @staticmethod
+    def _first_error(shell) -> str:
+        stimulus = Stimulus(
+            tokens={"a": list(range(20)), "b": list(range(20))},
+            in_latency={"b": 3},
+        )
+        system = _build_single(shell, stimulus, "pinned")[0]
+        with pytest.raises(EquivalenceError) as caught:
+            Simulation(system).run(50)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    def test_strobe_while_disabled_text(self, simple_schedule, engine):
+        module = generate_fsm_wrapper(simple_schedule)
+        module.assigns[:] = [
+            Assign(a.target, Const(1, 1)) if a.target.name == "a_pop" else a
+            for a in module.assigns
+        ]
+        shell = RTLShell(
+            make_adder_pearl(simple_schedule), module, engine=engine
+        )
+        assert self._first_error(shell) == (
+            "'adder' cycle 0: pop/push strobes asserted while ip_enable low"
+        )
+
+    @staticmethod
+    def _sp_shell(schedule, engine, index, **changes):
+        """An SP shell whose RTL runs op ``index`` with ``changes``
+        while the shell expects the untampered program."""
+        program = compile_schedule(schedule)
+        ops = list(program.ops)
+        fields = dict(
+            in_mask=ops[index].in_mask,
+            out_mask=ops[index].out_mask,
+            run=ops[index].run,
+            point_index=ops[index].point_index,
+        )
+        ops[index] = Operation(**{**fields, **changes})
+        module = generate_sp_wrapper(
+            SPProgram(program.fmt, tuple(ops)), schedule=schedule
+        )
+        return RTLShell(
+            make_adder_pearl(schedule), module, program=program,
+            engine=engine,
+        )
+
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    def test_script_mismatch_text(self, simple_schedule, engine):
+        shell = self._sp_shell(simple_schedule, engine, 1, in_mask=0b01)
+        assert self._first_error(shell) == (
+            "'adder' cycle 3: RTL strobes (pop=0x1, push=0x1) != expected "
+            "(pop=0x2, push=0x1) at script position 1"
+        )
+
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    def test_strobe_during_free_run_text(self, simple_schedule, engine):
+        shell = self._sp_shell(simple_schedule, engine, 0, run=0)
+        assert self._first_error(shell) == (
+            "'adder' cycle 3: strobes asserted during an expected "
+            "free-run cycle"
+        )
 
     def test_result_reports_divergence_cycle(self, simple_schedule):
         from repro.core.equivalence import CoSimResult
