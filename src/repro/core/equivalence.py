@@ -38,6 +38,19 @@ class EquivalenceError(AssertionError):
     """Raised when RTL and expected behaviour diverge."""
 
 
+# RTLShell driver bindings, process-local: ``bound`` counts shells
+# bound to a generated per-cycle function (compiled engine),
+# ``by_name`` shells driven through ``poke``/``peek``.  One count per
+# binding, i.e. per shell and again after each ``reset()``.
+_DRIVER_STATS: dict[str, int] = {"bound": 0, "by_name": 0}
+
+
+def driver_stats() -> dict[str, int]:
+    """Snapshot of the RTLShell driver counters (``bound``,
+    ``by_name``); cumulative per process."""
+    return dict(_DRIVER_STATS)
+
+
 @dataclass(frozen=True)
 class _ScriptEntry:
     """One expected operation fire: masks to verify + pearl bookkeeping."""
@@ -111,23 +124,27 @@ class RTLShell(Shell):
         self._script_pos = 0
         self._rtl_run_left = 0
         self._phase_next = 0
-        self._in_names = [sanitize(n) for n in pearl.schedule.inputs]
-        self._out_names = [sanitize(n) for n in pearl.schedule.outputs]
-        # Per-cycle poke/peek targets, precomputed once: formatting
-        # these strings inside _wrapper_step dominated small-wrapper
-        # simulation before the compiled engine existed.
+        in_names = [sanitize(n) for n in pearl.schedule.inputs]
+        out_names = [sanitize(n) for n in pearl.schedule.outputs]
+        # Readiness inputs per port, and the strobe word's bits: bit 0
+        # ip_enable, then one pop bit per input, then one push bit per
+        # output (schedule order).
         self._not_empty_pokes = [
             (name, f"{port}_not_empty")
-            for name, port in zip(pearl.schedule.inputs, self._in_names)
+            for name, port in zip(pearl.schedule.inputs, in_names)
         ]
         self._not_full_pokes = [
             (name, f"{port}_not_full")
-            for name, port in zip(pearl.schedule.outputs, self._out_names)
+            for name, port in zip(pearl.schedule.outputs, out_names)
         ]
-        self._pop_names = [f"{port}_pop" for port in self._in_names]
-        self._push_names = [f"{port}_push" for port in self._out_names]
-        # Per script entry: the ports to pop (schedule order) and the
-        # outputs the pearl must push.
+        self._strobe_names = [
+            "ip_enable",
+            *(f"{port}_pop" for port in in_names),
+            *(f"{port}_push" for port in out_names),
+        ]
+        self._push_shift = 1 + len(in_names)
+        # Per script entry: the ports to pop (schedule order), the
+        # outputs the pearl must push, and the expected strobe word.
         schedule = pearl.schedule
         self._script_io = [
             (
@@ -140,6 +157,10 @@ class RTLShell(Shell):
             )
             for entry in self._script
         ]
+        self._script_words = [
+            1 | entry.in_mask << 1 | entry.out_mask << self._push_shift
+            for entry in self._script
+        ]
         self._apply_reset()
 
     def _apply_reset(self) -> None:
@@ -147,53 +168,33 @@ class RTLShell(Shell):
         self.rtl.step()
         self.rtl.poke("rst", 0)
         # Ports bind after construction and reset() replaces the
-        # simulator, so slots are (re)bound at the next wrapper step.
-        self._slots: tuple | None = None
+        # simulator, so the driver is (re)bound at the next wrapper step.
+        self._drive: Callable[[], int] | None = None
 
-    def _resolve_slots(self) -> tuple:
-        """Per-cycle bindings under the compiled engine, so each cycle
-        reads and writes the env list directly instead of going through
-        ``poke``/``peek`` name lookups: ``(env, input (fifo, slot)
-        pairs, output (fifo, pushed, depth, slot) tuples, enable slot,
-        pop (bit, slot) pairs, push (bit, slot) pairs)``.  Readiness is
-        computed from the port FIFOs themselves.  Empty under
-        ``interp``."""
+    def _bind_driver(self) -> Callable[[], int]:
+        """The per-cycle function returning the strobe word for the
+        current simulator.  Under the compiled engine it is generated
+        code bound to the port FIFOs (:meth:`~repro.rtl.compile_sim.
+        CompiledSimulator.fifo_driver`); otherwise the RTL is driven by
+        name through ``poke``/``peek``."""
         rtl = self.rtl
         if rtl.engine != "compiled":
-            return ()
-        strobes = [
-            (1 << bit, rtl.slot(name))
-            for names in (self._pop_names, self._push_names)
-            for bit, name in enumerate(names)
-        ]
-        enable = rtl.slot("ip_enable")
-        # Direct reads never refresh pruned nets the way peek does.
-        assert rtl.is_live(enable) and all(
-            rtl.is_live(slot) for _bit, slot in strobes
-        ), "wrapper outputs must stay live"
-        n_pops = len(self._pop_names)
+            _DRIVER_STATS["by_name"] += 1
+            return self._cycle_by_name
+        _DRIVER_STATS["bound"] += 1
         # A wrapper step starts with nothing popped this cycle (ports
         # drop their pops at commit), so not_empty is a non-empty FIFO.
-        in_slots = [
-            (self.in_ports[name]._fifo, rtl.slot(poke))
+        not_empty = [
+            (poke, self.in_ports[name]._fifo)
             for name, poke in self._not_empty_pokes
         ]
-        out_slots = []
+        not_full = []
         for name, poke in self._not_full_pokes:
             port = self.out_ports[name]
-            out_slots.append(
-                (port._fifo, port._pushed, port.depth, rtl.slot(poke))
-            )
-        return (
-            rtl.env,
-            in_slots,
-            out_slots,
-            enable,
-            strobes[:n_pops],
-            strobes[n_pops:],
-        )
+            not_full.append((poke, port._fifo, port._pushed, port.depth))
+        return rtl.fifo_driver(not_empty, not_full, self._strobe_names)
 
-    def _strobes_by_name(self) -> tuple[bool, int, int]:
+    def _cycle_by_name(self) -> int:
         rtl = self.rtl
         in_ports = self.in_ports
         out_ports = self.out_ports
@@ -202,47 +203,26 @@ class RTLShell(Shell):
         for name, poke_name in self._not_full_pokes:
             rtl.poke(poke_name, int(out_ports[name].not_full))
         rtl.settle()
+        word = 0
+        for bit, name in enumerate(self._strobe_names):
+            if rtl.peek(name):
+                word |= 1 << bit
+        rtl.step()
+        return word
 
-        enable = bool(rtl.peek("ip_enable"))
-        pop_mask = 0
-        for bit, name in enumerate(self._pop_names):
-            if rtl.peek(name):
-                pop_mask |= 1 << bit
-        push_mask = 0
-        for bit, name in enumerate(self._push_names):
-            if rtl.peek(name):
-                push_mask |= 1 << bit
-        return enable, pop_mask, push_mask
+    def _masks(self, word: int) -> tuple[int, int]:
+        """(pop mask, push mask) of a strobe word."""
+        shift = self._push_shift
+        return (word >> 1) & ((1 << (shift - 1)) - 1), word >> shift
 
     def _wrapper_step(self, cycle: int) -> None:
-        rtl = self.rtl
-        slots = self._slots
-        if slots is None:
-            slots = self._slots = self._resolve_slots()
-        if not slots:
-            enable, pop_mask, push_mask = self._strobes_by_name()
-        else:
-            (
-                env, in_slots, out_slots, enable_slot, pop_slots, push_slots,
-            ) = slots
-            for fifo, slot in in_slots:
-                env[slot] = 1 if fifo else 0
-            for fifo, pushed, depth, slot in out_slots:
-                env[slot] = 1 if len(fifo) + len(pushed) < depth else 0
-            rtl.settle()
-            enable = env[enable_slot]
-            pop_mask = 0
-            for bit, slot in pop_slots:
-                if env[slot]:
-                    pop_mask |= bit
-            push_mask = 0
-            for bit, slot in push_slots:
-                if env[slot]:
-                    push_mask |= bit
-        rtl.step()
+        drive = self._drive
+        if drive is None:
+            drive = self._drive = self._bind_driver()
+        word = drive()
 
-        if not enable:
-            if pop_mask or push_mask:
+        if not word & 1:
+            if word:
                 raise EquivalenceError(
                     f"{self.name!r} cycle {cycle}: pop/push strobes "
                     "asserted while ip_enable low"
@@ -252,17 +232,15 @@ class RTLShell(Shell):
                 self.trace_enable.append(False)
             return
 
-        self._execute_enabled(cycle, pop_mask, push_mask)
+        self._execute_enabled(cycle, word)
         self.pearl._clocked()
         self.enabled_cycles += 1
         if self.trace_enable is not None:
             self.trace_enable.append(True)
 
-    def _execute_enabled(
-        self, cycle: int, pop_mask: int, push_mask: int
-    ) -> None:
+    def _execute_enabled(self, cycle: int, word: int) -> None:
         if self._rtl_run_left > 0:
-            if pop_mask or push_mask:
+            if word != 1:
                 raise EquivalenceError(
                     f"{self.name!r} cycle {cycle}: strobes asserted "
                     "during an expected free-run cycle"
@@ -274,7 +252,8 @@ class RTLShell(Shell):
 
         position = self._script_pos
         entry = self._script[position]
-        if pop_mask != entry.in_mask or push_mask != entry.out_mask:
+        if word != self._script_words[position]:
+            pop_mask, push_mask = self._masks(word)
             raise EquivalenceError(
                 f"{self.name!r} cycle {cycle}: RTL strobes "
                 f"(pop={pop_mask:#x}, push={push_mask:#x}) != expected "

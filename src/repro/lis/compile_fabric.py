@@ -36,16 +36,21 @@ when no watchers are attached and every block is a stock fabric type
 class's phases and has stock ports).  Anything else takes the
 reference loop, and :func:`cache_stats` counts both paths.
 
-Cache contract: the generated source names blocks only by position
-and binds every object, depth, gap pattern and counter at run entry,
-so it is a pure function of the system's *shape* (block kinds, wiring,
-port counts, always-on traffic patterns).  Compiled code objects are
-cached per process under that source text in a small LRU; all wrapper
-styles of one topology share one entry.
+Cache contract: lowering is split into a walk and a text generator.
+:func:`lower_shape`'s walk returns the system's *shape key* (block
+kinds and order, wiring by position, port directions, and the
+always-on / limit flags of source and sink patterns) together with the
+objects and wires the generated code binds at run entry; the text
+generator's only input is that key, so the key and the text cannot
+disagree.  Compiled code objects are cached per process under the key
+in a small LRU, so a run whose shape was seen before only walks its
+system, binds and runs: no text is generated.  All wrapper styles of
+one topology share one entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import OrderedDict
 from types import CodeType
@@ -65,19 +70,21 @@ if TYPE_CHECKING:
 #: recently used shape is evicted.
 FABRIC_CACHE_MAX = 8
 
-_CODE_CACHE: OrderedDict[str, CodeType] = OrderedDict()
+_CODE_CACHE: OrderedDict[tuple, CodeType] = OrderedDict()
 
 # Engine counters, process-local like the cache they describe:
 # ``lowered``/``reference`` count ``Simulation.run`` calls per engine,
-# ``hits``/``misses`` code-cache consults and ``compile_ms`` the
-# wall-clock milliseconds spent compiling missed shapes.
+# ``hits``/``misses`` code-cache consults, ``compile_ms`` the
+# wall-clock milliseconds spent compiling missed shapes and
+# ``lower_ms`` those of every lowering (walk + text + compile).
 _STATS: dict[str, float] = {}
 
 
 def reset_cache_stats() -> None:
     """Zero every fabric counter (the cache itself is kept)."""
     _STATS.update(
-        lowered=0, reference=0, hits=0, misses=0, compile_ms=0.0
+        lowered=0, reference=0, hits=0, misses=0, compile_ms=0.0,
+        lower_ms=0.0,
     )
 
 
@@ -86,7 +93,7 @@ reset_cache_stats()
 
 def cache_stats() -> dict[str, float]:
     """Snapshot of the fabric counters: ``lowered``, ``reference``,
-    ``hits``, ``misses``, ``compile_ms``.  Cumulative per process;
+    ``hits``, ``misses``, ``compile_ms``, ``lower_ms``.  Cumulative per process;
     diff two snapshots to scope a measurement."""
     return dict(_STATS)
 
@@ -251,179 +258,204 @@ _HELPERS = {
 }
 
 
-# -- lowering ------------------------------------------------------------------
+# -- lowering: walk once per run, generate text once per shape -----------------
 
 
-class _Emitter:
-    """Accumulates the generated source for one system, plus the
-    objects (``B``) and wires (``WD``/``WS``) it binds at run entry."""
+def _walk(simulation: "Simulation") -> tuple[tuple, list, list, list]:
+    """One pass over the blocks: the system's shape key, plus the
+    objects (``B``) and the data (``WD``) and stop (``WS``) wires the
+    generated run binds at entry, at the positions the key names.
 
-    def __init__(self) -> None:
-        self.bound: list = []
-        self._bound_ids: dict[int, str] = {}
-        self.wires: dict[str, list] = {"d": [], "s": []}
-        self._wire_ids: dict[int, str] = {}
-        self.prologue: list[str] = []
-        self.produce: list[str] = []
-        self.consume: list[str] = []
-        self.epilogue: list[str] = []
-        self._blocks = 0
+    The key holds one entry per block in block order — its kind, its
+    ``B`` position, its wire positions, and the flags the text branches
+    on (always-on source gaps; sink limit / always-accepting pattern;
+    each shell port's direction) — then the ``B`` positions of the
+    shells whose enabled cycles the deadlock watch sums, then the three
+    binding counts.  :func:`_generate` reads nothing else."""
+    bound: list = []
+    data: list = []
+    stop: list = []
+    ids: dict[int, int] = {}
+    append = bound.append
 
-    def bind(self, obj) -> str:
-        name = self._bound_ids.get(id(obj))
-        if name is None:
-            name = self._bound_ids[id(obj)] = f"b{len(self.bound)}"
-            self.bound.append(obj)
-        return name
+    def wire(w, wires: list) -> int:
+        index = ids.get(id(w))
+        if index is None:
+            index = ids[id(w)] = len(wires)
+            wires.append(w)
+        return index
 
-    def wire(self, wire, kind: str) -> str:
-        """The local standing for one DataWire (``"d"``) or StopWire
-        (``"s"``)."""
-        name = self._wire_ids.get(id(wire))
-        if name is None:
-            wires = self.wires[kind]
-            name = self._wire_ids[id(wire)] = f"{kind}{len(wires)}"
-            wires.append(wire)
-        return name
+    shells: dict[int, int] = {}
+    blocks = []
+    for block in simulation._blocks:
+        kind = type(block)
+        o = len(bound)
+        append(block)
+        if kind is RelayStation:
+            blocks.append((
+                "relay", o,
+                wire(block._down_data, data), wire(block._up_stop, stop),
+                wire(block._up_data, data), wire(block._down_stop, stop),
+            ))
+        elif kind is Source:
+            blocks.append((
+                "source", o, wire(block._data, data),
+                wire(block._stop, stop), all(block._gaps),
+            ))
+        elif kind is Sink:
+            if block._limit is not None:
+                accept = "limit"
+            elif all(block._accepts):
+                accept = "always"
+            else:
+                accept = "pattern"
+            blocks.append((
+                "sink", o, wire(block._data, data),
+                wire(block._stop, stop), accept,
+            ))
+        elif kind is StallInjector:
+            blocks.append((
+                "injector", o, wire(block._data, data),
+                wire(block._stop, stop),
+            ))
+        else:
+            shells[id(block)] = o
+            ports = []
+            for port in block._ports():
+                ports.append((
+                    type(port) is InputPort, len(bound),
+                    wire(port._data, data), wire(port._stop, stop),
+                ))
+                append(port)
+            blocks.append(("shell", o, tuple(ports)))
+    total = tuple(shells[id(shell)] for shell in simulation._shells)
+    shape = (tuple(blocks), total, len(bound), len(data), len(stop))
+    return shape, bound, data, stop
 
-    def state(self, kind: str, obj: str, p: str, load: str, store: str):
-        """Load a block's state into ``{p}``-prefixed locals on entry
-        and store the ``store`` subset back on exit."""
-        names = ", ".join(p + name for name in load.split())
-        self.prologue.append(f"{names}, = _{kind}_load({obj})")
-        names = ", ".join(p + name for name in store.split())
-        self.epilogue.append(f"_{kind}_store({obj}, {names})")
 
-    @staticmethod
-    def _add(target: list[str], template: str, **fields: str) -> None:
+def lower_shape(simulation: "Simulation") -> tuple:
+    """The shape key the fabric code cache files ``simulation`` under
+    (for inspection and tests)."""
+    return _walk(simulation)[0]
+
+
+def _generate(shape: tuple) -> str:
+    """The run-loop source for one shape key, its only input."""
+    blocks, total, n_bound, n_data, n_stop = shape
+    prologue: list[str] = []
+    produce: list[str] = []
+    consume: list[str] = []
+    epilogue: list[str] = []
+    prefixes = itertools.count(1)
+
+    def add(target: list[str], template: str, **fields) -> None:
         target.extend(template.format(**fields).splitlines())
 
-    def _fields(self, block, data, stop) -> dict[str, str]:
-        self._blocks += 1
-        return dict(
-            p=f"k{self._blocks}_",
-            o=self.bind(block),
-            d=self.wire(data, "d"),
-            s=self.wire(stop, "s"),
-        )
+    def fields(o: int, d: int, s: int, kind: str, load: str, store: str):
+        """Template fields of one block or port; loads its state into
+        ``{p}``-prefixed locals on entry, stores ``store`` on exit."""
+        f = dict(p=f"k{next(prefixes)}_", o=f"b{o}", d=f"d{d}", s=f"s{s}")
+        names = ", ".join(f["p"] + name for name in load.split())
+        prologue.append(f"{names}, = _{kind}_load({f['o']})")
+        names = ", ".join(f["p"] + name for name in store.split())
+        epilogue.append(f"_{kind}_store({f['o']}, {names})")
+        return f
 
-    # -- one method per stock block kind -----------------------------------
-
-    def relay(self, block: RelayStation) -> None:
-        f = self._fields(block, block._down_data, block._up_stop)
-        f.update(
-            du=self.wire(block._up_data, "d"),
-            sd=self.wire(block._down_stop, "s"),
-        )
-        self.state("relay", f["o"], f["p"], "a b tf fc", "a b tf fc")
-        self._add(self.produce, "{d} = {p}a\n{s} = {p}b is not V", **f)
-        self._add(self.consume, _RELAY_STEP, **f)
-
-    def source(self, block: Source) -> None:
-        f = self._fields(block, block._data, block._stop)
-        self.state("source", f["o"], f["p"], "g gl it pe tx bl", "pe tx bl")
-        offer = (
-            "{d} = {p}pe"
-            if all(block._gaps)
-            else "{d} = {p}pe if {p}g[cycle % {p}gl] else V"
-        )
-        self._add(self.produce, _SOURCE_PRODUCE + offer, **f)
-        self._add(self.consume, _SOURCE_STEP, **f)
-
-    def sink(self, block: Sink) -> None:
-        f = self._fields(block, block._data, block._stop)
-        self.state("sink", f["o"], f["p"], "ac al rv ap fa la", "fa la")
-        if block._limit is not None:
-            produce = (
-                "{s} = not ({p}ac[cycle % {p}al] "
-                "and len({p}rv) < {o}._limit)"
+    for entry in blocks:
+        kind, o = entry[0], entry[1]
+        if kind == "relay":
+            _, _, d, s, du, sd = entry
+            f = fields(o, d, s, "relay", "a b tf fc", "a b tf fc")
+            f.update(du=f"d{du}", sd=f"s{sd}")
+            add(produce, "{d} = {p}a\n{s} = {p}b is not V", **f)
+            add(consume, _RELAY_STEP, **f)
+        elif kind == "source":
+            _, _, d, s, always = entry
+            f = fields(o, d, s, "source", "g gl it pe tx bl", "pe tx bl")
+            offer = (
+                "{d} = {p}pe"
+                if always
+                else "{d} = {p}pe if {p}g[cycle % {p}gl] else V"
             )
-        elif all(block._accepts):
-            produce = "{s} = False"
+            add(produce, _SOURCE_PRODUCE + offer, **f)
+            add(consume, _SOURCE_STEP, **f)
+        elif kind == "sink":
+            _, _, d, s, accept = entry
+            f = fields(o, d, s, "sink", "ac al rv ap fa la", "fa la")
+            add(produce, _SINK_PRODUCE[accept], **f)
+            add(consume, _SINK_STEP, **f)
+        elif kind == "injector":
+            _, _, d, s = entry
+            f = fields(o, d, s, "injector", "cy n", "n")
+            add(produce, _INJECTOR_PRODUCE, **f)
         else:
-            produce = "{s} = not {p}ac[cycle % {p}al]"
-        self._add(self.produce, produce, **f)
-        self._add(self.consume, _SINK_STEP, **f)
+            steps = []
+            for is_input, port, d, s in entry[2]:
+                if is_input:
+                    f = fields(port, d, s, "in", "f D rx st", "rx st")
+                    add(produce, "{s} = {p}F = len({p}f) >= {p}D", **f)
+                    steps.append(_IN_STEP.format(**f))
+                else:
+                    f = fields(port, d, s, "out", "f pu tx st", "tx st")
+                    add(produce, "{d} = {p}f[0] if {p}f else V", **f)
+                    steps.append(_OUT_STEP.format(**f))
+            step = f"b{o}_ws"
+            prologue.append(f"{step} = b{o}._wrapper_step")
+            consume.append(f"{step}(cycle)")
+            for text in steps:
+                consume.extend(text.splitlines())
 
-    def injector(self, block: StallInjector) -> None:
-        f = self._fields(block, block._data, block._stop)
-        self.state("injector", f["o"], f["p"], "cy n", "n")
-        self._add(self.produce, _INJECTOR_PRODUCE, **f)
+    def body(lines: list[str], indent: str) -> str:
+        return "\n".join(indent + line for line in lines)
 
-    def shell(self, block: Shell) -> None:
-        shell = self.bind(block)
-        steps = []
-        for port in block._ports():
-            f = self._fields(port, port._data, port._stop)
-            if type(port) is InputPort:
-                self.state("in", f["o"], f["p"], "f D rx st", "rx st")
-                self._add(
-                    self.produce, "{s} = {p}F = len({p}f) >= {p}D", **f
-                )
-                steps.append(_IN_STEP.format(**f))
-            else:
-                self.state("out", f["o"], f["p"], "f pu tx st", "tx st")
-                self._add(
-                    self.produce, "{d} = {p}f[0] if {p}f else V", **f
-                )
-                steps.append(_OUT_STEP.format(**f))
-        step = f"{shell}_ws"
-        self.prologue.append(f"{step} = {shell}._wrapper_step")
-        self.consume.append(f"{step}(cycle)")
-        for text in steps:
-            self.consume.extend(text.splitlines())
+    def names(kind: str, count: int) -> str:
+        return "".join(f"{kind}{i}, " for i in range(count))
 
-    def source_text(self, total: str) -> str:
-        def body(lines: list[str], indent: str) -> str:
-            return "\n".join(indent + line for line in lines)
-
-        def names(kind: str) -> str:
-            return "".join(
-                f"{kind}{i}, " for i in range(len(self.wires[kind]))
-            )
-
-        unpack = [
-            f"    {targets}= {value}"
-            for targets, value in (
-                ("".join(f"b{i}, " for i in range(len(self.bound))), "B"),
-                (names("d"), "_get_data(WD)"),
-                (names("s"), "_get_stop(WS)"),
-            )
-            if targets
-        ]
-        return "\n".join(
-            [
-                "def run(simulation, cycles, deadlock_window):",
-                *unpack,
-                "    V = VOID",
-                "    nx = next",
-                body(self.prologue, "    "),
-                "    cycle = start = simulation.cycle",
-                "    watch = deadlock_window is not None",
-                "    quiet = 0",
-                f"    last = {total}",
-                "    deadlocked = False",
-                "    try:",
-                "        for _ in range(cycles):",
-                body(self.produce, "            "),
-                body(self.consume, "            "),
-                "            cycle += 1",
-                "            if watch:",
-                f"                total = {total}",
-                "                quiet = 0 if total != last else quiet + 1",
-                "                last = total",
-                "                if quiet >= deadlock_window:",
-                "                    deadlocked = True",
-                "                    break",
-                "    finally:",
-                "        simulation.cycle = cycle",
-                f"        _put_data(WD, ({names('d')}))",
-                f"        _put_stop(WS, ({names('s')}))",
-                body(self.epilogue, "        "),
-                "    return cycle - start, deadlocked",
-                "",
-            ]
+    # Every shell's enabled_cycles only grows, so the sum moves exactly
+    # when some shell made progress.
+    watched = " + ".join(f"b{o}.enabled_cycles" for o in total) or "0"
+    unpack = [
+        f"    {targets}= {value}"
+        for targets, value in (
+            (names("b", n_bound), "B"),
+            (names("d", n_data), "_get_data(WD)"),
+            (names("s", n_stop), "_get_stop(WS)"),
         )
+        if targets
+    ]
+    return "\n".join(
+        [
+            "def run(simulation, cycles, deadlock_window):",
+            *unpack,
+            "    V = VOID",
+            "    nx = next",
+            body(prologue, "    "),
+            "    cycle = start = simulation.cycle",
+            "    watch = deadlock_window is not None",
+            "    quiet = 0",
+            f"    last = {watched}",
+            "    deadlocked = False",
+            "    try:",
+            "        for _ in range(cycles):",
+            body(produce, "            "),
+            body(consume, "            "),
+            "            cycle += 1",
+            "            if watch:",
+            f"                total = {watched}",
+            "                quiet = 0 if total != last else quiet + 1",
+            "                last = total",
+            "                if quiet >= deadlock_window:",
+            "                    deadlocked = True",
+            "                    break",
+            "    finally:",
+            "        simulation.cycle = cycle",
+            f"        _put_data(WD, ({names('d', n_data)}))",
+            f"        _put_stop(WS, ({names('s', n_stop)}))",
+            body(epilogue, "        "),
+            "    return cycle - start, deadlocked",
+            "",
+        ]
+    )
 
 
 # Consume + commit of a capacity-2 relay station.  The buffer is two
@@ -467,6 +499,14 @@ if {d} is not V and not {s}:
         {p}fa = cycle
     {p}la = cycle"""
 
+# A sink's stop, by accept mode: a delivery limit, an always-accepting
+# pattern, or a stall pattern.
+_SINK_PRODUCE = {
+    "limit": "{s} = not ({p}ac[cycle % {p}al] and len({p}rv) < {o}._limit)",
+    "always": "{s} = False",
+    "pattern": "{s} = not {p}ac[cycle % {p}al]",
+}
+
 _INJECTOR_PRODUCE = """\
 if cycle in {p}cy:
     {d} = V
@@ -501,66 +541,37 @@ if {p}pu:
     {p}pu.clear()"""
 
 
-def _emit(simulation: "Simulation") -> _Emitter:
-    emitter = _Emitter()
-    for block in simulation._blocks:
-        kind = type(block)
-        if kind is RelayStation:
-            emitter.relay(block)
-        elif kind is Source:
-            emitter.source(block)
-        elif kind is Sink:
-            emitter.sink(block)
-        elif kind is StallInjector:
-            emitter.injector(block)
-        else:
-            emitter.shell(block)
-    return emitter
-
-
-def _compiled(source: str) -> CodeType:
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        _STATS["misses"] += 1
-        started = time.perf_counter()
-        code = compile(source, "<compiled-fabric>", "exec")
-        _STATS["compile_ms"] += (time.perf_counter() - started) * 1e3
-        _CODE_CACHE[source] = code
-        if len(_CODE_CACHE) > FABRIC_CACHE_MAX:
-            _CODE_CACHE.popitem(last=False)
-    else:
-        _STATS["hits"] += 1
-        _CODE_CACHE.move_to_end(source)
-    return code
-
-
-def _source(simulation: "Simulation") -> tuple[_Emitter, str]:
-    emitter = _emit(simulation)
-    # Every shell's enabled_cycles only grows, so the sum moves exactly
-    # when some shell made progress.
-    total = " + ".join(
-        f"{emitter.bind(shell)}.enabled_cycles"
-        for shell in simulation._shells
-    )
-    return emitter, emitter.source_text(total or "0")
-
-
 def lower_source(simulation: "Simulation") -> str:
     """The generated run-loop source for ``simulation`` (for
     inspection and tests)."""
-    return _source(simulation)[1]
+    return _generate(_walk(simulation)[0])
 
 
 def _lower(
     simulation: "Simulation",
 ) -> Callable[["Simulation", int, int | None], tuple[int, bool]]:
-    emitter, source = _source(simulation)
+    started = time.perf_counter()
+    shape, bound, data, stop = _walk(simulation)
+    code = _CODE_CACHE.get(shape)
+    if code is None:
+        _STATS["misses"] += 1
+        source = _generate(shape)
+        compiling = time.perf_counter()
+        code = compile(source, "<compiled-fabric>", "exec")
+        _STATS["compile_ms"] += (time.perf_counter() - compiling) * 1e3
+        _CODE_CACHE[shape] = code
+        if len(_CODE_CACHE) > FABRIC_CACHE_MAX:
+            _CODE_CACHE.popitem(last=False)
+    else:
+        _STATS["hits"] += 1
+        _CODE_CACHE.move_to_end(shape)
     namespace = {
         **_HELPERS,
-        "B": tuple(emitter.bound),
-        "WD": tuple(emitter.wires["d"]),
-        "WS": tuple(emitter.wires["s"]),
+        "B": tuple(bound),
+        "WD": tuple(data),
+        "WS": tuple(stop),
         "VOID": VOID,
     }
-    exec(_compiled(source), namespace)
+    exec(code, namespace)
+    _STATS["lower_ms"] += (time.perf_counter() - started) * 1e3
     return namespace["run"]

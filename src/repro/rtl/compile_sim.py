@@ -41,6 +41,15 @@ thus settles each cycle once instead of twice, while every observation
 equals the interpreter's, including the "pre-poke" view a poke after a
 step leaves behind.
 
+Bound per-cycle drivers: :meth:`CompiledSimulator.fifo_driver` hands a
+FIFO-interfaced wrapper driver (``RTLShell``) one function that runs a
+whole cycle — write the readiness inputs from the FIFOs, settle, pack
+the strobe outputs into one word, clock the edge — and leaves the
+cycle counter and the lazy-settle mark exactly as ``settle()`` then
+``step()`` would.  Its code is generated once per *slot layout* and
+cached in a small LRU; the FIFOs, the env and the kernel functions are
+bound per call.
+
 Cache-key contract: kernels are cached per worker process under the
 structural key ``(slot count, generated source, ROM images)``.  The
 generated source refers to signals only by slot index, so two designs
@@ -62,6 +71,7 @@ from __future__ import annotations
 import time
 import weakref
 from collections import OrderedDict
+from typing import Callable, Sequence
 
 from .ast import (
     BinOp,
@@ -80,6 +90,10 @@ from .simulator import SimulationError, Simulator
 #: Cap on cached kernels per process; beyond it the least recently
 #: used shape is evicted (bounds memory in long-lived verify workers).
 KERNEL_CACHE_MAX = 128
+
+#: Cap on cached per-cycle driver factories (one per slot layout, see
+#: :meth:`CompiledSimulator.fifo_driver`).
+DRIVER_CACHE_MAX = 32
 
 #: ROMs whose address is at most this wide are padded to the full
 #: address space so the generated read is a bare tuple index.
@@ -681,6 +695,58 @@ def compile_design(design: Design | Module) -> _Plan:
     return plan
 
 
+# -- bound per-cycle drivers ---------------------------------------------------
+
+_DRIVER_CACHE: OrderedDict[tuple, Callable] = OrderedDict()
+
+
+def _driver_factory(layout: tuple) -> Callable:
+    """The ``bind(sim, env, settle, edge, *fifos)`` factory for one
+    slot layout ``(not_empty slots, not_full slots, strobe slots,
+    has pruned nets)``, generated and compiled on first use."""
+    factory = _DRIVER_CACHE.get(layout)
+    if factory is not None:
+        _DRIVER_CACHE.move_to_end(layout)
+        return factory
+    not_empty, not_full, strobes, has_dead = layout
+    params = []
+    lines = []
+    for k, slot in enumerate(not_empty):
+        params.append(f"i{k}")
+        lines.append(f"        env[{slot}] = 1 if i{k} else 0")
+    for k, slot in enumerate(not_full):
+        params += [f"o{k}", f"u{k}", f"n{k}"]
+        lines.append(
+            f"        env[{slot}] = 1 if len(o{k}) + len(u{k}) < n{k} else 0"
+        )
+    word = " | ".join(
+        f"env[{slot}] << {bit}" if bit else f"env[{slot}]"
+        for bit, slot in enumerate(strobes)
+    )
+    source = "\n".join(
+        [
+            f"def bind(sim, env, settle, edge, {', '.join(params)}):",
+            "    def cycle():",
+            *lines,
+            "        settle(env)",
+            f"        word = {word or 0}",
+            "        edge(env)",
+            "        sim._unsettled = True",
+            *(["        sim._dead_stale = True"] if has_dead else []),
+            "        sim.cycle += 1",
+            "        return word",
+            "    return cycle",
+            "",
+        ]
+    )
+    namespace: dict = {}
+    exec(compile(source, "<compiled-rtl-driver>", "exec"), namespace)
+    factory = _DRIVER_CACHE[layout] = namespace["bind"]
+    if len(_DRIVER_CACHE) > DRIVER_CACHE_MAX:
+        _DRIVER_CACHE.popitem(last=False)
+    return factory
+
+
 # -- the engine ----------------------------------------------------------------
 
 
@@ -768,12 +834,12 @@ class CompiledSimulator(Simulator):
         return sorted(self._name_slot)
 
     # -- direct slot access ------------------------------------------------------
-    # For per-cycle drivers (``RTLShell``) that resolve top-level names
-    # once and then read and write :attr:`env` in place.  Values written
-    # must already fit the signal's width.  Such a driver may write its
-    # inputs right after :meth:`step`, but must call :meth:`settle`
-    # before it reads the env: a direct read never settles lazily, and
-    # pruned nets (see :meth:`is_live`) are refreshed only by ``peek``.
+    # For code that resolves top-level names once and then reads and
+    # writes :attr:`env` in place.  Values written must already fit the
+    # signal's width.  Inputs may be written right after :meth:`step`,
+    # but :meth:`settle` must run before the env is read: a direct read
+    # never settles lazily, and pruned nets (see :meth:`is_live`) are
+    # refreshed only by ``peek``.
 
     @property
     def env(self) -> list[int]:
@@ -787,6 +853,41 @@ class CompiledSimulator(Simulator):
         """True when ``slot`` is refreshed by every settle (not a
         pruned net that only :meth:`peek` refreshes lazily)."""
         return slot not in self._kernel.dead_slots
+
+    def fifo_driver(
+        self,
+        not_empty: Sequence[tuple[str, Sequence]],
+        not_full: Sequence[tuple[str, Sequence, Sequence, int]],
+        strobes: Sequence[str],
+    ) -> Callable[[], int]:
+        """One function that runs a whole clock cycle of a
+        FIFO-interfaced wrapper and returns its strobe word.
+
+        ``not_empty`` pairs a 1-bit input with a FIFO: the input reads 1
+        when the FIFO is non-empty.  ``not_full`` binds a 1-bit input to
+        ``(fifo, pending, depth)``: it reads 1 while ``len(fifo) +
+        len(pending) < depth``.  Each call writes those inputs from the
+        FIFOs as they are at that moment, settles, packs the 1-bit
+        top-level outputs ``strobes`` into one int (bit ``k`` is
+        ``strobes[k]``), clocks one edge and returns the word, leaving
+        :attr:`cycle` and the lazy-settle mark as :meth:`settle` then
+        :meth:`step` would.  The function stays bound to this
+        simulator; top-level signals are never pruned, so the strobes
+        are always current."""
+        slot = self.slot
+        kernel = self._kernel
+        layout = (
+            tuple(slot(name) for name, _fifo in not_empty),
+            tuple(slot(entry[0]) for entry in not_full),
+            tuple(slot(name) for name in strobes),
+            bool(kernel.dead_slots),
+        )
+        bound = [fifo for _name, fifo in not_empty]
+        for _name, fifo, pending, depth in not_full:
+            bound += (fifo, pending, depth)
+        return _driver_factory(layout)(
+            self, self._env, kernel.settle, kernel.edge, *bound
+        )
 
     # -- execution ---------------------------------------------------------------
 

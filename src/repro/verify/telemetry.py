@@ -251,20 +251,9 @@ class Rollup:
                 f"{timeouts} timeout(s), {retries} retr"
                 f"{'y' if retries == 1 else 'ies'}"
             )
-        memo = self.counters.get("rtl.cache.memo_hits", 0)
-        hits = self.counters.get("rtl.cache.hits", 0)
-        misses = self.counters.get("rtl.cache.misses", 0)
-        if memo or hits or misses:
-            # A plan-memo hit reuses a whole compiled module and never
-            # consults the kernel cache; both count as reuse.
-            rate = 100.0 * (memo + hits) / (memo + hits + misses)
-            lines.append(
-                f"  rtl kernel cache: {memo:.0f} plan-memo hit(s), "
-                f"{hits:.0f} kernel hit(s) / {misses:.0f} miss(es) "
-                f"({rate:.0f}% reused), "
-                f"{self.counters.get('rtl.cache.compile_ms', 0):.1f}ms "
-                "compiling"
-            )
+        rtl = _render_rtl(self.counters)
+        if rtl:
+            lines.append(rtl)
         fabric = _render_fabric(self.counters)
         if fabric:
             lines.append(fabric)
@@ -299,6 +288,29 @@ class Rollup:
         return "\n".join(lines)
 
 
+def _render_rtl(counters: Mapping[str, float]) -> str:
+    """The RTL-engine summary line: kernel reuse, then how the RTL
+    shells were driven (bound per-cycle function versus by name)."""
+    memo = counters.get("rtl.cache.memo_hits", 0)
+    hits = counters.get("rtl.cache.hits", 0)
+    misses = counters.get("rtl.cache.misses", 0)
+    bound = counters.get("rtl.driver.bound", 0)
+    by_name = counters.get("rtl.driver.by_name", 0)
+    consults = memo + hits + misses
+    if not (consults or bound or by_name):
+        return ""
+    # A plan-memo hit reuses a whole compiled module and never consults
+    # the kernel cache; both count as reuse.
+    rate = 100.0 * (memo + hits) / consults if consults else 0.0
+    return (
+        f"  rtl kernel cache: {memo:.0f} plan-memo hit(s), "
+        f"{hits:.0f} kernel hit(s) / {misses:.0f} miss(es) "
+        f"({rate:.0f}% reused), "
+        f"{counters.get('rtl.cache.compile_ms', 0):.1f}ms compiling; "
+        f"shells {bound:.0f} bound / {by_name:.0f} by name"
+    )
+
+
 def _render_fabric(counters: Mapping[str, float]) -> str:
     """The fabric-engine summary line: runs per engine and the code
     cache, flagging a campaign that never took the lowered loop."""
@@ -316,7 +328,8 @@ def _render_fabric(counters: Mapping[str, float]) -> str:
         line += (
             f", code cache {hits:.0f} hit(s) / {misses:.0f} miss(es) "
             f"({100.0 * hits / (hits + misses):.0f}%), "
-            f"{counters.get('fabric.cache.compile_ms', 0):.1f}ms compiling"
+            f"{counters.get('fabric.cache.compile_ms', 0):.1f}ms compiling, "
+            f"{counters.get('fabric.cache.lower_ms', 0):.1f}ms lowering"
         )
     if not lowered:
         line += " -- every run fell back to the reference loop"
@@ -488,12 +501,18 @@ def engine_stats() -> dict[str, float]:
     :func:`repro.rtl.compile_sim.cache_stats` as ``rtl.cache.*``, and
     :func:`repro.lis.compile_fabric.cache_stats` as
     ``fabric.lowered``/``fabric.reference`` (``Simulation.run`` calls
-    per engine) plus ``fabric.cache.*``.  Both modules are imported
-    lazily so probes never drag the engines in."""
+    per engine) plus ``fabric.cache.*``, and
+    :func:`repro.core.equivalence.driver_stats` (RTL shells bound to a
+    generated per-cycle function or driven by name) as ``rtl.driver.*``.
+    The modules are imported lazily so probes never drag the engines
+    in."""
+    from ..core.equivalence import driver_stats
     from ..lis.compile_fabric import cache_stats as fabric_stats
     from ..rtl.compile_sim import cache_stats as rtl_stats
 
     stats = {f"rtl.cache.{key}": value for key, value in rtl_stats().items()}
+    for key, value in driver_stats().items():
+        stats[f"rtl.driver.{key}"] = value
     for key, value in fabric_stats().items():
         runs = key in ("lowered", "reference")
         stats[f"fabric.{key}" if runs else f"fabric.cache.{key}"] = value

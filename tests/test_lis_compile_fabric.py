@@ -17,7 +17,12 @@ import random
 
 import pytest
 
-from repro.core.equivalence import RTLShell, Stimulus, _build_single
+from repro.core.equivalence import (
+    RTLShell,
+    Stimulus,
+    _build_single,
+    driver_stats,
+)
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.synthesis import SYNTH_STYLES, synthesize_wrapper
 from repro.core.wrappers import (
@@ -31,7 +36,11 @@ from repro.lis.pearl import FunctionPearl
 from repro.lis.shell import Shell
 from repro.lis.signals import VOID, Block
 from repro.lis.simulator import Simulation
-from repro.lis.stall import apply_stall_plan, derive_stall_plan
+from repro.lis.stall import (
+    StallInjector,
+    apply_stall_plan,
+    derive_stall_plan,
+)
 from repro.lis.stream import burst_gaps
 from repro.lis.system import System
 from repro.rtl.compile_sim import CompiledSimulator
@@ -402,6 +411,71 @@ class TestRunContract:
 # -- the code cache and the RTLShell glue ------------------------------------
 
 
+def _corpus_builds():
+    """Systems of every style for 20 random and 20 regular topologies,
+    each with and without a dynamic stall plan."""
+    for seed in range(20):
+        for profile, traffic in (("small", "random"), ("regular", "regular")):
+            topology = random_topology(seed, PROFILE_PRESETS[profile])
+            plans = (
+                plan_topology_activations(topology, CYCLES, WINDOW)
+                if traffic == "regular"
+                else None
+            )
+            stalls = derive_stall_plan(
+                topology_link_names(topology), random.Random(seed), CYCLES
+            )
+            for style in styles_for_traffic(traffic):
+                for plan in ((), stalls):
+                    yield _topology_build(topology, style, plans, plan)
+
+
+def _shape_system(
+    gaps=None, stalls=None, limit=None, injector=False,
+    swap_inputs=False, rewire=False,
+) -> System:
+    """Two sources into one shell into one sink, every channel with a
+    relay station; each keyword changes one property of the shape."""
+    schedule = IOSchedule(["a", "b"], ["y"], [SyncPoint({"a", "b"}, {"y"})])
+    pearl = FunctionPearl("p", schedule, lambda i, p: {"y": p["a"]})
+    system = System("shape")
+    shell = system.add_patient(FSMWrapper(pearl))
+    system.connect_source("sa", [1, 2], shell, "a", latency=2, gaps=gaps)
+    system.connect_source("sb", [1, 2], shell, "b", latency=2)
+    system.connect_sink(
+        shell, "y", "snk", latency=2, stalls=stalls, limit=limit
+    )
+    if injector:
+        system.add_instrument(StallInjector("stall", system.links[0], [3]))
+    if swap_inputs:
+        shell.in_ports = dict(reversed(list(shell.in_ports.items())))
+    if rewire:
+        first, second = system.relay_stations[:2]
+        first._up_data = second._up_data
+    return system
+
+
+def _directed_pair(forward: bool) -> System:
+    """Two shells joined by one unsegmented link, in the same block
+    order; ``forward`` decides which end is the input, so only the two
+    ports' directions differ."""
+    make = {
+        "in": IOSchedule(["a"], [], [SyncPoint({"a"}, frozenset())]),
+        "out": IOSchedule([], ["a"], [SyncPoint(frozenset(), {"a"})]),
+    }
+    first, second = ("out", "in") if forward else ("in", "out")
+    system = System("pair")
+    shells = [
+        system.add_patient(
+            FSMWrapper(FunctionPearl(name, make[kind], lambda i, p: {}))
+        )
+        for name, kind in (("p", first), ("q", second))
+    ]
+    producer, consumer = shells if forward else shells[::-1]
+    system.connect(producer, "a", consumer, "a")
+    return system
+
+
 class TestCodeCache:
     def test_styles_of_one_topology_share_one_entry(self):
         topology = random_topology(11)
@@ -439,6 +513,89 @@ class TestCodeCache:
         size, capacity = compile_fabric.fabric_cache_info()
         assert size == capacity
 
+    def test_equal_keys_iff_equal_source(self):
+        texts: dict[tuple, set[str]] = {}
+        for build in _corpus_builds():
+            simulation = Simulation(build())
+            key = compile_fabric.lower_shape(simulation)
+            texts.setdefault(key, set()).add(
+                compile_fabric.lower_source(simulation)
+            )
+        assert all(len(text) == 1 for text in texts.values())
+        sources = [text.pop() for text in texts.values()]
+        assert len(set(sources)) == len(sources)
+        # Styles of one topology share a shape; stall plans and
+        # topologies make distinct ones.
+        assert 40 <= len(sources) < sum(1 for _ in _corpus_builds())
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"gaps": [True, False]},
+            {"limit": 9},
+            {"stalls": [True, False]},
+            {"injector": True},
+            {"swap_inputs": True},
+            {"rewire": True},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_each_property_changes_the_key(self, change):
+        base = Simulation(_shape_system())
+        changed = Simulation(_shape_system(**change))
+        assert compile_fabric.lower_shape(base) != (
+            compile_fabric.lower_shape(changed)
+        )
+        assert compile_fabric.lower_source(base) != (
+            compile_fabric.lower_source(changed)
+        )
+
+    def test_always_on_patterns_share_the_base_key(self):
+        base = compile_fabric.lower_shape(Simulation(_shape_system()))
+        for change in ({"gaps": [True, True]}, {"stalls": [True, True]}):
+            assert compile_fabric.lower_shape(
+                Simulation(_shape_system(**change))
+            ) == base
+
+    def test_port_direction_changes_the_key(self):
+        forward, backward = (
+            Simulation(_directed_pair(flag)) for flag in (True, False)
+        )
+        keys = [compile_fabric.lower_shape(s) for s in (forward, backward)]
+        assert keys[0] != keys[1]
+        # Nothing but the direction flags differ.
+        flip = {True: False, False: True}
+        blocks = [
+            entry if entry[0] != "shell" else (
+                *entry[:2],
+                tuple((flip[p[0]], *p[1:]) for p in entry[2]),
+            )
+            for entry in keys[1][0]
+        ]
+        assert (tuple(blocks), *keys[1][1:]) == keys[0]
+        assert _assert_parity(lambda: _directed_pair(True))
+
+    def test_a_shape_hit_emits_no_text(self, monkeypatch):
+        calls = []
+        generate = compile_fabric._generate
+
+        def counted(shape):
+            calls.append(shape)
+            return generate(shape)
+
+        monkeypatch.setattr(compile_fabric, "_generate", counted)
+        topology = random_topology(14, PROFILE_PRESETS["stress"])
+        before = compile_fabric.cache_stats()
+        Simulation(build_system(topology, "fsm")[0]).run(5)
+        middle = compile_fabric.cache_stats()
+        assert len(calls) == middle["misses"] - before["misses"]
+        for style in ("sp", "combinational", "rtl-fsm"):
+            Simulation(build_system(topology, style)[0]).run(5)
+        after = compile_fabric.cache_stats()
+        assert after["hits"] - middle["hits"] == 3
+        assert len(calls) == middle["misses"] - before["misses"]
+        assert after["lower_ms"] > middle["lower_ms"]
+
 
 class TestRTLShellGlue:
     def test_compiled_engine_skips_poke_and_peek(self, monkeypatch):
@@ -455,6 +612,67 @@ class TestRTLShellGlue:
         setup = dict(calls)
         Simulation(system).run(CYCLES)
         assert calls == setup  # only the build-time reset pokes
+
+    def test_one_bound_call_per_rtl_cycle(self, monkeypatch):
+        # Settle and edge run inside the bound per-cycle function, not
+        # through the simulator's methods.
+        calls = []
+        for name in ("settle", "step"):
+            original = getattr(CompiledSimulator, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(CompiledSimulator, name, counted)
+        system = _topology_build(random_topology(5), "rtl-sp")()
+        calls.clear()  # the build-time reset settles and steps
+        before = driver_stats()
+        Simulation(system).run(CYCLES)
+        assert calls == []
+        after = driver_stats()
+        assert after["bound"] - before["bound"] == len(system.shells)
+        assert after["by_name"] == before["by_name"]
+
+    @pytest.mark.parametrize("style", ["rtl-sp", "rtl-fsm", "rtl-shiftreg"])
+    def test_bound_cycle_matches_the_interpreter(self, style):
+        topology = random_topology(8, PROFILE_PRESETS["regular"])
+        plans = plan_topology_activations(topology, CYCLES, WINDOW)
+
+        def observe(engine):
+            system, shells, sinks = build_system(
+                topology, style, engine=engine, activations=plans
+            )
+            Simulation(system).run(CYCLES, deadlock_window=WINDOW)
+            observed = {}
+            for name, shell in shells.items():
+                rtl = shell.rtl
+                assert rtl.engine == engine
+                top = shell.module
+                observed[name] = (
+                    rtl.cycle,
+                    {s.name: rtl.peek(s.name) for s in top.all_signals()},
+                    {
+                        flat: rtl.peek_flat(flat)
+                        for flat in _register_names(top)
+                    },
+                )
+            streams = {n: list(sink.received) for n, sink in sinks.items()}
+            return observed, streams
+
+        compiled = observe("compiled")
+        assert compiled == observe("interp")
+        assert any(compiled[1].values())
+
+
+def _register_names(module, prefix: str = "") -> list[str]:
+    """Flat names of every register in ``module``'s hierarchy."""
+    names = [prefix + reg.target.name for reg in module.registers]
+    for instance in module.instances:
+        names += _register_names(
+            instance.module, f"{prefix}{instance.name}."
+        )
+    return names
 
 
 def test_void_is_never_buffered_in_relays():

@@ -150,3 +150,67 @@ def test_wrapper_modules_observed_every_way(seed):
             steps = 1 + cycle % 2
             interp.step(steps)
             compiled.step(steps)
+
+
+def _handshake() -> Module:
+    """Two readiness inputs, two strobe outputs and a pruned net inside
+    an instance: the shape of a FIFO-interfaced wrapper."""
+    child = Module("tap")
+    x = child.input("x")
+    child.assign(child.output("y"), ~x)
+    scratch = child.wire("scratch")
+    child.assign(scratch, x ^ child.input("a"))  # a pruned net
+    m = Module("hs")
+    m.add_clock()
+    rst = m.input("rst")
+    ready_in = m.input("in_not_empty")
+    ready_out = m.input("out_not_full")
+    state = m.wire("state")
+    m.register(state, state ^ (ready_in & ready_out), reset=rst)
+    m.assign(m.output("fire"), ready_in & ready_out & ~state)
+    low = m.output("low")
+    m.instantiate(child, "u0", {"x": state, "a": ready_in, "y": low})
+    return m
+
+
+def test_fifo_driver_equals_settle_then_step():
+    """One bound call per cycle leaves every observation, the cycle
+    counter and the lazy-settle marks as poke + settle + step do."""
+    rng = random.Random(3)
+    module = _handshake()
+    interp = InterpSimulator(module)
+    stepped = CompiledSimulator(module)
+    driven = CompiledSimulator(module)
+    for sim in (interp, stepped, driven):
+        sim.poke("rst", 1)
+        sim.step()
+        sim.poke("rst", 0)
+    fifo, out_fifo, pending = [], [], []
+    cycle = driven.fifo_driver(
+        [("in_not_empty", fifo)],
+        [("out_not_full", out_fifo, pending, 2)],
+        ["fire", "low", "in_not_empty"],
+    )
+    for _ in range(30):
+        fifo[:] = [0] * rng.randrange(2)
+        out_fifo[:] = [0] * rng.randrange(3)
+        pending[:] = [0] * rng.randrange(2)
+        ready = {
+            "in_not_empty": int(bool(fifo)),
+            "out_not_full": int(len(out_fifo) + len(pending) < 2),
+        }
+        for sim in (interp, stepped):
+            for name, value in ready.items():
+                sim.poke(name, value)
+            sim.settle()
+        expected = sum(
+            interp.peek(name) << bit
+            for bit, name in enumerate(("fire", "low", "in_not_empty"))
+        )
+        for sim in (interp, stepped):
+            sim.step()
+        assert cycle() == expected
+        assert (driven.cycle, driven._unsettled, driven._dead_stale) == (
+            stepped.cycle, stepped._unsettled, stepped._dead_stale,
+        )
+        assert _flat_view(driven) == _flat_view(interp)

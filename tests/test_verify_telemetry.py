@@ -251,12 +251,69 @@ def test_rtl_cache_line_counts_plan_memo_hits():
     for name, n in (
         ("rtl.cache.memo_hits", 90), ("rtl.cache.hits", 5),
         ("rtl.cache.misses", 5), ("rtl.cache.compile_ms", 12.5),
+        ("rtl.driver.bound", 7), ("rtl.driver.by_name", 2),
     ):
         rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
     assert (
         "  rtl kernel cache: 90 plan-memo hit(s), 5 kernel hit(s) / "
-        "5 miss(es) (95% reused), 12.5ms compiling"
+        "5 miss(es) (95% reused), 12.5ms compiling; "
+        "shells 7 bound / 2 by name"
     ) in rollup.render().splitlines()
+
+
+def test_rtl_line_shows_shells_driven_by_name_alone():
+    # Under the interpreter no kernel cache is consulted; the line
+    # still says how the shells were driven.
+    rollup = Rollup()
+    rollup.add(
+        {"kind": "count", "name": "rtl.driver.by_name", "t": 0.0, "n": 3}
+    )
+    assert (
+        "  rtl kernel cache: 0 plan-memo hit(s), 0 kernel hit(s) / "
+        "0 miss(es) (0% reused), 0.0ms compiling; "
+        "shells 0 bound / 3 by name"
+    ) in rollup.render().splitlines()
+
+
+def test_fabric_line_reports_lowering_time():
+    rollup = Rollup()
+    for name, n in (
+        ("fabric.lowered", 14), ("fabric.cache.hits", 12),
+        ("fabric.cache.misses", 2), ("fabric.cache.compile_ms", 6.25),
+        ("fabric.cache.lower_ms", 9.5),
+    ):
+        rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
+    assert (
+        "  lis fabric: 14 lowered / 0 reference run(s), code cache "
+        "12 hit(s) / 2 miss(es) (86%), 6.2ms compiling, 9.5ms lowering"
+    ) in rollup.render().splitlines()
+
+
+@pytest.mark.parametrize("engine", ["compiled", "interp"])
+def test_cli_metrics_carry_driver_and_lowering_counts(
+    tmp_path, capsys, engine
+):
+    metrics = tmp_path / "metrics.json"
+    code = cli.main([
+        "verify", "--cases", "2", "--cycles", "60", "--engine", engine,
+        "--metrics-json", str(metrics),
+    ])
+    assert code == 0
+    counters = json.loads(metrics.read_text())["counters"]
+    bound = counters.get("rtl.driver.bound", 0)
+    by_name = counters.get("rtl.driver.by_name", 0)
+    # Two cases, each with RTL styles: every RTL shell binds once.
+    assert (bound > 0, by_name > 0) == (
+        (True, False) if engine == "compiled" else (False, True)
+    )
+    # Lowering time covers the walk, the text and the compile.
+    assert counters["fabric.cache.lower_ms"] > 0
+    assert counters["fabric.cache.lower_ms"] >= counters.get(
+        "fabric.cache.compile_ms", 0
+    )
+    out = capsys.readouterr().out
+    assert f"shells {bound:.0f} bound / {by_name:.0f} by name" in out
+    assert "ms lowering" in out
 
 
 def test_cli_metrics_carry_plan_memo_hits(tmp_path, capsys):

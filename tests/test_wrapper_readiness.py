@@ -1,12 +1,13 @@
 """Wrapper readiness read straight from the port FIFOs.
 
 FSM, SP, combinational and RTL-in-the-loop shells test readiness on the
-port deques they bind once (``Shell._readiness``, ``RTLShell`` slots)
-instead of the ``not_empty``/``not_full`` properties.  An input is then
-ready when its deque is non-empty, which equals ``not_empty`` only
-because nothing has been popped yet when a wrapper step starts; these
-tests pin that, under both the lowered fabric and the reference loop,
-and check that ``RTLShell`` rebinds its slots after ``reset()``.
+port deques they bind once (``Shell._readiness``, the ``RTLShell``
+per-cycle driver) instead of the ``not_empty``/``not_full``
+properties.  An input is then ready when its deque is non-empty, which
+equals ``not_empty`` only because nothing has been popped yet when a
+wrapper step starts; these tests pin that, under both the lowered
+fabric and the reference loop, and check that ``RTLShell`` rebinds its
+driver to the new simulator after ``reset()``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def test_nothing_popped_or_pushed_at_wrapper_step_start(
 def _run_reset_rerun(style: str, engine: str):
     """Streams of a run, then of a rerun after ``reset()``, plus the
     shells and their first simulators; ``engine="interp"`` drives the
-    RTL by name (no slots)."""
+    RTL by name."""
     system, shells, sinks = build_system(
         random_topology(6), style, engine=engine
     )
@@ -83,7 +84,7 @@ def _run_reset_rerun(style: str, engine: str):
     sims = {name: shell.rtl for name, shell in shells.items()}
     simulation.reset()
     for shell in shells.values():
-        assert shell._slots is None
+        assert shell._drive is None
     simulation.run(CYCLES)
     second = {name: list(sink.received) for name, sink in sinks.items()}
     return first, second, shells, sims
@@ -94,8 +95,11 @@ def test_rtl_shell_rebinds_slots_after_reset(style):
     first, second, shells, sims = _run_reset_rerun(style, "compiled")
     for name, shell in shells.items():
         assert shell.rtl is not sims[name]
-        assert shell._slots[0] is shell.rtl.env
-    # Stale slots would drive the discarded simulator and diverge from
-    # the by-name engine.
+        assert shell._drive is not None
+        # One reset edge plus one edge per cycle, on each simulator: the
+        # rebound driver clocks the new one, not the discarded one.
+        assert sims[name].cycle == shell.rtl.cycle == 1 + CYCLES
+    # A stale driver would drive the discarded simulator and diverge
+    # from the by-name engine.
     assert (first, second) == _run_reset_rerun(style, "interp")[:2]
     assert any(second.values())
