@@ -34,10 +34,10 @@ Lowering pipeline (:func:`compile_design`):
 Settle-once clocking: :meth:`CompiledSimulator.step` runs only the
 edge and marks the environment *unsettled*; the settle the interpreter
 runs at the end of every step is deferred until something observes the
-environment (``peek``, ``peek_flat``, ``poke``, ``env``, a pruned-net
+environment (``peek``, ``peek_flat``, ``poke``, a pruned-net
 refresh, the next edge) or :meth:`~CompiledSimulator.settle` is called.
-A per-cycle driver that writes its inputs and then settles (``RTLShell``)
-thus settles each cycle once instead of twice, while every observation
+A per-cycle driver that writes its inputs and then settles thus
+settles each cycle once instead of twice, while every observation
 equals the interpreter's, including the "pre-poke" view a poke after a
 step leaves behind.
 
@@ -833,26 +833,7 @@ class CompiledSimulator(Simulator):
     def flat_names(self) -> list[str]:
         return sorted(self._name_slot)
 
-    # -- direct slot access ------------------------------------------------------
-    # For code that resolves top-level names once and then reads and
-    # writes :attr:`env` in place.  Values written must already fit the
-    # signal's width.  Inputs may be written right after :meth:`step`,
-    # but :meth:`settle` must run before the env is read: a direct read
-    # never settles lazily, and pruned nets (see :meth:`is_live`) are
-    # refreshed only by ``peek``.
-
-    @property
-    def env(self) -> list[int]:
-        """The slot-list environment the kernels update in place
-        (settled first if a step left it unsettled)."""
-        if self._unsettled:
-            self.settle()
-        return self._env
-
-    def is_live(self, slot: int) -> bool:
-        """True when ``slot`` is refreshed by every settle (not a
-        pruned net that only :meth:`peek` refreshes lazily)."""
-        return slot not in self._kernel.dead_slots
+    # -- bound per-cycle driving ------------------------------------------------
 
     def fifo_driver(
         self,

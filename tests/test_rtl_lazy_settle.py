@@ -4,8 +4,8 @@
 the interpreter runs at the end of every step until the environment is
 next observed.  Every observation after an edge-only step must still
 equal the interpreter's: ``peek``, ``peek_flat``, a poke followed by a
-peek (the "pre-poke" view), ``env``, ``step(n > 1)`` and a peek of a
-pruned (dead) net.
+peek (the "pre-poke" view), ``step(n > 1)``, a peek of a pruned (dead)
+net, and the bound per-cycle function ``fifo_driver`` returns.
 """
 
 from __future__ import annotations
@@ -93,14 +93,6 @@ def test_poke_then_peek_keeps_the_pre_poke_view():
     assert _flat_view(compiled) == _flat_view(interp)
 
 
-def test_env_settles_first():
-    interp, compiled = _engines(_pipeline())
-    env = compiled.env
-    assert not compiled._unsettled
-    for name in ("y", "acc", "stage"):
-        assert env[compiled.slot(name)] == interp.peek(name), name
-
-
 @pytest.mark.parametrize("cycles", [2, 5])
 def test_multi_cycle_step(cycles):
     interp, compiled = _engines(_pipeline())
@@ -112,7 +104,7 @@ def test_multi_cycle_step(cycles):
 
 def test_dead_net_peek_after_edge_only_step():
     interp, compiled = _engines(_pipeline())
-    assert not compiled.is_live(compiled._name_slot["u0.scratch"])
+    assert compiled._name_slot["u0.scratch"] in compiled._kernel.dead_slots
     for _ in range(2):
         assert compiled.peek_flat("u0.scratch") == interp.peek_flat(
             "u0.scratch"
