@@ -93,8 +93,8 @@ reset_cache_stats()
 
 def cache_stats() -> dict[str, float]:
     """Snapshot of the fabric counters: ``lowered``, ``reference``,
-    ``hits``, ``misses``, ``compile_ms``, ``lower_ms``.  Cumulative per process;
-    diff two snapshots to scope a measurement."""
+    ``hits``, ``misses``, ``compile_ms``, ``lower_ms``.  Cumulative
+    per process; diff two snapshots to scope a measurement."""
     return dict(_STATS)
 
 

@@ -833,7 +833,7 @@ class CompiledSimulator(Simulator):
     def flat_names(self) -> list[str]:
         return sorted(self._name_slot)
 
-    # -- bound per-cycle driving ------------------------------------------------
+    # -- bound per-cycle driving -----------------------------------------------
 
     def fifo_driver(
         self,
