@@ -1,11 +1,9 @@
-"""Batch-verification engine benchmarks.
+"""Batch-verification overhead guards.
 
-End-to-end ``repro verify`` throughput in cases/second — which bounds
-how much topology space a CI budget can cover — for plain, regular,
-latency-perturbed and dynamically perturbed batches, plus two overhead
-guards: the supervised worker pool against a plain
-``ProcessPoolExecutor`` fan-out, and an instrumented (telemetry-on)
-batch against the same batch with telemetry off.
+Two guards on the campaign machinery's fixed costs: the supervised
+worker pool against a plain ``ProcessPoolExecutor`` fan-out, and an
+instrumented (telemetry-on) batch against the same batch with
+telemetry off.  End-to-end cases/second is measured by ``verifybench``.
 """
 
 from __future__ import annotations
@@ -22,182 +20,6 @@ from repro.verify import (
 )
 
 from _bench_common import write_result
-
-
-def test_batch_verify_throughput(benchmark):
-    config = BatchConfig(
-        cases=12,
-        seed=0,
-        jobs=1,
-        cycles=200,
-        styles=BEHAVIOURAL_STYLES,
-    )
-
-    def batch():
-        return BatchRunner(config).run()
-
-    report = benchmark.pedantic(batch, rounds=1, iterations=1)
-    assert report.ok, report.summary()
-    rate = len(report.outcomes) / report.duration_s
-
-    benchmark.extra_info.update(
-        cases=len(report.outcomes),
-        checks=report.checks,
-        cases_per_s=round(rate, 1),
-    )
-    lines = [
-        "Batch differential verification throughput "
-        f"({config.cases} topologies, {config.cycles} cycles, "
-        f"styles {', '.join(config.styles)})",
-        "",
-        f"cases/s:      {rate:.1f}",
-        f"cross-checks: {report.checks}",
-        f"sink tokens:  {sum(o.sink_tokens for o in report.outcomes)}",
-        "",
-        "Every case simulates the same random topology once per "
-        "wrapper style and cross-checks sink streams, enable traces "
-        "and analytic throughput bounds.",
-    ]
-    write_result("batch_verify_throughput.txt", "\n".join(lines))
-
-
-def test_regular_traffic_verify_throughput(benchmark):
-    """Regular-traffic batches run two extra styles (behavioural and
-    RTL shift-register) plus the static-activation planning pass; this
-    tracks their cases/second so the oracle's widest mode stays cheap
-    enough for CI smoke batches."""
-    config = BatchConfig(
-        cases=8,
-        seed=0,
-        jobs=1,
-        cycles=200,
-        traffic="regular",
-    )
-
-    def batch():
-        return BatchRunner(config).run()
-
-    report = benchmark.pedantic(batch, rounds=1, iterations=1)
-    assert report.ok, report.summary()
-    rate = len(report.outcomes) / report.duration_s
-
-    benchmark.extra_info.update(
-        cases=len(report.outcomes),
-        checks=report.checks,
-        cases_per_s=round(rate, 1),
-        styles=len(config.styles),
-    )
-    lines = [
-        "Regular-traffic batch verification throughput "
-        f"({config.cases} topologies, {config.cycles} cycles, "
-        f"{len(config.styles)} styles incl. shiftreg + rtl-shiftreg)",
-        "",
-        f"cases/s:      {rate:.1f}",
-        f"cross-checks: {report.checks}",
-        f"sink tokens:  {sum(o.sink_tokens for o in report.outcomes)}",
-        "",
-        "Each case plans every process's static activation from the "
-        "FSM reference run, then holds both shift-register styles to "
-        "the same stream/trace/throughput cross-checks.",
-    ]
-    write_result("batch_verify_regular.txt", "\n".join(lines))
-
-
-def test_dynamic_perturbed_verify_throughput(benchmark):
-    """Dynamic perturbation adds stall-plan derivation, injector
-    blocks on the hot simulation loop, and (in all-styles mode) one
-    run per style per variant; this tracks its cases/second so the
-    `--perturb-dynamic --perturb-styles all` CI smoke stays
-    predictable."""
-    perturb = 2
-    config = BatchConfig(
-        cases=8,
-        seed=0,
-        jobs=1,
-        cycles=200,
-        styles=BEHAVIOURAL_STYLES,
-        perturb=perturb,
-        perturb_dynamic=True,
-        perturb_styles="all",
-    )
-
-    def batch():
-        return BatchRunner(config).run()
-
-    report = benchmark.pedantic(batch, rounds=1, iterations=1)
-    assert report.ok, report.summary()
-    rate = len(report.outcomes) / report.duration_s
-
-    benchmark.extra_info.update(
-        cases=len(report.outcomes),
-        checks=report.checks,
-        cases_per_s=round(rate, 1),
-        perturb=perturb,
-    )
-    lines = [
-        "Dynamic latency-perturbation verification throughput "
-        f"({config.cases} topologies, {config.cycles} cycles, "
-        f"{perturb} variants/case incl. mid-run stall plans, "
-        "all-styles mode)",
-        "",
-        f"cases/s:      {rate:.1f}",
-        f"cross-checks: {report.checks}",
-        f"sink tokens:  {sum(o.sink_tokens for o in report.outcomes)}",
-        "",
-        "Each case leads its variant rotation with a dynamic variant "
-        "(seeded mid-run link/relay stalls over the unchanged "
-        "topology) and runs every variant under every behavioural "
-        "style, with per-variant stream, throughput, relay and "
-        "cycle-exact checks.",
-    ]
-    write_result("batch_verify_dynamic.txt", "\n".join(lines))
-
-
-def test_perturbed_verify_throughput(benchmark):
-    """Latency-perturbed batches simulate each case K extra times (one
-    run per derived variant, plus per-variant marked-graph analysis);
-    this tracks the metamorphic oracle's cases/second so the CI smoke
-    budget for `--perturb` stays predictable."""
-    perturb = 3
-    config = BatchConfig(
-        cases=8,
-        seed=0,
-        jobs=1,
-        cycles=200,
-        styles=BEHAVIOURAL_STYLES,
-        perturb=perturb,
-        perturb_floorplan=True,
-    )
-
-    def batch():
-        return BatchRunner(config).run()
-
-    report = benchmark.pedantic(batch, rounds=1, iterations=1)
-    assert report.ok, report.summary()
-    rate = len(report.outcomes) / report.duration_s
-
-    benchmark.extra_info.update(
-        cases=len(report.outcomes),
-        checks=report.checks,
-        cases_per_s=round(rate, 1),
-        perturb=perturb,
-    )
-    lines = [
-        "Latency-perturbation verification throughput "
-        f"({config.cases} topologies, {config.cycles} cycles, "
-        f"{perturb} variants/case incl. floorplan-driven)",
-        "",
-        f"cases/s:      {rate:.1f}",
-        f"cross-checks: {report.checks}",
-        f"sink tokens:  {sum(o.sink_tokens for o in report.outcomes)}",
-        "",
-        "Each case derives latency-perturbed topology variants "
-        "(re-segmented channels, extra feed-forward pipelining, "
-        "floorplan-planned relay counts), simulates each under the "
-        "reference style and checks stream invariance, per-variant "
-        "marked-graph bounds and relay occupancy.",
-    ]
-    write_result("batch_verify_perturb.txt", "\n".join(lines))
 
 
 # -- supervised-pool overhead guard --------------------------------------------

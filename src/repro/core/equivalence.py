@@ -5,10 +5,12 @@ Two pieces:
 * :class:`RTLShell` — a shell whose firing decisions come from
   cycle-accurately simulating a *generated wrapper module* (SP, FSM or
   shift-register RTL).  It drives the RTL's ``not_empty``/``not_full``
-  inputs from the real FIFO ports, obeys the RTL's
-  ``pop``/``push``/``ip_enable`` outputs, and cross-checks every strobe
-  against the expected schedule — any divergence raises
-  :class:`EquivalenceError` with the offending cycle.
+  inputs from the real FIFO ports, fires when the RTL raises
+  ``ip_enable``, and cross-checks every ``pop``/``push`` strobe against
+  the expected script — any divergence raises
+  :class:`EquivalenceError` with the offending cycle.  The pops, pushes
+  and pearl calls themselves are :class:`~repro.lis.shell.Shell`'s one
+  firing protocol.
 * :func:`co_simulate` — runs a behavioural wrapper and an RTL wrapper
   in twin systems fed identical stimuli and compares their cycle-level
   enable traces and token-level outputs.
@@ -21,17 +23,18 @@ randomized irregular stimuli rather than assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from ..lis.pearl import Pearl
 from ..lis.port import DEFAULT_PORT_DEPTH
-from ..lis.shell import Shell, ShellError
+from ..lis.shell import Shell
 from ..lis.simulator import Simulation
 from ..lis.system import System
 from ..rtl.module import Module
 from ..rtl.simulator import Simulator
 from .operations import SPProgram
 from .rtlgen.common import sanitize
+from .wrappers import script_from_program
 
 
 class EquivalenceError(AssertionError):
@@ -51,52 +54,16 @@ def driver_stats() -> dict[str, int]:
     return dict(_DRIVER_STATS)
 
 
-@dataclass(frozen=True)
-class _ScriptEntry:
-    """One expected operation fire: masks to verify + pearl bookkeeping."""
-
-    kind: str  # "sync" (head: pop/push + on_sync) or "cont"
-    point_index: int
-    in_mask: int
-    out_mask: int
-    run: int
-    first_phase: int = 0
-
-
-def _script_from_program(program: SPProgram) -> list[_ScriptEntry]:
-    return [
-        _ScriptEntry(
-            kind="sync" if op.is_head else "cont",
-            point_index=op.point_index,
-            in_mask=op.in_mask,
-            out_mask=op.out_mask,
-            run=op.run,
-            first_phase=op.first_phase,
-        )
-        for op in program.ops
-    ]
-
-
-def _script_from_schedule(schedule) -> list[_ScriptEntry]:
-    return [
-        _ScriptEntry(
-            kind="sync",
-            point_index=index,
-            in_mask=schedule.input_mask(point),
-            out_mask=schedule.output_mask(point),
-            run=point.run,
-        )
-        for index, point in enumerate(schedule.points)
-    ]
-
-
 class RTLShell(Shell):
     """Patient process driven by simulated wrapper RTL.
 
     ``module`` must expose the uniform wrapper interface of
     :mod:`repro.core.rtlgen.common`.  ``program`` supplies the expected
-    operation stream for SP wrappers; omitted, the pearl's schedule
-    order is expected (FSM / shift-register wrappers).
+    operation stream (the script) for SP wrappers; omitted, the pearl's
+    schedule order is expected (FSM / shift-register wrappers).  The
+    decision each cycle is the RTL's strobe word: ``ip_enable`` fires,
+    and the pop/push strobes must match the script entry due (or be
+    silent in a free-run cycle).
 
     ``engine`` selects the RTL simulation backend (``"compiled"`` /
     ``"interp"``; None follows the simulator default).
@@ -116,14 +83,8 @@ class RTLShell(Shell):
         self.module = module
         self.engine = engine
         self.rtl = Simulator(module, engine=engine)
-        self._script = (
-            _script_from_program(program)
-            if program is not None
-            else _script_from_schedule(pearl.schedule)
-        )
-        self._script_pos = 0
-        self._rtl_run_left = 0
-        self._phase_next = 0
+        if program is not None:
+            self._script = script_from_program(program)
         in_names = [sanitize(n) for n in pearl.schedule.inputs]
         out_names = [sanitize(n) for n in pearl.schedule.outputs]
         # Readiness inputs per port, and the strobe word's bits: bit 0
@@ -143,20 +104,7 @@ class RTLShell(Shell):
             *(f"{port}_push" for port in out_names),
         ]
         self._push_shift = 1 + len(in_names)
-        # Per script entry: the ports to pop (schedule order), the
-        # outputs the pearl must push, and the expected strobe word.
-        schedule = pearl.schedule
-        self._script_io = [
-            (
-                tuple(
-                    name
-                    for bit, name in enumerate(schedule.inputs)
-                    if entry.in_mask >> bit & 1
-                ),
-                schedule.outputs_from_mask(entry.out_mask),
-            )
-            for entry in self._script
-        ]
+        # The strobe word each script entry expects.
         self._script_words = [
             1 | entry.in_mask << 1 | entry.out_mask << self._push_shift
             for entry in self._script
@@ -172,15 +120,16 @@ class RTLShell(Shell):
         self._drive: Callable[[], int] | None = None
 
     def _bind_driver(self) -> Callable[[], int]:
-        """The per-cycle function returning the strobe word for the
-        current simulator.  Under the compiled engine it is generated
-        code bound to the port FIFOs (:meth:`~repro.rtl.compile_sim.
-        CompiledSimulator.fifo_driver`); otherwise the RTL is driven by
-        name through ``poke``/``peek``."""
+        """Bind (as ``_drive``) and return the per-cycle function
+        returning the strobe word for the current simulator.  Under the
+        compiled engine it is generated code bound to the port FIFOs
+        (:meth:`~repro.rtl.compile_sim.CompiledSimulator.fifo_driver`);
+        otherwise the RTL is driven by name through ``poke``/``peek``."""
         rtl = self.rtl
         if rtl.engine != "compiled":
             _DRIVER_STATS["by_name"] += 1
-            return self._cycle_by_name
+            self._drive = self._cycle_by_name
+            return self._drive
         _DRIVER_STATS["bound"] += 1
         # A wrapper step starts with nothing popped this cycle (ports
         # drop their pops at commit), so not_empty is a non-empty FIFO.
@@ -192,7 +141,10 @@ class RTLShell(Shell):
         for name, poke in self._not_full_pokes:
             port = self.out_ports[name]
             not_full.append((poke, port._fifo, port._pushed, port.depth))
-        return rtl.fifo_driver(not_empty, not_full, self._strobe_names)
+        self._drive = rtl.fifo_driver(
+            not_empty, not_full, self._strobe_names
+        )
+        return self._drive
 
     def _cycle_by_name(self) -> int:
         rtl = self.rtl
@@ -210,91 +162,50 @@ class RTLShell(Shell):
         rtl.step()
         return word
 
-    def _masks(self, word: int) -> tuple[int, int]:
-        """(pop mask, push mask) of a strobe word."""
-        shift = self._push_shift
-        return (word >> 1) & ((1 << (shift - 1)) - 1), word >> shift
+    def _sync_ready(self, cycle: int) -> bool:
+        word = (self._drive or self._bind_driver())()
+        if word == self._script_words[self._script_pos]:
+            return True
+        if word:
+            self._diverged(cycle, word, free_run=False)
+        return False
 
-    def _wrapper_step(self, cycle: int) -> None:
-        drive = self._drive
-        if drive is None:
-            drive = self._drive = self._bind_driver()
-        word = drive()
+    def _run_gate_ok(self, cycle: int) -> bool:
+        word = (self._drive or self._bind_driver())()
+        if word == 1:
+            return True
+        if word:
+            self._diverged(cycle, word, free_run=True)
+        return False
 
+    def _diverged(self, cycle: int, word: int, free_run: bool) -> NoReturn:
+        """Raise for a non-zero strobe word the script does not allow:
+        pops or pushes without ``ip_enable`` first, then strobes in a
+        free-run cycle or strobes other than the due entry's."""
         if not word & 1:
-            if word:
-                raise EquivalenceError(
-                    f"{self.name!r} cycle {cycle}: pop/push strobes "
-                    "asserted while ip_enable low"
-                )
-            self.stall_cycles += 1
-            if self.trace_enable is not None:
-                self.trace_enable.append(False)
-            return
-
-        self._execute_enabled(cycle, word)
-        self.pearl._clocked()
-        self.enabled_cycles += 1
-        if self.trace_enable is not None:
-            self.trace_enable.append(True)
-
-    def _execute_enabled(self, cycle: int, word: int) -> None:
-        if self._rtl_run_left > 0:
-            if word != 1:
-                raise EquivalenceError(
-                    f"{self.name!r} cycle {cycle}: strobes asserted "
-                    "during an expected free-run cycle"
-                )
-            self.pearl.on_run(self._running_point, self._phase_next)
-            self._phase_next += 1
-            self._rtl_run_left -= 1
-            return
-
+            raise EquivalenceError(
+                f"{self.name!r} cycle {cycle}: pop/push strobes "
+                "asserted while ip_enable low"
+            )
+        if free_run:
+            raise EquivalenceError(
+                f"{self.name!r} cycle {cycle}: strobes asserted "
+                "during an expected free-run cycle"
+            )
         position = self._script_pos
         entry = self._script[position]
-        if word != self._script_words[position]:
-            pop_mask, push_mask = self._masks(word)
-            raise EquivalenceError(
-                f"{self.name!r} cycle {cycle}: RTL strobes "
-                f"(pop={pop_mask:#x}, push={push_mask:#x}) != expected "
-                f"(pop={entry.in_mask:#x}, push={entry.out_mask:#x}) at "
-                f"script position {position}"
-            )
-        if entry.kind == "sync":
-            pops, expected = self._script_io[position]
-            in_ports = self.in_ports
-            popped: dict[str, Any] = {
-                name: in_ports[name].pop() for name in pops
-            }
-            pushed = dict(
-                self.pearl.on_sync(entry.point_index, popped) or {}
-            )
-            if pushed.keys() != expected:
-                raise ShellError(
-                    f"pearl {self.pearl.name!r} produced {sorted(pushed)} "
-                    f"at point {entry.point_index}, expected "
-                    f"{sorted(expected)}"
-                )
-            for name, value in sorted(pushed.items()):
-                self.out_ports[name].push(value)
-            self._phase_next = 0
-        else:
-            self.pearl.on_run(entry.point_index, entry.first_phase)
-            self._phase_next = entry.first_phase + 1
-        self._running_point = entry.point_index
-        self._rtl_run_left = entry.run
-        position += 1
-        if position == len(self._script):
-            position = 0
-            self.periods_completed += 1
-        self._script_pos = position
+        shift = self._push_shift
+        pop_mask = (word >> 1) & ((1 << (shift - 1)) - 1)
+        raise EquivalenceError(
+            f"{self.name!r} cycle {cycle}: RTL strobes "
+            f"(pop={pop_mask:#x}, push={word >> shift:#x}) != expected "
+            f"(pop={entry.in_mask:#x}, push={entry.out_mask:#x}) at "
+            f"script position {position}"
+        )
 
     def reset(self) -> None:
         super().reset()
         self.rtl = Simulator(self.module, engine=self.engine)
-        self._script_pos = 0
-        self._rtl_run_left = 0
-        self._phase_next = 0
         self._apply_reset()
 
 

@@ -1,5 +1,11 @@
 """The four synchronization-wrapper styles as executable shells.
 
+The firing protocol (pops, ``on_sync``, the output-contract check,
+pushes, free-run cycles, periods, counters and trace) lives once in
+:class:`~repro.lis.shell.Shell`; a style here supplies only its
+per-cycle decision through ``_sync_ready``/``_run_gate_ok`` and, for
+the SP, the script it walks:
+
 * :class:`SPWrapper` — the paper's contribution: a synchronization
   processor executing a compiled operation program from its operations
   memory;
@@ -25,18 +31,37 @@ from typing import Sequence
 
 from ..lis.pearl import Pearl
 from ..lis.port import DEFAULT_PORT_DEPTH
-from ..lis.shell import Shell, ShellError, fifos_ready
+from ..lis.shell import ScriptEntry, Shell, ShellError, fifos_ready
 from .compiler import CompilerOptions, compile_schedule
-from .processor import SPState, SyncProcessor
+from .operations import SPProgram
+from .processor import SyncProcessor
+
+
+def script_from_program(program: SPProgram) -> list[ScriptEntry]:
+    """One entry per SP operation: heads are sync fires, run-counter
+    overflow continuations are ``"cont"`` fires."""
+    return [
+        ScriptEntry(
+            kind="sync" if op.is_head else "cont",
+            point_index=op.point_index,
+            in_mask=op.in_mask,
+            out_mask=op.out_mask,
+            run=op.run,
+            first_phase=op.first_phase,
+        )
+        for op in program.ops
+    ]
 
 
 class SPWrapper(Shell):
     """Patient process whose shell is a synchronization processor.
 
     The shell compiles the pearl's schedule into an SP program at
-    construction and then *executes the program*, including the reset
-    cycle and any continuation operations introduced by run-counter
-    overflow — cycle-for-cycle the behaviour of the generated RTL.
+    construction, walks its operations as the script, and takes every
+    firing decision from a :class:`SyncProcessor` executing the program
+    — including the reset cycle and the continuation operations
+    introduced by run-counter overflow, cycle-for-cycle the behaviour
+    of the generated RTL.
     """
 
     style = "sp"
@@ -53,103 +78,28 @@ class SPWrapper(Shell):
         # the pearl's own point indices, so compile without it.
         options = replace(options or CompilerOptions(), fuse=False)
         self.program = compile_schedule(pearl.schedule, options)
+        self._script = script_from_program(self.program)
         self.processor = SyncProcessor(self.program)
-        self._phase_next = 0
-        self._sp_ports: tuple | None = None
 
-    def _resolve_ports(self) -> tuple:
-        """Ports are bound after construction; snapshot them on first
-        use: ``(input (bit, fifo) pairs, output (bit, fifo, pushed,
-        depth) tuples, per operation (pops, expected outputs,
-        pushes))``, pops in mask-bit order and pushes sorted by name,
-        as ``(name, port)`` pairs."""
-        schedule = self.pearl.schedule
-        in_ports = [self.in_ports[name] for name in schedule.inputs]
-        out_ports = [self.out_ports[name] for name in schedule.outputs]
-        op_ports = []
-        for op in self.program.ops:
-            expected = schedule.outputs_from_mask(op.out_mask)
-            pops = tuple(
-                (name, port)
-                for bit, (name, port) in enumerate(
-                    zip(schedule.inputs, in_ports)
-                )
-                if op.in_mask >> bit & 1
-            )
-            pushes = tuple(
-                (name, self.out_ports[name]) for name in sorted(expected)
-            )
-            op_ports.append((pops, expected, pushes))
-        return (
-            [(1 << bit, port._fifo) for bit, port in enumerate(in_ports)],
-            [
-                (1 << bit, port._fifo, port._pushed, port.depth)
-                for bit, port in enumerate(out_ports)
-            ],
-            op_ports,
-        )
-
-    # The SP drives everything from its program; bypass the base class's
-    # generic scheduler.
-    def _wrapper_step(self, cycle: int) -> None:
-        ports = self._sp_ports
-        if ports is None:
-            ports = self._sp_ports = self._resolve_ports()
-        in_bits, out_bits, op_ports = ports
-        # Readiness from the FIFOs themselves (see Shell._readiness).
+    def _sync_ready(self, cycle: int) -> bool:
+        ins, outs, _entries = self._ready_cache or self._readiness()
         in_ready = 0
-        for bit, fifo in in_bits:
+        for bit, fifo in enumerate(ins):
             if fifo:
-                in_ready |= bit
+                in_ready |= 1 << bit
         out_ready = 0
-        for bit, fifo, pushed, depth in out_bits:
+        for bit, (fifo, pushed, depth) in enumerate(outs):
             if len(fifo) + len(pushed) < depth:
-                out_ready |= bit
-        action = self.processor.step(in_ready, out_ready)
+                out_ready |= 1 << bit
+        return self.processor.step(in_ready, out_ready).enable
 
-        if not action.enable:
-            self.stall_cycles += 1
-            if self.trace_enable is not None:
-                self.trace_enable.append(False)
-            return
-
-        if action.op is not None:
-            op = action.op
-            if op.is_head:
-                pops, expected, pushes = op_ports[action.addr]
-                popped = {name: port.pop() for name, port in pops}
-                pushed = dict(
-                    self.pearl.on_sync(op.point_index, popped) or {}
-                )
-                if pushed.keys() != expected:
-                    raise ShellError(
-                        f"pearl {self.pearl.name!r} produced "
-                        f"{sorted(pushed)} at point {op.point_index}, "
-                        f"operation expects {sorted(expected)}"
-                    )
-                for name, port in pushes:
-                    port.push(pushed[name])
-                self._phase_next = 0
-            else:
-                # Continuation op: its fire cycle is one free-run phase.
-                self.pearl.on_run(op.point_index, op.first_phase)
-                self._phase_next = op.first_phase + 1
-            self._running_point = op.point_index
-        else:
-            # FREE_RUN state cycle.
-            self.pearl.on_run(self._running_point, self._phase_next)
-            self._phase_next += 1
-
-        self.pearl._clocked()
-        self.enabled_cycles += 1
-        self.periods_completed = self.processor.periods_completed
-        if self.trace_enable is not None:
-            self.trace_enable.append(True)
+    def _run_gate_ok(self, cycle: int) -> bool:
+        # The processor's FREE_RUN state ignores readiness.
+        return self.processor.step(0, 0).enable
 
     def reset(self) -> None:
         super().reset()
         self.processor.reset()
-        self._phase_next = 0
 
 
 class FSMWrapper(Shell):
@@ -162,8 +112,9 @@ class FSMWrapper(Shell):
 
     style = "fsm"
 
-    def _sync_ready(self) -> bool:
-        ins, outs = self._readiness()[2][self._point_index]
+    def _sync_ready(self, cycle: int) -> bool:
+        views = self._ready_cache or self._readiness()
+        ins, outs = views[2][self._script_pos]
         return fifos_ready(ins, outs)
 
 
@@ -178,15 +129,11 @@ class CombinationalWrapper(Shell):
 
     style = "combinational"
 
-    def _all_ports_ready(self) -> bool:
-        ins, outs, _points = self._readiness()
+    def _sync_ready(self, cycle: int) -> bool:
+        ins, outs, _entries = self._ready_cache or self._readiness()
         return fifos_ready(ins, outs)
 
-    def _sync_ready(self) -> bool:
-        return self._all_ports_ready()
-
-    def _run_gate_ok(self) -> bool:
-        return self._all_ports_ready()
+    _run_gate_ok = _sync_ready
 
 
 class ShiftRegisterWrapper(Shell):
@@ -246,45 +193,30 @@ class ShiftRegisterWrapper(Shell):
         self._pattern_pos = (self._pattern_pos + 1) % len(self.pattern)
         return fire
 
-    def _wrapper_step(self, cycle: int) -> None:
-        fire = self._next_fire()
-        if not fire:
-            self.stall_cycles += 1
-            if self.trace_enable is not None:
-                self.trace_enable.append(False)
-            return
-        if self._run_left > 0:
-            phase = (
-                self.pearl.schedule.points[self._running_point].run
-                - self._run_left
-            )
-            self.pearl.on_run(self._running_point, phase)
-            self._run_left -= 1
-        else:
-            ins, outs, _pops, _pushes = self._point_ports()[
-                self._point_index
-            ]
-            for name, port in ins:
-                if not port.not_empty:
-                    raise ShellError(
-                        f"static schedule violated: {self.name!r} input "
-                        f"{name!r} empty at cycle {cycle} (irregular "
-                        "stream — shift-register wrappers require "
-                        "perfectly regular environments)"
-                    )
-            for name, port in outs:
-                if not port.not_full:
-                    raise ShellError(
-                        f"static schedule violated: {self.name!r} output "
-                        f"{name!r} full at cycle {cycle} (downstream "
-                        "backpressure — shift-register wrappers cannot "
-                        "absorb it)"
-                    )
-            self._fire_sync()
-        self.pearl._clocked()
-        self.enabled_cycles += 1
-        if self.trace_enable is not None:
-            self.trace_enable.append(True)
+    def _sync_ready(self, cycle: int) -> bool:
+        if not self._next_fire():
+            return False
+        pops, pushes = self._fires()[self._script_pos][2:4]
+        for name, port in pops:
+            if not port.not_empty:
+                raise ShellError(
+                    f"static schedule violated: {self.name!r} input "
+                    f"{name!r} empty at cycle {cycle} (irregular "
+                    "stream — shift-register wrappers require "
+                    "perfectly regular environments)"
+                )
+        for name, port in pushes:
+            if not port.not_full:
+                raise ShellError(
+                    f"static schedule violated: {self.name!r} output "
+                    f"{name!r} full at cycle {cycle} (downstream "
+                    "backpressure — shift-register wrappers cannot "
+                    "absorb it)"
+                )
+        return True
+
+    def _run_gate_ok(self, cycle: int) -> bool:
+        return self._next_fire()
 
     def reset(self) -> None:
         super().reset()

@@ -1,10 +1,22 @@
-"""Abstract synchronization shells (wrappers).
+"""Synchronization shells (wrappers): one firing protocol, many decisions.
 
 A shell turns a :class:`~repro.lis.pearl.Pearl` into a *patient
 process*: it owns the pearl's FIFO ports, decides each cycle whether
 the pearl clock fires, and performs the port pops/pushes of the sync
-point being executed.  Concrete firing policies live in
-:mod:`repro.core.wrappers`:
+point being executed.
+
+The firing protocol lives once, in :meth:`Shell._wrapper_step`.  A
+shell walks a *script* of :class:`ScriptEntry` fires — by default one
+per schedule point, or the operations of an SP program — and on every
+enabled cycle either fires the next entry (pops, ``pearl.on_sync``,
+the output-contract check, pushes, run counter) or grants one
+free-run cycle (``pearl.on_run``), then keeps the periods, the
+enabled/stall counters and the enable trace.  A wrapper style supplies
+only the per-cycle decision, through two hooks called exactly once
+per cycle with the cycle number: :meth:`Shell._sync_ready` when the
+next entry is due and :meth:`Shell._run_gate_ok` during free-run
+cycles.  The styles live in :mod:`repro.core.wrappers` (and
+:class:`~repro.core.equivalence.RTLShell`):
 
 * ``SPWrapper`` / ``FSMWrapper`` — test only the current sync point's
   port subsets (the paper's behaviour and Singh & Theobald's);
@@ -18,15 +30,46 @@ pearl clock fires, which is what the throughput benches measure.
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .pearl import Pearl, PearlError
 from .port import DEFAULT_PORT_DEPTH, InputPort, OutputPort
 from .signals import Block, Link
 
+if TYPE_CHECKING:  # avoid runtime repro.core <-> repro.lis import cycle
+    from ..core.schedule import IOSchedule
+
 
 class ShellError(RuntimeError):
     """Raised for wiring mistakes or schedule violations."""
+
+
+@dataclass(frozen=True)
+class ScriptEntry:
+    """One expected fire: the port masks it pops/pushes (bit *i* = the
+    schedule's *i*-th input/output) and the pearl bookkeeping."""
+
+    kind: str  # "sync" (pop/push + on_sync) or "cont" (one on_run)
+    point_index: int
+    in_mask: int
+    out_mask: int
+    run: int  # free-run cycles granted after this fire
+    first_phase: int = 0  # on_run phase of a "cont" fire
+
+
+def script_from_schedule(schedule: "IOSchedule") -> list[ScriptEntry]:
+    """One sync entry per schedule point, in cyclic order."""
+    return [
+        ScriptEntry(
+            kind="sync",
+            point_index=index,
+            in_mask=schedule.input_mask(point),
+            out_mask=schedule.output_mask(point),
+            run=point.run,
+        )
+        for index, point in enumerate(schedule.points)
+    ]
 
 
 def fifos_ready(inputs, outputs) -> bool:
@@ -41,8 +84,27 @@ def fifos_ready(inputs, outputs) -> bool:
     return True
 
 
+def _masked(pairs: list[tuple], mask: int) -> tuple:
+    """The pairs whose bit is set in ``mask`` (bit *i* = pair *i*)."""
+    return tuple(pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
+
+
+def _in_views(ports) -> tuple:
+    return tuple(port._fifo for port in ports)
+
+
+def _out_views(ports) -> tuple:
+    return tuple((port._fifo, port._pushed, port.depth) for port in ports)
+
+
 class Shell(Block):
-    """Base patient-process wrapper around one pearl."""
+    """Patient-process wrapper around one pearl: the firing protocol.
+
+    Subclasses set ``_script`` in their constructor when they execute
+    something other than the schedule's points, and supply the
+    per-cycle decision through :meth:`_sync_ready` and
+    :meth:`_run_gate_ok`.
+    """
 
     style = "abstract"
 
@@ -54,15 +116,17 @@ class Shell(Block):
         self.port_depth = port_depth
         self.in_ports: dict[str, InputPort] = {}
         self.out_ports: dict[str, OutputPort] = {}
-        self._point_index = 0
+        self._script = script_from_schedule(pearl.schedule)
+        self._script_pos = 0
         self._run_left = 0
         self._running_point = 0
+        self._phase_next = 0
         self.enabled_cycles = 0
         self.stall_cycles = 0
         self.periods_completed = 0
         self.trace_enable: list[bool] | None = None
         self._port_cache: list[InputPort | OutputPort] | None = None
-        self._point_cache: list[tuple] | None = None
+        self._fire_cache: list[tuple] | None = None
         self._ready_cache: tuple | None = None
 
     # -- wiring ------------------------------------------------------------------
@@ -80,7 +144,7 @@ class Shell(Block):
             f"{self.name}.{port_name}", link, self.port_depth
         )
         self.in_ports[port_name] = port
-        self._port_cache = self._point_cache = self._ready_cache = None
+        self._port_cache = self._fire_cache = self._ready_cache = None
         return port
 
     def bind_output(self, port_name: str, link: Link) -> OutputPort:
@@ -96,7 +160,7 @@ class Shell(Block):
             f"{self.name}.{port_name}", link, self.port_depth
         )
         self.out_ports[port_name] = port
-        self._port_cache = self._point_cache = self._ready_cache = None
+        self._port_cache = self._fire_cache = self._ready_cache = None
         return port
 
     def check_bound(self) -> None:
@@ -120,59 +184,61 @@ class Shell(Block):
             ]
         return ports
 
-    def _point_ports(self) -> list[tuple]:
-        """Per sync point: ``(inputs, outputs, pops, pushes)`` as
-        ``(name, port)`` pairs — the point's port subsets in their
-        iteration order (readiness tests and their error messages),
-        then the same subsets sorted by name (pop and push order)."""
-        table = self._point_cache
+    def _fires(self) -> list[tuple]:
+        """Per script entry, resolved against the bound ports (which
+        bind after construction): ``(sync, point index, pops, pushes,
+        outputs the pearl must push, run, phase after the fire)``, pops
+        and pushes as ``(name, port)`` pairs in schedule order."""
+        table = self._fire_cache
         if table is None:
-            in_ports, out_ports = self.in_ports, self.out_ports
-            table = self._point_cache = [
-                (
-                    tuple((n, in_ports[n]) for n in point.inputs),
-                    tuple((n, out_ports[n]) for n in point.outputs),
-                    tuple((n, in_ports[n]) for n in sorted(point.inputs)),
-                    tuple((n, out_ports[n]) for n in sorted(point.outputs)),
-                )
-                for point in self.pearl.schedule.points
-            ]
+            schedule = self.pearl.schedule
+            ins = [(n, self.in_ports[n]) for n in schedule.inputs]
+            outs = [(n, self.out_ports[n]) for n in schedule.outputs]
+            table = self._fire_cache = []
+            for entry in self._script:
+                sync = entry.kind == "sync"
+                pushes = _masked(outs, entry.out_mask)
+                table.append((
+                    sync,
+                    entry.point_index,
+                    _masked(ins, entry.in_mask),
+                    pushes,
+                    frozenset(name for name, _port in pushes),
+                    entry.run,
+                    0 if sync else entry.first_phase + 1,
+                ))
         return table
 
     def _readiness(self) -> tuple:
-        """FIFO views for readiness tests: ``(inputs, outputs, per sync
-        point (inputs, outputs))`` with input FIFO deques and output
-        ``(fifo, pushed, depth)`` triples.  Tests run at the start of a
-        wrapper step, before anything is popped that cycle (ports drop
-        their pops at commit), so an input is ready exactly when its
-        deque is non-empty."""
+        """FIFO views for readiness tests: ``(inputs, outputs, per script
+        entry (inputs, outputs))``, in schedule order, with input FIFO
+        deques and output ``(fifo, pushed, depth)`` triples.  Tests run
+        at the start of a wrapper step, before anything is popped that
+        cycle (ports drop their pops at commit), so an input is ready
+        exactly when its deque is non-empty."""
         views = self._ready_cache
         if views is None:
-            ins = {name: port._fifo for name, port in self.in_ports.items()}
-            outs = {
-                name: (port._fifo, port._pushed, port.depth)
-                for name, port in self.out_ports.items()
-            }
+            schedule = self.pearl.schedule
             views = self._ready_cache = (
-                tuple(ins.values()),
-                tuple(outs.values()),
+                _in_views(self.in_ports[n] for n in schedule.inputs),
+                _out_views(self.out_ports[n] for n in schedule.outputs),
                 [
                     (
-                        tuple(ins[name] for name in point.inputs),
-                        tuple(outs[name] for name in point.outputs),
+                        _in_views(port for _n, port in fire[2]),
+                        _out_views(port for _n, port in fire[3]),
                     )
-                    for point in self.pearl.schedule.points
+                    for fire in self._fires()
                 ],
             )
         return views
 
-    # -- firing policy (overridden by wrapper styles) -----------------------------
+    # -- the style's decision (overridden by wrapper styles) ------------------
 
-    def _sync_ready(self) -> bool:
-        """May the current sync point fire this cycle?"""
+    def _sync_ready(self, cycle: int) -> bool:
+        """May the next script entry fire this cycle?"""
         raise NotImplementedError
 
-    def _run_gate_ok(self) -> bool:
+    def _run_gate_ok(self, cycle: int) -> bool:
         """May a free-run cycle proceed this cycle?  The paper's SP and
         the FSM grant free-run cycles unconditionally; Carloni's
         combinational wrapper keeps testing every port."""
@@ -213,9 +279,10 @@ class Shell(Block):
         for port in self._ports():
             port.reset()
         self.pearl.on_reset()
-        self._point_index = 0
+        self._script_pos = 0
         self._run_left = 0
         self._running_point = 0
+        self._phase_next = 0
         self.enabled_cycles = 0
         self.stall_cycles = 0
         self.periods_completed = 0
@@ -223,57 +290,58 @@ class Shell(Block):
     # -- the wrapper step ---------------------------------------------------------------
 
     def _wrapper_step(self, cycle: int) -> None:
-        enabled = False
-        if self._run_left > 0:
-            if self._run_gate_ok():
-                phase = (
-                    self.pearl.schedule.points[self._running_point].run
-                    - self._run_left
-                )
-                self.pearl.on_run(self._running_point, phase)
+        pearl = self.pearl
+        if self._run_left:
+            enabled = self._run_gate_ok(cycle)
+            if enabled:
+                pearl.on_run(self._running_point, self._phase_next)
+                self._phase_next += 1
                 self._run_left -= 1
-                enabled = True
         else:
-            if self._sync_ready():
-                self._fire_sync()
-                enabled = True
+            enabled = self._sync_ready(cycle)
+            if enabled:
+                fires = self._fire_cache or self._fires()
+                position = self._script_pos
+                sync, point, pops, pushes, expected, run, phase = fires[
+                    position
+                ]
+                if sync:
+                    popped = {name: port.pop() for name, port in pops}
+                    pushed = dict(pearl.on_sync(point, popped) or {})
+                    if pushed.keys() != expected:
+                        raise PearlError(
+                            f"pearl {pearl.name!r} cycle {cycle}: sync "
+                            f"point {point} produced {sorted(pushed)}, "
+                            f"schedule says {sorted(expected)}"
+                        )
+                    for name, port in pushes:
+                        port.push(pushed[name])
+                else:
+                    # A continuation fire is the free-run phase just
+                    # before ``phase``.
+                    pearl.on_run(point, phase - 1)
+                self._running_point = point
+                self._phase_next = phase
+                self._run_left = run
+                position += 1
+                if position == len(fires):
+                    position = 0
+                    self.periods_completed += 1
+                self._script_pos = position
         if enabled:
-            self.pearl._clocked()
+            pearl._clocked()
             self.enabled_cycles += 1
         else:
             self.stall_cycles += 1
         if self.trace_enable is not None:
             self.trace_enable.append(enabled)
 
-    def _fire_sync(self) -> None:
-        index = self._point_index
-        points = self.pearl.schedule.points
-        point = points[index]
-        _ins, _outs, pops, pushes = self._point_ports()[index]
-        popped: dict[str, Any] = {name: port.pop() for name, port in pops}
-        pushed = self.pearl.on_sync(index, popped)
-        pushed = dict(pushed or {})
-        if pushed.keys() != point.outputs:
-            raise PearlError(
-                f"pearl {self.pearl.name!r} sync {index}: "
-                f"produced {sorted(pushed)}, schedule says "
-                f"{sorted(point.outputs)}"
-            )
-        for name, port in pushes:
-            port.push(pushed[name])
-        self._running_point = index
-        self._run_left = point.run
-        index += 1
-        if index == len(points):
-            index = 0
-            self.periods_completed += 1
-        self._point_index = index
-
     # -- inspection -----------------------------------------------------------------------
 
     @property
     def current_point(self) -> int:
-        return self._point_index
+        """Schedule point of the next script entry to fire."""
+        return self._script[self._script_pos].point_index
 
     @property
     def in_free_run(self) -> bool:

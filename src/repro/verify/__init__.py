@@ -150,7 +150,6 @@ from .perturb import (
     case_variants,
     check_perturbations,
     perturb_style_set,
-    run_variant,
 )
 from .regular import (
     StaticActivation,
@@ -265,7 +264,6 @@ __all__ = [
     "run_cases_supervised",
     "run_pipeline",
     "run_styles",
-    "run_variant",
     "save_topology",
     "select_interesting",
     "shrink_case",

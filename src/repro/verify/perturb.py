@@ -127,23 +127,6 @@ def perturb_style_set(case: VerifyCase) -> tuple[str, ...]:
     return (reference_style(case.styles),)
 
 
-def run_variant(
-    topology: SystemTopology,
-    style: str,
-    cycles: int,
-    deadlock_window: int | None = 64,
-    engine: str | None = None,
-    stalls=(),
-) -> StyleRun:
-    """Simulate one variant topology under ``style`` (with its stall
-    plan, if any) and harvest the oracle's inputs (sink streams,
-    period counts, relay telemetry)."""
-    return simulate_topology(
-        topology, style, cycles, deadlock_window, engine=engine,
-        stalls=stalls,
-    )
-
-
 def lowers_latency(base: SystemTopology, variant: SystemTopology) -> bool:
     """True when ``variant`` shortens some connection (channel, source
     or sink link) of ``base``, i.e. removes relay storage."""
@@ -253,7 +236,7 @@ def check_perturbations(
         base_run = base
     else:
         # The style loop never ran the reference style: measure a base.
-        base_run = run_variant(
+        base_run = simulate_topology(
             case.topology,
             reference,
             case.cycles,

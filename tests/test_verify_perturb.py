@@ -34,8 +34,8 @@ from repro.verify import (
     diff_coverage,
     make_cases,
     run_case,
-    run_variant,
     shrink_case,
+    simulate_topology,
 )
 from repro.verify import telemetry
 from repro.verify.perturb import (
@@ -266,10 +266,10 @@ class TestPerturbOracle:
         assert reference_style(("sp", "combinational")) == "sp"
         assert reference_style(("shiftreg", "rtl-shiftreg")) == "fsm"
 
-    def test_run_variant_collects_relay_telemetry(self):
+    def test_simulate_topology_collects_relay_telemetry(self):
         topology = random_topology(7)
         deep = derive_variants(topology, 2, seed=7)[1].topology
-        run = run_variant(deep, "fsm", cycles=200)
+        run = simulate_topology(deep, "fsm", cycles=200)
         assert run.error is None
         assert run.relay_peak is not None
         station, depth = run.relay_peak
@@ -348,10 +348,10 @@ class TestVacuityExemption:
             v for v in case_variants(case) if v.label == "resegment1"
         )
         assert lowers_latency(case.topology, variant.topology)
-        base = run_variant(case.topology, "fsm", case.cycles)
+        base = simulate_topology(case.topology, "fsm", case.cycles)
         assert base.deadlocked and 0 < sum(map(len, base.streams.values()))
         assert not sum(
-            map(len, run_variant(variant.topology, "fsm", case.cycles)
+            map(len, simulate_topology(variant.topology, "fsm", case.cycles)
                 .streams.values())
         )
         session = telemetry.activate(TelemetrySession())

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.compiler import CompilerOptions
+from repro.core.equivalence import RTLShell, Stimulus, _build_single
 from repro.core.schedule import IOSchedule, SyncPoint
+from repro.core.synthesis import synthesize_wrapper
 from repro.core.wrappers import (
     WRAPPER_STYLES,
     CombinationalWrapper,
@@ -14,7 +16,7 @@ from repro.core.wrappers import (
     SPWrapper,
     make_wrapper,
 )
-from repro.lis.pearl import FunctionPearl
+from repro.lis.pearl import FunctionPearl, PearlError
 from repro.lis.shell import ShellError
 from repro.lis.simulator import Simulation
 from repro.lis.stream import burst_gaps
@@ -230,10 +232,59 @@ class TestFactory:
         system.connect_source("sa", range(10), shell, "a")
         system.connect_source("sb", range(10), shell, "b")
         system.connect_sink(shell, "y", "k")
-        with pytest.raises(ShellError):
+        with pytest.raises(PearlError):
             Simulation(system).run(50)
 
     def test_utilization_bounds(self, simple_schedule):
         shell, _sink, sim = _adder_system(SPWrapper, simple_schedule)
         sim.run(100)
         assert 0.0 < shell.utilization(100) <= 1.0
+
+
+def _contract_shell(style, schedule):
+    """A shell of ``style`` around a pearl that omits ``y`` at sync
+    point 1 (``rtl-*`` styles as ``rtl-<kind>-<engine>``)."""
+    pearl = FunctionPearl("bad", schedule, lambda index, popped: {})
+    if style.startswith("rtl-"):
+        _rtl, kind, engine = style.split("-")
+        synth = synthesize_wrapper(schedule, kind)
+        return RTLShell(
+            pearl, synth.module, program=synth.program, engine=engine
+        )
+    if style == "shiftreg":
+        # Idle one cycle so the first fire finds its input.
+        return ShiftRegisterWrapper(pearl, prefix=[False])
+    return make_wrapper(style, pearl)
+
+
+class TestPearlContract:
+    """One output-contract check, in the one firing protocol: every
+    style raises the same error, with the same text, at the same
+    cycle."""
+
+    @pytest.mark.parametrize(
+        "style",
+        [
+            "fsm",
+            "sp",
+            "combinational",
+            "shiftreg",
+            "rtl-sp-compiled",
+            "rtl-sp-interp",
+            "rtl-fsm-compiled",
+            "rtl-fsm-interp",
+        ],
+    )
+    def test_wrong_outputs_raise_pearl_error(self, simple_schedule, style):
+        shell = _contract_shell(style, simple_schedule)
+        stimulus = Stimulus(
+            tokens={"a": list(range(10)), "b": list(range(10))}
+        )
+        system = _build_single(shell, stimulus, "contract")[0]
+        with pytest.raises(PearlError) as caught:
+            Simulation(system).run(30)
+        assert type(caught.value) is PearlError
+        assert str(caught.value) == (
+            "pearl 'bad' cycle 3: sync point 1 produced [], "
+            "schedule says ['y']"
+        )
