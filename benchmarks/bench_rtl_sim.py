@@ -3,10 +3,10 @@
 Both engines simulate the same SP *golden* wrapper (the reference
 schedule of ``tests/test_rtl_golden.py``) against port FIFOs (deques)
 refilled each cycle from one seeded FIFO-status stimulus, each driven
-the way :class:`repro.core.equivalence.RTLShell` drives it: the
-compiled engine through one bound
-:meth:`~repro.rtl.compile_sim.CompiledSimulator.fifo_driver` call per
-cycle, the interpreter (``--engine interp``) by name — poke every
+the way :class:`repro.core.equivalence.RTLShell` drives it: one call
+per cycle of the engine's ``fifo_driver`` function.  The compiled
+engine's is generated code bound to the deques; the interpreter's
+(``--engine interp``) runs by name — poke every
 ``not_empty``/``not_full`` input from the deques, settle, peek every
 strobe into the strobe word, step.  Both engines must return the same
 strobe-word checksum.  The acceptance bar is a >= 10x speedup for the
@@ -92,30 +92,8 @@ def _reset(sim) -> None:
     sim.poke("rst", 0)
 
 
-def _by_name(sim, fifos):
-    """The interpreter's per-cycle function: RTLShell's by-name
-    poke/settle/peek/step cycle, returning the strobe word."""
-    ins = list(zip(_STATUS_INPUTS[:_N_INPUTS], fifos))
-    outs = list(zip(_STATUS_INPUTS[_N_INPUTS:], fifos[_N_INPUTS:]))
-
-    def cycle() -> int:
-        for name, fifo in ins:
-            sim.poke(name, int(bool(fifo)))
-        for name, fifo in outs:
-            sim.poke(name, int(len(fifo) < 1))
-        sim.settle()
-        word = 0
-        for bit, name in enumerate(_STROBES):
-            if sim.peek(name):
-                word |= 1 << bit
-        sim.step()
-        return word
-
-    return cycle
-
-
-def _bound(sim, fifos):
-    """The compiled engine's per-cycle function, bound once."""
+def _driver(sim, fifos):
+    """The engine's per-cycle function over the deques, bound once."""
     return sim.fifo_driver(
         list(zip(_STATUS_INPUTS[:_N_INPUTS], fifos)),
         [
@@ -148,7 +126,7 @@ def _time_pair(module, stimulus):
     interp_sim = InterpSimulator(module)
     _reset(interp_sim)
     fifos = _fifos()
-    interp_cycle = _by_name(interp_sim, fifos)
+    interp_cycle = _driver(interp_sim, fifos)
     started = time.perf_counter()
     interp_sum = _drive(interp_cycle, fifos, stimulus)
     interp_elapsed = time.perf_counter() - started
@@ -156,7 +134,7 @@ def _time_pair(module, stimulus):
     compiled_sim = CompiledSimulator(module)
     _reset(compiled_sim)
     fifos = _fifos()
-    compiled_cycle = _bound(compiled_sim, fifos)
+    compiled_cycle = _driver(compiled_sim, fifos)
     started = time.perf_counter()
     compiled_sum = _drive(compiled_cycle, fifos, stimulus)
     compiled_elapsed = time.perf_counter() - started
@@ -196,8 +174,9 @@ def test_compiled_engine_beats_interpreter(benchmark):
     lines = [
         "Compiled vs interpreted RTL simulation "
         f"(SP golden wrapper, {CYCLES} cycles driven as RTLShell "
-        "drives them: one bound fifo_driver call per cycle vs the "
-        f"interpreter's by-name poke/settle/peek/step, best of {ROUNDS})",
+        "drives them: one fifo_driver call per cycle, generated code vs "
+        "the interpreter's by-name poke/settle/peek/step, best of "
+        f"{ROUNDS})",
         "",
         f"{'engine':>10} | {'ms/run':>8} {'cycles/s':>12}",
         "-" * 36,

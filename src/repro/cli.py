@@ -143,8 +143,6 @@ def _flush_telemetry(session, writer, metrics_path, wall_s) -> None:
         writer.close()
     if metrics_path is not None:
         path = pathlib.Path(metrics_path)
-        if path.parent != pathlib.Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(
             path,
             json.dumps(
@@ -339,13 +337,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(report.coverage.render())
             if args.coverage_json is not None:
                 path = pathlib.Path(args.coverage_json)
-                if path.parent != pathlib.Path(""):
-                    path.parent.mkdir(parents=True, exist_ok=True)
                 write_atomic(path, report.coverage.to_json())
                 print(f"wrote coverage JSON to {path}")
         if args.out is not None:
             out_dir = pathlib.Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
             for outcome, topology in report.shrunk:
                 path = out_dir / f"case{outcome.index}_minimal.json"
                 write_atomic(path, json.dumps(topology, indent=2) + "\n")

@@ -4,13 +4,15 @@ Two pieces:
 
 * :class:`RTLShell` — a shell whose firing decisions come from
   cycle-accurately simulating a *generated wrapper module* (SP, FSM or
-  shift-register RTL).  It drives the RTL's ``not_empty``/``not_full``
-  inputs from the real FIFO ports, fires when the RTL raises
-  ``ip_enable``, and cross-checks every ``pop``/``push`` strobe against
-  the expected script — any divergence raises
-  :class:`EquivalenceError` with the offending cycle.  The pops, pushes
-  and pearl calls themselves are :class:`~repro.lis.shell.Shell`'s one
-  firing protocol.
+  shift-register RTL).  Each cycle is one call of the simulator's
+  ``fifo_driver`` function (the same interface under both RTL
+  engines), which drives the RTL's ``not_empty``/``not_full`` inputs
+  from the real FIFO ports and returns the strobe word.  The shell
+  fires when the RTL raises ``ip_enable`` and cross-checks every
+  ``pop``/``push`` strobe against the expected script — any
+  divergence raises :class:`EquivalenceError` with the offending
+  cycle.  The pops, pushes and pearl calls themselves are
+  :class:`~repro.lis.shell.Shell`'s one firing protocol.
 * :func:`co_simulate` — runs a behavioural wrapper and an RTL wrapper
   in twin systems fed identical stimuli and compares their cycle-level
   enable traces and token-level outputs.
@@ -42,9 +44,10 @@ class EquivalenceError(AssertionError):
 
 
 # RTLShell driver bindings, process-local: ``bound`` counts shells
-# bound to a generated per-cycle function (compiled engine),
-# ``by_name`` shells driven through ``poke``/``peek``.  One count per
-# binding, i.e. per shell and again after each ``reset()``.
+# bound to the compiled engine's generated per-cycle function,
+# ``by_name`` shells bound to the interpreter's, which runs by name
+# through ``poke``/``peek``.  One count per binding, i.e. per shell and
+# again after each ``reset()``.
 _DRIVER_STATS: dict[str, int] = {"bound": 0, "by_name": 0}
 
 
@@ -87,17 +90,8 @@ class RTLShell(Shell):
             self._script = script_from_program(program)
         in_names = [sanitize(n) for n in pearl.schedule.inputs]
         out_names = [sanitize(n) for n in pearl.schedule.outputs]
-        # Readiness inputs per port, and the strobe word's bits: bit 0
-        # ip_enable, then one pop bit per input, then one push bit per
-        # output (schedule order).
-        self._not_empty_pokes = [
-            (name, f"{port}_not_empty")
-            for name, port in zip(pearl.schedule.inputs, in_names)
-        ]
-        self._not_full_pokes = [
-            (name, f"{port}_not_full")
-            for name, port in zip(pearl.schedule.outputs, out_names)
-        ]
+        # The strobe word's bits: bit 0 ip_enable, then one pop bit per
+        # input, then one push bit per output (schedule order).
         self._strobe_names = [
             "ip_enable",
             *(f"{port}_pop" for port in in_names),
@@ -120,47 +114,28 @@ class RTLShell(Shell):
         self._drive: Callable[[], int] | None = None
 
     def _bind_driver(self) -> Callable[[], int]:
-        """Bind (as ``_drive``) and return the per-cycle function
-        returning the strobe word for the current simulator.  Under the
-        compiled engine it is generated code bound to the port FIFOs
-        (:meth:`~repro.rtl.compile_sim.CompiledSimulator.fifo_driver`);
-        otherwise the RTL is driven by name through ``poke``/``peek``."""
+        """Bind (as ``_drive``) and return the simulator's per-cycle
+        function returning the strobe word
+        (:meth:`~repro.rtl.compile_sim.CompiledSimulator.fifo_driver`),
+        fed from the port FIFOs."""
         rtl = self.rtl
-        if rtl.engine != "compiled":
-            _DRIVER_STATS["by_name"] += 1
-            self._drive = self._cycle_by_name
-            return self._drive
-        _DRIVER_STATS["bound"] += 1
+        schedule = self.pearl.schedule
+        _DRIVER_STATS["bound" if rtl.engine == "compiled" else "by_name"] += 1
         # A wrapper step starts with nothing popped this cycle (ports
         # drop their pops at commit), so not_empty is a non-empty FIFO.
         not_empty = [
-            (poke, self.in_ports[name]._fifo)
-            for name, poke in self._not_empty_pokes
+            (f"{sanitize(name)}_not_empty", self.in_ports[name]._fifo)
+            for name in schedule.inputs
         ]
         not_full = []
-        for name, poke in self._not_full_pokes:
+        for name in schedule.outputs:
             port = self.out_ports[name]
-            not_full.append((poke, port._fifo, port._pushed, port.depth))
+            signal = f"{sanitize(name)}_not_full"
+            not_full.append((signal, port._fifo, port._pushed, port.depth))
         self._drive = rtl.fifo_driver(
             not_empty, not_full, self._strobe_names
         )
         return self._drive
-
-    def _cycle_by_name(self) -> int:
-        rtl = self.rtl
-        in_ports = self.in_ports
-        out_ports = self.out_ports
-        for name, poke_name in self._not_empty_pokes:
-            rtl.poke(poke_name, int(in_ports[name].not_empty))
-        for name, poke_name in self._not_full_pokes:
-            rtl.poke(poke_name, int(out_ports[name].not_full))
-        rtl.settle()
-        word = 0
-        for bit, name in enumerate(self._strobe_names):
-            if rtl.peek(name):
-                word |= 1 << bit
-        rtl.step()
-        return word
 
     def _sync_ready(self, cycle: int) -> bool:
         word = (self._drive or self._bind_driver())()

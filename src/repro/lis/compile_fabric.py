@@ -109,7 +109,6 @@ def _stock_shell(block: Shell) -> bool:
         cls.produce is Shell.produce
         and cls.consume is Shell.consume
         and cls.commit is Shell.commit
-        and cls.phase_parts is Shell.phase_parts
         and all(type(p) is InputPort for p in block.in_ports.values())
         and all(type(p) is OutputPort for p in block.out_ports.values())
     )

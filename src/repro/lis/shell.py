@@ -259,22 +259,6 @@ class Shell(Block):
         for port in self._ports():
             port.commit()
 
-    def phase_parts(self):
-        cls = type(self)
-        if (
-            cls.produce is not Shell.produce
-            or cls.consume is not Shell.consume
-            or cls.commit is not Shell.commit
-        ):
-            # A subclass replaced a phase wholesale; don't flatten.
-            return super().phase_parts()
-        ports = self._ports()
-        return (
-            [port.produce for port in ports],
-            [port.consume for port in ports] + [self._wrapper_step],
-            [port.commit for port in ports],
-        )
-
     def reset(self) -> None:
         for port in self._ports():
             port.reset()

@@ -10,9 +10,9 @@ Two engines run that schedule.  :meth:`Simulation.run` lowers a system
 built from stock fabric blocks into one generated run loop
 (:mod:`repro.lis.compile_fabric`) whenever no watchers are attached.
 Everything else, and every :meth:`Simulation.step`, takes the
-object-level *reference loop* over per-phase bound-method lists built
-once at construction; the lowering is differentially tested against
-it.
+object-level *reference loop*, which calls each block's ``produce``,
+``consume`` and ``commit`` in block order; the lowering is
+differentially tested against it.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ class Simulation:
         self.cycle = 0
         self._watchers: list[Callable[[int], None]] = []
         self._blocks = system.blocks
-        self._produce: list[Callable[[int], None]] = []
-        self._consume: list[Callable[[int], None]] = []
-        self._commit: list[Callable[[], None]] = []
-        for block in self._blocks:
-            produce, consume, commit = block.phase_parts()
-            self._produce.extend(produce)
-            self._consume.extend(consume)
-            self._commit.extend(commit)
         self._shells = list(system.shells.values())
         # The lowered run loop: False until the first run() tries to
         # lower the system, None when it cannot be lowered.
@@ -95,9 +87,7 @@ class Simulation:
     ) -> tuple[int, bool]:
         """The object-level reference loop: ``(cycles executed,
         deadlocked)``."""
-        produce = self._produce
-        consume = self._consume
-        commit = self._commit
+        blocks = self._blocks
         watchers = self._watchers
         shells = self._shells
         cycle = start = self.cycle
@@ -107,12 +97,12 @@ class Simulation:
         last_total = sum(shell.enabled_cycles for shell in shells)
         try:
             for _ in range(cycles):
-                for fn in produce:
-                    fn(cycle)
-                for fn in consume:
-                    fn(cycle)
-                for fn in commit:
-                    fn()
+                for block in blocks:
+                    block.produce(cycle)
+                for block in blocks:
+                    block.consume(cycle)
+                for block in blocks:
+                    block.commit()
                 for watcher in watchers:
                     watcher(cycle)
                 cycle += 1

@@ -100,11 +100,6 @@ class StallInjector(Block):
     def reset(self) -> None:
         self.stalled_cycles = 0
 
-    def phase_parts(self):
-        # Only the produce phase does anything; skip the no-op
-        # consume/commit dispatch in the simulator's flattened loop.
-        return [self.produce], [], []
-
 
 def apply_stall_plan(
     system: System, stalls: Sequence[LinkStall]

@@ -21,12 +21,7 @@ Lowering pipeline (:func:`compile_design`):
    fragment (every *stored* value is already masked, so reads need no
    masks), constants folded bottom-up, and constant-valued nets
    propagated into their readers;
-4. **prune** — combinational targets that feed no register, no
-   top-level signal and no live net are moved out of the hot ``settle``
-   body into a separate ``settle_dead`` function, run lazily only when
-   such a net is actually peeked (the laziness is exact: a pending
-   refresh is flushed *before* any poke mutates the environment);
-5. **emit + cache** — register sampling and commits are unrolled into
+4. **emit + cache** — register sampling and commits are unrolled into
    a registers-only ``edge`` body (sample all, commit all), ROMs become
    padded tuple lookups, and the whole kernel is compiled once per
    *shape*.
@@ -34,9 +29,8 @@ Lowering pipeline (:func:`compile_design`):
 Settle-once clocking: :meth:`CompiledSimulator.step` runs only the
 edge and marks the environment *unsettled*; the settle the interpreter
 runs at the end of every step is deferred until something observes the
-environment (``peek``, ``peek_flat``, ``poke``, a pruned-net
-refresh, the next edge) or :meth:`~CompiledSimulator.settle` is called.
-A per-cycle driver that writes its inputs and then settles thus
+environment (``peek``, ``peek_flat``, ``poke``, the next edge) or
+:meth:`~CompiledSimulator.settle` is called.  A per-cycle driver that writes its inputs and then settles thus
 settles each cycle once instead of twice, while every observation
 equals the interpreter's, including the "pre-poke" view a poke after a
 step leaves behind.
@@ -48,7 +42,9 @@ the strobe outputs into one word, clock the edge — and leaves the
 cycle counter and the lazy-settle mark exactly as ``settle()`` then
 ``step()`` would.  Its code is generated once per *slot layout* and
 cached in a small LRU; the FIFOs, the env and the kernel functions are
-bound per call.
+bound per call.  The interpreter's
+:meth:`~repro.rtl.simulator.InterpSimulator.fifo_driver` has the same
+signature and semantics, run by name through ``poke``/``peek``.
 
 Cache-key contract: kernels are cached per worker process under the
 structural key ``(slot count, generated source, ROM images)``.  The
@@ -139,21 +135,16 @@ def _lower(
     expr: Expr,
     local: dict[int, int],
     const_slots: dict[int, int],
-    used: set[int],
 ) -> tuple[str, int | str]:
     if isinstance(expr, Signal):
         slot = local[id(expr)]
         if slot in const_slots:
             return ("c", const_slots[slot])
-        used.add(slot)
         return ("s", f"e[{slot}]")
     if isinstance(expr, Const):
         return ("c", expr.value)
 
-    parts = [
-        _lower(child, local, const_slots, used)
-        for child in expr.children()
-    ]
+    parts = [_lower(child, local, const_slots) for child in expr.children()]
     if all(kind == "c" for kind, _ in parts):
         return ("c", _const_eval(expr, parts))
 
@@ -394,23 +385,12 @@ class _Elaboration:
 
 
 class _Kernel:
-    """One exec'd settle/edge/settle_dead function triple."""
+    """One exec'd settle/edge function pair."""
 
-    __slots__ = (
-        "settle",
-        "edge",
-        "settle_dead",
-        "dead_slots",
-        "n_slots",
-        "source",
-    )
+    __slots__ = ("settle", "edge", "n_slots", "source")
 
     def __init__(
-        self,
-        n_slots: int,
-        source: str,
-        rom_tables: list[tuple[int, ...]],
-        dead_slots: frozenset[int],
+        self, n_slots: int, source: str, rom_tables: list[tuple[int, ...]]
     ) -> None:
         namespace: dict = {
             f"_rom{k}": table for k, table in enumerate(rom_tables)
@@ -418,8 +398,6 @@ class _Kernel:
         exec(compile(source, "<compiled-rtl>", "exec"), namespace)
         self.settle = namespace["_settle"]
         self.edge = namespace["_edge"]
-        self.settle_dead = namespace["_settle_dead"]
-        self.dead_slots = dead_slots
         self.n_slots = n_slots
         self.source = source
 
@@ -503,16 +481,15 @@ def cache_stats() -> dict[str, float]:
 def _emit_comb_line(
     item: _CombItem,
     const_slots: dict[int, int],
-    used: set[int],
     rom_tables: list[tuple[int, ...]],
 ) -> str:
     if item.rom is None:
-        kind, value = _lower(item.expr, item.local, const_slots, used)
+        kind, value = _lower(item.expr, item.local, const_slots)
         if kind == "c":
             const_slots[item.target] = int(value)
         return f"e[{item.target}] = {value}"
     rom = item.rom
-    akind, addr = _lower(item.expr, item.local, const_slots, used)
+    akind, addr = _lower(item.expr, item.local, const_slots)
     if akind == "c":
         value = rom.read(int(addr))
         const_slots[item.target] = value
@@ -535,9 +512,7 @@ def _emit_comb_line(
 
 
 def _emit_reg_lines(
-    regs: list[_RegItem],
-    const_slots: dict[int, int],
-    used: set[int],
+    regs: list[_RegItem], const_slots: dict[int, int]
 ) -> list[str]:
     """Sample-then-commit lines reproducing the interpreter's register
     semantics: reset wins, a deasserted enable holds, else load."""
@@ -547,12 +522,12 @@ def _emit_reg_lines(
         reg = item.reg
         target = item.target
         reset = (
-            _lower(reg.reset, item.local, const_slots, used)
+            _lower(reg.reset, item.local, const_slots)
             if reg.reset is not None
             else None
         )
         enable = (
-            _lower(reg.enable, item.local, const_slots, used)
+            _lower(reg.enable, item.local, const_slots)
             if reg.enable is not None
             else None
         )
@@ -566,9 +541,7 @@ def _emit_reg_lines(
         if enable is not None and enable[0] == "c":
             sample = f"e[{target}]"  # tied low; only the reset can act
         else:
-            sample = str(
-                _lower(reg.next, item.local, const_slots, used)[1]
-            )
+            sample = str(_lower(reg.next, item.local, const_slots)[1])
             if enable is not None:
                 sample = f"({sample} if {enable[1]} else e[{target}])"
         if reset is not None:
@@ -584,53 +557,15 @@ def _emit_reg_lines(
     return samples + commits
 
 
-def _emit(
-    elab: _Elaboration,
-) -> tuple[str, list[tuple[int, ...]], frozenset[int]]:
-    """Lower a scheduled elaboration to (kernel source, ROM images,
-    pruned dead-target slots)."""
-    order = elab.schedule()
+def _emit(elab: _Elaboration) -> tuple[str, list[tuple[int, ...]]]:
+    """Lower a scheduled elaboration to (kernel source, ROM images)."""
     const_slots: dict[int, int] = {}
     rom_tables: list[tuple[int, ...]] = []
-
-    comb_lines: list[tuple[int, str]] = []  # (target, line) in order
-    comb_used: list[set[int]] = []
-    for i in order:
-        used: set[int] = set()
-        line = _emit_comb_line(
-            elab.comb[i], const_slots, used, rom_tables
-        )
-        comb_lines.append((elab.comb[i].target, line))
-        comb_used.append(used)
-
-    reg_used: set[int] = set()
-    reg_lines = _emit_reg_lines(elab.regs, const_slots, reg_used)
-
-    # Liveness: a combinational target matters if a register samples
-    # it, it is visible at top level, or a live net reads it.
-    live: set[int] = set(reg_used)
-    live.update(range(elab.top_slots))
-    live_flags = [False] * len(comb_lines)
-    for pos in range(len(comb_lines) - 1, -1, -1):
-        target, _line = comb_lines[pos]
-        if target in live:
-            live_flags[pos] = True
-            live.update(comb_used[pos])
     settle_lines = [
-        line
-        for (_t, line), flag in zip(comb_lines, live_flags)
-        if flag
+        _emit_comb_line(elab.comb[i], const_slots, rom_tables)
+        for i in elab.schedule()
     ]
-    dead_lines = [
-        line
-        for (_t, line), flag in zip(comb_lines, live_flags)
-        if not flag
-    ]
-    dead_slots = frozenset(
-        target
-        for (target, _line), flag in zip(comb_lines, live_flags)
-        if not flag
-    )
+    reg_lines = _emit_reg_lines(elab.regs, const_slots)
 
     def body(lines: list[str], indent: str) -> str:
         if not lines:
@@ -642,15 +577,12 @@ def _emit(
             "def _settle(e):",
             body(settle_lines, "    "),
             "",
-            "def _settle_dead(e):",
-            body(dead_lines, "    "),
-            "",
             "def _edge(e):",
             body(reg_lines, "    "),
             "",
         ]
     )
-    return source, rom_tables, dead_slots
+    return source, rom_tables
 
 
 def compile_design(design: Design | Module) -> _Plan:
@@ -663,20 +595,13 @@ def compile_design(design: Design | Module) -> _Plan:
         _ENGINE_STATS["memo_hits"] += 1
         return memoized[1]
     elab = _Elaboration(design)
-    source, rom_tables, dead_slots = _emit(elab)
-    key = (
-        len(elab.names),
-        source,
-        tuple(rom_tables),
-        dead_slots,
-    )
+    source, rom_tables = _emit(elab)
+    key = (len(elab.names), source, tuple(rom_tables))
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
         _ENGINE_STATS["misses"] += 1
         compile_started = time.perf_counter()
-        kernel = _Kernel(
-            len(elab.names), source, rom_tables, dead_slots
-        )
+        kernel = _Kernel(len(elab.names), source, rom_tables)
         _ENGINE_STATS["compile_ms"] += (
             time.perf_counter() - compile_started
         ) * 1e3
@@ -702,13 +627,13 @@ _DRIVER_CACHE: OrderedDict[tuple, Callable] = OrderedDict()
 
 def _driver_factory(layout: tuple) -> Callable:
     """The ``bind(sim, env, settle, edge, *fifos)`` factory for one
-    slot layout ``(not_empty slots, not_full slots, strobe slots,
-    has pruned nets)``, generated and compiled on first use."""
+    slot layout ``(not_empty slots, not_full slots, strobe slots)``,
+    generated and compiled on first use."""
     factory = _DRIVER_CACHE.get(layout)
     if factory is not None:
         _DRIVER_CACHE.move_to_end(layout)
         return factory
-    not_empty, not_full, strobes, has_dead = layout
+    not_empty, not_full, strobes = layout
     params = []
     lines = []
     for k, slot in enumerate(not_empty):
@@ -732,7 +657,6 @@ def _driver_factory(layout: tuple) -> Callable:
             f"        word = {word or 0}",
             "        edge(env)",
             "        sim._unsettled = True",
-            *(["        sim._dead_stale = True"] if has_dead else []),
             "        sim.cycle += 1",
             "        return word",
             "    return cycle",
@@ -769,7 +693,6 @@ class CompiledSimulator(Simulator):
         self._name_slot = plan.name_slot
         self._masks = plan.masks
         self._env: list[int] = [0] * plan.kernel.n_slots
-        self._dead_stale = False
         self._unsettled = False
         self.cycle = 0
         self.settle()
@@ -788,22 +711,12 @@ class CompiledSimulator(Simulator):
             raise KeyError(f"no signal named {name!r} in top module")
         return slot
 
-    def _refresh_dead(self) -> None:
-        if self._unsettled:
-            self.settle()
-        self._kernel.settle_dead(self._env)
-        self._dead_stale = False
-
     def poke(self, name: str, value: int) -> None:
         """Drive a top-level input (propagates at the next settle/step)."""
         if self._unsettled:
             # Settle against the pre-poke inputs, as the interpreter's
             # step already did.
             self.settle()
-        if self._dead_stale:
-            # Flush pruned nets against the pre-poke environment so a
-            # later peek sees exactly the values of the last settle.
-            self._refresh_dead()
         slot = self.slot(name)
         self._env[slot] = value & self._masks[slot]
 
@@ -817,8 +730,6 @@ class CompiledSimulator(Simulator):
         slot = self.slot(name)
         if self._unsettled:
             self.settle()
-        if self._dead_stale and slot in self._kernel.dead_slots:
-            self._refresh_dead()
         return self._env[slot]
 
     def peek_flat(self, flat_name: str) -> int:
@@ -826,8 +737,6 @@ class CompiledSimulator(Simulator):
         slot = self._name_slot[flat_name]
         if self._unsettled:
             self.settle()
-        if self._dead_stale and slot in self._kernel.dead_slots:
-            self._refresh_dead()
         return self._env[slot]
 
     def flat_names(self) -> list[str]:
@@ -853,15 +762,13 @@ class CompiledSimulator(Simulator):
         ``strobes[k]``), clocks one edge and returns the word, leaving
         :attr:`cycle` and the lazy-settle mark as :meth:`settle` then
         :meth:`step` would.  The function stays bound to this
-        simulator; top-level signals are never pruned, so the strobes
-        are always current."""
+        simulator."""
         slot = self.slot
         kernel = self._kernel
         layout = (
             tuple(slot(name) for name, _fifo in not_empty),
             tuple(slot(entry[0]) for entry in not_full),
             tuple(slot(name) for name in strobes),
-            bool(kernel.dead_slots),
         )
         bound = [fifo for _name, fifo in not_empty]
         for _name, fifo, pending, depth in not_full:
@@ -876,8 +783,6 @@ class CompiledSimulator(Simulator):
         """Propagate combinational logic (one straight-line pass)."""
         self._kernel.settle(self._env)
         self._unsettled = False
-        if self._kernel.dead_slots:
-            self._dead_stale = True
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` rising edges, leaving the

@@ -27,13 +27,15 @@ Two interchangeable engines implement these semantics:
 ``Simulator(design)`` dispatches on the ``engine`` argument (or the
 ``REPRO_RTL_ENGINE`` environment variable); both engines expose the
 identical ``poke``/``peek``/``peek_flat``/``settle``/``step``/``cycle``
-surface.
+surface, plus ``fifo_driver``: one function per clock cycle of a
+FIFO-interfaced wrapper, which is how ``RTLShell`` drives either
+engine.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .ast import Expr, Signal
 from .module import Design, Module, Register, Rom
@@ -283,6 +285,35 @@ class InterpSimulator(Simulator):
 
     def flat_names(self) -> list[str]:
         return sorted(self._env)
+
+    def fifo_driver(
+        self,
+        not_empty: Sequence[tuple[str, Sequence]],
+        not_full: Sequence[tuple[str, Sequence, Sequence, int]],
+        strobes: Sequence[str],
+    ) -> Callable[[], int]:
+        """One function that runs a whole clock cycle and returns the
+        strobe word, by name: poke the readiness inputs from the FIFOs,
+        settle, peek ``strobes`` into the word (bit ``k`` is
+        ``strobes[k]``), step.  Signature and semantics are those of
+        :meth:`~repro.rtl.compile_sim.CompiledSimulator.fifo_driver`."""
+        poke = self.poke
+        peek = self.peek
+
+        def cycle() -> int:
+            for name, fifo in not_empty:
+                poke(name, 1 if fifo else 0)
+            for name, fifo, pending, depth in not_full:
+                poke(name, 1 if len(fifo) + len(pending) < depth else 0)
+            self.settle()
+            word = 0
+            for bit, name in enumerate(strobes):
+                if peek(name):
+                    word |= 1 << bit
+            self.step()
+            return word
+
+        return cycle
 
     # -- execution -------------------------------------------------------------
 

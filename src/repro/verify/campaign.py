@@ -20,11 +20,13 @@ Journal layout (one JSON object per line):
   with ``flush`` + ``fsync`` so a SIGKILL costs at most the in-flight
   case.
 
-Keys are emitted sorted, so fault-free journals of the same campaign
-are byte-comparable after a sort by case index.  A truncated trailing
-line (the record being written when the process died) is tolerated on
-load: :meth:`CampaignJournal.resume` truncates the file back to the
-last complete record before appending.
+The file follows the crash-safe JSONL contract of
+:mod:`repro.verify.jsonl`: keys are emitted sorted, so fault-free
+journals of the same campaign are byte-comparable after a sort by case
+index, and a truncated trailing line (the record being written when
+the process died) is tolerated on load —
+:meth:`CampaignJournal.resume` truncates the file back to the last
+complete record before appending.
 
 Also home to :func:`write_atomic`, the temp-file + ``os.replace``
 helper that keeps reproducer/coverage JSON writes crash-safe.
@@ -32,14 +34,14 @@ helper that keeps reproducer/coverage JSON writes crash-safe.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import IO, Mapping
+from typing import Mapping
 
 from .cases import CaseOutcome, Divergence
+from .jsonl import JsonlWriter, read_jsonl
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -56,11 +58,13 @@ JOURNAL_VERSION = 1
 
 def write_atomic(path: Path | str, text: str) -> None:
     """Write ``text`` to ``path`` atomically: temp file in the same
-    directory, fsync, then ``os.replace`` — a crash mid-write leaves
-    either the old file or the new one, never a truncated hybrid."""
+    directory (created if missing), fsync, then ``os.replace`` — a
+    crash mid-write leaves either the old file or the new one, never a
+    truncated hybrid."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp"
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as handle:
@@ -145,6 +149,14 @@ def outcome_to_record(outcome: CaseOutcome) -> dict:
     }
 
 
+def _journaled_outcome(record: Mapping) -> CaseOutcome:
+    """Parse one journal line after the header (``ValueError`` for a
+    line that is not an outcome record)."""
+    if record.get("kind") != "outcome":
+        raise ValueError(f"not an outcome record: {record.get('kind')!r}")
+    return outcome_from_record(record)
+
+
 def outcome_from_record(record: Mapping) -> CaseOutcome:
     return CaseOutcome(
         index=record["case"],
@@ -171,9 +183,9 @@ def outcome_from_record(record: Mapping) -> CaseOutcome:
 class CampaignJournal:
     """Append-only JSONL checkpoint of one campaign."""
 
-    def __init__(self, path: Path, handle: IO[str]) -> None:
+    def __init__(self, path: Path, writer: JsonlWriter) -> None:
         self.path = path
-        self._handle = handle
+        self._writer = writer
 
     # -- creation / resumption -------------------------------------------------
 
@@ -181,21 +193,17 @@ class CampaignJournal:
     def create(cls, path: Path | str, config) -> "CampaignJournal":
         """Start a fresh journal (truncating any existing file)."""
         path = Path(path)
-        handle = open(path, "w")
-        journal = cls(path, handle)
-        journal._append(
-            {
-                "kind": "header",
-                "version": JOURNAL_VERSION,
-                "config": config_fingerprint(config),
-                "info": {
-                    "jobs": config.jobs,
-                    "timeout": config.timeout,
-                    "retries": config.retries,
-                },
-            }
-        )
-        return journal
+        header = {
+            "kind": "header",
+            "version": JOURNAL_VERSION,
+            "config": config_fingerprint(config),
+            "info": {
+                "jobs": config.jobs,
+                "timeout": config.timeout,
+                "retries": config.retries,
+            },
+        }
+        return cls(path, JsonlWriter.create(path, header, durable=True))
 
     @classmethod
     def resume(
@@ -214,7 +222,7 @@ class CampaignJournal:
                 f"cannot resume: no journal at {path} "
                 "(run once with --checkpoint to create it)"
             )
-        header, outcomes, valid_bytes = cls._load(path)
+        header, records, valid_bytes = read_jsonl(path, _journaled_outcome)
         if header is None:
             raise ValueError(
                 f"cannot resume: {path} has no readable journal header"
@@ -237,60 +245,20 @@ class CampaignJournal:
                 f"cannot resume: journal {path} belongs to a different "
                 f"campaign (mismatched: {', '.join(mismatched)})"
             )
-        handle = open(path, "r+")
-        handle.truncate(valid_bytes)
-        handle.seek(valid_bytes)
-        return cls(path, handle), outcomes
-
-    @staticmethod
-    def _load(
-        path: Path,
-    ) -> tuple[dict | None, dict[int, CaseOutcome], int]:
-        """Tolerant line-by-line parse: returns the header, the
-        outcomes by case index, and the byte offset just past the last
-        complete, parseable record."""
-        header: dict | None = None
-        outcomes: dict[int, CaseOutcome] = {}
-        valid_bytes = 0
-        with open(path, "rb") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # in-flight record from a killed writer
-                try:
-                    record = json.loads(raw)
-                except ValueError:
-                    break
-                if not isinstance(record, dict):
-                    break
-                kind = record.get("kind")
-                if kind == "header" and header is None:
-                    header = record
-                elif kind == "outcome" and header is not None:
-                    try:
-                        outcome = outcome_from_record(record)
-                    except (KeyError, TypeError):
-                        break
-                    outcomes[outcome.index] = outcome
-                else:
-                    break
-                valid_bytes += len(raw)
-        return header, outcomes, valid_bytes
+        writer = JsonlWriter.reopen(path, valid_bytes, durable=True)
+        return cls(path, writer), {
+            outcome.index: outcome for outcome in records
+        }
 
     # -- appends ---------------------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     def record(self, outcome: CaseOutcome) -> None:
         """Checkpoint one finished case (flushed and fsynced — a kill
         after this returns can never lose the outcome)."""
-        self._append(outcome_to_record(outcome))
+        self._writer.append(outcome_to_record(outcome))
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        self._writer.close()
 
     def __enter__(self) -> "CampaignJournal":
         return self

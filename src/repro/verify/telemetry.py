@@ -9,7 +9,8 @@ lightweight probes sprinkled through the pipeline and feeds two sinks,
 * an append-only JSONL **event stream** (``repro verify --events``) —
   one record per line, written through :class:`EventWriter` with a
   header line and a torn-tail-tolerant reader (:func:`read_events`),
-  mirroring the campaign journal's crash contract; and
+  under the campaign journal's crash-safe JSONL contract
+  (:mod:`repro.verify.jsonl`); and
 * an in-memory :class:`Rollup` — per-stage span totals (with
   per-style breakdown), counters, gauges, per-worker fault tables and
   the slowest cases — exported as ``--metrics-json`` and rendered in
@@ -43,10 +44,11 @@ and the off cost is bench-guarded (see
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping
+
+from .jsonl import JsonlWriter, read_jsonl
 
 __all__ = [
     "EVENTS_VERSION",
@@ -551,36 +553,25 @@ class EventWriter:
         meta: Mapping[str, Any] | None = None,
     ) -> None:
         self.path = Path(path)
-        if self.path.parent != Path(""):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
         self.t0 = t0
-        self._handle = self.path.open("w", encoding="utf-8")
         header = {
             "kind": "header",
             "version": EVENTS_VERSION,
             "meta": dict(meta or {}),
         }
-        self._handle.write(json.dumps(header, sort_keys=True) + "\n")
-        self._handle.flush()
+        self._writer = JsonlWriter.create(self.path, header, durable=False)
 
     def write(self, record: Mapping[str, Any]) -> None:
-        if self._handle.closed:
+        if self._writer.closed:
             return
         rebased = dict(record)
         rebased["t"] = round(float(rebased.get("t", self.t0)) - self.t0, 6)
-        self._handle.write(json.dumps(rebased, sort_keys=True) + "\n")
-        self._handle.flush()
+        self._writer.append(rebased)
 
     def close(self) -> None:
         """Flush, fsync and close (idempotent) — the clean tail the
         interrupted path promises."""
-        if self._handle.closed:
-            return
-        self._handle.flush()
-        import os
-
-        os.fsync(self._handle.fileno())
-        self._handle.close()
+        self._writer.close()
 
 
 def read_events(path: str | Path) -> tuple[dict | None, list[dict]]:
@@ -589,31 +580,13 @@ def read_events(path: str | Path) -> tuple[dict | None, list[dict]]:
     Tolerates a torn tail — parsing stops at the first incomplete or
     unparseable line, exactly like
     :meth:`repro.verify.campaign.CampaignJournal` recovery — and
-    returns ``(None, [])`` for a file whose first line is not a valid
-    header.
+    returns ``(None, [])`` for a missing file or one whose first line
+    is not a valid header.
     """
-    path = Path(path)
-    header: dict | None = None
-    records: list[dict] = []
     try:
-        raw = path.read_text(encoding="utf-8")
+        header, records, _valid_bytes = read_jsonl(path)
     except OSError:
         return None, []
-    for index, line in enumerate(raw.split("\n")):
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            break  # torn tail: keep everything before it
-        if not isinstance(record, dict):
-            break
-        if index == 0:
-            if record.get("kind") != "header":
-                return None, []
-            header = record
-            continue
-        records.append(record)
     return header, records
 
 

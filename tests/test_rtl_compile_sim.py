@@ -400,12 +400,6 @@ class TestDeadNetPruning:
         parent.instantiate(child, "u0", {"a": pa, "y": out})
         return parent
 
-    def test_pruned_net_is_out_of_the_hot_settle(self):
-        sim = CompiledSimulator(self._design())
-        slot = sim._name_slot["u0.scratch"]
-        assert slot in sim._kernel.dead_slots
-        assert f"e[{slot}]" not in sim.source.split("_settle_dead")[0]
-
     def test_pruned_net_peeks_identically(self):
         interp = InterpSimulator(self._design())
         compiled = CompiledSimulator(self._design())

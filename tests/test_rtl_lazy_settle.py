@@ -4,8 +4,9 @@
 the interpreter runs at the end of every step until the environment is
 next observed.  Every observation after an edge-only step must still
 equal the interpreter's: ``peek``, ``peek_flat``, a poke followed by a
-peek (the "pre-poke" view), ``step(n > 1)``, a peek of a pruned (dead)
-net, and the bound per-cycle function ``fifo_driver`` returns.
+peek (the "pre-poke" view), ``step(n > 1)``, a peek of a net that feeds
+nothing, and the per-cycle function ``fifo_driver`` returns, which
+must also equal the interpreter's own ``fifo_driver``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import pytest
 
 from repro.core.compiler import CompilerOptions, compile_schedule
 from repro.core.rtlgen import generate_fsm_wrapper, generate_sp_wrapper
+from repro.core.schedule import IOSchedule, SyncPoint
+from repro.core.synthesis import synthesize_wrapper
 from repro.rtl.compile_sim import CompiledSimulator
 from repro.rtl.module import Module
 from repro.rtl.simulator import InterpSimulator
@@ -23,14 +26,14 @@ from repro.sched.generate import random_topology
 
 
 def _pipeline() -> Module:
-    """Registers feeding live nets and, inside an instance, a pruned
-    one (top-level nets are never pruned)."""
+    """Registers feeding nets at top level and, inside an instance, a
+    net that feeds nothing."""
     child = Module("tap")
     x = child.input("x", 8)
     ca = child.input("a", 8)
     child.assign(child.output("y", 8), x + 1)
     scratch = child.wire("scratch", 8)
-    child.assign(scratch, x + ca + 3)  # feeds nothing: a pruned net
+    child.assign(scratch, x + ca + 3)  # feeds nothing
     m = Module("pipe")
     m.add_clock()
     rst = m.input("rst")
@@ -104,7 +107,6 @@ def test_multi_cycle_step(cycles):
 
 def test_dead_net_peek_after_edge_only_step():
     interp, compiled = _engines(_pipeline())
-    assert compiled._name_slot["u0.scratch"] in compiled._kernel.dead_slots
     for _ in range(2):
         assert compiled.peek_flat("u0.scratch") == interp.peek_flat(
             "u0.scratch"
@@ -145,13 +147,14 @@ def test_wrapper_modules_observed_every_way(seed):
 
 
 def _handshake() -> Module:
-    """Two readiness inputs, two strobe outputs and a pruned net inside
-    an instance: the shape of a FIFO-interfaced wrapper."""
+    """Two readiness inputs, two strobe outputs and a net that feeds
+    nothing inside an instance: the shape of a FIFO-interfaced
+    wrapper."""
     child = Module("tap")
     x = child.input("x")
     child.assign(child.output("y"), ~x)
     scratch = child.wire("scratch")
-    child.assign(scratch, x ^ child.input("a"))  # a pruned net
+    child.assign(scratch, x ^ child.input("a"))  # feeds nothing
     m = Module("hs")
     m.add_clock()
     rst = m.input("rst")
@@ -167,7 +170,7 @@ def _handshake() -> Module:
 
 def test_fifo_driver_equals_settle_then_step():
     """One bound call per cycle leaves every observation, the cycle
-    counter and the lazy-settle marks as poke + settle + step do."""
+    counter and the lazy-settle mark as poke + settle + step do."""
     rng = random.Random(3)
     module = _handshake()
     interp = InterpSimulator(module)
@@ -202,7 +205,68 @@ def test_fifo_driver_equals_settle_then_step():
         for sim in (interp, stepped):
             sim.step()
         assert cycle() == expected
-        assert (driven.cycle, driven._unsettled, driven._dead_stale) == (
-            stepped.cycle, stepped._unsettled, stepped._dead_stale,
+        assert (driven.cycle, driven._unsettled) == (
+            stepped.cycle, stepped._unsettled,
         )
         assert _flat_view(driven) == _flat_view(interp)
+
+
+def _golden_schedule() -> IOSchedule:
+    """The reference schedule of ``tests/test_rtl_golden.py``."""
+    return IOSchedule(
+        ["a", "b"],
+        ["y", "status"],
+        [
+            SyncPoint({"a"}, frozenset(), run=1),
+            SyncPoint({"a", "b"}, frozenset(), run=3),
+            SyncPoint(frozenset(), {"y"}),
+            SyncPoint(frozenset(), {"y", "status"}, run=2),
+        ],
+    )
+
+
+@pytest.mark.parametrize("style", ["sp", "fsm", "shiftreg"])
+def test_interp_fifo_driver_equals_compiled(style):
+    """Both engines' ``fifo_driver`` functions, fed from the same
+    FIFOs, return equal strobe words and leave equal cycle counters
+    and flat views every cycle of a golden wrapper."""
+    schedule = _golden_schedule()
+    module = synthesize_wrapper(schedule, style, name=f"golden_{style}").module
+    rng = random.Random(11)
+    ins = [[] for _ in schedule.inputs]
+    outs = [([], []) for _ in schedule.outputs]
+    not_empty = [
+        (f"{name}_not_empty", fifo)
+        for name, fifo in zip(schedule.inputs, ins)
+    ]
+    not_full = [
+        (f"{name}_not_full", fifo, pending, 2)
+        for name, (fifo, pending) in zip(schedule.outputs, outs)
+    ]
+    strobes = [
+        "ip_enable",
+        *(f"{name}_pop" for name in schedule.inputs),
+        *(f"{name}_push" for name in schedule.outputs),
+    ]
+    interp = InterpSimulator(module)
+    compiled = CompiledSimulator(module)
+    cycles = []
+    for sim in (interp, compiled):
+        sim.poke("rst", 1)
+        sim.step()
+        sim.poke("rst", 0)
+        cycles.append(sim.fifo_driver(not_empty, not_full, strobes))
+    interp_cycle, compiled_cycle = cycles
+    fired = 0
+    for cycle in range(80):
+        for fifo in ins:
+            fifo[:] = [0] * rng.randrange(2)
+        for fifo, pending in outs:
+            fifo[:] = [0] * rng.randrange(3)
+            pending[:] = [0] * rng.randrange(2)
+        word = interp_cycle()
+        assert compiled_cycle() == word, cycle
+        assert compiled.cycle == interp.cycle
+        assert _flat_view(compiled) == _flat_view(interp), cycle
+        fired += word & 1
+    assert fired > 0

@@ -342,6 +342,30 @@ def test_cli_checkpoint_resume_round_trip(tmp_path, capsys):
     assert len(journal.read_text().splitlines()) == 5
 
 
+def test_cli_creates_missing_artifact_directories(tmp_path, capsys):
+    """Journal, event stream, metrics and coverage JSON each land in
+    a directory the run has to create."""
+    paths = {
+        flag: tmp_path / f"new{index}" / "deeper" / name
+        for index, (flag, name) in enumerate(
+            [
+                ("--checkpoint", "j.jsonl"),
+                ("--events", "e.jsonl"),
+                ("--metrics-json", "m.json"),
+                ("--coverage-json", "c.json"),
+            ]
+        )
+    }
+    args = ["verify", "--cases", "2", "--cycles", "60", "--seed", "8"]
+    for flag, path in paths.items():
+        args += [flag, str(path)]
+    assert cli.main(args) == 0, capsys.readouterr().err
+    journal = paths["--checkpoint"].read_text().splitlines()
+    assert len(journal) == 3  # header + two outcomes
+    for flag in ("--metrics-json", "--coverage-json"):
+        json.loads(paths[flag].read_text())
+
+
 # -- atomic writes -------------------------------------------------------------
 
 
