@@ -71,6 +71,7 @@ if TYPE_CHECKING:
 FABRIC_CACHE_MAX = 8
 
 _CODE_CACHE: OrderedDict[tuple, CodeType] = OrderedDict()
+_CODE_IDS = itertools.count(1)
 
 # Engine counters, process-local like the cache they describe:
 # ``lowered``/``reference`` count ``Simulation.run`` calls per engine,
@@ -556,7 +557,10 @@ def _lower(
         _STATS["misses"] += 1
         source = _generate(shape)
         compiling = time.perf_counter()
-        code = compile(source, "<compiled-fabric>", "exec")
+        # A filename per code object: profilers key their entries by
+        # (filename, line, function), which every run loop would share.
+        filename = f"<compiled-fabric#{next(_CODE_IDS)}>"
+        code = compile(source, filename, "exec")
         _STATS["compile_ms"] += (time.perf_counter() - compiling) * 1e3
         _CODE_CACHE[shape] = code
         if len(_CODE_CACHE) > FABRIC_CACHE_MAX:

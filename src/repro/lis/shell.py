@@ -15,8 +15,11 @@ enabled/stall counters and the enable trace.  A wrapper style supplies
 only the per-cycle decision, through two hooks called exactly once
 per cycle with the cycle number: :meth:`Shell._sync_ready` when the
 next entry is due and :meth:`Shell._run_gate_ok` during free-run
-cycles.  The styles live in :mod:`repro.core.wrappers` (and
-:class:`~repro.core.equivalence.RTLShell`):
+cycles.  A decision reads only the ports, the script position
+(``_script_pos``) and the style's own state, which is what lets
+:class:`repro.verify.lockstep.LockstepShell` take two styles'
+decisions inside one shell.  The styles live in
+:mod:`repro.core.wrappers` (and :class:`~repro.core.equivalence.RTLShell`):
 
 * ``SPWrapper`` / ``FSMWrapper`` — test only the current sync point's
   port subsets (the paper's behaviour and Singh & Theobald's);

@@ -64,6 +64,7 @@ instead of served stale.
 
 from __future__ import annotations
 
+import itertools
 import time
 import weakref
 from collections import OrderedDict
@@ -383,6 +384,16 @@ class _Elaboration:
 
 # -- code emission -------------------------------------------------------------
 
+_CODE_IDS = itertools.count(1)
+
+
+def _code_filename(kind: str) -> str:
+    """A filename unique to one compiled code object, ``<compiled-rtl#17>``
+    or ``<compiled-rtl-driver#18>``: profilers key their entries by
+    (filename, line, function), so generated functions that share a
+    label would be merged into one entry."""
+    return f"<compiled-{kind}#{next(_CODE_IDS)}>"
+
 
 class _Kernel:
     """One exec'd settle/edge function pair."""
@@ -395,7 +406,7 @@ class _Kernel:
         namespace: dict = {
             f"_rom{k}": table for k, table in enumerate(rom_tables)
         }
-        exec(compile(source, "<compiled-rtl>", "exec"), namespace)
+        exec(compile(source, _code_filename("rtl"), "exec"), namespace)
         self.settle = namespace["_settle"]
         self.edge = namespace["_edge"]
         self.n_slots = n_slots
@@ -664,7 +675,7 @@ def _driver_factory(layout: tuple) -> Callable:
         ]
     )
     namespace: dict = {}
-    exec(compile(source, "<compiled-rtl-driver>", "exec"), namespace)
+    exec(compile(source, _code_filename("rtl-driver"), "exec"), namespace)
     factory = _DRIVER_CACHE[layout] = namespace["bind"]
     if len(_DRIVER_CACHE) > DRIVER_CACHE_MAX:
         _DRIVER_CACHE.popitem(last=False)

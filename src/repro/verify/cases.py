@@ -8,8 +8,10 @@ This module owns the case data types and the simulation machinery:
 wrapper styles come from the registry (:mod:`repro.verify.styles`, one
 :class:`~repro.verify.styles.StyleSpec` per style) and the checks from
 the oracle pipeline (:mod:`repro.verify.oracles`), so :func:`run_case`
-is just ``run_styles`` (a registry fold over the case's style list)
-followed by ``run_pipeline`` (an oracle fold over the resulting runs).
+is just ``run_styles`` (a registry fold over the case's style list,
+running each cycle-exact pair once in lockstep,
+:mod:`repro.verify.lockstep`) followed by ``run_pipeline`` (an oracle
+fold over the resulting runs).
 Adding a wrapper style or an invariant never touches this file.
 
 Every process is paired with a :class:`MixPearl`, a deterministic
@@ -38,7 +40,8 @@ from ..lis.stream import Sink
 from ..lis.system import System
 from ..lis.throughput import MarkedGraph
 from ..sched.generate import SystemTopology, TopologyVariant
-from . import telemetry
+from . import lockstep, telemetry
+from .lockstep import LockstepShell, lockstep_pairs
 from .regular import StaticActivation, plan_topology_activations
 from .styles import (
     ALL_STYLES,
@@ -133,6 +136,7 @@ def build_system(
     trace: bool = False,
     engine: str | None = None,
     activations: Mapping[str, StaticActivation] | None = None,
+    reference: str | None = None,
 ) -> tuple[System, dict[str, Shell], dict[str, Sink]]:
     """Instantiate ``topology`` with wrappers of ``style``.
 
@@ -145,22 +149,32 @@ def build_system(
     it).  The shift-register styles (``shiftreg`` / ``rtl-shiftreg``)
     additionally need ``activations`` — per-process static activation
     plans from :func:`repro.verify.regular.plan_topology_activations`.
+    With a ``reference`` style every shell is a
+    :class:`~repro.verify.lockstep.LockstepShell` led by ``style`` and
+    checked against ``reference`` each cycle; the system keeps the
+    name of ``style``.
     """
-    spec = get_style(style)
+    specs = [get_style(style)]
+    if reference is not None:
+        specs.append(get_style(reference))
     system = System(f"{topology.name}:{style}")
     shells: dict[str, Shell] = {}
     for node in topology.processes:
         pearl = MixPearl(node.name, node.schedule)
-        shell = spec.build(
-            pearl,
-            node,
-            topology.port_depth,
-            engine=engine,
-            activation=(
-                None if activations is None
-                else activations.get(node.name)
-            ),
+        activation = (
+            None if activations is None else activations.get(node.name)
         )
+        built = [
+            spec.build(
+                pearl,
+                node,
+                topology.port_depth,
+                engine=engine,
+                activation=activation,
+            )
+            for spec in specs
+        ]
+        shell = built[0] if reference is None else LockstepShell(*built)
         if trace:
             shell.trace_enable = []
         system.add_patient(shell)
@@ -330,36 +344,34 @@ def relay_peak_occupancy(system: System) -> tuple[str, int] | None:
     return peak
 
 
-def simulate_topology(
+def _simulate(
     topology: SystemTopology,
     style: str,
     cycles: int,
-    deadlock_window: int | None = 64,
-    engine: str | None = None,
-    trace: bool = False,
-    activations: Mapping[str, StaticActivation] | None = None,
-    stalls: Sequence[LinkStall] = (),
+    deadlock_window: int | None,
+    engine: str | None,
+    trace: bool,
+    activations: Mapping[str, StaticActivation] | None,
+    stalls: Sequence[LinkStall],
+    reference: str | None = None,
 ) -> StyleRun:
-    """Simulate ``topology`` under one style and harvest everything
-    the oracle checks; a crash becomes an ``error`` record, never an
-    exception.  ``stalls`` is an optional mid-run stall plan
-    (:mod:`repro.lis.stall`) applied once the system is wired."""
-    try:
-        with telemetry.span("build", style=style):
-            system, shells, sinks = build_system(
-                topology, style, trace=trace, engine=engine,
-                activations=activations,
-            )
-            if stalls:
-                apply_stall_plan(system, stalls)
-        with telemetry.span("simulate", style=style):
-            result = Simulation(system).run(
-                cycles, deadlock_window=deadlock_window
-            )
-    except Exception as exc:  # any failure is a finding, not a crash
-        return StyleRun(
-            streams={}, traces={}, periods={}, executed=0,
-            error=f"{type(exc).__name__}: {exc}",
+    """Build, stall and simulate one system and harvest its run;
+    exceptions propagate.  With a ``reference`` style the system runs
+    both styles in lockstep (:func:`build_system`), and its spans carry
+    the reference as an attribute."""
+    fields = {"style": style}
+    if reference is not None:
+        fields["reference"] = reference
+    with telemetry.span("build", **fields):
+        system, shells, sinks = build_system(
+            topology, style, trace=trace, engine=engine,
+            activations=activations, reference=reference,
+        )
+        if stalls:
+            apply_stall_plan(system, stalls)
+    with telemetry.span("simulate", **fields):
+        result = Simulation(system).run(
+            cycles, deadlock_window=deadlock_window
         )
     return StyleRun(
         streams={
@@ -378,6 +390,57 @@ def simulate_topology(
         relay_peak=relay_peak_occupancy(system),
         deadlocked=result.deadlocked,
     )
+
+
+def simulate_topology(
+    topology: SystemTopology,
+    style: str,
+    cycles: int,
+    deadlock_window: int | None = 64,
+    engine: str | None = None,
+    trace: bool = False,
+    activations: Mapping[str, StaticActivation] | None = None,
+    stalls: Sequence[LinkStall] = (),
+) -> StyleRun:
+    """Simulate ``topology`` under one style and harvest everything
+    the oracle checks; a crash becomes an ``error`` record, never an
+    exception.  ``stalls`` is an optional mid-run stall plan
+    (:mod:`repro.lis.stall`) applied once the system is wired."""
+    try:
+        return _simulate(
+            topology, style, cycles, deadlock_window, engine, trace,
+            activations, stalls,
+        )
+    except Exception as exc:  # any failure is a finding, not a crash
+        return StyleRun(
+            streams={}, traces={}, periods={}, executed=0,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+
+def _simulate_lockstep(
+    topology: SystemTopology,
+    checked: str,
+    reference: str,
+    cycles: int,
+    deadlock_window: int | None,
+    engine: str | None,
+    trace: bool,
+    activations: Mapping[str, StaticActivation] | None,
+    stalls: Sequence[LinkStall],
+) -> StyleRun | None:
+    """One lockstep run standing for both styles of a cycle-exact
+    pair, or None when the styles disagreed or either raised (the
+    caller then simulates them separately)."""
+    lockstep._STATS["runs"] += 1
+    try:
+        return _simulate(
+            topology, checked, cycles, deadlock_window, engine, trace,
+            activations, stalls, reference=reference,
+        )
+    except Exception:
+        lockstep._STATS["fallbacks"] += 1
+        return None
 
 
 def _plan_activations(
@@ -418,8 +481,17 @@ def run_styles(
     stalls: Sequence[LinkStall] = (),
     trace: bool = True,
 ) -> dict[str, StyleRun]:
-    """Simulate ``topology`` once per style, in order — the registry
-    fold the oracle pipeline consumes.
+    """One :class:`StyleRun` per style, keyed in ``styles`` order — the
+    registry fold the oracle pipeline consumes.
+
+    Each cycle-exact pair (:func:`repro.verify.lockstep.lockstep_pairs`)
+    is simulated once, in lockstep, and both styles get that run.  If
+    the pair disagrees on any decision or either style raises, the
+    lockstep run is discarded and both styles are simulated separately
+    through :func:`simulate_topology`, which also runs every unpaired
+    style; so every divergence and error text is a separate run's.
+    Pairs and single styles run in the order their first style
+    appears.
 
     Styles that need a planned static activation (the registry's
     ``needs_activation`` flag) trigger one per-topology planning pass,
@@ -428,10 +500,17 @@ def run_styles(
     names become error records too (a finding for the oracles, never
     a crash).
     """
+    partner: dict[str, tuple[str, str]] = {}
+    for pair in lockstep_pairs(styles):
+        partner[pair[0]] = partner[pair[1]] = pair
     runs: dict[str, StyleRun] = {}
     activations: dict[str, StaticActivation] | None = None
     planning_error: str | None = None
     for style in styles:
+        if style in runs:
+            continue
+        pair = partner.get(style)
+        members = [s for s in styles if s in pair] if pair else [style]
         try:
             needs_activation = get_style(style).needs_activation
         except ValueError:
@@ -451,33 +530,45 @@ def run_styles(
             if planning_error is not None:
                 # Planning is per-topology, not per-style: don't retry
                 # it for the second shift-register style.
-                runs[style] = StyleRun(
-                    streams={}, traces={}, periods={}, executed=0,
-                    error=planning_error,
-                )
+                for member in members:
+                    runs[member] = StyleRun(
+                        streams={}, traces={}, periods={}, executed=0,
+                        error=planning_error,
+                    )
                 continue
-        runs[style] = simulate_topology(
-            topology,
-            style,
-            cycles,
-            deadlock_window,
-            engine=engine,
-            trace=trace,
-            activations=activations,
-            stalls=stalls,
-        )
-    return runs
+        if pair is not None:
+            run = _simulate_lockstep(
+                topology, *pair, cycles, deadlock_window, engine, trace,
+                activations, stalls,
+            )
+            if run is not None:
+                for member in members:
+                    runs[member] = run
+                continue
+        for member in members:
+            runs[member] = simulate_topology(
+                topology,
+                member,
+                cycles,
+                deadlock_window,
+                engine=engine,
+                trace=trace,
+                activations=activations,
+                stalls=stalls,
+            )
+    return {style: runs[style] for style in styles}
 
 
 def run_case(case: VerifyCase) -> CaseOutcome:
     """Execute every style of one case and fold the oracle pipeline
     over the results.
 
-    Styles run in the order given; the shift-register styles derive
-    their static activation plan from the FSM reference run (rerunning
-    it if ``fsm`` is absent or ordered after them), so a case that
-    includes them simulates the topology once more than its style
-    count suggests only in that fallback.
+    Styles run through :func:`run_styles`: each cycle-exact pair is
+    one lockstep simulation unless it falls back to two separate ones,
+    so the regular style set simulates four systems per case, not
+    seven.  The shift-register styles derive their static activation
+    plan from the FSM reference run, rerunning it only when ``fsm`` is
+    absent or ordered after them.
     """
     # Imported lazily: the oracle pipeline consumes this module's
     # data types.

@@ -1,0 +1,136 @@
+"""Lockstep simulation of a cycle-exact style pair.
+
+A cycle-exact pair (a style and its registry ``cycle_exact_reference``,
+e.g. ``rtl-fsm`` and ``fsm``) must fire every process on exactly the
+same cycles.  Simulating the two styles as two systems does the same
+run twice whenever they agree.  A :class:`LockstepShell` instead runs
+one system whose shells take both styles' decisions every cycle: the
+checked style's shell leads, the reference style's shell is the
+companion decision, and any disagreement raises
+:class:`LockstepDivergence`.
+
+Why one run stands for two: a style's run is a deterministic function
+of its decision sequence, given the same script, pearl and fabric.
+When both decision sequences agree cycle for cycle and nothing raises,
+each style's separate run would equal the lockstep run.  Anything else
+(a disagreement, or an exception from either decision) discards the
+lockstep run, and :func:`repro.verify.cases.run_styles` simulates both
+styles separately, so every divergence and exception text comes from
+the separate runs.
+
+Counters, process-local like the fabric and RTL engine counters:
+``runs`` counts lockstep simulations attempted and ``fallbacks`` those
+discarded for separate runs (bridged as ``lockstep.*`` by
+:func:`repro.verify.telemetry.engine_stats`).
+"""
+
+from __future__ import annotations
+
+from typing import NoReturn, Sequence
+
+from ..lis.shell import Shell
+from .styles import get_style
+
+__all__ = [
+    "LockstepDivergence",
+    "LockstepShell",
+    "lockstep_pairs",
+    "lockstep_stats",
+]
+
+_STATS: dict[str, int] = {"runs": 0, "fallbacks": 0}
+
+
+def lockstep_stats() -> dict[str, int]:
+    """Snapshot of the lockstep counters (``runs``, ``fallbacks``);
+    cumulative per process."""
+    return dict(_STATS)
+
+
+class LockstepDivergence(RuntimeError):
+    """The two styles of a lockstep shell decided differently."""
+
+
+class LockstepShell(Shell):
+    """One process under two styles' decisions at once.
+
+    The lockstep shell owns the ports, the pearl and the firing
+    protocol; ``lead`` and ``companion`` are shells of the two styles
+    built around the same pearl, used for their decisions only.  They
+    read the FIFOs through the lockstep shell's ``in_ports`` /
+    ``out_ports`` maps (shared, not copied) and see its script
+    position before each decision.  Both scripts must be equal entry
+    for entry, or construction raises :class:`LockstepDivergence`.
+    """
+
+    style = "lockstep"
+
+    def __init__(self, lead: Shell, companion: Shell) -> None:
+        super().__init__(lead.pearl, lead.port_depth)
+        if lead._script != companion._script:
+            raise LockstepDivergence(
+                f"{lead.name!r}: {lead.style} and {companion.style} "
+                "walk different scripts"
+            )
+        self._script = lead._script
+        self.lead = lead
+        self.companion = companion
+        for shell in (lead, companion):
+            shell.in_ports = self.in_ports
+            shell.out_ports = self.out_ports
+
+    def _diverged(self, cycle: int) -> NoReturn:
+        raise LockstepDivergence(
+            f"{self.name!r} cycle {cycle}: {self.lead.style} and "
+            f"{self.companion.style} decided differently"
+        )
+
+    def _sync_ready(self, cycle: int) -> bool:
+        lead, companion = self.lead, self.companion
+        lead._script_pos = companion._script_pos = self._script_pos
+        enabled = lead._sync_ready(cycle)
+        if companion._sync_ready(cycle) != enabled:
+            self._diverged(cycle)
+        return enabled
+
+    def _run_gate_ok(self, cycle: int) -> bool:
+        lead, companion = self.lead, self.companion
+        lead._script_pos = companion._script_pos = self._script_pos
+        enabled = lead._run_gate_ok(cycle)
+        if companion._run_gate_ok(cycle) != enabled:
+            self._diverged(cycle)
+        return enabled
+
+    def reset(self) -> None:
+        super().reset()
+        self.lead.reset()
+        self.companion.reset()
+
+
+def lockstep_pairs(styles: Sequence[str]) -> tuple[tuple[str, str], ...]:
+    """(checked style, reference style) pairs of ``styles`` that run in
+    lockstep, in ``styles`` order: each registered style with its
+    ``cycle_exact_reference`` when both are listed and their
+    ``needs_activation`` flags match.  A style joins at most one pair.
+    (``shiftreg`` and ``fsm`` stay apart: the shift-register plan
+    needs the finished FSM run.)"""
+    pairs = []
+    paired: set[str] = set()
+    for style in styles:
+        try:
+            spec = get_style(style)
+        except ValueError:
+            continue
+        reference = spec.cycle_exact_reference
+        if (
+            reference is None
+            or reference not in styles
+            or style in paired
+            or reference in paired
+            or get_style(reference).needs_activation
+            != spec.needs_activation
+        ):
+            continue
+        pairs.append((style, reference))
+        paired.update((style, reference))
+    return tuple(pairs)

@@ -22,10 +22,11 @@ relay worker-side records over its result pipes):
 * ``span``  — ``{kind, name, t, dur_s, ...fields}``: a timed region
   (``generate``/``build``/``simulate``/``oracle``/``case``/
   ``shrink``); ``build`` and ``simulate`` spans carry a ``style``
-  field, ``case`` and ``shrink`` spans a ``case`` index;
+  field (a lockstep pair's spans carry the checked style plus a
+  ``reference`` field), ``case`` and ``shrink`` spans a ``case`` index;
 * ``count`` — ``{kind, name, t, n}``: a monotonic counter increment
   (``supervise.*``, ``fault.*``, ``corpus.*``, ``rtl.*``,
-  ``fabric.*``, ``shrink.*``);
+  ``fabric.*``, ``lockstep.*``, ``shrink.*``);
 * ``gauge`` — ``{kind, name, t, value}``: a point-in-time level;
 * ``event`` — ``{kind, name, t, ...fields}``: a discrete occurrence
   (worker lifecycle, faults — chaos-injected ones tagged
@@ -259,6 +260,9 @@ class Rollup:
         fabric = _render_fabric(self.counters)
         if fabric:
             lines.append(fabric)
+        lockstep = _render_lockstep(self.counters)
+        if lockstep:
+            lines.append(lockstep)
         skips = self.counters.get("perturb.vacuity_skips", 0)
         if skips:
             lines.append(
@@ -336,6 +340,19 @@ def _render_fabric(counters: Mapping[str, float]) -> str:
     if not lowered:
         line += " -- every run fell back to the reference loop"
     return line
+
+
+def _render_lockstep(counters: Mapping[str, float]) -> str:
+    """The lockstep summary line: cycle-exact pairs simulated once,
+    and how many of those runs were discarded for separate runs."""
+    runs = counters.get("lockstep.runs", 0)
+    if not runs:
+        return ""
+    fallbacks = counters.get("lockstep.fallbacks", 0)
+    return (
+        f"  lockstep: {runs:.0f} cycle-exact pair run(s), "
+        f"{fallbacks:.0f} fell back to separate runs"
+    )
 
 
 def _render_op_yield(counters: Mapping[str, float]) -> str:
@@ -505,16 +522,22 @@ def engine_stats() -> dict[str, float]:
     ``fabric.lowered``/``fabric.reference`` (``Simulation.run`` calls
     per engine) plus ``fabric.cache.*``, and
     :func:`repro.core.equivalence.driver_stats` (RTL shells bound to a
-    generated per-cycle function or driven by name) as ``rtl.driver.*``.
+    generated per-cycle function or driven by name) as ``rtl.driver.*``,
+    and :func:`repro.verify.lockstep.lockstep_stats` (cycle-exact pairs
+    simulated in lockstep, and lockstep runs discarded for separate
+    runs) as ``lockstep.runs``/``lockstep.fallbacks``.
     The modules are imported lazily so probes never drag the engines
     in."""
     from ..core.equivalence import driver_stats
     from ..lis.compile_fabric import cache_stats as fabric_stats
     from ..rtl.compile_sim import cache_stats as rtl_stats
+    from .lockstep import lockstep_stats
 
     stats = {f"rtl.cache.{key}": value for key, value in rtl_stats().items()}
     for key, value in driver_stats().items():
         stats[f"rtl.driver.{key}"] = value
+    for key, value in lockstep_stats().items():
+        stats[f"lockstep.{key}"] = value
     for key, value in fabric_stats().items():
         runs = key in ("lowered", "reference")
         stats[f"fabric.{key}" if runs else f"fabric.cache.{key}"] = value
@@ -615,8 +638,8 @@ def render_report(
     header: dict | None, records: list[dict], top: int = 10
 ) -> str:
     """The ``repro report events.jsonl`` analysis: stage breakdown,
-    per-style time share, slowest cases, fault timeline and
-    mutation-operator yield."""
+    per-style time share, engine paths, slowest cases, fault timeline
+    and mutation-operator yield."""
     rollup = rollup_from_records(records)
     wall = _stream_wall_s(records)
     meta = (header or {}).get("meta", {})
@@ -655,6 +678,18 @@ def render_report(
                 f"{100.0 * sub['total_s'] / total:5.1f}%  "
                 f"({sub['count']} run(s))"
             )
+    engines = [
+        line
+        for line in (
+            _render_rtl(rollup.counters),
+            _render_fabric(rollup.counters),
+            _render_lockstep(rollup.counters),
+        )
+        if line
+    ]
+    if engines:
+        lines.append("engine paths:")
+        lines.extend(engines)
     slowest = rollup.slowest_cases(top)
     if slowest:
         lines.append(f"slowest cases (top {min(top, len(slowest))}):")

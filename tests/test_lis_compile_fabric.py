@@ -12,7 +12,9 @@ topologies under every style, dynamic stall plans and deadlocks.
 
 from __future__ import annotations
 
+import cProfile
 import dataclasses
+import pstats
 import random
 
 import pytest
@@ -595,6 +597,34 @@ class TestCodeCache:
         assert after["hits"] - middle["hits"] == 3
         assert len(calls) == middle["misses"] - before["misses"]
         assert after["lower_ms"] > middle["lower_ms"]
+
+
+class TestProfilerLabels:
+    def test_cprofile_keeps_every_fabric_run_loop(self):
+        # cProfile keys its stats by (filename, line, function): each
+        # generated run loop needs its own filename, or pstats merges
+        # every lowered shape into one entry and drops their calls.
+        from repro.verify import BatchConfig, BatchRunner
+
+        profile = cProfile.Profile()
+        before = compile_fabric.cache_stats()
+        profile.enable()
+        try:
+            BatchRunner(
+                BatchConfig(cases=5, seed=0, jobs=1, profile="regular")
+            ).run()
+        finally:
+            profile.disable()
+        lowered = compile_fabric.cache_stats()["lowered"] - before["lowered"]
+        calls = sum(
+            stats[1]
+            for (filename, _line, name), stats in (
+                pstats.Stats(profile).stats.items()
+            )
+            if filename.startswith("<compiled-fabric") and name == "run"
+        )
+        assert lowered > 0
+        assert calls == lowered
 
 
 class TestRTLShellGlue:

@@ -289,6 +289,31 @@ def test_fabric_line_reports_lowering_time():
     ) in rollup.render().splitlines()
 
 
+def test_lockstep_line_counts_pair_runs_and_fallbacks():
+    rollup = Rollup()
+    for name, n in (("lockstep.runs", 12), ("lockstep.fallbacks", 2)):
+        rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
+    assert (
+        "  lockstep: 12 cycle-exact pair run(s), 2 fell back to "
+        "separate runs"
+    ) in rollup.render().splitlines()
+
+
+def test_cli_metrics_carry_lockstep_counts(tmp_path, capsys):
+    # Two random-traffic cases: rtl-sp/sp and rtl-fsm/fsm run in
+    # lockstep once per case.
+    metrics = tmp_path / "metrics.json"
+    code = cli.main([
+        "verify", "--cases", "2", "--cycles", "60",
+        "--metrics-json", str(metrics),
+    ])
+    assert code == 0
+    counters = json.loads(metrics.read_text())["counters"]
+    assert counters["lockstep.runs"] == 4
+    assert counters.get("lockstep.fallbacks", 0) == 0
+    assert "lockstep: 4 cycle-exact pair run(s)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("engine", ["compiled", "interp"])
 def test_cli_metrics_carry_driver_and_lowering_counts(
     tmp_path, capsys, engine
@@ -441,6 +466,23 @@ def test_cli_report_golden_output(tmp_path, capsys):
     _write_canned(path)
     assert cli.main(["report", str(path)]) == 0
     assert capsys.readouterr().out.rstrip("\n") == REPORT_GOLDEN
+
+
+def test_cli_report_renders_engine_paths(tmp_path, capsys):
+    path = tmp_path / "events.jsonl"
+    _write_canned(path, CANNED_EVENTS + [
+        {"kind": "count", "name": "fabric.lowered", "t": 1.0, "n": 8},
+        {"kind": "count", "name": "lockstep.runs", "t": 1.0, "n": 6},
+    ])
+    assert cli.main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "engine paths:\n"
+        "  lis fabric: 8 lowered / 0 reference run(s)\n"
+        "  lockstep: 6 cycle-exact pair run(s), 0 fell back to separate "
+        "runs\n"
+        "slowest cases"
+    ) in out
 
 
 def test_cli_report_compare_flags_regressions(tmp_path, capsys):
