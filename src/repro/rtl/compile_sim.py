@@ -44,7 +44,31 @@ cycle counter and the lazy-settle mark exactly as ``settle()`` then
 cached in a small LRU; the FIFOs, the env and the kernel functions are
 bound per call.  The interpreter's
 :meth:`~repro.rtl.simulator.InterpSimulator.fifo_driver` has the same
-signature and semantics, run by name through ``poke``/``peek``.
+signature and semantics, run by name through ``poke``/``peek``, and
+stays the unmemoized reference.
+
+Memoized transitions: a bound driver packs its FIFO readiness into an
+int of input bits and looks up ``(state id, input bits) -> (strobe
+word, next state id)`` in a table of its own; only a missing
+transition loads the state into the env and runs ``settle`` and
+``edge``.  The state is the tuple of every slot ``settle`` does not
+write and the driver does not drive: all registers (inert ones too),
+top-level inputs such as ``rst`` and undriven wires.  ``settle`` writes
+every combinational slot (constant-folded ones too) in dependency
+order, so it reads only state slots, driven inputs and slots it has
+already written; ``edge`` writes only registers.  A cycle's strobe word
+and next state are therefore a pure function of (state, input bits),
+and the table is exact.  States are kept as ids into a per-table list
+(shift-register rings are wide ints; no env is stored per state).  One
+table is built per binding, so per ``RTLShell`` run, and dies with its
+simulator: no cap, no eviction.  On a hit the env is not touched; the
+driver leaves it unsettled, as a step does, with a pending
+``materialize`` that :meth:`CompiledSimulator.settle` runs first.
+Every observation (``peek``, ``peek_flat``, ``poke``, ``step``,
+another driver) thus writes the current state and the last cycle's
+input bits back before it settles, so every view equals the
+interpreter's, and the next driver call takes its state from the env
+again.
 
 Cache-key contract: kernels are cached per worker process under the
 structural key ``(slot count, generated source, ROM images)``.  The
@@ -65,6 +89,7 @@ instead of served stale.
 from __future__ import annotations
 
 import itertools
+import re
 import time
 import weakref
 from collections import OrderedDict
@@ -395,10 +420,16 @@ def _code_filename(kind: str) -> str:
     return f"<compiled-{kind}#{next(_CODE_IDS)}>"
 
 
-class _Kernel:
-    """One exec'd settle/edge function pair."""
+# One ``e[slot] = ...`` store of a generated kernel body.
+_STORE = re.compile(r"^    e\[(\d+)\] = ", re.M)
 
-    __slots__ = ("settle", "edge", "n_slots", "source")
+
+class _Kernel:
+    """One exec'd settle/edge function pair, plus the slots each writes:
+    ``free`` lists (ascending) every slot ``settle`` does not write, and
+    ``clocked`` holds the slots ``edge`` writes (the live registers)."""
+
+    __slots__ = ("settle", "edge", "n_slots", "source", "free", "clocked")
 
     def __init__(
         self, n_slots: int, source: str, rom_tables: list[tuple[int, ...]]
@@ -411,6 +442,14 @@ class _Kernel:
         self.edge = namespace["_edge"]
         self.n_slots = n_slots
         self.source = source
+        settle_body, _, edge_body = source.partition("def _edge(e):")
+        settled = {int(slot) for slot in _STORE.findall(settle_body)}
+        self.free = tuple(
+            slot for slot in range(n_slots) if slot not in settled
+        )
+        self.clocked = frozenset(
+            int(slot) for slot in _STORE.findall(edge_body)
+        )
 
 
 class _Plan:
@@ -469,13 +508,18 @@ def kernel_cache_info() -> tuple[int, int]:
 # ``hits``/``misses`` count kernel-cache consults (a plan-memo
 # short-circuit is a ``memo_hits`` instead, since it never reaches the
 # kernel cache) and ``compile_ms`` the wall-clock milliseconds spent
-# exec-compiling missed kernels.
+# exec-compiling missed kernels.  ``tables`` counts per-cycle driver
+# bindings (each builds one transition table) and ``transitions`` the
+# kernel runs on a table miss.
 _ENGINE_STATS: dict[str, float] = {}
 
 
 def reset_cache_stats() -> None:
     """Zero every engine counter (the caches themselves are kept)."""
-    _ENGINE_STATS.update(hits=0, misses=0, memo_hits=0, compile_ms=0.0)
+    _ENGINE_STATS.update(
+        hits=0, misses=0, memo_hits=0, compile_ms=0.0,
+        transitions=0, tables=0,
+    )
 
 
 reset_cache_stats()
@@ -483,9 +527,10 @@ reset_cache_stats()
 
 def cache_stats() -> dict[str, float]:
     """Snapshot of the engine counters: ``hits``, ``misses``,
-    ``memo_hits``, ``compile_ms``.  Counters are cumulative per
-    process; pair with :func:`reset_cache_stats` (or diff two
-    snapshots) to scope a measurement."""
+    ``memo_hits``, ``compile_ms``, ``transitions``, ``tables``.
+    Counters are cumulative per process; pair with
+    :func:`reset_cache_stats` (or diff two snapshots) to scope a
+    measurement."""
     return dict(_ENGINE_STATS)
 
 
@@ -637,39 +682,100 @@ _DRIVER_CACHE: OrderedDict[tuple, Callable] = OrderedDict()
 
 
 def _driver_factory(layout: tuple) -> Callable:
-    """The ``bind(sim, env, settle, edge, *fifos)`` factory for one
-    slot layout ``(not_empty slots, not_full slots, strobe slots)``,
-    generated and compiled on first use."""
+    """The ``bind(sim, env, settle, edge, keys, stats, *fifos)`` factory
+    for one slot layout ``(not_empty slots, not_full slots, strobe
+    slots)``, generated and compiled on first use.
+
+    ``bind`` builds one transition table and returns the per-cycle
+    function.  The table maps ``(state id, input bits)`` to ``(strobe
+    word, next state id)``; a state is the tuple of the ``keys`` slots
+    and its id indexes ``states``.  Only a missing transition runs the
+    kernels, loading the state first unless the env still holds it
+    (``held``: hits never touch the env).  ``materialize`` writes the
+    current state and the last cycle's input bits back into the env;
+    while it is ``sim._pending`` the env is stale, and any other value
+    there means the env is current, so the next cycle takes its state
+    from the env."""
     factory = _DRIVER_CACHE.get(layout)
     if factory is not None:
         _DRIVER_CACHE.move_to_end(layout)
         return factory
     not_empty, not_full, strobes = layout
     params = []
-    lines = []
-    for k, slot in enumerate(not_empty):
+    ready = []
+    for k in range(len(not_empty)):
         params.append(f"i{k}")
-        lines.append(f"        env[{slot}] = 1 if i{k} else 0")
-    for k, slot in enumerate(not_full):
+        ready.append(f"i{k}")
+    for k in range(len(not_full)):
         params += [f"o{k}", f"u{k}", f"n{k}"]
-        lines.append(
-            f"        env[{slot}] = 1 if len(o{k}) + len(u{k}) < n{k} else 0"
-        )
+        ready.append(f"len(o{k}) + len(u{k}) < n{k}")
+    bits = " | ".join(
+        f"({1 << bit} if {cond} else 0)" for bit, cond in enumerate(ready)
+    )
+    puts = [
+        f"        env[{slot}] = inputs >> {bit} & 1"
+        if bit else f"        env[{slot}] = inputs & 1"
+        for bit, slot in enumerate((*not_empty, *not_full))
+    ]
     word = " | ".join(
         f"env[{slot}] << {bit}" if bit else f"env[{slot}]"
         for bit, slot in enumerate(strobes)
     )
+    key = f"sid << {len(ready)} | bits"
     source = "\n".join(
         [
-            f"def bind(sim, env, settle, edge, {', '.join(params)}):",
+            "def bind(sim, env, settle, edge, keys, stats, "
+            f"{', '.join(params)}):",
+            "    table = {}",
+            "    states = []",
+            "    ids = {}",
+            "    sid = bits = held = 0",
+            "    stats['tables'] += 1",
+            "",
+            "    def intern():",
+            "        state = tuple([env[slot] for slot in keys])",
+            "        found = ids.get(state)",
+            "        if found is None:",
+            "            found = ids[state] = len(states)",
+            "            states.append(state)",
+            "        return found",
+            "",
+            "    def load(state):",
+            "        for slot, value in zip(keys, states[state]):",
+            "            env[slot] = value",
+            "",
+            "    def put(inputs):",
+            *(puts or ["        pass"]),
+            "",
+            "    def materialize():",
+            "        sim._pending = None",
+            "        put(bits)",
+            "        load(sid)",
+            "",
             "    def cycle():",
-            *lines,
-            "        settle(env)",
-            f"        word = {word or 0}",
-            "        edge(env)",
-            "        sim._unsettled = True",
+            "        nonlocal sid, bits, held",
+            "        if sim._pending is not materialize:",
+            "            if sim._pending is not None:",
+            "                sim._pending()",
+            "            sid = held = intern()",
+            "            sim._pending = materialize",
+            "            sim._unsettled = True",
+            f"        bits = {bits or 0}",
+            f"        hit = table.get({key})",
+            "        if hit is None:",
+            "            if held != sid:",
+            "                load(sid)",
+            "            put(bits)",
+            "            settle(env)",
+            f"            word = {word or 0}",
+            "            edge(env)",
+            "            held = intern()",
+            f"            hit = table[{key}] = (word, held)",
+            "            stats['transitions'] += 1",
+            "        word, sid = hit",
             "        sim.cycle += 1",
             "        return word",
+            "",
             "    return cycle",
             "",
         ]
@@ -705,6 +811,11 @@ class CompiledSimulator(Simulator):
         self._masks = plan.masks
         self._env: list[int] = [0] * plan.kernel.n_slots
         self._unsettled = False
+        # A bound driver's ``materialize`` while its memoized cycles
+        # have left the env stale (see :meth:`fifo_driver`).  The env is
+        # then also unsettled, so every observation reaches ``settle``,
+        # which materializes first.
+        self._pending: Callable[[], None] | None = None
         self.cycle = 0
         self.settle()
 
@@ -773,25 +884,41 @@ class CompiledSimulator(Simulator):
         ``strobes[k]``), clocks one edge and returns the word, leaving
         :attr:`cycle` and the lazy-settle mark as :meth:`settle` then
         :meth:`step` would.  The function stays bound to this
-        simulator."""
+        simulator.
+
+        The function memoizes the wrapper's transitions in a table of
+        its own (see the module docstring): the kernels run only on a
+        first-seen (state, input bits) pair, and the env is written
+        back only when something observes it."""
         slot = self.slot
         kernel = self._kernel
+        not_empty_slots = tuple(slot(name) for name, _fifo in not_empty)
+        not_full_slots = tuple(slot(entry[0]) for entry in not_full)
+        driven = {*not_empty_slots, *not_full_slots}
+        # A driven slot is overwritten before every settle, so its value
+        # is part of the state only when the edge writes it too.
+        keys = tuple(
+            s for s in kernel.free if s not in driven or s in kernel.clocked
+        )
         layout = (
-            tuple(slot(name) for name, _fifo in not_empty),
-            tuple(slot(entry[0]) for entry in not_full),
+            not_empty_slots,
+            not_full_slots,
             tuple(slot(name) for name in strobes),
         )
         bound = [fifo for _name, fifo in not_empty]
         for _name, fifo, pending, depth in not_full:
             bound += (fifo, pending, depth)
         return _driver_factory(layout)(
-            self, self._env, kernel.settle, kernel.edge, *bound
+            self, self._env, kernel.settle, kernel.edge, keys,
+            _ENGINE_STATS, *bound,
         )
 
     # -- execution ---------------------------------------------------------------
 
     def settle(self) -> None:
         """Propagate combinational logic (one straight-line pass)."""
+        if self._pending is not None:
+            self._pending()
         self._kernel.settle(self._env)
         self._unsettled = False
 

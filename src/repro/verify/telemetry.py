@@ -296,7 +296,8 @@ class Rollup:
 
 def _render_rtl(counters: Mapping[str, float]) -> str:
     """The RTL-engine summary line: kernel reuse, then how the RTL
-    shells were driven (bound per-cycle function versus by name)."""
+    shells were driven (bound per-cycle function versus by name), then
+    the transitions the bound drivers' tables computed."""
     memo = counters.get("rtl.cache.memo_hits", 0)
     hits = counters.get("rtl.cache.hits", 0)
     misses = counters.get("rtl.cache.misses", 0)
@@ -308,13 +309,20 @@ def _render_rtl(counters: Mapping[str, float]) -> str:
     # A plan-memo hit reuses a whole compiled module and never consults
     # the kernel cache; both count as reuse.
     rate = 100.0 * (memo + hits) / consults if consults else 0.0
-    return (
+    line = (
         f"  rtl kernel cache: {memo:.0f} plan-memo hit(s), "
         f"{hits:.0f} kernel hit(s) / {misses:.0f} miss(es) "
         f"({rate:.0f}% reused), "
         f"{counters.get('rtl.cache.compile_ms', 0):.1f}ms compiling; "
         f"shells {bound:.0f} bound / {by_name:.0f} by name"
     )
+    tables = counters.get("rtl.cache.tables", 0)
+    if tables:
+        line += (
+            f"; {counters.get('rtl.cache.transitions', 0):.0f} "
+            f"transition(s) computed over {tables:.0f} driver table(s)"
+        )
+    return line
 
 
 def _render_fabric(counters: Mapping[str, float]) -> str:

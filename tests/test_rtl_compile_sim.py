@@ -376,6 +376,7 @@ class TestCacheStats:
         stats = cache_stats()
         assert set(stats) == {
             "hits", "misses", "memo_hits", "compile_ms",
+            "transitions", "tables",
         }
         assert all(value == 0 for value in stats.values())
 

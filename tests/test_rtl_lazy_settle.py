@@ -6,7 +6,11 @@ next observed.  Every observation after an edge-only step must still
 equal the interpreter's: ``peek``, ``peek_flat``, a poke followed by a
 peek (the "pre-poke" view), ``step(n > 1)``, a peek of a net that feeds
 nothing, and the per-cycle function ``fifo_driver`` returns, which
-must also equal the interpreter's own ``fifo_driver``.
+must also equal the interpreter's own ``fifo_driver``.  The compiled
+driver memoizes the wrapper's transitions and writes its state back
+into the env only when something observes it, so the driver tests
+also observe between driven cycles, poke a non-driven input (``rst``)
+mid-run and run two simulators of one module.
 """
 
 from __future__ import annotations
@@ -16,13 +20,18 @@ import random
 import pytest
 
 from repro.core.compiler import CompilerOptions, compile_schedule
-from repro.core.rtlgen import generate_fsm_wrapper, generate_sp_wrapper
+from repro.core.rtlgen import (
+    generate_fsm_wrapper,
+    generate_shiftreg_wrapper,
+    generate_sp_wrapper,
+)
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.synthesis import synthesize_wrapper
-from repro.rtl.compile_sim import CompiledSimulator
+from repro.rtl.compile_sim import CompiledSimulator, cache_stats
 from repro.rtl.module import Module
 from repro.rtl.simulator import InterpSimulator
-from repro.sched.generate import random_topology
+from repro.sched.generate import PROFILE_PRESETS, random_topology
+from repro.verify import plan_topology_activations
 
 
 def _pipeline() -> Module:
@@ -225,48 +234,222 @@ def _golden_schedule() -> IOSchedule:
     )
 
 
-@pytest.mark.parametrize("style", ["sp", "fsm", "shiftreg"])
-def test_interp_fifo_driver_equals_compiled(style):
+def _golden_wrapper(style: str) -> Module:
+    return synthesize_wrapper(
+        _golden_schedule(), style, name=f"golden_{style}"
+    ).module
+
+
+def _topology_wrapper(seed: int, index: int, style: str) -> Module:
+    """The SP or FSM wrapper of one process of a random topology."""
+    node = random_topology(seed).processes[index]
+    if style == "fsm":
+        return generate_fsm_wrapper(node.schedule, name=f"fsm_{node.name}")
+    program = compile_schedule(node.schedule, CompilerOptions(fuse=False))
+    return generate_sp_wrapper(
+        program, name=f"sp_{node.name}", schedule=node.schedule
+    )
+
+
+def _planned_shiftreg_wrapper(seed: int, index: int) -> Module:
+    """The rtl-shiftreg wrapper of one process of a regular topology."""
+    topology = random_topology(seed, PROFILE_PRESETS["regular"])
+    node = topology.processes[index]
+    plan = plan_topology_activations(topology, 150)[node.name]
+    return generate_shiftreg_wrapper(
+        node.schedule,
+        activation=plan.pattern,
+        name=f"sr_{node.name}",
+        prefix=plan.prefix,
+    )
+
+
+class _Harness:
+    """One wrapper under both engines, each driven through its own
+    ``fifo_driver`` from one set of port FIFOs (named as ``RTLShell``
+    binds them) refilled at random every cycle."""
+
+    def __init__(self, module: Module, seed: int) -> None:
+        ports = [p.name for p in module.input_ports]
+        inputs = [
+            n.removesuffix("_not_empty")
+            for n in ports if n.endswith("_not_empty")
+        ]
+        outputs = [
+            n.removesuffix("_not_full")
+            for n in ports if n.endswith("_not_full")
+        ]
+        self.rng = random.Random(seed)
+        self.ins = [[] for _ in inputs]
+        self.outs = [([], []) for _ in outputs]
+        not_empty = [
+            (f"{name}_not_empty", fifo)
+            for name, fifo in zip(inputs, self.ins)
+        ]
+        not_full = [
+            (f"{name}_not_full", fifo, pending, 2)
+            for name, (fifo, pending) in zip(outputs, self.outs)
+        ]
+        strobes = [
+            "ip_enable",
+            *(f"{name}_pop" for name in inputs),
+            *(f"{name}_push" for name in outputs),
+        ]
+        self.interp = InterpSimulator(module)
+        self.compiled = CompiledSimulator(module)
+        self.drivers = []
+        for sim in self.sims:
+            sim.poke("rst", 1)
+            sim.step()
+            sim.poke("rst", 0)
+            self.drivers.append(sim.fifo_driver(not_empty, not_full, strobes))
+        self.fired = 0
+
+    @property
+    def sims(self):
+        return (self.interp, self.compiled)
+
+    def assert_views_equal(self, label) -> None:
+        assert self.compiled.cycle == self.interp.cycle, label
+        assert _flat_view(self.compiled) == _flat_view(self.interp), label
+
+    def drive(self, cycles: int, observe_every: int = 1) -> None:
+        """Run ``cycles`` driven cycles on both engines, comparing the
+        strobe word and cycle counter every cycle and the full flat
+        view every ``observe_every`` cycles."""
+        interp_cycle, compiled_cycle = self.drivers
+        for cycle in range(cycles):
+            for fifo in self.ins:
+                fifo[:] = [0] * self.rng.randrange(2)
+            for fifo, pending in self.outs:
+                fifo[:] = [0] * self.rng.randrange(3)
+                pending[:] = [0] * self.rng.randrange(2)
+            word = interp_cycle()
+            assert compiled_cycle() == word, cycle
+            assert self.compiled.cycle == self.interp.cycle, cycle
+            if (cycle + 1) % observe_every == 0:
+                self.assert_views_equal(cycle)
+            self.fired += word & 1
+
+
+def _wrapper_cases():
+    cases = [
+        pytest.param(lambda s=style: _golden_wrapper(s), id=style)
+        for style in ("sp", "fsm", "shiftreg")
+    ]
+    for seed in range(20):
+        for index in range(2):
+            for style in ("sp", "fsm"):
+                cases.append(pytest.param(
+                    lambda s=seed, i=index, k=style: _topology_wrapper(
+                        s, i, k
+                    ),
+                    id=f"random{seed}-p{index}-{style}",
+                ))
+            cases.append(pytest.param(
+                lambda s=seed, i=index: _planned_shiftreg_wrapper(s, i),
+                id=f"regular{seed}-p{index}-shiftreg",
+            ))
+    return cases
+
+
+@pytest.mark.parametrize("build", _wrapper_cases())
+def test_interp_fifo_driver_equals_compiled(build):
     """Both engines' ``fifo_driver`` functions, fed from the same
     FIFOs, return equal strobe words and leave equal cycle counters
-    and flat views every cycle of a golden wrapper."""
-    schedule = _golden_schedule()
-    module = synthesize_wrapper(schedule, style, name=f"golden_{style}").module
-    rng = random.Random(11)
-    ins = [[] for _ in schedule.inputs]
-    outs = [([], []) for _ in schedule.outputs]
-    not_empty = [
-        (f"{name}_not_empty", fifo)
-        for name, fifo in zip(schedule.inputs, ins)
-    ]
-    not_full = [
-        (f"{name}_not_full", fifo, pending, 2)
-        for name, (fifo, pending) in zip(schedule.outputs, outs)
-    ]
-    strobes = [
-        "ip_enable",
-        *(f"{name}_pop" for name in schedule.inputs),
-        *(f"{name}_push" for name in schedule.outputs),
-    ]
-    interp = InterpSimulator(module)
-    compiled = CompiledSimulator(module)
-    cycles = []
-    for sim in (interp, compiled):
+    and flat views every cycle: golden wrappers, the SP/FSM wrappers
+    of seeded random topologies and the planned shift-register
+    wrappers of seeded regular topologies."""
+    harness = _Harness(build(), seed=11)
+    harness.drive(80)
+    assert harness.fired > 0
+
+
+@pytest.mark.parametrize("style", ["sp", "fsm", "shiftreg"])
+def test_driver_then_poke_step_settle_then_driver(style):
+    """Observations and edges between driven cycles: the memoized
+    driver writes its state back before each, then takes its state
+    from the env again."""
+    harness = _Harness(_golden_wrapper(style), seed=5)
+    interp, compiled = harness.sims
+    harness.drive(20, observe_every=7)
+    for sim in harness.sims:
+        sim.poke("a_not_empty", 1)
+        sim.poke("y_not_full", 1)
+    # A poke without a settle keeps the pre-poke view.
+    harness.assert_views_equal("poke")
+    for sim in harness.sims:
+        sim.settle()
+    harness.assert_views_equal("settle")
+    harness.drive(20, observe_every=5)
+    for sim in harness.sims:
+        sim.poke("b_not_empty", 1)
+        sim.step(2)
+    harness.assert_views_equal("step")
+    harness.drive(20, observe_every=3)
+    assert harness.fired > 0
+
+
+@pytest.mark.parametrize("style", ["sp", "fsm", "shiftreg"])
+def test_reset_poked_mid_run_changes_the_state(style):
+    """``rst`` is not driven: poking it between driven cycles moves the
+    wrapper to states the table has not seen."""
+    harness = _Harness(_golden_wrapper(style), seed=7)
+    harness.drive(30, observe_every=4)
+    for sim in harness.sims:
         sim.poke("rst", 1)
-        sim.step()
+    harness.drive(3)
+    for sim in harness.sims:
         sim.poke("rst", 0)
-        cycles.append(sim.fifo_driver(not_empty, not_full, strobes))
-    interp_cycle, compiled_cycle = cycles
-    fired = 0
-    for cycle in range(80):
-        for fifo in ins:
+    harness.drive(30)
+    assert harness.fired > 0
+
+
+def test_two_simulators_keep_independent_tables():
+    """Two compiled simulators of one module, driven interleaved with
+    different stimuli, each equal the interpreter; a third repeating
+    the first one's stimulus recomputes every transition in a table of
+    its own."""
+    module = _golden_wrapper("sp")
+    before = cache_stats()
+    first = _Harness(module, seed=21)
+    other = _Harness(module, seed=22)
+    first.drive(15, observe_every=6)
+    computed = cache_stats()["transitions"] - before["transitions"]
+    for _ in range(3):
+        other.drive(15, observe_every=4)
+        first.drive(15, observe_every=6)
+    assert first.fired > 0 and other.fired > 0
+    assert cache_stats()["tables"] - before["tables"] == 2
+    again = _Harness(module, seed=21)
+    start = cache_stats()["transitions"]
+    again.drive(15, observe_every=6)
+    assert cache_stats()["transitions"] - start == computed > 0
+
+
+
+def test_driver_may_drive_a_register():
+    """A driven signal the edge also writes stays part of the state:
+    its post-edge value, not the driven bit, is what an observation
+    sees."""
+    module = _handshake()
+    rng = random.Random(4)
+    fifos = [[], []]
+    sims = (InterpSimulator(module), CompiledSimulator(module))
+    drivers = [
+        sim.fifo_driver(
+            [("state", fifos[0]), ("in_not_empty", fifos[1])],
+            [],
+            ["fire", "low"],
+        )
+        for sim in sims
+    ]
+    for cycle in range(36):
+        for fifo in fifos:
             fifo[:] = [0] * rng.randrange(2)
-        for fifo, pending in outs:
-            fifo[:] = [0] * rng.randrange(3)
-            pending[:] = [0] * rng.randrange(2)
-        word = interp_cycle()
-        assert compiled_cycle() == word, cycle
-        assert compiled.cycle == interp.cycle
-        assert _flat_view(compiled) == _flat_view(interp), cycle
-        fired += word & 1
-    assert fired > 0
+        if cycle % 6 == 0:
+            for sim in sims:
+                sim.poke("out_not_full", cycle % 12 == 0)
+        assert drivers[1]() == drivers[0](), cycle
+        if cycle % 4 == 3:
+            assert _flat_view(sims[1]) == _flat_view(sims[0]), cycle

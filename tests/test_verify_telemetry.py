@@ -261,6 +261,40 @@ def test_rtl_cache_line_counts_plan_memo_hits():
     ) in rollup.render().splitlines()
 
 
+def test_rtl_line_counts_driver_transitions():
+    rollup = Rollup()
+    for name, n in (
+        ("rtl.cache.hits", 4), ("rtl.driver.bound", 6),
+        ("rtl.cache.tables", 6), ("rtl.cache.transitions", 180),
+    ):
+        rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
+    assert (
+        "  rtl kernel cache: 0 plan-memo hit(s), 4 kernel hit(s) / "
+        "0 miss(es) (100% reused), 0.0ms compiling; "
+        "shells 6 bound / 0 by name; "
+        "180 transition(s) computed over 6 driver table(s)"
+    ) in rollup.render().splitlines()
+
+
+def test_cli_metrics_carry_driver_table_counts(tmp_path, capsys):
+    # Regular traffic runs every RTL style; each bound RTL shell builds
+    # one transition table, and the tables compute the transitions.
+    metrics = tmp_path / "metrics.json"
+    code = cli.main([
+        "verify", "--cases", "5", "--traffic", "regular",
+        "--metrics-json", str(metrics),
+    ])
+    assert code == 0
+    counters = json.loads(metrics.read_text())["counters"]
+    tables = counters["rtl.cache.tables"]
+    assert tables == counters["rtl.driver.bound"] > 0
+    assert counters["rtl.cache.transitions"] > 0
+    assert (
+        f"transition(s) computed over {tables:.0f} driver table(s)"
+        in capsys.readouterr().out
+    )
+
+
 def test_rtl_line_shows_shells_driven_by_name_alone():
     # Under the interpreter no kernel cache is consulted; the line
     # still says how the shells were driven.
