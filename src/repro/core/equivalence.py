@@ -43,20 +43,6 @@ class EquivalenceError(AssertionError):
     """Raised when RTL and expected behaviour diverge."""
 
 
-# RTLShell driver bindings, process-local: ``bound`` counts shells
-# bound to the compiled engine's generated per-cycle function,
-# ``by_name`` shells bound to the interpreter's, which runs by name
-# through ``poke``/``peek``.  One count per binding, i.e. per shell and
-# again after each ``reset()``.
-_DRIVER_STATS: dict[str, int] = {"bound": 0, "by_name": 0}
-
-
-def driver_stats() -> dict[str, int]:
-    """Snapshot of the RTLShell driver counters (``bound``,
-    ``by_name``); cumulative per process."""
-    return dict(_DRIVER_STATS)
-
-
 class RTLShell(Shell):
     """Patient process driven by simulated wrapper RTL.
 
@@ -120,7 +106,6 @@ class RTLShell(Shell):
         fed from the port FIFOs."""
         rtl = self.rtl
         schedule = self.pearl.schedule
-        _DRIVER_STATS["bound" if rtl.engine == "compiled" else "by_name"] += 1
         # A wrapper step starts with nothing popped this cycle (ports
         # drop their pops at commit), so not_empty is a non-empty FIFO.
         not_empty = [

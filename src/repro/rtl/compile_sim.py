@@ -21,25 +21,23 @@ Lowering pipeline (:func:`compile_design`):
    fragment (every *stored* value is already masked, so reads need no
    masks), constants folded bottom-up, and constant-valued nets
    propagated into their readers;
-4. **emit + cache** — register sampling and commits are unrolled into
-   a registers-only ``edge`` body (sample all, commit all), ROMs become
-   padded tuple lookups, and the whole kernel is compiled once per
-   *shape*.
+4. **emit** — register sampling and commits are unrolled into a
+   registers-only ``edge`` body (sample all, commit all), ROMs become
+   padded tuple lookups, and the emitter lists the slots each of the
+   two functions writes.
 
-Settle-once clocking: :meth:`CompiledSimulator.step` runs only the
-edge and marks the environment *unsettled*; the settle the interpreter
-runs at the end of every step is deferred until something observes the
-environment (``peek``, ``peek_flat``, ``poke``, the next edge) or
-:meth:`~CompiledSimulator.settle` is called.  A per-cycle driver that writes its inputs and then settles thus
-settles each cycle once instead of twice, while every observation
-equals the interpreter's, including the "pre-poke" view a poke after a
-step leaves behind.
+The one invariant: the env is current — it holds what the
+interpreter's would — unless a driver's ``materialize`` is pending.
+:meth:`CompiledSimulator.step` runs ``edge`` then ``settle``, as the
+interpreter's step does, and every entry point that reads or writes
+the env (``peek``, ``peek_flat``, ``poke``, ``settle``, ``step``,
+another driver) runs a pending ``materialize`` first.
 
 Bound per-cycle drivers: :meth:`CompiledSimulator.fifo_driver` hands a
 FIFO-interfaced wrapper driver (``RTLShell``) one function that runs a
 whole cycle — write the readiness inputs from the FIFOs, settle, pack
 the strobe outputs into one word, clock the edge — and leaves the
-cycle counter and the lazy-settle mark exactly as ``settle()`` then
+cycle counter and every observation exactly as ``settle()`` then
 ``step()`` would.  Its code is generated once per *slot layout* and
 cached in a small LRU; the FIFOs, the env and the kernel functions are
 bound per call.  The interpreter's
@@ -62,34 +60,23 @@ and the table is exact.  States are kept as ids into a per-table list
 (shift-register rings are wide ints; no env is stored per state).  One
 table is built per binding, so per ``RTLShell`` run, and dies with its
 simulator: no cap, no eviction.  On a hit the env is not touched; the
-driver leaves it unsettled, as a step does, with a pending
-``materialize`` that :meth:`CompiledSimulator.settle` runs first.
-Every observation (``peek``, ``peek_flat``, ``poke``, ``step``,
-another driver) thus writes the current state and the last cycle's
-input bits back before it settles, so every view equals the
-interpreter's, and the next driver call takes its state from the env
-again.
+driver leaves a pending ``materialize``, which writes the current
+state and the last cycle's input bits back and settles once, so every
+view equals the interpreter's, and the next driver call takes its
+state from the env again.
 
-Cache-key contract: kernels are cached per worker process under the
-structural key ``(slot count, generated source, ROM images)``.  The
-generated source refers to signals only by slot index, so two designs
-that differ merely in signal/module naming lower to byte-identical
-source and share one kernel; widths, expression structure, register
-forms and evaluation order are all reflected in the source text, and
-ROM contents are keyed explicitly because they live in the kernel's
-namespace rather than its source.  A second cache layer memoizes the
-full per-module plan (kernel + name/slot/mask tables) by module
-identity, so re-simulating the same :class:`Module` object — e.g. an
-``RTLShell`` reset — skips elaboration entirely; the memo entry
-carries an identity snapshot of the hierarchy's structural elements,
-so a module mutated after compilation is transparently re-elaborated
-instead of served stale.
+Compile cache: the full per-module plan (kernels plus name/slot/mask
+tables) is memoized by module identity, so re-simulating the same
+:class:`Module` object — e.g. an ``RTLShell`` reset, or a wrapper
+module shared by equal schedules — skips elaboration and compilation
+entirely.  The memo entry carries an identity snapshot of the
+hierarchy's structural elements, so a module mutated after compilation
+is transparently re-elaborated instead of served stale.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 import time
 import weakref
 from collections import OrderedDict
@@ -108,10 +95,6 @@ from .ast import (
 )
 from .module import Design, Module, Register, Rom
 from .simulator import SimulationError, Simulator
-
-#: Cap on cached kernels per process; beyond it the least recently
-#: used shape is evicted (bounds memory in long-lived verify workers).
-KERNEL_CACHE_MAX = 128
 
 #: Cap on cached per-cycle driver factories (one per slot layout, see
 #: :meth:`CompiledSimulator.fifo_driver`).
@@ -420,55 +403,6 @@ def _code_filename(kind: str) -> str:
     return f"<compiled-{kind}#{next(_CODE_IDS)}>"
 
 
-# One ``e[slot] = ...`` store of a generated kernel body.
-_STORE = re.compile(r"^    e\[(\d+)\] = ", re.M)
-
-
-class _Kernel:
-    """One exec'd settle/edge function pair, plus the slots each writes:
-    ``free`` lists (ascending) every slot ``settle`` does not write, and
-    ``clocked`` holds the slots ``edge`` writes (the live registers)."""
-
-    __slots__ = ("settle", "edge", "n_slots", "source", "free", "clocked")
-
-    def __init__(
-        self, n_slots: int, source: str, rom_tables: list[tuple[int, ...]]
-    ) -> None:
-        namespace: dict = {
-            f"_rom{k}": table for k, table in enumerate(rom_tables)
-        }
-        exec(compile(source, _code_filename("rtl"), "exec"), namespace)
-        self.settle = namespace["_settle"]
-        self.edge = namespace["_edge"]
-        self.n_slots = n_slots
-        self.source = source
-        settle_body, _, edge_body = source.partition("def _edge(e):")
-        settled = {int(slot) for slot in _STORE.findall(settle_body)}
-        self.free = tuple(
-            slot for slot in range(n_slots) if slot not in settled
-        )
-        self.clocked = frozenset(
-            int(slot) for slot in _STORE.findall(edge_body)
-        )
-
-
-class _Plan:
-    """Everything a :class:`CompiledSimulator` needs for one module."""
-
-    __slots__ = ("kernel", "name_slot", "masks")
-
-    def __init__(
-        self,
-        kernel: _Kernel,
-        name_slot: dict[str, int],
-        masks: list[int],
-    ) -> None:
-        self.kernel = kernel
-        self.name_slot = name_slot
-        self.masks = masks
-
-
-_KERNEL_CACHE: OrderedDict[tuple, _Kernel] = OrderedDict()
 # Module -> (structure snapshot, plan).  The snapshot invalidates the
 # memo when any module in the hierarchy is mutated after it was first
 # compiled — whether through the builder methods or by touching the
@@ -499,26 +433,18 @@ def _structure(design: Design) -> tuple:
     )
 
 
-def kernel_cache_info() -> tuple[int, int]:
-    """(cached kernels, capacity) — exposed for tests and diagnostics."""
-    return len(_KERNEL_CACHE), KERNEL_CACHE_MAX
-
-
-# Engine counters, process-local like the caches they describe.
-# ``hits``/``misses`` count kernel-cache consults (a plan-memo
-# short-circuit is a ``memo_hits`` instead, since it never reaches the
-# kernel cache) and ``compile_ms`` the wall-clock milliseconds spent
-# exec-compiling missed kernels.  ``tables`` counts per-cycle driver
-# bindings (each builds one transition table) and ``transitions`` the
-# kernel runs on a table miss.
+# Engine counters, process-local like the plan memo they describe.
+# ``hits`` counts plans reused from the memo, ``misses`` plans compiled
+# and ``compile_ms`` the wall-clock milliseconds spent exec-compiling
+# them.  ``tables`` counts per-cycle driver bindings (each builds one
+# transition table) and ``transitions`` the kernel runs on a table miss.
 _ENGINE_STATS: dict[str, float] = {}
 
 
 def reset_cache_stats() -> None:
-    """Zero every engine counter (the caches themselves are kept)."""
+    """Zero every engine counter (the plan memo itself is kept)."""
     _ENGINE_STATS.update(
-        hits=0, misses=0, memo_hits=0, compile_ms=0.0,
-        transitions=0, tables=0,
+        hits=0, misses=0, compile_ms=0.0, transitions=0, tables=0
     )
 
 
@@ -527,10 +453,9 @@ reset_cache_stats()
 
 def cache_stats() -> dict[str, float]:
     """Snapshot of the engine counters: ``hits``, ``misses``,
-    ``memo_hits``, ``compile_ms``, ``transitions``, ``tables``.
-    Counters are cumulative per process; pair with
-    :func:`reset_cache_stats` (or diff two snapshots) to scope a
-    measurement."""
+    ``compile_ms``, ``transitions``, ``tables``.  Counters are
+    cumulative per process; pair with :func:`reset_cache_stats` (or
+    diff two snapshots) to scope a measurement."""
     return dict(_ENGINE_STATS)
 
 
@@ -569,11 +494,13 @@ def _emit_comb_line(
 
 def _emit_reg_lines(
     regs: list[_RegItem], const_slots: dict[int, int]
-) -> list[str]:
+) -> tuple[list[str], list[int]]:
     """Sample-then-commit lines reproducing the interpreter's register
-    semantics: reset wins, a deasserted enable holds, else load."""
+    semantics (reset wins, a deasserted enable holds, else load), and
+    the slots they commit."""
     samples: list[str] = []
     commits: list[str] = []
+    clocked: list[int] = []
     for item in regs:
         reg = item.reg
         target = item.target
@@ -610,18 +537,22 @@ def _emit_reg_lines(
         name = f"t{len(samples)}"
         samples.append(f"{name} = {sample}")
         commits.append(f"e[{target}] = {name}")
-    return samples + commits
+        clocked.append(target)
+    return samples + commits, clocked
 
 
-def _emit(elab: _Elaboration) -> tuple[str, list[tuple[int, ...]]]:
-    """Lower a scheduled elaboration to (kernel source, ROM images)."""
+def _emit(
+    elab: _Elaboration,
+) -> tuple[str, list[tuple[int, ...]], list[int], list[int]]:
+    """Lower a scheduled elaboration to (kernel source, ROM images,
+    slots ``settle`` writes, slots ``edge`` writes)."""
     const_slots: dict[int, int] = {}
     rom_tables: list[tuple[int, ...]] = []
+    items = [elab.comb[i] for i in elab.schedule()]
     settle_lines = [
-        _emit_comb_line(elab.comb[i], const_slots, rom_tables)
-        for i in elab.schedule()
+        _emit_comb_line(item, const_slots, rom_tables) for item in items
     ]
-    reg_lines = _emit_reg_lines(elab.regs, const_slots)
+    reg_lines, clocked = _emit_reg_lines(elab.regs, const_slots)
 
     def body(lines: list[str], indent: str) -> str:
         if not lines:
@@ -638,7 +569,37 @@ def _emit(elab: _Elaboration) -> tuple[str, list[tuple[int, ...]]]:
             "",
         ]
     )
-    return source, rom_tables
+    return source, rom_tables, [item.target for item in items], clocked
+
+
+class _Plan:
+    """Everything a :class:`CompiledSimulator` needs for one module:
+    the exec'd ``settle``/``edge`` kernel pair, ``free`` (ascending,
+    every slot ``settle`` does not write), ``clocked`` (the slots
+    ``edge`` writes: the live registers), the name -> slot table and
+    the per-slot width masks."""
+
+    __slots__ = ("settle", "edge", "free", "clocked", "name_slot", "masks")
+
+    def __init__(self, elab: _Elaboration) -> None:
+        source, rom_tables, settled, clocked = _emit(elab)
+        namespace: dict = {
+            f"_rom{k}": table for k, table in enumerate(rom_tables)
+        }
+        started = time.perf_counter()
+        exec(compile(source, _code_filename("rtl"), "exec"), namespace)
+        _ENGINE_STATS["compile_ms"] += (time.perf_counter() - started) * 1e3
+        self.settle = namespace["_settle"]
+        self.edge = namespace["_edge"]
+        written = set(settled)
+        self.free = tuple(
+            slot for slot in range(len(elab.names)) if slot not in written
+        )
+        self.clocked = frozenset(clocked)
+        self.name_slot: dict[str, int] = {}
+        for slot, name in enumerate(elab.names):
+            self.name_slot.setdefault(name, slot)
+        self.masks = [_mask(width) for width in elab.widths]
 
 
 def compile_design(design: Design | Module) -> _Plan:
@@ -648,30 +609,10 @@ def compile_design(design: Design | Module) -> _Plan:
     structure = _structure(design)
     memoized = _PLAN_MEMO.get(design.top)
     if memoized is not None and memoized[0] == structure:
-        _ENGINE_STATS["memo_hits"] += 1
-        return memoized[1]
-    elab = _Elaboration(design)
-    source, rom_tables = _emit(elab)
-    key = (len(elab.names), source, tuple(rom_tables))
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        _ENGINE_STATS["misses"] += 1
-        compile_started = time.perf_counter()
-        kernel = _Kernel(len(elab.names), source, rom_tables)
-        _ENGINE_STATS["compile_ms"] += (
-            time.perf_counter() - compile_started
-        ) * 1e3
-        _KERNEL_CACHE[key] = kernel
-        if len(_KERNEL_CACHE) > KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.popitem(last=False)
-    else:
         _ENGINE_STATS["hits"] += 1
-        _KERNEL_CACHE.move_to_end(key)
-    name_slot: dict[str, int] = {}
-    for slot, name in enumerate(elab.names):
-        name_slot.setdefault(name, slot)
-    masks = [_mask(width) for width in elab.widths]
-    plan = _Plan(kernel, name_slot, masks)
+        return memoized[1]
+    _ENGINE_STATS["misses"] += 1
+    plan = _Plan(_Elaboration(design))
     _PLAN_MEMO[design.top] = (structure, plan)
     return plan
 
@@ -692,10 +633,10 @@ def _driver_factory(layout: tuple) -> Callable:
     and its id indexes ``states``.  Only a missing transition runs the
     kernels, loading the state first unless the env still holds it
     (``held``: hits never touch the env).  ``materialize`` writes the
-    current state and the last cycle's input bits back into the env;
-    while it is ``sim._pending`` the env is stale, and any other value
-    there means the env is current, so the next cycle takes its state
-    from the env."""
+    current state and the last cycle's input bits back into the env and
+    settles it; while it is ``sim._pending`` the env is stale, and any
+    other value there means the env is current, so the next cycle takes
+    its state from the env."""
     factory = _DRIVER_CACHE.get(layout)
     if factory is not None:
         _DRIVER_CACHE.move_to_end(layout)
@@ -751,6 +692,7 @@ def _driver_factory(layout: tuple) -> Callable:
             "        sim._pending = None",
             "        put(bits)",
             "        load(sid)",
+            "        settle(env)",
             "",
             "    def cycle():",
             "        nonlocal sid, bits, held",
@@ -759,7 +701,6 @@ def _driver_factory(layout: tuple) -> Callable:
             "                sim._pending()",
             "            sid = held = intern()",
             "            sim._pending = materialize",
-            "            sim._unsettled = True",
             f"        bits = {bits or 0}",
             f"        hit = table.get({key})",
             "        if hit is None:",
@@ -795,9 +736,9 @@ class CompiledSimulator(Simulator):
     """Drop-in :class:`~repro.rtl.simulator.Simulator` running exec'd
     straight-line kernels over a slot-list environment.
 
-    ``step`` clocks registers only and leaves the environment
-    *unsettled*; every observation settles first while it is (see the
-    module docstring), so the view always equals the interpreter's.
+    The env is current unless a bound driver's ``materialize`` is
+    pending; every entry point runs it first (see the module
+    docstring), so the view always equals the interpreter's.
     """
 
     engine = "compiled"
@@ -805,42 +746,29 @@ class CompiledSimulator(Simulator):
     def __init__(
         self, design: Design | Module, engine: str | None = None
     ) -> None:
-        plan = compile_design(design)
-        self._kernel = plan.kernel
-        self._name_slot = plan.name_slot
-        self._masks = plan.masks
-        self._env: list[int] = [0] * plan.kernel.n_slots
-        self._unsettled = False
+        self._plan = compile_design(design)
+        self._env: list[int] = [0] * len(self._plan.masks)
         # A bound driver's ``materialize`` while its memoized cycles
-        # have left the env stale (see :meth:`fifo_driver`).  The env is
-        # then also unsettled, so every observation reaches ``settle``,
-        # which materializes first.
+        # have left the env stale (see :meth:`fifo_driver`).
         self._pending: Callable[[], None] | None = None
         self.cycle = 0
         self.settle()
-
-    @property
-    def source(self) -> str:
-        """The generated kernel source (for inspection and tests)."""
-        return self._kernel.source
 
     # -- environment access ----------------------------------------------------
 
     def slot(self, name: str) -> int:
         """The env slot of a top-level signal."""
-        slot = self._name_slot.get(name)
+        slot = self._plan.name_slot.get(name)
         if slot is None:
             raise KeyError(f"no signal named {name!r} in top module")
         return slot
 
     def poke(self, name: str, value: int) -> None:
         """Drive a top-level input (propagates at the next settle/step)."""
-        if self._unsettled:
-            # Settle against the pre-poke inputs, as the interpreter's
-            # step already did.
-            self.settle()
         slot = self.slot(name)
-        self._env[slot] = value & self._masks[slot]
+        if self._pending is not None:
+            self._pending()
+        self._env[slot] = value & self._plan.masks[slot]
 
     def poke_settle(self, name: str, value: int) -> None:
         """Poke and immediately settle combinational logic."""
@@ -850,19 +778,19 @@ class CompiledSimulator(Simulator):
     def peek(self, name: str) -> int:
         """Read a top-level signal's settled value."""
         slot = self.slot(name)
-        if self._unsettled:
-            self.settle()
+        if self._pending is not None:
+            self._pending()
         return self._env[slot]
 
     def peek_flat(self, flat_name: str) -> int:
         """Read a hierarchical flat name, e.g. ``"sp0.state"``."""
-        slot = self._name_slot[flat_name]
-        if self._unsettled:
-            self.settle()
+        slot = self._plan.name_slot[flat_name]
+        if self._pending is not None:
+            self._pending()
         return self._env[slot]
 
     def flat_names(self) -> list[str]:
-        return sorted(self._name_slot)
+        return sorted(self._plan.name_slot)
 
     # -- bound per-cycle driving -----------------------------------------------
 
@@ -882,7 +810,7 @@ class CompiledSimulator(Simulator):
         FIFOs as they are at that moment, settles, packs the 1-bit
         top-level outputs ``strobes`` into one int (bit ``k`` is
         ``strobes[k]``), clocks one edge and returns the word, leaving
-        :attr:`cycle` and the lazy-settle mark as :meth:`settle` then
+        :attr:`cycle` and every observation as :meth:`settle` then
         :meth:`step` would.  The function stays bound to this
         simulator.
 
@@ -891,14 +819,14 @@ class CompiledSimulator(Simulator):
         first-seen (state, input bits) pair, and the env is written
         back only when something observes it."""
         slot = self.slot
-        kernel = self._kernel
+        plan = self._plan
         not_empty_slots = tuple(slot(name) for name, _fifo in not_empty)
         not_full_slots = tuple(slot(entry[0]) for entry in not_full)
         driven = {*not_empty_slots, *not_full_slots}
         # A driven slot is overwritten before every settle, so its value
         # is part of the state only when the edge writes it too.
         keys = tuple(
-            s for s in kernel.free if s not in driven or s in kernel.clocked
+            s for s in plan.free if s not in driven or s in plan.clocked
         )
         layout = (
             not_empty_slots,
@@ -909,27 +837,28 @@ class CompiledSimulator(Simulator):
         for _name, fifo, pending, depth in not_full:
             bound += (fifo, pending, depth)
         return _driver_factory(layout)(
-            self, self._env, kernel.settle, kernel.edge, keys,
+            self, self._env, plan.settle, plan.edge, keys,
             _ENGINE_STATS, *bound,
         )
 
     # -- execution ---------------------------------------------------------------
 
     def settle(self) -> None:
-        """Propagate combinational logic (one straight-line pass)."""
+        """Propagate combinational logic (one straight-line pass; a
+        pending ``materialize`` is that pass)."""
         if self._pending is not None:
             self._pending()
-        self._kernel.settle(self._env)
-        self._unsettled = False
+        else:
+            self._plan.settle(self._env)
 
     def step(self, cycles: int = 1) -> None:
-        """Advance the clock by ``cycles`` rising edges, leaving the
-        combinational logic to settle when next observed."""
-        edge = self._kernel.edge
+        """Advance the clock by ``cycles`` rising edges, settling after
+        each."""
+        if self._pending is not None:
+            self._pending()
+        plan = self._plan
         env = self._env
         for _ in range(cycles):
-            if self._unsettled:
-                self.settle()
-            edge(env)
-            self._unsettled = True
+            plan.edge(env)
+            plan.settle(env)
         self.cycle += cycles

@@ -18,8 +18,9 @@ Two interchangeable engines implement these semantics:
 
 * ``"compiled"`` (default) — :mod:`repro.rtl.compile_sim` lowers the
   flattened design to one straight-line Python ``settle``/``edge``
-  function pair, compiled once per module *shape* and cached; it
-  defers each step's final settle until the state is next observed;
+  function pair, compiled once per :class:`Module` and memoized; its
+  ``fifo_driver`` memoizes a wrapper's transitions and runs the pair
+  only on a first-seen (state, FIFO status) pair;
 * ``"interp"`` — the reference tree-walking evaluator below, kept as
   the semantic oracle the compiled engine is differentially tested
   against.

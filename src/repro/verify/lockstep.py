@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import NoReturn, Sequence
 
 from ..lis.shell import Shell
-from .styles import get_style
+from .styles import cycle_exact_pairs, get_style
 
 __all__ = [
     "LockstepDivergence",
@@ -109,26 +109,25 @@ class LockstepShell(Shell):
 
 def lockstep_pairs(styles: Sequence[str]) -> tuple[tuple[str, str], ...]:
     """(checked style, reference style) pairs of ``styles`` that run in
-    lockstep, in ``styles`` order: each registered style with its
-    ``cycle_exact_reference`` when both are listed and their
+    lockstep, in ``styles`` order: each of
+    :func:`~repro.verify.styles.cycle_exact_pairs` whose two styles'
     ``needs_activation`` flags match.  A style joins at most one pair.
     (``shiftreg`` and ``fsm`` stay apart: the shift-register plan
     needs the finished FSM run.)"""
+    references = {
+        checked: reference
+        for reference, checked in cycle_exact_pairs(tuple(styles))
+    }
     pairs = []
     paired: set[str] = set()
     for style in styles:
-        try:
-            spec = get_style(style)
-        except ValueError:
-            continue
-        reference = spec.cycle_exact_reference
+        reference = references.get(style)
         if (
             reference is None
-            or reference not in styles
             or style in paired
             or reference in paired
             or get_style(reference).needs_activation
-            != spec.needs_activation
+            != get_style(style).needs_activation
         ):
             continue
         pairs.append((style, reference))

@@ -295,26 +295,16 @@ class Rollup:
 
 
 def _render_rtl(counters: Mapping[str, float]) -> str:
-    """The RTL-engine summary line: kernel reuse, then how the RTL
-    shells were driven (bound per-cycle function versus by name), then
-    the transitions the bound drivers' tables computed."""
-    memo = counters.get("rtl.cache.memo_hits", 0)
+    """The RTL-engine summary line: plan reuse and compiles, then the
+    transitions the bound drivers' tables computed."""
     hits = counters.get("rtl.cache.hits", 0)
     misses = counters.get("rtl.cache.misses", 0)
-    bound = counters.get("rtl.driver.bound", 0)
-    by_name = counters.get("rtl.driver.by_name", 0)
-    consults = memo + hits + misses
-    if not (consults or bound or by_name):
+    if not (hits or misses):
         return ""
-    # A plan-memo hit reuses a whole compiled module and never consults
-    # the kernel cache; both count as reuse.
-    rate = 100.0 * (memo + hits) / consults if consults else 0.0
     line = (
-        f"  rtl kernel cache: {memo:.0f} plan-memo hit(s), "
-        f"{hits:.0f} kernel hit(s) / {misses:.0f} miss(es) "
-        f"({rate:.0f}% reused), "
-        f"{counters.get('rtl.cache.compile_ms', 0):.1f}ms compiling; "
-        f"shells {bound:.0f} bound / {by_name:.0f} by name"
+        f"  rtl plan cache: {hits:.0f} hit(s) / {misses:.0f} miss(es) "
+        f"({100.0 * hits / (hits + misses):.0f}% reused), "
+        f"{counters.get('rtl.cache.compile_ms', 0):.1f}ms compiling"
     )
     tables = counters.get("rtl.cache.tables", 0)
     if tables:
@@ -529,21 +519,16 @@ def engine_stats() -> dict[str, float]:
     :func:`repro.lis.compile_fabric.cache_stats` as
     ``fabric.lowered``/``fabric.reference`` (``Simulation.run`` calls
     per engine) plus ``fabric.cache.*``, and
-    :func:`repro.core.equivalence.driver_stats` (RTL shells bound to a
-    generated per-cycle function or driven by name) as ``rtl.driver.*``,
-    and :func:`repro.verify.lockstep.lockstep_stats` (cycle-exact pairs
+    :func:`repro.verify.lockstep.lockstep_stats` (cycle-exact pairs
     simulated in lockstep, and lockstep runs discarded for separate
     runs) as ``lockstep.runs``/``lockstep.fallbacks``.
     The modules are imported lazily so probes never drag the engines
     in."""
-    from ..core.equivalence import driver_stats
     from ..lis.compile_fabric import cache_stats as fabric_stats
     from ..rtl.compile_sim import cache_stats as rtl_stats
     from .lockstep import lockstep_stats
 
     stats = {f"rtl.cache.{key}": value for key, value in rtl_stats().items()}
-    for key, value in driver_stats().items():
-        stats[f"rtl.driver.{key}"] = value
     for key, value in lockstep_stats().items():
         stats[f"lockstep.{key}"] = value
     for key, value in fabric_stats().items():

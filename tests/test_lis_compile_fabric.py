@@ -19,12 +19,7 @@ import random
 
 import pytest
 
-from repro.core.equivalence import (
-    RTLShell,
-    Stimulus,
-    _build_single,
-    driver_stats,
-)
+from repro.core.equivalence import RTLShell, Stimulus, _build_single
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.synthesis import SYNTH_STYLES, synthesize_wrapper
 from repro.core.wrappers import (
@@ -45,7 +40,7 @@ from repro.lis.stall import (
 )
 from repro.lis.stream import burst_gaps
 from repro.lis.system import System
-from repro.rtl.compile_sim import CompiledSimulator
+from repro.rtl.compile_sim import CompiledSimulator, cache_stats
 from repro.sched.generate import (
     PROFILE_PRESETS,
     random_topology,
@@ -657,12 +652,11 @@ class TestRTLShellGlue:
             monkeypatch.setattr(CompiledSimulator, name, counted)
         system = _topology_build(random_topology(5), "rtl-sp")()
         calls.clear()  # the build-time reset settles and steps
-        before = driver_stats()
+        before = cache_stats()["tables"]
         Simulation(system).run(CYCLES)
         assert calls == []
-        after = driver_stats()
-        assert after["bound"] - before["bound"] == len(system.shells)
-        assert after["by_name"] == before["by_name"]
+        # One driver table per shell: each binds once.
+        assert cache_stats()["tables"] - before == len(system.shells)
 
     @pytest.mark.parametrize("style", ["rtl-sp", "rtl-fsm", "rtl-shiftreg"])
     def test_bound_cycle_matches_the_interpreter(self, style):

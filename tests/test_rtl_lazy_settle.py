@@ -1,8 +1,8 @@
-"""Settle-once clocking of the compiled RTL engine.
+"""Observation parity of the compiled RTL engine's bound drivers.
 
-``CompiledSimulator.step`` clocks registers only and defers the settle
-the interpreter runs at the end of every step until the environment is
-next observed.  Every observation after an edge-only step must still
+``CompiledSimulator.step`` settles after every edge, as the
+interpreter's does; the only deferred env state is a bound
+``fifo_driver``'s pending ``materialize``.  Every observation must
 equal the interpreter's: ``peek``, ``peek_flat``, a poke followed by a
 peek (the "pre-poke" view), ``step(n > 1)``, a peek of a net that feeds
 nothing, and the per-cycle function ``fifo_driver`` returns, which
@@ -10,12 +10,17 @@ must also equal the interpreter's own ``fifo_driver``.  The compiled
 driver memoizes the wrapper's transitions and writes its state back
 into the env only when something observes it, so the driver tests
 also observe between driven cycles, poke a non-driven input (``rst``)
-mid-run and run two simulators of one module.
+mid-run and run two simulators of one module.  The transition table's
+state key is the set of slots the kernels' emitter reports ``settle``
+does not write, so the parity suite over generated wrappers checks
+those lists too.  Kernels run only at construction and on table
+misses, which the workload test at the end counts.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 
@@ -27,11 +32,13 @@ from repro.core.rtlgen import (
 )
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.synthesis import synthesize_wrapper
+from repro.rtl import compile_sim
 from repro.rtl.compile_sim import CompiledSimulator, cache_stats
 from repro.rtl.module import Module
 from repro.rtl.simulator import InterpSimulator
 from repro.sched.generate import PROFILE_PRESETS, random_topology
 from repro.verify import plan_topology_activations
+from repro.verify.runner import BatchConfig, BatchRunner
 
 
 def _pipeline() -> Module:
@@ -72,13 +79,6 @@ def _engines(module: Module):
 
 def _flat_view(sim) -> dict[str, int]:
     return {name: sim.peek_flat(name) for name in sim.flat_names()}
-
-
-def test_step_defers_the_settle():
-    _interp, compiled = _engines(_pipeline())
-    assert compiled._unsettled
-    compiled.settle()
-    assert not compiled._unsettled
 
 
 def test_peek_after_edge_only_step():
@@ -127,7 +127,7 @@ def test_dead_net_peek_after_edge_only_step():
 @pytest.mark.parametrize("seed", range(4))
 def test_wrapper_modules_observed_every_way(seed):
     """Generated SP/FSM wrappers under random pokes, observed through
-    every access path after each edge-only step."""
+    every access path after each step."""
     topology = random_topology(seed)
     node = topology.processes[0]
     program = compile_schedule(node.schedule, CompilerOptions(fuse=False))
@@ -178,8 +178,8 @@ def _handshake() -> Module:
 
 
 def test_fifo_driver_equals_settle_then_step():
-    """One bound call per cycle leaves every observation, the cycle
-    counter and the lazy-settle mark as poke + settle + step do."""
+    """One bound call per cycle leaves every observation and the cycle
+    counter as poke + settle + step do."""
     rng = random.Random(3)
     module = _handshake()
     interp = InterpSimulator(module)
@@ -214,9 +214,7 @@ def test_fifo_driver_equals_settle_then_step():
         for sim in (interp, stepped):
             sim.step()
         assert cycle() == expected
-        assert (driven.cycle, driven._unsettled) == (
-            stepped.cycle, stepped._unsettled,
-        )
+        assert driven.cycle == stepped.cycle
         assert _flat_view(driven) == _flat_view(interp)
 
 
@@ -453,3 +451,53 @@ def test_driver_may_drive_a_register():
         assert drivers[1]() == drivers[0](), cycle
         if cycle % 4 == 3:
             assert _flat_view(sims[1]) == _flat_view(sims[0]), cycle
+
+
+def test_kernels_run_only_at_construction_and_on_table_misses(monkeypatch):
+    """Over real campaigns (regular traffic, and dynamic perturbation
+    under four styles), ``settle`` runs twice per simulator (at
+    construction and in the reset step) and ``edge`` once, plus one
+    each per transition a driver table computed: no observation and no
+    memoized cycle runs a kernel."""
+    calls = {"settle": 0, "edge": 0, "sims": 0}
+    init_plan = compile_sim._Plan.__init__
+    init_sim = CompiledSimulator.__init__
+
+    def counting_plan(plan, elab):
+        init_plan(plan, elab)
+        for name in ("settle", "edge"):
+            def counted(env, _name=name, _kernel=getattr(plan, name)):
+                calls[_name] += 1
+                _kernel(env)
+
+            setattr(plan, name, counted)
+
+    def counting_sim(sim, *args, **kwargs):
+        calls["sims"] += 1
+        init_sim(sim, *args, **kwargs)
+
+    # A fresh plan memo, so every plan the campaigns use counts.
+    monkeypatch.setattr(
+        compile_sim, "_PLAN_MEMO", weakref.WeakKeyDictionary()
+    )
+    monkeypatch.setattr(compile_sim._Plan, "__init__", counting_plan)
+    monkeypatch.setattr(CompiledSimulator, "__init__", counting_sim)
+    before = cache_stats()["transitions"]
+    for cases, config in (
+        (8, {"profile": "regular"}),
+        (6, {
+            "profile": "small",
+            "styles": ("fsm", "sp", "rtl-sp", "rtl-fsm"),
+            "perturb": 2,
+            "perturb_dynamic": True,
+            "perturb_styles": "all",
+        }),
+    ):
+        report = BatchRunner(
+            BatchConfig(cases=cases, seed=3, jobs=1, **config)
+        ).run()
+        assert report.ok
+    transitions = cache_stats()["transitions"] - before
+    assert transitions > 0
+    assert calls["settle"] == 2 * calls["sims"] + transitions
+    assert calls["edge"] == calls["sims"] + transitions

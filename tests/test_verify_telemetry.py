@@ -246,48 +246,52 @@ def test_cli_writes_event_stream_and_metrics(tmp_path, capsys):
     assert telemetry.active() is None
 
 
-def test_rtl_cache_line_counts_plan_memo_hits():
+def test_rtl_cache_line_counts_plan_reuse():
     rollup = Rollup()
     for name, n in (
-        ("rtl.cache.memo_hits", 90), ("rtl.cache.hits", 5),
-        ("rtl.cache.misses", 5), ("rtl.cache.compile_ms", 12.5),
-        ("rtl.driver.bound", 7), ("rtl.driver.by_name", 2),
+        ("rtl.cache.hits", 95), ("rtl.cache.misses", 5),
+        ("rtl.cache.compile_ms", 12.5),
     ):
         rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
     assert (
-        "  rtl kernel cache: 90 plan-memo hit(s), 5 kernel hit(s) / "
-        "5 miss(es) (95% reused), 12.5ms compiling; "
-        "shells 7 bound / 2 by name"
+        "  rtl plan cache: 95 hit(s) / 5 miss(es) (95% reused), "
+        "12.5ms compiling"
     ) in rollup.render().splitlines()
 
 
 def test_rtl_line_counts_driver_transitions():
     rollup = Rollup()
     for name, n in (
-        ("rtl.cache.hits", 4), ("rtl.driver.bound", 6),
-        ("rtl.cache.tables", 6), ("rtl.cache.transitions", 180),
+        ("rtl.cache.hits", 4), ("rtl.cache.tables", 6),
+        ("rtl.cache.transitions", 180),
     ):
         rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
     assert (
-        "  rtl kernel cache: 0 plan-memo hit(s), 4 kernel hit(s) / "
-        "0 miss(es) (100% reused), 0.0ms compiling; "
-        "shells 6 bound / 0 by name; "
+        "  rtl plan cache: 4 hit(s) / 0 miss(es) (100% reused), "
+        "0.0ms compiling; "
         "180 transition(s) computed over 6 driver table(s)"
     ) in rollup.render().splitlines()
 
 
 def test_cli_metrics_carry_driver_table_counts(tmp_path, capsys):
-    # Regular traffic runs every RTL style; each bound RTL shell builds
-    # one transition table, and the tables compute the transitions.
+    # Regular traffic runs every RTL style; each RTL shell binding
+    # builds one transition table (a shell binds again after a reset),
+    # and the tables compute the transitions.
     metrics = tmp_path / "metrics.json"
     code = cli.main([
         "verify", "--cases", "5", "--traffic", "regular",
         "--metrics-json", str(metrics),
     ])
     assert code == 0
-    counters = json.loads(metrics.read_text())["counters"]
+    document = json.loads(metrics.read_text())
+    counters = document["counters"]
+    rtl_builds = sum(
+        bucket["count"]
+        for style, bucket in document["spans"]["build"]["by_style"].items()
+        if style.startswith("rtl-")
+    )
     tables = counters["rtl.cache.tables"]
-    assert tables == counters["rtl.driver.bound"] > 0
+    assert tables >= rtl_builds > 0
     assert counters["rtl.cache.transitions"] > 0
     assert (
         f"transition(s) computed over {tables:.0f} driver table(s)"
@@ -295,18 +299,14 @@ def test_cli_metrics_carry_driver_table_counts(tmp_path, capsys):
     )
 
 
-def test_rtl_line_shows_shells_driven_by_name_alone():
-    # Under the interpreter no kernel cache is consulted; the line
-    # still says how the shells were driven.
+def test_rtl_line_absent_without_compiled_plans():
+    # Under the interpreter no plan is compiled and no driver table is
+    # built, so there is no RTL line to show.
     rollup = Rollup()
-    rollup.add(
-        {"kind": "count", "name": "rtl.driver.by_name", "t": 0.0, "n": 3}
+    rollup.add({"kind": "count", "name": "fabric.lowered", "t": 0.0, "n": 3})
+    assert not any(
+        line.startswith("  rtl ") for line in rollup.render().splitlines()
     )
-    assert (
-        "  rtl kernel cache: 0 plan-memo hit(s), 0 kernel hit(s) / "
-        "0 miss(es) (0% reused), 0.0ms compiling; "
-        "shells 0 bound / 3 by name"
-    ) in rollup.render().splitlines()
 
 
 def test_fabric_line_reports_lowering_time():
@@ -358,12 +358,15 @@ def test_cli_metrics_carry_driver_and_lowering_counts(
         "--metrics-json", str(metrics),
     ])
     assert code == 0
-    counters = json.loads(metrics.read_text())["counters"]
-    bound = counters.get("rtl.driver.bound", 0)
-    by_name = counters.get("rtl.driver.by_name", 0)
-    # Two cases, each with RTL styles: every RTL shell binds once.
-    assert (bound > 0, by_name > 0) == (
-        (True, False) if engine == "compiled" else (False, True)
+    document = json.loads(metrics.read_text())
+    counters = document["counters"]
+    # Two cases, each with RTL styles: every compiled RTL shell builds
+    # one driver table; interpreted ones run by name and build none.
+    tables = counters.get("rtl.cache.tables", 0)
+    assert (tables > 0) == (engine == "compiled")
+    simulated = document["spans"]["simulate"]["by_style"]
+    assert all(
+        simulated[style]["count"] > 0 for style in ("rtl-sp", "rtl-fsm")
     )
     # Lowering time covers the walk, the text and the compile.
     assert counters["fabric.cache.lower_ms"] > 0
@@ -371,11 +374,11 @@ def test_cli_metrics_carry_driver_and_lowering_counts(
         "fabric.cache.compile_ms", 0
     )
     out = capsys.readouterr().out
-    assert f"shells {bound:.0f} bound / {by_name:.0f} by name" in out
+    assert ("driver table(s)" in out) == (engine == "compiled")
     assert "ms lowering" in out
 
 
-def test_cli_metrics_carry_plan_memo_hits(tmp_path, capsys):
+def test_cli_metrics_carry_plan_reuse(tmp_path, capsys):
     # Perturbation variants rebuild every RTL style on the base's
     # schedules, so the second build of each one is a plan-memo hit.
     metrics = tmp_path / "metrics.json"
@@ -385,8 +388,8 @@ def test_cli_metrics_carry_plan_memo_hits(tmp_path, capsys):
     ])
     assert code == 0
     counters = json.loads(metrics.read_text())["counters"]
-    assert counters["rtl.cache.memo_hits"] > 0
-    assert "plan-memo hit(s)" in capsys.readouterr().out
+    assert counters["rtl.cache.hits"] > 0
+    assert "rtl plan cache:" in capsys.readouterr().out
 
 
 def test_cli_interrupted_batch_flushes_partial_telemetry(
