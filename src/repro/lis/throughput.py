@@ -15,18 +15,17 @@ model (bounded only by their sources/sinks).
 
 Implemented two ways, cross-checked in the tests:
 
-* exact enumeration over ``networkx.simple_cycles`` (fine for SoC-scale
-  graphs);
+* exact enumeration of the elementary circuits with Johnson's algorithm
+  (SIAM J. Comput. 1975; fine for SoC-scale graphs);
 * Lawler-style binary search on the parametric graph (scales to large
   graphs, no enumeration).
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Hashable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,25 @@ class EdgeSpec:
     tokens: int = 0
 
 
+CycleMetric = tuple[tuple[str, ...], int, int]
+
+
 class MarkedGraph:
-    """A (tokens, latency)-weighted digraph of patient processes."""
+    """A (tokens, latency)-weighted digraph of patient processes.
+
+    Stored as an insertion-ordered successor map ``{u: {v: [(tokens,
+    latency + 1), ...]}}`` (one entry per parallel channel) plus the
+    channel list; node insertion order is each node's rank in the cycle
+    enumeration."""
 
     def __init__(self) -> None:
-        self._graph = nx.MultiDiGraph()
+        self._succ: dict[str, dict[str, list[tuple[int, int]]]] = {}
+        self._edges: list[tuple[str, str, EdgeSpec]] = []
+        self._cycles: tuple[CycleMetric, ...] | None = None
 
     def add_process(self, name: str) -> None:
-        self._graph.add_node(name)
+        self._succ.setdefault(name, {})
+        self._cycles = None
 
     def add_channel(
         self,
@@ -58,51 +68,64 @@ class MarkedGraph:
             raise ValueError("channel latency must be >= 1")
         if tokens < 0:
             raise ValueError("token count must be >= 0")
-        self._graph.add_edge(
-            producer, consumer, latency=latency, tokens=tokens
+        self.add_process(producer)
+        self.add_process(consumer)
+        self._succ[producer].setdefault(consumer, []).append(
+            (tokens, latency + 1)
         )
+        self._edges.append((producer, consumer, EdgeSpec(latency, tokens)))
 
     @property
-    def graph(self) -> nx.MultiDiGraph:
-        return self._graph
+    def nodes(self) -> tuple[str, ...]:
+        """Processes in insertion order."""
+        return tuple(self._succ)
+
+    @property
+    def edges(self) -> tuple[tuple[str, str, EdgeSpec], ...]:
+        """Channels as ``(producer, consumer, spec)`` in insertion
+        order, parallel channels included."""
+        return tuple(self._edges)
 
     # -- exact enumeration ----------------------------------------------------
 
-    def cycle_metrics(self) -> list[tuple[tuple[str, ...], int, int]]:
+    def cycle_metrics(self) -> tuple[CycleMetric, ...]:
         """All simple node cycles as (nodes, tokens, total latency incl.
         one processing cycle per hop), with parallel edges resolved to
         the per-hop choice minimizing the cycle's token/latency ratio
         (Dinkelbach iteration — picking each hop's own min ratio is not
-        sound, by the mediant inequality)."""
-        results = []
-        for cycle in nx.simple_cycles(nx.DiGraph(self._graph)):
-            nodes = tuple(cycle)
-            hops: list[list[tuple[int, int]]] = []
-            for i, u in enumerate(nodes):
-                v = nodes[(i + 1) % len(nodes)]
-                candidates = [
-                    (data["tokens"], data["latency"] + 1)
-                    for data in self._graph[u][v].values()
+        sound, by the mediant inequality).
+
+        Cycles come in :func:`_elementary_circuits` order, each rooted
+        at its lowest insertion-rank node.  Computed once per graph;
+        adding a process or channel clears the memo."""
+        if self._cycles is None:
+            metrics = []
+            for nodes in _elementary_circuits(self._succ):
+                hops = [
+                    self._succ[u][v]
+                    for u, v in zip(nodes, nodes[1:] + nodes[:1])
                 ]
-                hops.append(candidates)
-            tokens, latency = _min_ratio_choice(hops)
-            results.append((nodes, tokens, latency))
-        return results
+                metrics.append((nodes, *_min_ratio_choice(hops)))
+            self._cycles = tuple(metrics)
+        return self._cycles
 
     def throughput_enumerated(self) -> Fraction:
         """Exact min-ratio over all simple cycles (1 if acyclic)."""
-        metrics = self.cycle_metrics()
-        if not metrics:
-            return Fraction(1)
         best = Fraction(1)
-        for _nodes, tokens, latency in metrics:
+        for _nodes, tokens, latency in self.cycle_metrics():
             if tokens == 0:
                 return Fraction(0)  # token-free loop: deadlock
             best = min(best, Fraction(tokens, latency))
-        return min(best, Fraction(1))
+        return best
 
     def bottleneck_cycle(self) -> tuple[tuple[str, ...], Fraction] | None:
-        """The loop that sets the throughput, or None if acyclic."""
+        """The loop that sets the throughput, or None if acyclic.
+
+        On ties the first minimum-ratio loop in enumeration order wins:
+        the one whose lowest insertion-rank node comes first, then the
+        first found by the depth-first search from that node, which
+        follows channels in insertion order.  The loop is rooted at its
+        lowest-rank node."""
         metrics = self.cycle_metrics()
         if not metrics:
             return None
@@ -129,17 +152,13 @@ class MarkedGraph:
         Every midpoint is dyadic, ``r = p / 2**k``, so each test runs in
         integers on the weights ``tokens * 2**k - p * (latency + 1)``
         (scaling by ``2**k > 0`` keeps each cycle's sign)."""
-        if self._graph.number_of_edges() == 0:
-            return Fraction(1)
-        if not any(True for _ in nx.simple_cycles(
-            nx.DiGraph(self._graph)
-        )):
+        if not self.cycle_metrics():
             return Fraction(1)
 
-        index = {node: i for i, node in enumerate(self._graph.nodes)}
+        index = {node: i for i, node in enumerate(self._succ)}
         edges = [
-            (index[u], index[v], data["tokens"], data["latency"] + 1)
-            for u, v, data in self._graph.edges(data=True)
+            (index[u], index[v], spec.tokens, spec.latency + 1)
+            for u, v, spec in self._edges
         ]
 
         def has_negative_cycle(p: int, q: int) -> bool:
@@ -165,6 +184,73 @@ class MarkedGraph:
         if abs(exact - low_rate) <= 2 * tolerance:
             return exact
         return low_rate
+
+
+def _elementary_circuits(
+    successors: Mapping[Hashable, Collection[Hashable]]
+) -> list[tuple[Hashable, ...]]:
+    """Every elementary circuit of a digraph, once (Johnson 1975).
+
+    ``successors`` maps each node to its distinct successors; its key
+    order ranks the nodes.  For each start node in rank order the search
+    is confined to the start's strongly connected component among nodes
+    of equal or higher rank, so each circuit is found once, rooted at
+    its lowest-rank node.  Blocked nodes stay blocked until a circuit
+    through them is found, which bounds the work per circuit."""
+    rank = {node: i for i, node in enumerate(successors)}
+    predecessors: dict[Hashable, list[Hashable]] = {n: [] for n in rank}
+    for u, targets in successors.items():
+        for v in targets:
+            predecessors[v].append(u)
+
+    def reach(start, step, floor) -> set:
+        seen, pending = {start}, [start]
+        while pending:
+            for v in step[pending.pop()]:
+                if rank[v] >= floor and v not in seen:
+                    seen.add(v)
+                    pending.append(v)
+        return seen
+
+    circuits: list[tuple[Hashable, ...]] = []
+    for start in successors:
+        floor = rank[start]
+        component = reach(start, successors, floor)
+        component &= reach(start, predecessors, floor)
+        path: list[Hashable] = []
+        blocked: set = set()
+        blockers: dict[Hashable, set] = {v: set() for v in component}
+
+        def unblock(node) -> None:
+            pending = [node]
+            while pending:
+                v = pending.pop()
+                if v in blocked:
+                    blocked.discard(v)
+                    pending.extend(blockers[v])
+                    blockers[v].clear()
+
+        def circuit(v) -> bool:
+            found = False
+            path.append(v)
+            blocked.add(v)
+            for w in successors[v]:
+                if w == start:
+                    circuits.append(tuple(path))
+                    found = True
+                elif w in component and w not in blocked and circuit(w):
+                    found = True
+            if found:
+                unblock(v)
+            else:
+                for w in successors[v]:
+                    if w in component:
+                        blockers[w].add(v)
+            path.pop()
+            return found
+
+        circuit(start)
+    return circuits
 
 
 def _min_ratio_choice(

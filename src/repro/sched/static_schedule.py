@@ -22,9 +22,8 @@ the limitation of the shift-register approach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from math import lcm
-
-import networkx as nx
 
 from ..core.schedule import IOSchedule
 
@@ -105,10 +104,9 @@ def compute_static_schedule(
         raise StaticScheduleError("duplicate process names")
     q = periods_per_loop or 1
 
-    # Per-channel token-time analysis -> offset constraints.
-    graph = nx.DiGraph()
-    for process in processes:
-        graph.add_node(process.name)
+    # Per-channel token-time analysis -> offset constraints, keeping the
+    # largest weight per (producer, consumer).
+    weights: dict[tuple[str, str], int] = {}
     for channel in channels:
         try:
             producer = by_name[channel.producer]
@@ -148,25 +146,26 @@ def compute_static_schedule(
                 )
                 worst = delta if worst is None else max(worst, delta)
         weight = channel.latency + input_port_delay + (worst or 0)
-        if graph.has_edge(channel.producer, channel.consumer):
-            weight = max(
-                weight,
-                graph[channel.producer][channel.consumer]["weight"],
-            )
-        graph.add_edge(channel.producer, channel.consumer, weight=weight)
+        edge = (channel.producer, channel.consumer)
+        weights[edge] = max(weight, weights.get(edge, weight))
 
-    if not nx.is_directed_acyclic_graph(graph):
+    predecessors: dict[str, list[str]] = {p.name: [] for p in processes}
+    for producer_name, consumer_name in weights:
+        predecessors[consumer_name].append(producer_name)
+    try:
+        order = list(TopologicalSorter(predecessors).static_order())
+    except CycleError:
         raise StaticScheduleError(
             "system has feedback loops; static shift-register scheduling "
             "requires a feed-forward topology (Casu-Macchiarulo "
             "regularity hypothesis)"
-        )
+        ) from None
 
     offsets: dict[str, int] = {}
-    for name in nx.topological_sort(graph):
+    for name in order:
         best = external_inputs.get(name, 0)
-        for pred in graph.predecessors(name):
-            best = max(best, offsets[pred] + graph[pred][name]["weight"])
+        for pred in predecessors[name]:
+            best = max(best, offsets[pred] + weights[pred, name])
         offsets[name] = best
 
     max_end = 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,11 @@ from repro.core.wrappers import SPWrapper
 from repro.lis.pearl import FunctionPearl
 from repro.lis.simulator import Simulation
 from repro.lis.system import System
-from repro.lis.throughput import MarkedGraph, system_marked_graph
+from repro.lis.throughput import (
+    MarkedGraph,
+    _elementary_circuits,
+    system_marked_graph,
+)
 
 
 class TestMarkedGraph:
@@ -156,6 +162,97 @@ class TestParametricAgreesWithEnumeration:
         assert g.throughput_parametric() == 1
 
 
+def _random_multigraph(seed: int) -> MarkedGraph:
+    """Up to 6 processes in shuffled insertion order, some isolated,
+    with self-loops and parallel channels."""
+    rng = random.Random(seed)
+    names = [f"p{i}" for i in range(rng.randint(1, 6))]
+    rng.shuffle(names)
+    g = MarkedGraph()
+    for name in names:
+        g.add_process(name)
+    for _ in range(rng.randint(0, 12)):
+        g.add_channel(
+            rng.choice(names),
+            rng.choice(names),
+            latency=rng.randint(1, 4),
+            tokens=rng.randint(0, 2),
+        )
+    return g
+
+
+def _rotation_canonical(cycle) -> tuple:
+    start = cycle.index(min(cycle))
+    return tuple(cycle[start:]) + tuple(cycle[:start])
+
+
+def _brute_force_cycles(g: MarkedGraph) -> set[tuple]:
+    arcs = {(u, v) for u, v, _spec in g.edges}
+    return {
+        _rotation_canonical(order)
+        for size in range(1, len(g.nodes) + 1)
+        for order in itertools.permutations(g.nodes, size)
+        if all(
+            (order[i], order[(i + 1) % size]) in arcs
+            for i in range(size)
+        )
+    }
+
+
+class TestElementaryCircuits:
+    def test_matches_brute_force(self):
+        """Each elementary circuit once, rooted at its lowest-rank node,
+        and the enumerated throughput equals the parametric one."""
+        for seed in range(300):
+            g = _random_multigraph(seed)
+            successors = {node: {} for node in g.nodes}
+            for u, v, _spec in g.edges:
+                successors[u][v] = None
+            circuits = _elementary_circuits(successors)
+            canonical = [_rotation_canonical(c) for c in circuits]
+            assert len(set(canonical)) == len(canonical), seed
+            assert set(canonical) == _brute_force_cycles(g), seed
+            rank = {node: i for i, node in enumerate(g.nodes)}
+            for circuit in circuits:
+                assert rank[circuit[0]] == min(rank[n] for n in circuit)
+            assert [nodes for nodes, _t, _l in g.cycle_metrics()] == (
+                circuits
+            )
+            assert g.throughput_enumerated() == g.throughput_parametric()
+
+    def test_bottleneck_tie_rule(self):
+        """Equal-ratio loops: the first in enumeration order wins, the
+        one through the lowest insertion-rank node, rooted there; from
+        one root, the search follows channels in insertion order."""
+        g = MarkedGraph()
+        for name in ("z", "x", "y"):
+            g.add_process(name)
+        g.add_channel("x", "y", tokens=1)
+        g.add_channel("y", "x")
+        g.add_channel("y", "z", tokens=1)
+        g.add_channel("z", "y")
+        assert g.bottleneck_cycle() == (("z", "y"), Fraction(1, 4))
+
+        g = MarkedGraph()
+        g.add_channel("x", "z", tokens=1)
+        g.add_channel("x", "y", tokens=1)
+        g.add_channel("y", "x")
+        g.add_channel("z", "x")
+        assert [nodes for nodes, _t, _l in g.cycle_metrics()] == [
+            ("x", "z"),
+            ("x", "y"),
+        ]
+        assert g.bottleneck_cycle() == (("x", "z"), Fraction(1, 4))
+
+    def test_memo_cleared_by_new_channel(self):
+        g = MarkedGraph()
+        g.add_channel("a", "b", tokens=1)
+        assert g.cycle_metrics() == ()
+        g.add_channel("b", "a")
+        assert g.cycle_metrics() == ((("a", "b"), 1, 4),)
+        assert g.throughput_parametric() == Fraction(1, 4)
+
+
 class TestMeasuredVsAnalytic:
     def _ring(self, n_nodes: int, extra_latency: int):
         """Feedback ring of passthrough pearls; one node injects an
@@ -208,5 +305,5 @@ class TestMeasuredVsAnalytic:
     def test_system_marked_graph_extraction(self):
         system, shells = self._ring(3, 1)
         marked = system_marked_graph(system)
-        assert set(marked.graph.nodes) == {"n0", "n1", "n2"}
-        assert marked.graph.number_of_edges() == 3
+        assert set(marked.nodes) == {"n0", "n1", "n2"}
+        assert len(marked.edges) == 3

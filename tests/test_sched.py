@@ -154,8 +154,27 @@ class TestStaticScheduling:
         channels = channels + [
             ChannelSpec("fir2", "y_out", "fir1", "x_in")
         ]
-        with pytest.raises(StaticScheduleError):
+        with pytest.raises(StaticScheduleError, match="feedback loops"):
             compute_static_schedule(processes, channels)
+
+    def test_self_loop_rejected(self):
+        _p1, _p2, processes, channels = self._fir_chain()
+        channels = channels + [ChannelSpec("fir2", "y_out", "fir2", "x_in")]
+        with pytest.raises(StaticScheduleError, match="feedback loops"):
+            compute_static_schedule(processes, channels)
+
+    def test_parallel_channels_keep_max_weight(self):
+        _p1, _p2, processes, _ = self._fir_chain()
+
+        def link(latency):
+            return ChannelSpec("fir1", "y_out", "fir2", "x_in", latency)
+
+        fast = compute_static_schedule(processes, [link(1)])
+        slow = compute_static_schedule(processes, [link(6)])
+        assert slow.offsets["fir2"] == fast.offsets["fir2"] + 5
+        for channels in ([link(6), link(1)], [link(1), link(6)]):
+            plan = compute_static_schedule(processes, channels)
+            assert plan.offsets == slow.offsets
 
     def test_unknown_process_rejected(self):
         with pytest.raises(StaticScheduleError):

@@ -107,8 +107,8 @@ class TestBuildSystem:
     def test_marked_graph_mirrors_channels(self):
         topology = random_topology(5, SMALL)
         graph = topology_marked_graph(topology)
-        assert graph.graph.number_of_nodes() == len(topology.processes)
-        assert graph.graph.number_of_edges() == len(topology.channels)
+        assert set(graph.nodes) == {p.name for p in topology.processes}
+        assert len(graph.edges) == len(topology.channels)
 
 
 class TestRunCase:
