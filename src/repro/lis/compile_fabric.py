@@ -5,7 +5,7 @@ every block's ``produce``, ``consume`` and ``commit`` each cycle.  That
 object-level loop stays as the *reference engine*; for the stock fabric
 blocks it is almost all dispatch and attribute traffic.  This module
 lowers a validated system into one straight-line Python function
-``run(simulation, cycles, deadlock_window)``, the way
+``run(simulation, cycles, deadlock_window, quiet)``, the way
 :mod:`repro.rtl.compile_sim` lowers RTL:
 
 * every link wire becomes a per-cycle local (``d<k>`` data, ``s<k>``
@@ -19,9 +19,13 @@ lowers a validated system into one straight-line Python function
   ``pop``/``push``/``not_empty``/``not_full``.  A port's consume and
   commit run right after its own shell's ``_wrapper_step``, the only
   code that observes the port;
-* ``StallInjector`` overrides run at their place in block order, which
-  is after every structural produce (instruments are appended last);
-* the deadlock window's quiet counter is inline.
+* ``StallInjector`` blocks are left out.  On a cycle outside its
+  window an injector's phases do nothing, so the loop is exact on
+  every cycle no injector is due; ``Simulation.run`` hands the stall
+  cycles themselves to the reference loop, injectors in place;
+* the deadlock window's quiet counter is inline.  It comes in as
+  ``quiet`` and goes back out with the result, so a run split into
+  segments stops at the cycle an unsplit run stops at.
 
 Pearls and wrapper decisions stay callbacks, called in block order, so
 the first exception a run raises is the one the reference loop raises.
@@ -34,7 +38,8 @@ when no watchers are attached and every block is a stock fabric type
 (:class:`Source`, :class:`Sink`, :class:`RelayStation`,
 :class:`StallInjector`, or a :class:`Shell` that keeps the base
 class's phases and has stock ports).  Anything else takes the
-reference loop, and :func:`cache_stats` counts both paths.
+reference loop, and :func:`cache_stats` counts both paths, plus the
+stall cycles lowered runs hand to the reference loop.
 
 Cache contract: lowering is split into a walk and a text generator.
 :func:`lower_shape`'s walk returns the system's *shape key* (block
@@ -42,10 +47,12 @@ kinds and order, wiring by position, port directions, and the
 always-on / limit flags of source and sink patterns) together with the
 objects and wires the generated code binds at run entry; the text
 generator's only input is that key, so the key and the text cannot
-disagree.  Compiled code objects are cached per process under the key
-in a small LRU, so a run whose shape was seen before only walks its
-system, binds and runs: no text is generated.  All wrapper styles of
-one topology share one entry.
+disagree.  Instruments stay out of the key: a stall plan is data the
+run splits on, not code.  Compiled code objects are cached per process
+under the key in a small LRU, so a run whose shape was seen before
+only walks its system, binds and runs: no text is generated.  All
+wrapper styles of one topology, and every stall plan over it, share
+one entry.
 """
 
 from __future__ import annotations
@@ -75,17 +82,19 @@ _CODE_IDS = itertools.count(1)
 
 # Engine counters, process-local like the cache they describe:
 # ``lowered``/``reference`` count ``Simulation.run`` calls per engine,
-# ``hits``/``misses`` code-cache consults, ``compile_ms`` the
-# wall-clock milliseconds spent compiling missed shapes and
-# ``lower_ms`` those of every lowering (walk + text + compile).
+# ``stall_cycles`` the cycles lowered runs handed to the reference loop
+# because an injector was due, ``hits``/``misses`` code-cache
+# consults, ``compile_ms`` the wall-clock milliseconds spent compiling
+# missed shapes and ``lower_ms`` those of every lowering (walk + text +
+# compile).
 _STATS: dict[str, float] = {}
 
 
 def reset_cache_stats() -> None:
     """Zero every fabric counter (the cache itself is kept)."""
     _STATS.update(
-        lowered=0, reference=0, hits=0, misses=0, compile_ms=0.0,
-        lower_ms=0.0,
+        lowered=0, reference=0, stall_cycles=0, hits=0, misses=0,
+        compile_ms=0.0, lower_ms=0.0,
     )
 
 
@@ -94,9 +103,15 @@ reset_cache_stats()
 
 def cache_stats() -> dict[str, float]:
     """Snapshot of the fabric counters: ``lowered``, ``reference``,
-    ``hits``, ``misses``, ``compile_ms``, ``lower_ms``.  Cumulative
-    per process; diff two snapshots to scope a measurement."""
+    ``stall_cycles``, ``hits``, ``misses``, ``compile_ms``,
+    ``lower_ms``.  Cumulative per process; diff two snapshots to scope
+    a measurement."""
     return dict(_STATS)
+
+
+def count_stall_cycles(cycles: int) -> None:
+    """Count ``cycles`` a lowered run handed to the reference loop."""
+    _STATS["stall_cycles"] += cycles
 
 
 def fabric_cache_info() -> tuple[int, int]:
@@ -119,8 +134,8 @@ _STOCK = (Source, Sink, RelayStation, StallInjector)
 
 
 def lowerable(blocks) -> bool:
-    """True when every block is a stock fabric type the lowering
-    models exactly."""
+    """True when every block is a stock fabric type a lowered run
+    handles exactly (stall injectors by splitting the run)."""
     return all(
         type(block) in _STOCK
         or (isinstance(block, Shell) and _stock_shell(block))
@@ -128,9 +143,14 @@ def lowerable(blocks) -> bool:
     )
 
 
-def runner_for(
-    simulation: "Simulation",
-) -> Callable[["Simulation", int, int | None], tuple[int, bool]] | None:
+#: A lowered run loop: ``run(simulation, cycles, deadlock_window,
+#: quiet) -> (cycles executed, deadlocked, quiet)``.
+Runner = Callable[
+    ["Simulation", int, int | None, int], tuple[int, bool, int]
+]
+
+
+def runner_for(simulation: "Simulation") -> Runner | None:
     """The lowered ``run`` for ``simulation``, or None when this run
     must take the reference loop (watchers attached, or a non-stock
     block).  Counts the engine choice either way."""
@@ -206,14 +226,6 @@ def _sink_store(sink: Sink, first, last):
     sink.last_arrival_cycle = last
 
 
-def _injector_load(injector: StallInjector) -> tuple:
-    return injector._cycles, injector.stalled_cycles
-
-
-def _injector_store(injector: StallInjector, stalled: int):
-    injector.stalled_cycles = stalled
-
-
 def _in_load(port: InputPort) -> tuple:
     return port._fifo, port.depth, port.tokens_received, port.stall_cycles
 
@@ -265,6 +277,8 @@ def _walk(simulation: "Simulation") -> tuple[tuple, list, list, list]:
     """One pass over the blocks: the system's shape key, plus the
     objects (``B``) and the data (``WD``) and stop (``WS``) wires the
     generated run binds at entry, at the positions the key names.
+    ``StallInjector`` blocks are skipped: they enter neither the key
+    nor ``B``, so a system with a stall plan has its base's key.
 
     The key holds one entry per block in block order — its kind, its
     ``B`` position, its wire positions, and the flags the text branches
@@ -289,6 +303,8 @@ def _walk(simulation: "Simulation") -> tuple[tuple, list, list, list]:
     blocks = []
     for block in simulation._blocks:
         kind = type(block)
+        if kind is StallInjector:
+            continue
         o = len(bound)
         append(block)
         if kind is RelayStation:
@@ -312,11 +328,6 @@ def _walk(simulation: "Simulation") -> tuple[tuple, list, list, list]:
             blocks.append((
                 "sink", o, wire(block._data, data),
                 wire(block._stop, stop), accept,
-            ))
-        elif kind is StallInjector:
-            blocks.append((
-                "injector", o, wire(block._data, data),
-                wire(block._stop, stop),
             ))
         else:
             shells[id(block)] = o
@@ -384,10 +395,6 @@ def _generate(shape: tuple) -> str:
             f = fields(o, d, s, "sink", "ac al rv ap fa la", "fa la")
             add(produce, _SINK_PRODUCE[accept], **f)
             add(consume, _SINK_STEP, **f)
-        elif kind == "injector":
-            _, _, d, s = entry
-            f = fields(o, d, s, "injector", "cy n", "n")
-            add(produce, _INJECTOR_PRODUCE, **f)
         else:
             steps = []
             for is_input, port, d, s in entry[2]:
@@ -425,14 +432,13 @@ def _generate(shape: tuple) -> str:
     ]
     return "\n".join(
         [
-            "def run(simulation, cycles, deadlock_window):",
+            "def run(simulation, cycles, deadlock_window, quiet):",
             *unpack,
             "    V = VOID",
             "    nx = next",
             body(prologue, "    "),
             "    cycle = start = simulation.cycle",
             "    watch = deadlock_window is not None",
-            "    quiet = 0",
             f"    last = {watched}",
             "    deadlocked = False",
             "    try:",
@@ -452,7 +458,7 @@ def _generate(shape: tuple) -> str:
             f"        _put_data(WD, ({names('d', n_data)}))",
             f"        _put_stop(WS, ({names('s', n_stop)}))",
             body(epilogue, "        "),
-            "    return cycle - start, deadlocked",
+            "    return cycle - start, deadlocked, quiet",
             "",
         ]
     )
@@ -507,12 +513,6 @@ _SINK_PRODUCE = {
     "pattern": "{s} = not {p}ac[cycle % {p}al]",
 }
 
-_INJECTOR_PRODUCE = """\
-if cycle in {p}cy:
-    {d} = V
-    {s} = True
-    {p}n += 1"""
-
 # Input-port consume + commit, after the shell's wrapper step: drop
 # what the wrapper popped, then merge the token accepted this cycle
 # (``F`` is the fullness the port's produce drove onto its stop wire).
@@ -547,9 +547,7 @@ def lower_source(simulation: "Simulation") -> str:
     return _generate(_walk(simulation)[0])
 
 
-def _lower(
-    simulation: "Simulation",
-) -> Callable[["Simulation", int, int | None], tuple[int, bool]]:
+def _lower(simulation: "Simulation") -> Runner:
     started = time.perf_counter()
     shape, bound, data, stop = _walk(simulation)
     code = _CODE_CACHE.get(shape)

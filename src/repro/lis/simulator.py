@@ -13,6 +13,15 @@ Everything else, and every :meth:`Simulation.step`, takes the
 object-level *reference loop*, which calls each block's ``produce``,
 ``consume`` and ``commit`` in block order; the lowering is
 differentially tested against it.
+
+The lowered loop leaves :class:`~repro.lis.stall.StallInjector` blocks
+out, so a system's stall plan never changes the code it runs.  Instead
+:meth:`Simulation.run` splits the requested cycles at the injectors'
+stall cycles: stall-free stretches run the lowered loop, and each
+window of consecutive stall cycles runs the reference loop with the
+injectors in place.  Both loops take and return the deadlock watch's
+quiet count, so a split run stops where an unsplit one would.  A
+system without injectors makes one lowered call.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .compile_fabric import Runner, count_stall_cycles, runner_for
+from .stall import stall_windows
 from .system import System
 
 
@@ -74,6 +85,9 @@ class Simulation:
         # The lowered run loop: False until the first run() tries to
         # lower the system, None when it cannot be lowered.
         self._fabric: Callable | None | bool = False
+        # The [start, end) cycle windows some stall injector is due
+        # in; a lowered run hands them to the reference loop.
+        self._stalls = stall_windows(self._blocks)
 
     def add_watcher(self, fn: Callable[[int], None]) -> None:
         """``fn(cycle)`` runs after every commit (trace collection)."""
@@ -83,15 +97,16 @@ class Simulation:
         self._reference(cycles, None)
 
     def _reference(
-        self, cycles: int, deadlock_window: int | None
-    ) -> tuple[int, bool]:
+        self, cycles: int, deadlock_window: int | None, quiet: int = 0
+    ) -> tuple[int, bool, int]:
         """The object-level reference loop: ``(cycles executed,
-        deadlocked)``."""
+        deadlocked, quiet)``, where ``quiet`` counts the trailing
+        cycles no shell fired in, carried in from an earlier segment
+        of the same run."""
         blocks = self._blocks
         watchers = self._watchers
         shells = self._shells
         cycle = start = self.cycle
-        quiet = 0
         # enabled_cycles counters only ever grow, so the sum moves
         # exactly when some shell made progress.
         last_total = sum(shell.enabled_cycles for shell in shells)
@@ -111,10 +126,40 @@ class Simulation:
                     quiet = 0 if total != last_total else quiet + 1
                     last_total = total
                     if quiet >= deadlock_window:
-                        return cycle - start, True
-            return cycle - start, False
+                        return cycle - start, True, quiet
+            return cycle - start, False, quiet
         finally:
             self.cycle = cycle
+
+    def _split(
+        self, lowered: Runner, cycles: int, deadlock_window: int | None
+    ) -> tuple[int, bool]:
+        """Run ``cycles`` on the lowered loop, except the stall windows,
+        which run on the reference loop: ``(cycles executed,
+        deadlocked)``."""
+        start = self.cycle
+        end = start + cycles
+        quiet = 0
+        for first, stop in self._stalls:
+            first, stop = max(first, self.cycle), min(stop, end)
+            if first >= stop:
+                continue
+            if first > self.cycle:
+                _, deadlocked, quiet = lowered(
+                    self, first - self.cycle, deadlock_window, quiet
+                )
+                if deadlocked:
+                    return self.cycle - start, True
+            executed, deadlocked, quiet = self._reference(
+                stop - first, deadlock_window, quiet
+            )
+            count_stall_cycles(executed)
+            if deadlocked:
+                return self.cycle - start, True
+        _, deadlocked, _ = lowered(
+            self, end - self.cycle, deadlock_window, quiet
+        )
+        return self.cycle - start, deadlocked
 
     def run(
         self,
@@ -123,14 +168,15 @@ class Simulation:
     ) -> SimulationResult:
         """Run for ``cycles`` cycles; optionally stop early if no shell
         fires for ``deadlock_window`` consecutive cycles."""
-        # Imported here so that importing the package stays cheap.
-        from .compile_fabric import runner_for
-
         lowered = runner_for(self)
         if lowered is not None:
-            executed, deadlocked = lowered(self, cycles, deadlock_window)
+            executed, deadlocked = self._split(
+                lowered, cycles, deadlock_window
+            )
         else:
-            executed, deadlocked = self._reference(cycles, deadlock_window)
+            executed, deadlocked, _ = self._reference(
+                cycles, deadlock_window
+            )
         return SimulationResult(
             cycles=executed,
             shell_enabled={

@@ -101,6 +101,25 @@ class StallInjector(Block):
         self.stalled_cycles = 0
 
 
+def stall_windows(blocks: Iterable[Block]) -> tuple[tuple[int, int], ...]:
+    """The cycles the :class:`StallInjector` blocks among ``blocks``
+    override, as sorted ``[start, end)`` windows that neither overlap
+    nor touch."""
+    cycles = sorted(
+        set().union(
+            *(block._cycles for block in blocks
+              if isinstance(block, StallInjector))
+        )
+    )
+    windows: list[tuple[int, int]] = []
+    for cycle in cycles:
+        if windows and windows[-1][1] == cycle:
+            windows[-1] = (windows[-1][0], cycle + 1)
+        else:
+            windows.append((cycle, cycle + 1))
+    return tuple(windows)
+
+
 def apply_stall_plan(
     system: System, stalls: Sequence[LinkStall]
 ) -> list[StallInjector]:

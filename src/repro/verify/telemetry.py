@@ -326,6 +326,9 @@ def _render_fabric(counters: Mapping[str, float]) -> str:
         f"  lis fabric: {lowered:.0f} lowered / {reference:.0f} "
         "reference run(s)"
     )
+    stalled = counters.get("fabric.stall_cycles", 0)
+    if stalled:
+        line += f" ({stalled:.0f} stall cycle(s) on the reference loop)"
     hits = counters.get("fabric.cache.hits", 0)
     misses = counters.get("fabric.cache.misses", 0)
     if hits or misses:
@@ -518,7 +521,9 @@ def engine_stats() -> dict[str, float]:
     :func:`repro.rtl.compile_sim.cache_stats` as ``rtl.cache.*``, and
     :func:`repro.lis.compile_fabric.cache_stats` as
     ``fabric.lowered``/``fabric.reference`` (``Simulation.run`` calls
-    per engine) plus ``fabric.cache.*``, and
+    per engine), ``fabric.stall_cycles`` (cycles lowered runs handed
+    to the reference loop because a stall injector was due) plus
+    ``fabric.cache.*``, and
     :func:`repro.verify.lockstep.lockstep_stats` (cycle-exact pairs
     simulated in lockstep, and lockstep runs discarded for separate
     runs) as ``lockstep.runs``/``lockstep.fallbacks``.
@@ -532,7 +537,7 @@ def engine_stats() -> dict[str, float]:
     for key, value in lockstep_stats().items():
         stats[f"lockstep.{key}"] = value
     for key, value in fabric_stats().items():
-        runs = key in ("lowered", "reference")
+        runs = key in ("lowered", "reference", "stall_cycles")
         stats[f"fabric.{key}" if runs else f"fabric.cache.{key}"] = value
     return stats
 

@@ -16,6 +16,7 @@ import cProfile
 import dataclasses
 import pstats
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.lis.shell import Shell
 from repro.lis.signals import VOID, Block
 from repro.lis.simulator import Simulation
 from repro.lis.stall import (
-    StallInjector,
+    LinkStall,
     apply_stall_plan,
     derive_stall_plan,
 )
@@ -275,6 +276,29 @@ def _passthrough_system(
     return system
 
 
+def _stalled_topology(*stalls, seed=3, style="fsm"):
+    """A build of a small seeded topology under a stall plan given as
+    ``(link index, start, duration)`` triples."""
+    topology = random_topology(seed, PROFILE_PRESETS["small"])
+    links = topology_link_names(topology)
+    plan = tuple(
+        LinkStall(links[index % len(links)], start, duration)
+        for index, start, duration in stalls
+    )
+    return _topology_build(topology, style, stalls=plan)
+
+
+def _stalled_passthrough(start, duration, tokens=5):
+    """The passthrough system with one stall on its source link."""
+
+    def build():
+        system = _passthrough_system(list(range(tokens)))
+        apply_stall_plan(system, [LinkStall("src->p.x", start, duration)])
+        return system
+
+    return build
+
+
 class TestRunContract:
     def test_deadlock_early_exit_cycle(self):
         observed = _assert_parity(
@@ -286,10 +310,15 @@ class TestRunContract:
         assert result["cycles"] < 500
 
     def test_deadlock_window_zero_and_none(self):
+        builds = [
+            lambda: _passthrough_system([1, 2]),
+            # A stall at cycle 0 runs first on the reference loop.
+            _stalled_passthrough(0, 4, tokens=2),
+            _stalled_passthrough(3, 4, tokens=2),
+        ]
         for window in (0, 1, None):
-            _assert_parity(
-                lambda: _passthrough_system([1, 2]), runs=((40, window),)
-            )
+            for build in builds:
+                _assert_parity(build, runs=((40, window),))
 
     def test_portless_shell_has_no_wires(self):
         def build():
@@ -322,8 +351,12 @@ class TestRunContract:
         )
 
     def test_reset_then_rerun(self):
-        def observe(reference):
-            system = _topology_build(random_topology(6), "sp")()
+        topology = random_topology(6)
+        links = topology_link_names(topology)
+        stalled = (LinkStall(links[0], 10, 6), LinkStall(links[-1], 40, 3))
+
+        def observe(reference, stalls):
+            system = _topology_build(topology, "sp", stalls=stalls)()
             first = _observe(system, reference)
             simulation = Simulation(system)
             if reference:
@@ -335,7 +368,8 @@ class TestRunContract:
             result = simulation.run(CYCLES, deadlock_window=WINDOW)
             return first, _snapshot(system, simulation, result)
 
-        assert observe(False) == observe(True)
+        for stalls in ((), stalled):
+            assert observe(False, stalls) == observe(True, stalls)
 
     def test_step_then_run_composes(self):
         def observe(reference):
@@ -405,6 +439,100 @@ class TestRunContract:
         assert sink.received == [1]
 
 
+# -- stall windows: the reference loop runs them, the lowered loop the rest ---
+
+
+def _stall_cycles_of(run) -> int:
+    before = compile_fabric.cache_stats()["stall_cycles"]
+    run()
+    return compile_fabric.cache_stats()["stall_cycles"] - before
+
+
+class TestStallWindows:
+    def test_stall_at_cycle_zero(self):
+        _assert_parity(_stalled_topology((0, 0, 5), (1, 0, 1)))
+
+    def test_stall_on_the_last_requested_cycle(self):
+        _assert_parity(_stalled_topology((0, CYCLES - 1, 1)))
+
+    def test_window_runs_past_the_requested_cycles(self):
+        observed = _assert_parity(_stalled_topology((2, CYCLES - 10, 30)))
+        assert observed[0]["injectors"][0][1] == 10
+
+    def test_window_split_across_two_runs(self):
+        observed = _assert_parity(
+            _stalled_topology((0, 45, 12), (1, 120, 3)),
+            runs=((50, WINDOW), (100, WINDOW), (0, None), (60, None)),
+        )
+        assert [run["cycle"] for run in observed] == [50, 150, 150, 210]
+
+    def test_adjacent_and_overlapping_windows(self):
+        # Adjacent windows on two links, overlapping ones on a third.
+        _assert_parity(
+            _stalled_topology((0, 20, 5), (1, 25, 5), (2, 60, 9), (2, 64, 9))
+        )
+
+    @pytest.mark.parametrize("style", ["sp", "rtl-sp", "rtl-fsm"])
+    def test_styles_under_boundary_windows(self, style):
+        _assert_parity(
+            _stalled_topology(
+                (0, 0, 2), (1, 2, 3), (2, 90, 16), (0, CYCLES - 1, 4),
+                style=style,
+            )
+        )
+
+    def test_deadlock_fires_inside_a_stall_window(self):
+        # The stall-free run deadlocks at cycle 15 (quiet from 8).
+        observed = _assert_parity(
+            _stalled_passthrough(10, 10), runs=((500, 7),)
+        )
+        assert observed[0]["result"]["deadlocked"]
+        assert observed[0]["result"]["cycles"] == 15
+
+    def test_quiet_count_carries_across_segments(self):
+        # Lowered [0, 10), reference [10, 12), lowered from 12: the
+        # deadlock still fires at 15 only if the quiet count of the
+        # first two segments carries into the third.
+        build = _stalled_passthrough(10, 2)
+        observed = _assert_parity(build, runs=((500, 7),))
+        assert observed[0]["result"]["deadlocked"]
+        assert observed[0]["result"]["cycles"] == 15
+        simulation = Simulation(build())
+        stalled = _stall_cycles_of(lambda: simulation.run(500, 7))
+        assert stalled == 2
+
+    def test_stall_cycles_count_the_windows_run(self):
+        system = _stalled_topology((0, 5, 4), (1, 7, 4), (2, 150, 80))()
+        simulation = Simulation(system)
+        assert simulation._stalls == ((5, 11), (150, 230))
+        # [5, 11) and [150, 200) fall inside the run.
+        assert _stall_cycles_of(lambda: simulation.run(CYCLES)) == 56
+
+    def test_a_watcher_runs_everything_on_the_reference_loop(self):
+        simulation = Simulation(_stalled_topology((0, 5, 4))())
+        seen = []
+        simulation.add_watcher(seen.append)
+        before = compile_fabric.cache_stats()
+        assert _stall_cycles_of(lambda: simulation.run(CYCLES)) == 0
+        after = compile_fabric.cache_stats()
+        assert seen == list(range(CYCLES))
+        assert after["reference"] - before["reference"] == 1
+        assert after["lowered"] == before["lowered"]
+
+    def test_stall_free_systems_make_one_lowered_call(self):
+        calls = []
+        simulation = Simulation(_passthrough_system(list(range(5))))
+        runner = compile_fabric.runner_for(simulation)
+
+        def counted(*args):
+            calls.append(args[1:])
+            return runner(*args)
+
+        simulation._fabric = counted
+        assert _stall_cycles_of(lambda: simulation.run(40, 7)) == 0
+        assert calls == [(40, 7, 0)]
+
+
 # -- the code cache and the RTLShell glue ------------------------------------
 
 
@@ -428,11 +556,12 @@ def _corpus_builds():
 
 
 def _shape_system(
-    gaps=None, stalls=None, limit=None, injector=False,
+    gaps=None, stalls=None, limit=None, plan=(),
     swap_inputs=False, rewire=False,
 ) -> System:
     """Two sources into one shell into one sink, every channel with a
-    relay station; each keyword changes one property of the shape."""
+    relay station; each keyword changes one property of the system
+    (``plan`` is a stall plan, which leaves the shape as it is)."""
     schedule = IOSchedule(["a", "b"], ["y"], [SyncPoint({"a", "b"}, {"y"})])
     pearl = FunctionPearl("p", schedule, lambda i, p: {"y": p["a"]})
     system = System("shape")
@@ -442,8 +571,8 @@ def _shape_system(
     system.connect_sink(
         shell, "y", "snk", latency=2, stalls=stalls, limit=limit
     )
-    if injector:
-        system.add_instrument(StallInjector("stall", system.links[0], [3]))
+    if plan:
+        apply_stall_plan(system, plan)
     if swap_inputs:
         shell.in_ports = dict(reversed(list(shell.in_ports.items())))
     if rewire:
@@ -521,9 +650,9 @@ class TestCodeCache:
         assert all(len(text) == 1 for text in texts.values())
         sources = [text.pop() for text in texts.values()]
         assert len(set(sources)) == len(sources)
-        # Styles of one topology share a shape; stall plans and
+        # Styles and stall plans of one topology share a shape;
         # topologies make distinct ones.
-        assert 40 <= len(sources) < sum(1 for _ in _corpus_builds())
+        assert len(sources) == 40
 
     @pytest.mark.parametrize(
         "change",
@@ -531,7 +660,6 @@ class TestCodeCache:
             {"gaps": [True, False]},
             {"limit": 9},
             {"stalls": [True, False]},
-            {"injector": True},
             {"swap_inputs": True},
             {"rewire": True},
         ],
@@ -553,6 +681,34 @@ class TestCodeCache:
             assert compile_fabric.lower_shape(
                 Simulation(_shape_system(**change))
             ) == base
+
+    def test_stall_plans_share_the_base_key(self, monkeypatch):
+        base = Simulation(_shape_system())
+        key = compile_fabric.lower_shape(base)
+        source = compile_fabric.lower_source(base)
+        links = [link.name for link in _shape_system().links]
+        plans = [
+            (LinkStall(links[0], 3, 1),),
+            (LinkStall(links[-1], 0, 40),),
+            # Overlapping windows on one link, and a second link.
+            (
+                LinkStall(links[1], 2, 6), LinkStall(links[1], 5, 6),
+                LinkStall(links[3], 4, 2),
+            ),
+            tuple(LinkStall(name, 1, 2) for name in links),
+        ]
+        for plan in plans:
+            stalled = Simulation(_shape_system(plan=plan))
+            assert stalled.system.instruments
+            assert compile_fabric.lower_shape(stalled) == key
+            assert compile_fabric.lower_source(stalled) == source
+        monkeypatch.setattr(compile_fabric, "_CODE_CACHE", OrderedDict())
+        before = compile_fabric.cache_stats()
+        Simulation(_shape_system()).run(20)
+        Simulation(_shape_system(plan=plans[2])).run(20)
+        after = compile_fabric.cache_stats()
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 1
 
     def test_port_direction_changes_the_key(self):
         forward, backward = (

@@ -396,6 +396,51 @@ class TestDynamicOracle:
             assert case.perturb_styles == "all"
 
 
+# -- fabric code reuse ---------------------------------------------------------
+
+
+class TestFabricReuse:
+    """A dynamic variant reruns its base's topology: its stall plan is
+    data the run splits on, so it compiles no fabric of its own."""
+
+    @pytest.mark.parametrize("seed", (0, 4))
+    def test_dynamic_variants_compile_no_shape(self, seed, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.lis import compile_fabric
+        from repro.sched.generate import PROFILE_PRESETS
+
+        topology = random_topology(seed, PROFILE_PRESETS["small"])
+        case = _case(
+            topology, styles=("fsm", "sp", "rtl-sp", "rtl-fsm"),
+            perturb=2, perturb_dynamic=True, perturb_styles="all",
+        )
+        variants = case_variants(case)
+        assert [v.kind for v in variants][0] == "dynamic"
+        monkeypatch.setattr(compile_fabric, "_CODE_CACHE", OrderedDict())
+        before = compile_fabric.cache_stats()
+        assert run_case(case).ok
+        middle = compile_fabric.cache_stats()
+        # One shape for the base and its dynamic variant, at most one
+        # more for the resegmented variant.
+        assert 1 <= middle["misses"] - before["misses"] <= 2
+        assert middle["stall_cycles"] > before["stall_cycles"]
+        assert middle["reference"] == before["reference"]
+        shrunk = tuple(
+            replace(
+                variant,
+                stalls=(replace(variant.stalls[0], duration=1),),
+            )
+            if variant.kind == "dynamic"
+            else variant
+            for variant in variants
+        )
+        assert run_case(replace(case, variants=shrunk)).ok
+        after = compile_fabric.cache_stats()
+        assert after["misses"] == middle["misses"]
+        assert after["hits"] > middle["hits"]
+
+
 # -- shrinking stall plans -----------------------------------------------------
 
 

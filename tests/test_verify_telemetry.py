@@ -323,6 +323,39 @@ def test_fabric_line_reports_lowering_time():
     ) in rollup.render().splitlines()
 
 
+def test_fabric_line_counts_stall_cycles():
+    rollup = Rollup()
+    for name, n in (("fabric.lowered", 6), ("fabric.stall_cycles", 41)):
+        rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
+    assert (
+        "  lis fabric: 6 lowered / 0 reference run(s) (41 stall cycle(s) "
+        "on the reference loop)"
+    ) in rollup.render().splitlines()
+
+
+def test_cli_metrics_carry_stall_cycles(tmp_path, capsys):
+    # Dynamic variants run their stall windows on the reference loop;
+    # the runs still count as lowered.
+    assert "fabric.stall_cycles" in telemetry.engine_stats()
+    metrics = tmp_path / "metrics.json"
+    events = tmp_path / "events.jsonl"
+    code = cli.main([
+        "verify", "--cases", "2", "--cycles", "120", "--perturb", "1",
+        "--perturb-dynamic", "--metrics-json", str(metrics),
+        "--events", str(events),
+    ])
+    assert code == 0
+    counters = json.loads(metrics.read_text())["counters"]
+    stalled = counters["fabric.stall_cycles"]
+    assert stalled > 0
+    assert counters.get("fabric.reference", 0) == 0
+    assert not any(key.startswith("fabric.cache.stall") for key in counters)
+    line = f"({stalled:.0f} stall cycle(s) on the reference loop)"
+    assert line in capsys.readouterr().out
+    assert cli.main(["report", str(events)]) == 0
+    assert line in capsys.readouterr().out
+
+
 def test_lockstep_line_counts_pair_runs_and_fallbacks():
     rollup = Rollup()
     for name, n in (("lockstep.runs", 12), ("lockstep.fallbacks", 2)):
