@@ -22,66 +22,43 @@ Sub-packages:
   and FPGA technology mapping;
 * :mod:`repro.ips` — Reed-Solomon / Viterbi / FIR pearls;
 * :mod:`repro.sched` — schedule extraction and static scheduling;
-* :mod:`repro.synthesis` — flow entry point and Table-1 reporting.
+* :mod:`repro.synthesis` — flow entry point and Table-1 reporting;
+* :mod:`repro.verify` — batch differential verification of the
+  wrapper styles.
+
+Every name above and every sub-package resolves lazily, importing its
+defining module on first access (:mod:`repro._lazy`): ``import repro``
+loads no submodule, and ``import repro.verify.runner`` loads only
+what a verify campaign runs.
 """
 
-from .core import (
-    CombinationalWrapper,
-    CompilerOptions,
-    FSMWrapper,
-    IOSchedule,
-    Operation,
-    OperationFormat,
-    RTLShell,
-    SPProgram,
-    SPWrapper,
-    ShiftRegisterWrapper,
-    SyncPoint,
-    SyncProcessor,
-    compile_schedule,
-    make_wrapper,
-    synthesize_all_styles,
-    synthesize_wrapper,
-    uniform_schedule,
-)
-from .lis import (
-    Pearl,
-    RelayStation,
-    Simulation,
-    Sink,
-    Source,
-    System,
-)
-from .synthesis import PAPER_TABLE1, format_table1, synthesize
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CombinationalWrapper",
-    "CompilerOptions",
-    "FSMWrapper",
-    "IOSchedule",
-    "Operation",
-    "OperationFormat",
-    "PAPER_TABLE1",
-    "Pearl",
-    "RTLShell",
-    "RelayStation",
-    "SPProgram",
-    "SPWrapper",
-    "ShiftRegisterWrapper",
-    "Simulation",
-    "Sink",
-    "Source",
-    "SyncPoint",
-    "SyncProcessor",
-    "System",
-    "__version__",
-    "compile_schedule",
-    "format_table1",
-    "make_wrapper",
-    "synthesize",
-    "synthesize_all_styles",
-    "synthesize_wrapper",
-    "uniform_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".core.compiler": ("CompilerOptions", "compile_schedule"),
+        ".core.equivalence": ("RTLShell",),
+        ".core.operations": ("Operation", "OperationFormat", "SPProgram"),
+        ".core.processor": ("SyncProcessor",),
+        ".core.schedule": ("IOSchedule", "SyncPoint", "uniform_schedule"),
+        ".core.synthesis": ("synthesize_all_styles", "synthesize_wrapper"),
+        ".core.wrappers": (
+            "CombinationalWrapper",
+            "FSMWrapper",
+            "SPWrapper",
+            "ShiftRegisterWrapper",
+            "make_wrapper",
+        ),
+        ".lis.pearl": ("Pearl",),
+        ".lis.relay_station": ("RelayStation",),
+        ".lis.simulator": ("Simulation",),
+        ".lis.stream": ("Sink", "Source"),
+        ".lis.system": ("System",),
+        ".synthesis.flow": ("synthesize",),
+        ".synthesis.report": ("PAPER_TABLE1", "format_table1"),
+    },
+)
+__all__ += ["__version__"]

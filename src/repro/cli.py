@@ -55,15 +55,16 @@ import pathlib
 import sys
 import time
 
-from .core.compiler import compile_schedule, program_summary
-from .core.io import export_wrapper, load_schedule
-from .core.rtlgen.testbench import generate_sp_testbench
-from .core.synthesis import SYNTH_STYLES, synthesize_wrapper
-from .ips.signatures import rs_table1_schedule, viterbi_table1_schedule
-from .synthesis.report import ComparisonRow, format_table1
+# Each subcommand imports what it runs, so one subcommand never pays
+# for another's imports (``verify`` never loads the synthesis flow).
+from .core.rtlgen.common import SYNTH_STYLES
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .core.io import export_wrapper, load_schedule
+    from .core.rtlgen.testbench import generate_sp_testbench
+    from .core.synthesis import synthesize_wrapper
+
     schedule = load_schedule(args.schedule)
     result = synthesize_wrapper(
         schedule,
@@ -88,6 +89,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .core.compiler import compile_schedule, program_summary
+    from .core.io import load_schedule
+
     schedule = load_schedule(args.schedule)
     print(f"complexity (ports/wait/run): {schedule.stats()}")
     program = compile_schedule(schedule)
@@ -99,6 +103,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from .core.synthesis import synthesize_wrapper
+    from .ips.signatures import rs_table1_schedule, viterbi_table1_schedule
+    from .synthesis.report import ComparisonRow, format_table1
+
     rows = []
     for name, factory in (
         ("Viterbi", viterbi_table1_schedule),
@@ -120,6 +128,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .core.io import load_schedule
+    from .core.synthesis import synthesize_wrapper
+
     schedule = load_schedule(args.schedule)
     print(f"schedule: {schedule.stats()} (ports/wait/run)")
     for style in SYNTH_STYLES:
@@ -156,8 +167,6 @@ def _flush_telemetry(session, writer, metrics_path, wall_s) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # Imported lazily: the verify machinery drags in the RTL simulator
-    # and multiprocessing, which the synthesis subcommands never need.
     from .rtl.simulator import resolve_engine
     from .sched.generate import topology_from_dict, variant_from_dict
     from .verify import (

@@ -9,100 +9,68 @@
 * :mod:`repro.core.rtlgen` — synthesizable RTL generators;
 * :mod:`repro.core.equivalence` — behavioural-vs-RTL co-simulation;
 * :mod:`repro.core.synthesis` — the one-call wrapper synthesis flow.
+
+Public names resolve lazily: each imports its defining submodule on
+first access (:mod:`repro._lazy`), so a verify campaign never loads
+the synthesis flow.
 """
 
-from .compiler import (
-    CompileError,
-    CompilerOptions,
-    auto_run_width,
-    compile_schedule,
-    decompile_program,
-    program_summary,
-)
-from .equivalence import (
-    CoSimResult,
-    EquivalenceError,
-    RTLShell,
-    Stimulus,
-    co_simulate,
-)
-from .io import (
-    export_wrapper,
-    load_schedule,
-    program_from_memh,
-    program_to_memh,
-    save_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
-)
-from .operations import (
-    Operation,
-    OperationError,
-    OperationFormat,
-    SPProgram,
-)
-from .processor import SPAction, SPState, SyncProcessor
-from .schedule import (
-    IOSchedule,
-    ScheduleError,
-    ScheduleStats,
-    SyncPoint,
-    uniform_schedule,
-)
-from .synthesis import (
-    SYNTH_STYLES,
-    WrapperSynthesisResult,
-    synthesize_all_styles,
-    synthesize_wrapper,
-)
-from .wrappers import (
-    WRAPPER_STYLES,
-    CombinationalWrapper,
-    FSMWrapper,
-    ShiftRegisterWrapper,
-    SPWrapper,
-    make_wrapper,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CoSimResult",
-    "CombinationalWrapper",
-    "CompileError",
-    "CompilerOptions",
-    "EquivalenceError",
-    "FSMWrapper",
-    "IOSchedule",
-    "Operation",
-    "OperationError",
-    "OperationFormat",
-    "RTLShell",
-    "SPAction",
-    "SPProgram",
-    "SPState",
-    "SPWrapper",
-    "SYNTH_STYLES",
-    "ScheduleError",
-    "ScheduleStats",
-    "ShiftRegisterWrapper",
-    "Stimulus",
-    "SyncPoint",
-    "SyncProcessor",
-    "WRAPPER_STYLES",
-    "WrapperSynthesisResult",
-    "auto_run_width",
-    "co_simulate",
-    "compile_schedule",
-    "decompile_program",
-    "export_wrapper",
-    "load_schedule",
-    "make_wrapper",
-    "program_from_memh",
-    "program_summary",
-    "program_to_memh",
-    "save_schedule",
-    "schedule_from_dict",
-    "schedule_to_dict",
-    "synthesize_all_styles",
-    "synthesize_wrapper",
-    "uniform_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".compiler": (
+            "CompileError",
+            "CompilerOptions",
+            "auto_run_width",
+            "compile_schedule",
+            "decompile_program",
+            "program_summary",
+        ),
+        ".equivalence": (
+            "CoSimResult",
+            "EquivalenceError",
+            "RTLShell",
+            "Stimulus",
+            "co_simulate",
+        ),
+        ".io": (
+            "export_wrapper",
+            "load_schedule",
+            "program_from_memh",
+            "program_to_memh",
+            "save_schedule",
+            "schedule_from_dict",
+            "schedule_to_dict",
+        ),
+        ".operations": (
+            "Operation",
+            "OperationError",
+            "OperationFormat",
+            "SPProgram",
+        ),
+        ".processor": ("SPAction", "SPState", "SyncProcessor"),
+        ".schedule": (
+            "IOSchedule",
+            "ScheduleError",
+            "ScheduleStats",
+            "SyncPoint",
+            "uniform_schedule",
+        ),
+        ".rtlgen.common": ("SYNTH_STYLES",),
+        ".synthesis": (
+            "WrapperSynthesisResult",
+            "synthesize_all_styles",
+            "synthesize_wrapper",
+        ),
+        ".wrappers": (
+            "WRAPPER_STYLES",
+            "CombinationalWrapper",
+            "FSMWrapper",
+            "ShiftRegisterWrapper",
+            "SPWrapper",
+            "make_wrapper",
+        ),
+    },
+)

@@ -32,6 +32,9 @@ from ..lis.port import DEFAULT_PORT_DEPTH
 from ..lis.shell import Shell
 from ..lis.simulator import Simulation
 from ..lis.system import System
+# ``Simulator(...)`` imports its default engine on first construction;
+# importing it here keeps that cost out of the first shell's cycles.
+from ..rtl import compile_sim  # noqa: F401
 from ..rtl.module import Module
 from ..rtl.simulator import Simulator
 from .operations import SPProgram

@@ -22,6 +22,10 @@ from ...rtl.ast import Const, Expr, Signal, all_of
 from ...rtl.module import Module
 from ..schedule import IOSchedule
 
+#: The wrapper styles the generators produce, as
+#: :func:`~repro.core.synthesis.synthesize_wrapper` names them.
+SYNTH_STYLES = ("sp", "fsm", "fsm-onehot", "combinational", "shiftreg")
+
 
 def sanitize(name: str) -> str:
     """Make a schedule port name a legal Verilog identifier."""

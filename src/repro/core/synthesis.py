@@ -27,9 +27,8 @@ from .rtlgen import (
     generate_shiftreg_wrapper,
     generate_sp_wrapper,
 )
+from .rtlgen.common import SYNTH_STYLES
 from .schedule import IOSchedule
-
-SYNTH_STYLES = ("sp", "fsm", "fsm-onehot", "combinational", "shiftreg")
 
 
 @dataclass

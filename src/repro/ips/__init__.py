@@ -7,84 +7,56 @@
 * :mod:`repro.ips.fir` — a folded single-MAC FIR pearl;
 * :mod:`repro.ips.signatures` — the Table-1 complexity-signature
   schedules for wrapper synthesis.
+
+Public names resolve lazily: each imports its defining submodule on
+first access (:mod:`repro._lazy`).
 """
 
-from .fir import FIRPearl, fir_reference, fir_schedule
-from .gf import (
-    FIELD_SIZE,
-    GFError,
-    gf_add,
-    gf_div,
-    gf_exp,
-    gf_inv,
-    gf_log,
-    gf_mul,
-    gf_pow,
-    poly_add,
-    poly_derivative,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_strip,
-)
-from .reed_solomon import (
-    ReedSolomon,
-    RSCode,
-    RSDecoderPearl,
-    RSError,
-    generator_poly,
-    rs_decoder_schedule,
-)
-from .signatures import (
-    TABLE1_SIGNATURES,
-    check_signature,
-    rs_table1_schedule,
-    viterbi_table1_schedule,
-)
-from .viterbi import (
-    ConvCode,
-    ConvEncoder,
-    ViterbiDecoder,
-    ViterbiPearl,
-    decode_sequence,
-    viterbi_schedule,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ConvCode",
-    "ConvEncoder",
-    "FIELD_SIZE",
-    "FIRPearl",
-    "GFError",
-    "RSCode",
-    "RSDecoderPearl",
-    "RSError",
-    "ReedSolomon",
-    "TABLE1_SIGNATURES",
-    "ViterbiDecoder",
-    "ViterbiPearl",
-    "check_signature",
-    "decode_sequence",
-    "fir_reference",
-    "fir_schedule",
-    "generator_poly",
-    "gf_add",
-    "gf_div",
-    "gf_exp",
-    "gf_inv",
-    "gf_log",
-    "gf_mul",
-    "gf_pow",
-    "poly_add",
-    "poly_derivative",
-    "poly_divmod",
-    "poly_eval",
-    "poly_mul",
-    "poly_scale",
-    "poly_strip",
-    "rs_decoder_schedule",
-    "rs_table1_schedule",
-    "viterbi_schedule",
-    "viterbi_table1_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".fir": ("FIRPearl", "fir_reference", "fir_schedule"),
+        ".gf": (
+            "FIELD_SIZE",
+            "GFError",
+            "gf_add",
+            "gf_div",
+            "gf_exp",
+            "gf_inv",
+            "gf_log",
+            "gf_mul",
+            "gf_pow",
+            "poly_add",
+            "poly_derivative",
+            "poly_divmod",
+            "poly_eval",
+            "poly_mul",
+            "poly_scale",
+            "poly_strip",
+        ),
+        ".reed_solomon": (
+            "ReedSolomon",
+            "RSCode",
+            "RSDecoderPearl",
+            "RSError",
+            "generator_poly",
+            "rs_decoder_schedule",
+        ),
+        ".signatures": (
+            "TABLE1_SIGNATURES",
+            "check_signature",
+            "rs_table1_schedule",
+            "viterbi_table1_schedule",
+        ),
+        ".viterbi": (
+            "ConvCode",
+            "ConvEncoder",
+            "ViterbiDecoder",
+            "ViterbiPearl",
+            "decode_sequence",
+            "viterbi_schedule",
+        ),
+    },
+)

@@ -4,79 +4,53 @@ Implements the methodology the paper builds on (Carloni et al.):
 patient processes (pearl + shell), FIFO ports, relay stations that
 segment long wires, a strict two-phase cycle-accurate simulator, and
 analytic throughput bounds for the resulting marked graphs.
+
+Public names resolve lazily: each imports its defining submodule on
+first access (:mod:`repro._lazy`).
 """
 
-from .floorplan import (
-    ChannelPlan,
-    Floorplan,
-    FloorplanError,
-    SystemPlan,
-    WireModel,
-    plan_channel,
-    plan_channels,
-    plan_system,
-)
-from .pearl import FunctionPearl, PassthroughPearl, Pearl, PearlError
-from .port import DEFAULT_PORT_DEPTH, InputPort, OutputPort
-from .relay_station import RELAY_CAPACITY, RelayStation, segment_channel
-from .shell import Shell, ShellError
-from .signals import VOID, Block, DataWire, Link, StopWire, is_void
-from .simulator import Simulation, SimulationResult
-from .stall import (
-    LinkStall,
-    StallInjector,
-    apply_stall_plan,
-    derive_stall_plan,
-    stall_from_dict,
-    stall_to_dict,
-)
-from .stream import Sink, Source, bernoulli_gaps, burst_gaps
-from .system import Channel, System, SystemError_
-from .throughput import EdgeSpec, MarkedGraph, system_marked_graph
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Block",
-    "ChannelPlan",
-    "Floorplan",
-    "FloorplanError",
-    "SystemPlan",
-    "WireModel",
-    "plan_channel",
-    "plan_channels",
-    "plan_system",
-    "Channel",
-    "DataWire",
-    "DEFAULT_PORT_DEPTH",
-    "EdgeSpec",
-    "FunctionPearl",
-    "InputPort",
-    "Link",
-    "LinkStall",
-    "MarkedGraph",
-    "OutputPort",
-    "PassthroughPearl",
-    "Pearl",
-    "PearlError",
-    "RELAY_CAPACITY",
-    "RelayStation",
-    "Shell",
-    "ShellError",
-    "Simulation",
-    "SimulationResult",
-    "Sink",
-    "Source",
-    "StallInjector",
-    "StopWire",
-    "System",
-    "SystemError_",
-    "VOID",
-    "apply_stall_plan",
-    "bernoulli_gaps",
-    "burst_gaps",
-    "derive_stall_plan",
-    "is_void",
-    "segment_channel",
-    "stall_from_dict",
-    "stall_to_dict",
-    "system_marked_graph",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".floorplan": (
+            "ChannelPlan",
+            "Floorplan",
+            "FloorplanError",
+            "SystemPlan",
+            "WireModel",
+            "plan_channel",
+            "plan_channels",
+            "plan_system",
+        ),
+        ".pearl": ("FunctionPearl", "PassthroughPearl", "Pearl", "PearlError"),
+        ".port": ("DEFAULT_PORT_DEPTH", "InputPort", "OutputPort"),
+        ".relay_station": (
+            "RELAY_CAPACITY",
+            "RelayStation",
+            "segment_channel",
+        ),
+        ".shell": ("Shell", "ShellError"),
+        ".signals": (
+            "VOID",
+            "Block",
+            "DataWire",
+            "Link",
+            "StopWire",
+            "is_void",
+        ),
+        ".simulator": ("Simulation", "SimulationResult"),
+        ".stall": (
+            "LinkStall",
+            "StallInjector",
+            "apply_stall_plan",
+            "derive_stall_plan",
+            "stall_from_dict",
+            "stall_to_dict",
+        ),
+        ".stream": ("Sink", "Source", "bernoulli_gaps", "burst_gaps"),
+        ".system": ("Channel", "System", "SystemError_"),
+        ".throughput": ("EdgeSpec", "MarkedGraph", "system_marked_graph"),
+    },
+)

@@ -6,98 +6,71 @@ wrapper generators in :mod:`repro.core` build :class:`Module` objects,
 which can be emitted as Verilog-2001, simulated cycle-accurately, and
 mapped to a Virtex-II-class slice/fmax model to regenerate the paper's
 Table 1.
+
+Public names resolve lazily: each imports its defining submodule on
+first access (:mod:`repro._lazy`), so simulating RTL never loads the
+emitter, lint, bit-blaster or technology mapper.
 """
 
-from .ast import (
-    BinOp,
-    BitSelect,
-    Concat,
-    Const,
-    Expr,
-    Signal,
-    Slice,
-    Ternary,
-    UnaryOp,
-    WidthError,
-    all_of,
-    any_of,
-    clog2,
-    mux,
-)
-from .emitter import emit_design, emit_expr, emit_module
-from .lint import LintError, LintMessage, check, lint_design, lint_module
-from .module import (
-    Assign,
-    Design,
-    Instance,
-    Module,
-    Port,
-    Register,
-    Rom,
-    RtlError,
-)
-from .compile_sim import (
-    CompiledSimulator,
-    cache_stats,
-    compile_design,
-    reset_cache_stats,
-)
-from .netlist import BitBlaster, Netlist, bit_blast
-from .simulator import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    InterpSimulator,
-    SimulationError,
-    Simulator,
-)
-from .techmap import VIRTEX2, MappingReport, TechMapper, TechModel, tech_map
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Assign",
-    "BinOp",
-    "BitBlaster",
-    "BitSelect",
-    "CompiledSimulator",
-    "Concat",
-    "Const",
-    "DEFAULT_ENGINE",
-    "Design",
-    "ENGINES",
-    "Expr",
-    "Instance",
-    "InterpSimulator",
-    "LintError",
-    "LintMessage",
-    "MappingReport",
-    "Module",
-    "Netlist",
-    "Port",
-    "Register",
-    "Rom",
-    "RtlError",
-    "Signal",
-    "SimulationError",
-    "Simulator",
-    "Slice",
-    "TechMapper",
-    "TechModel",
-    "Ternary",
-    "UnaryOp",
-    "VIRTEX2",
-    "WidthError",
-    "all_of",
-    "any_of",
-    "bit_blast",
-    "cache_stats",
-    "check",
-    "clog2",
-    "compile_design",
-    "emit_design",
-    "emit_expr",
-    "emit_module",
-    "lint_design",
-    "lint_module",
-    "mux",
-    "reset_cache_stats",
-    "tech_map",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".ast": (
+            "BinOp",
+            "BitSelect",
+            "Concat",
+            "Const",
+            "Expr",
+            "Signal",
+            "Slice",
+            "Ternary",
+            "UnaryOp",
+            "WidthError",
+            "all_of",
+            "any_of",
+            "clog2",
+            "mux",
+        ),
+        ".emitter": ("emit_design", "emit_expr", "emit_module"),
+        ".lint": (
+            "LintError",
+            "LintMessage",
+            "check",
+            "lint_design",
+            "lint_module",
+        ),
+        ".module": (
+            "Assign",
+            "Design",
+            "Instance",
+            "Module",
+            "Port",
+            "Register",
+            "Rom",
+            "RtlError",
+        ),
+        ".compile_sim": (
+            "CompiledSimulator",
+            "cache_stats",
+            "compile_design",
+            "reset_cache_stats",
+        ),
+        ".netlist": ("BitBlaster", "Netlist", "bit_blast"),
+        ".simulator": (
+            "DEFAULT_ENGINE",
+            "ENGINES",
+            "InterpSimulator",
+            "SimulationError",
+            "Simulator",
+        ),
+        ".techmap": (
+            "VIRTEX2",
+            "MappingReport",
+            "TechMapper",
+            "TechModel",
+            "tech_map",
+        ),
+    },
+)

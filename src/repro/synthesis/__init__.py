@@ -1,17 +1,20 @@
-"""Physical-synthesis flow and reporting (Table-1 formatting)."""
+"""Physical-synthesis flow and reporting (Table-1 formatting).
 
-from .flow import synthesize
-from .report import (
-    PAPER_TABLE1,
-    ComparisonRow,
-    SynthesisReport,
-    format_table1,
+Public names resolve lazily: each imports its defining submodule on
+first access (:mod:`repro._lazy`).
+"""
+
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".flow": ("synthesize",),
+        ".report": (
+            "ComparisonRow",
+            "PAPER_TABLE1",
+            "SynthesisReport",
+            "format_table1",
+        ),
+    },
 )
-
-__all__ = [
-    "ComparisonRow",
-    "PAPER_TABLE1",
-    "SynthesisReport",
-    "format_table1",
-    "synthesize",
-]

@@ -84,198 +84,123 @@ cache/corpus counters into an append-only JSONL file, ``--metrics-json
 FILE`` exports the aggregated rollup, and ``repro report`` analyzes
 either.  Telemetry is liveness-only — outcomes, coverage and journals
 are byte-identical with it on or off.
+
+Public names resolve lazily: each imports its defining submodule on
+first access (:mod:`repro._lazy`).  ``import repro.verify.runner``
+loads what an in-process campaign runs; the supervised pool (and
+``multiprocessing``), the shrinker, the corpus scheduler and the
+campaign journal load when a run first uses them.
 """
 
-from .styles import (
-    ALL_STYLES,
-    BEHAVIOURAL_STYLES,
-    CYCLE_EXACT_PAIRS,
-    DEFAULT_STYLES,
-    REGULAR_STYLES,
-    RTL_STYLES,
-    SHIFTREG_STYLES,
-    StyleSpec,
-    cycle_exact_pairs,
-    format_style_registry,
-    get_style,
-    register_style,
-    registered_styles,
-    style_specs,
-    styles_for_traffic,
-)
-from .cases import (
-    CaseOutcome,
-    Divergence,
-    MixPearl,
-    StyleRun,
-    VerifyCase,
-    build_system,
-    run_case,
-    run_styles,
-    simulate_topology,
-    topology_marked_graph,
-)
-from .oracles import (
-    AnalyticBoundsOracle,
-    CycleExactOracle,
-    ExceptionOracle,
-    Oracle,
-    RelayOccupancyOracle,
-    StreamPrefixOracle,
-    default_pipeline,
-    run_pipeline,
-    throughput_slack,
-    uniform_loop_bounds,
-)
-from .coverage import (
-    CoverageDiff,
-    CoverageReport,
-    case_bins,
-    diff_coverage,
-    support_total,
-    topology_features,
-)
-from .corpus import (
-    corpus_digest,
-    generate_guided_topologies,
-    load_corpus,
-    novelty_score,
-    save_topology,
-    select_interesting,
-    topology_digest,
-)
-from .perturb import (
-    PERTURB_STYLE_MODES,
-    PerturbationOracle,
-    case_variants,
-    check_perturbations,
-    perturb_style_set,
-)
-from .regular import (
-    StaticActivation,
-    plan_static_activation,
-    plan_topology_activations,
-)
-from .campaign import (
-    CampaignJournal,
-    config_fingerprint,
-    open_journal,
-    write_atomic,
-)
-from .chaos import CHAOS_EXIT, ChaosConfig, parse_chaos
-from .runner import (
-    GEN_MODES,
-    BatchConfig,
-    BatchReport,
-    BatchRunner,
-    make_cases,
-    reproducer_dict,
-    run_cases_supervised,
-)
-from .shrink import shrink_case
-from . import telemetry
-from .telemetry import (
-    EVENTS_VERSION,
-    STAGE_SPANS,
-    EventWriter,
-    Rollup,
-    TelemetrySession,
-    read_events,
-    render_compare,
-    render_report,
-    rollup_from_records,
-)
-from .supervise import (
-    MAX_BACKOFF,
-    SupervisedPool,
-    WorkerFault,
-    backoff_delay,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_STYLES",
-    "AnalyticBoundsOracle",
-    "BEHAVIOURAL_STYLES",
-    "BatchConfig",
-    "BatchReport",
-    "BatchRunner",
-    "CHAOS_EXIT",
-    "CYCLE_EXACT_PAIRS",
-    "CampaignJournal",
-    "CaseOutcome",
-    "ChaosConfig",
-    "CoverageDiff",
-    "CoverageReport",
-    "CycleExactOracle",
-    "DEFAULT_STYLES",
-    "Divergence",
-    "EVENTS_VERSION",
-    "EventWriter",
-    "ExceptionOracle",
-    "GEN_MODES",
-    "MAX_BACKOFF",
-    "MixPearl",
-    "Oracle",
-    "PERTURB_STYLE_MODES",
-    "PerturbationOracle",
-    "REGULAR_STYLES",
-    "RTL_STYLES",
-    "RelayOccupancyOracle",
-    "Rollup",
-    "SHIFTREG_STYLES",
-    "STAGE_SPANS",
-    "StaticActivation",
-    "StreamPrefixOracle",
-    "StyleRun",
-    "StyleSpec",
-    "SupervisedPool",
-    "TelemetrySession",
-    "VerifyCase",
-    "WorkerFault",
-    "backoff_delay",
-    "build_system",
-    "case_bins",
-    "case_variants",
-    "check_perturbations",
-    "config_fingerprint",
-    "corpus_digest",
-    "cycle_exact_pairs",
-    "default_pipeline",
-    "diff_coverage",
-    "generate_guided_topologies",
-    "load_corpus",
-    "novelty_score",
-    "format_style_registry",
-    "get_style",
-    "make_cases",
-    "open_journal",
-    "parse_chaos",
-    "perturb_style_set",
-    "plan_static_activation",
-    "plan_topology_activations",
-    "read_events",
-    "register_style",
-    "registered_styles",
-    "render_compare",
-    "render_report",
-    "reproducer_dict",
-    "rollup_from_records",
-    "run_case",
-    "run_cases_supervised",
-    "run_pipeline",
-    "run_styles",
-    "save_topology",
-    "select_interesting",
-    "shrink_case",
-    "simulate_topology",
-    "style_specs",
-    "styles_for_traffic",
-    "support_total",
-    "telemetry",
-    "throughput_slack",
-    "topology_digest",
-    "topology_features",
-    "topology_marked_graph",
-    "uniform_loop_bounds",
-    "write_atomic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".styles": (
+            "ALL_STYLES",
+            "BEHAVIOURAL_STYLES",
+            "CYCLE_EXACT_PAIRS",
+            "DEFAULT_STYLES",
+            "REGULAR_STYLES",
+            "RTL_STYLES",
+            "SHIFTREG_STYLES",
+            "StyleSpec",
+            "cycle_exact_pairs",
+            "format_style_registry",
+            "get_style",
+            "register_style",
+            "registered_styles",
+            "style_specs",
+            "styles_for_traffic",
+        ),
+        ".cases": (
+            "CaseOutcome",
+            "Divergence",
+            "MixPearl",
+            "StyleRun",
+            "VerifyCase",
+            "build_system",
+            "run_case",
+            "run_styles",
+            "simulate_topology",
+            "topology_marked_graph",
+        ),
+        ".oracles": (
+            "AnalyticBoundsOracle",
+            "CycleExactOracle",
+            "ExceptionOracle",
+            "Oracle",
+            "RelayOccupancyOracle",
+            "StreamPrefixOracle",
+            "default_pipeline",
+            "run_pipeline",
+            "throughput_slack",
+            "uniform_loop_bounds",
+        ),
+        ".coverage": (
+            "CoverageDiff",
+            "CoverageReport",
+            "case_bins",
+            "diff_coverage",
+            "support_total",
+            "topology_features",
+        ),
+        ".corpus": (
+            "corpus_digest",
+            "generate_guided_topologies",
+            "load_corpus",
+            "novelty_score",
+            "save_topology",
+            "select_interesting",
+            "topology_digest",
+        ),
+        ".perturb": (
+            "PERTURB_STYLE_MODES",
+            "PerturbationOracle",
+            "case_variants",
+            "check_perturbations",
+            "perturb_style_set",
+        ),
+        ".regular": (
+            "StaticActivation",
+            "plan_static_activation",
+            "plan_topology_activations",
+        ),
+        ".campaign": (
+            "CampaignJournal",
+            "config_fingerprint",
+            "open_journal",
+            "write_atomic",
+        ),
+        ".chaos": ("CHAOS_EXIT", "ChaosConfig", "parse_chaos"),
+        ".runner": (
+            "GEN_MODES",
+            "BatchConfig",
+            "BatchReport",
+            "BatchRunner",
+            "make_cases",
+            "reproducer_dict",
+            "run_cases_supervised",
+        ),
+        ".shrink": ("shrink_case",),
+        ".telemetry": (
+            "EVENTS_VERSION",
+            "STAGE_SPANS",
+            "EventWriter",
+            "Rollup",
+            "TelemetrySession",
+            "read_events",
+            "render_compare",
+            "render_report",
+            "rollup_from_records",
+        ),
+        ".supervise": (
+            "MAX_BACKOFF",
+            "SupervisedPool",
+            "WorkerFault",
+            "backoff_delay",
+        ),
+    },
+)
+__all__ += ["telemetry"]

@@ -13,7 +13,9 @@ backoff, and — if it keeps failing — finalized as a structured
 ``crash``/``timeout`` :class:`~repro.verify.cases.CaseOutcome`
 instead of sinking the batch.  With ``--checkpoint`` every finished
 outcome streams into a resumable campaign journal
-(:mod:`repro.verify.campaign`).
+(:mod:`repro.verify.campaign`).  The pool (with ``multiprocessing``),
+the shrinker, the corpus scheduler and the journal are imported where
+a run first uses them, so an in-process campaign never loads them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..rtl.simulator import resolve_engine
 from ..sched.generate import (
@@ -37,9 +40,10 @@ from .cases import CaseOutcome, VerifyCase, run_case
 from .chaos import ChaosConfig
 from .coverage import CoverageReport
 from .perturb import PERTURB_STYLE_MODES
-from .shrink import shrink_case
 from .styles import styles_for_traffic
-from .supervise import SupervisedPool, WorkerFault
+
+if TYPE_CHECKING:
+    from .supervise import WorkerFault
 
 #: A shrink re-simulates its case many times while bisecting, so its
 #: wall-clock guard is the per-case timeout scaled by this factor.
@@ -545,6 +549,8 @@ def run_cases_supervised(
     (the checkpoint journal hangs off it); the returned list is in case
     order.
     """
+    from .supervise import SupervisedPool, WorkerFault
+
     outcomes: list[CaseOutcome] = []
 
     def handle(case: VerifyCase, result) -> None:
@@ -570,6 +576,8 @@ def _shrink_worker(case: VerifyCase, attempt: int) -> dict:
     """Supervised shrink: minimize one failing case and return its
     reproducer JSON (runs in a child so a hanging shrink can be
     killed without wedging the finished report)."""
+    from .shrink import shrink_case
+
     return reproducer_dict(shrink_case(case))
 
 
@@ -730,12 +738,16 @@ class BatchRunner:
         failures = report.failures
         if not failures:
             return
+        from .shrink import shrink_case
+
         case_by_index = {case.index: case for case in cases}
         if config.timeout is None:
             for outcome in failures:
                 minimal = shrink_case(case_by_index[outcome.index])
                 report.shrunk.append((outcome, reproducer_dict(minimal)))
             return
+        from .supervise import SupervisedPool, WorkerFault
+
         pool = SupervisedPool(
             _shrink_worker,
             jobs=min(config.jobs, len(failures)),
