@@ -167,17 +167,13 @@ def _flush_telemetry(session, writer, metrics_path, wall_s) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .rtl.simulator import resolve_engine
-    from .sched.generate import topology_from_dict, variant_from_dict
     from .verify import (
-        PERTURB_STYLE_MODES,
         BatchConfig,
         BatchRunner,
-        VerifyCase,
+        case_from_reproducer,
         format_style_registry,
         parse_chaos,
         run_case,
-        styles_for_traffic,
         telemetry,
         write_atomic,
     )
@@ -193,66 +189,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"error: cannot load reproducer {args.repro}: {exc}",
                   file=sys.stderr)
             return 2
-        # Saved reproducers carry their run parameters; CLI flags only
-        # fill the gaps for hand-written topology files.  An explicit
-        # --engine flag overrides the recorded engine; the fallback
-        # resolves engine=None exactly like BatchConfig.__post_init__,
-        # so a replay runs under the engine the failure was found with.
-        # Reproducers from the retired "vectorized" engine replay under
-        # "compiled": their outcomes were byte-identical by contract.
-        # Their legacy "lanes" key is ignored.
-        recorded_engine = data.get("engine")
-        if recorded_engine == "vectorized":
-            recorded_engine = "compiled"
-        topology = topology_from_dict(data)
-        case = VerifyCase(
-            index=0,
-            seed=int(data.get("seed", 0)),
-            cycles=int(data.get("cycles", args.cycles)),
-            topology=topology,
-            # Hand-written files without a style list get the styles
-            # their traffic regime would run with — regular-traffic
-            # topologies include the shift-register styles.
-            styles=(
-                tuple(data["styles"])
-                if "styles" in data
-                else styles_for_traffic(topology.traffic)
-            ),
-            deadlock_window=data.get(
-                "deadlock_window", args.deadlock_window
-            ),
-            engine=resolve_engine(
-                args.engine
-                if args.engine is not None
-                else recorded_engine
-            ),
-            perturb=int(data.get("perturb", args.perturb)),
-            perturb_floorplan=bool(
-                data.get("perturb_floorplan", args.perturb_floorplan)
-            ),
-            perturb_styles=str(
-                data.get("perturb_styles", args.perturb_styles)
-            ),
-            perturb_dynamic=bool(
-                data.get("perturb_dynamic", args.perturb_dynamic)
-            ),
-            # Pinned variants replay verbatim; without them --perturb
-            # re-derives from the topology and seed.
-            variants=(
-                tuple(
-                    variant_from_dict(v) for v in data["variants"]
-                )
-                if "variants" in data
-                else None
-            ),
-        )
-        if case.perturb_styles not in PERTURB_STYLE_MODES:
-            print(
-                f"error: reproducer {args.repro}: unknown "
-                f"perturb-styles mode {case.perturb_styles!r}; choose "
-                f"from {PERTURB_STYLE_MODES}",
-                file=sys.stderr,
-            )
+        # CLI flags fill the gaps of hand-written topology files.
+        try:
+            case = case_from_reproducer(data, vars(args))
+        except ValueError as exc:
+            print(f"error: reproducer {args.repro}: {exc}", file=sys.stderr)
             return 2
         outcome = run_case(case)
         if outcome.ok:

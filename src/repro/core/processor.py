@@ -53,7 +53,6 @@ class SyncProcessor:
         self.state = SPState.RESET
         self.addr = 0
         self.run_counter = 0
-        self._running_op: Operation | None = None
         self.cycles = 0
         self.enabled_cycles = 0
         self.stall_cycles = 0
@@ -83,7 +82,6 @@ class SyncProcessor:
         self.state = SPState.RESET
         self.addr = 0
         self.run_counter = 0
-        self._running_op = None
         self.cycles = 0
         self.enabled_cycles = 0
         self.stall_cycles = 0
@@ -92,17 +90,6 @@ class SyncProcessor:
     @property
     def current_op(self) -> Operation:
         return self.program.ops[self.addr]
-
-    @property
-    def running_op(self) -> Operation | None:
-        """The op whose free-run cycles are being granted (FREE_RUN)."""
-        return self._running_op
-
-    def _ready(self, op: Operation, in_ready: int, out_ready: int) -> bool:
-        return (
-            (op.in_mask & in_ready) == op.in_mask
-            and (op.out_mask & out_ready) == op.out_mask
-        )
 
     def step(self, in_ready: int, out_ready: int) -> SPAction:
         """Advance one clock cycle.
@@ -144,7 +131,6 @@ class SyncProcessor:
         if op.run > 0:
             self.state = SPState.FREE_RUN
             self.run_counter = op.run
-            self._running_op = op
         return self._fire_actions[addr]
 
     def trace(self, in_ready: int, out_ready: int, cycles: int):

@@ -43,8 +43,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".simulator": ("Simulation", "SimulationResult"),
         ".stall": (
             "LinkStall",
-            "StallInjector",
-            "apply_stall_plan",
             "derive_stall_plan",
             "stall_from_dict",
             "stall_to_dict",

@@ -19,10 +19,10 @@ lowers a validated system into one straight-line Python function
   ``pop``/``push``/``not_empty``/``not_full``.  A port's consume and
   commit run right after its own shell's ``_wrapper_step``, the only
   code that observes the port;
-* ``StallInjector`` blocks are left out.  On a cycle outside its
-  window an injector's phases do nothing, so the loop is exact on
-  every cycle no injector is due; ``Simulation.run`` hands the stall
-  cycles themselves to the reference loop, injectors in place;
+* a stall plan never reaches the generated loop: it is
+  :class:`~repro.lis.simulator.Simulation` data, and
+  ``Simulation.run`` hands each window of stall cycles to the
+  reference loop, which forces the stalled links;
 * the deadlock window's quiet counter is inline.  It comes in as
   ``quiet`` and goes back out with the result, so a run split into
   segments stops at the cycle an unsplit run stops at.
@@ -35,11 +35,11 @@ what the reference loop leaves behind.
 
 :func:`runner_for` decides the engine per run: the lowering applies
 when no watchers are attached and every block is a stock fabric type
-(:class:`Source`, :class:`Sink`, :class:`RelayStation`,
-:class:`StallInjector`, or a :class:`Shell` that keeps the base
-class's phases and has stock ports).  Anything else takes the
-reference loop, and :func:`cache_stats` counts both paths, plus the
-stall cycles lowered runs hand to the reference loop.
+(:class:`Source`, :class:`Sink`, :class:`RelayStation`, or a
+:class:`Shell` that keeps the base class's phases and has stock
+ports).  Anything else takes the reference loop, and
+:func:`cache_stats` counts both paths, plus the stall cycles lowered
+runs hand to the reference loop.
 
 Cache contract: lowering is split into a walk and a text generator.
 :func:`lower_shape`'s walk returns the system's *shape key* (block
@@ -47,12 +47,12 @@ kinds and order, wiring by position, port directions, and the
 always-on / limit flags of source and sink patterns) together with the
 objects and wires the generated code binds at run entry; the text
 generator's only input is that key, so the key and the text cannot
-disagree.  Instruments stay out of the key: a stall plan is data the
-run splits on, not code.  Compiled code objects are cached per process
-under the key in a small LRU, so a run whose shape was seen before
-only walks its system, binds and runs: no text is generated.  All
-wrapper styles of one topology, and every stall plan over it, share
-one entry.
+disagree.  A stall plan is not part of the system, so it stays out of
+the key: it is data the run splits on, not code.  Compiled code
+objects are cached per process under the key in a small LRU, so a run
+whose shape was seen before only walks its system, binds and runs: no
+text is generated.  All wrapper styles of one topology, and every
+stall plan over it, share one entry.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .port import InputPort, OutputPort
 from .relay_station import RelayStation
 from .shell import Shell
 from .signals import VOID
-from .stall import StallInjector
 from .stream import Sink, Source
 
 if TYPE_CHECKING:
@@ -83,7 +82,7 @@ _CODE_IDS = itertools.count(1)
 # Engine counters, process-local like the cache they describe:
 # ``lowered``/``reference`` count ``Simulation.run`` calls per engine,
 # ``stall_cycles`` the cycles lowered runs handed to the reference loop
-# because an injector was due, ``hits``/``misses`` code-cache
+# because the stall plan forced a link, ``hits``/``misses`` code-cache
 # consults, ``compile_ms`` the wall-clock milliseconds spent compiling
 # missed shapes and ``lower_ms`` those of every lowering (walk + text +
 # compile).
@@ -130,12 +129,12 @@ def _stock_shell(block: Shell) -> bool:
     )
 
 
-_STOCK = (Source, Sink, RelayStation, StallInjector)
+_STOCK = (Source, Sink, RelayStation)
 
 
 def lowerable(blocks) -> bool:
     """True when every block is a stock fabric type a lowered run
-    handles exactly (stall injectors by splitting the run)."""
+    handles exactly."""
     return all(
         type(block) in _STOCK
         or (isinstance(block, Shell) and _stock_shell(block))
@@ -277,8 +276,6 @@ def _walk(simulation: "Simulation") -> tuple[tuple, list, list, list]:
     """One pass over the blocks: the system's shape key, plus the
     objects (``B``) and the data (``WD``) and stop (``WS``) wires the
     generated run binds at entry, at the positions the key names.
-    ``StallInjector`` blocks are skipped: they enter neither the key
-    nor ``B``, so a system with a stall plan has its base's key.
 
     The key holds one entry per block in block order — its kind, its
     ``B`` position, its wire positions, and the flags the text branches
@@ -303,8 +300,6 @@ def _walk(simulation: "Simulation") -> tuple[tuple, list, list, list]:
     blocks = []
     for block in simulation._blocks:
         kind = type(block)
-        if kind is StallInjector:
-            continue
         o = len(bound)
         append(block)
         if kind is RelayStation:

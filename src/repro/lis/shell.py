@@ -325,15 +325,6 @@ class Shell(Block):
 
     # -- inspection -----------------------------------------------------------------------
 
-    @property
-    def current_point(self) -> int:
-        """Schedule point of the next script entry to fire."""
-        return self._script[self._script_pos].point_index
-
-    @property
-    def in_free_run(self) -> bool:
-        return self._run_left > 0
-
     def utilization(self, cycles: int) -> float:
         """Fraction of system cycles in which the pearl clock fired."""
         if cycles <= 0:

@@ -14,23 +14,27 @@ object-level *reference loop*, which calls each block's ``produce``,
 ``consume`` and ``commit`` in block order; the lowering is
 differentially tested against it.
 
-The lowered loop leaves :class:`~repro.lis.stall.StallInjector` blocks
-out, so a system's stall plan never changes the code it runs.  Instead
-:meth:`Simulation.run` splits the requested cycles at the injectors'
-stall cycles: stall-free stretches run the lowered loop, and each
-window of consecutive stall cycles runs the reference loop with the
-injectors in place.  Both loops take and return the deadlock watch's
-quiet count, so a split run stops where an unsplit one would.  A
-system without injectors makes one lowered call.
+A stall plan (:mod:`repro.lis.stall`) is simulation data:
+``Simulation(system, stalls)`` resolves it once into the links each
+stalled cycle forces and the ``[start, end)`` windows those cycles
+form.  The reference loop forces the links after the produce phase
+(data void, stop high); the lowered loop never sees the plan, so a
+stall plan never changes the code a system runs.  Instead
+:meth:`Simulation.run` splits the requested cycles at the windows:
+stall-free stretches run the lowered loop, and each window runs the
+reference loop.  Both loops take and return the deadlock watch's quiet
+count, so a split run stops where an unsplit one would.  A run without
+a stall plan makes one lowered call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .compile_fabric import Runner, count_stall_cycles, runner_for
-from .stall import stall_windows
+from .signals import VOID
+from .stall import LinkStall, resolve_stall_plan
 from .system import System
 
 
@@ -69,13 +73,17 @@ class SimulationResult:
 
 
 class Simulation:
-    """Drives a validated :class:`System`.
+    """Drives a validated :class:`System` under an optional stall plan.
 
     The block set is frozen at construction: blocks added to the system
     afterwards are not simulated (construct a new :class:`Simulation`).
+    ``stalls`` must name links of ``system`` (:class:`ValueError`
+    otherwise).
     """
 
-    def __init__(self, system: System) -> None:
+    def __init__(
+        self, system: System, stalls: Sequence[LinkStall] = ()
+    ) -> None:
         system.validate()
         self.system = system
         self.cycle = 0
@@ -85,9 +93,12 @@ class Simulation:
         # The lowered run loop: False until the first run() tries to
         # lower the system, None when it cannot be lowered.
         self._fabric: Callable | None | bool = False
-        # The [start, end) cycle windows some stall injector is due
-        # in; a lowered run hands them to the reference loop.
-        self._stalls = stall_windows(self._blocks)
+        # The links each stalled cycle forces, and the [start, end)
+        # windows of those cycles, which a lowered run hands to the
+        # reference loop.
+        self._forced, self._stalls = resolve_stall_plan(
+            system.links, stalls
+        )
 
     def add_watcher(self, fn: Callable[[int], None]) -> None:
         """``fn(cycle)`` runs after every commit (trace collection)."""
@@ -106,6 +117,7 @@ class Simulation:
         blocks = self._blocks
         watchers = self._watchers
         shells = self._shells
+        forced = self._forced
         cycle = start = self.cycle
         # enabled_cycles counters only ever grow, so the sum moves
         # exactly when some shell made progress.
@@ -114,6 +126,10 @@ class Simulation:
             for _ in range(cycles):
                 for block in blocks:
                     block.produce(cycle)
+                if cycle in forced:
+                    for link in forced[cycle]:
+                        link.data.value = VOID
+                        link.stop.stop = True
                 for block in blocks:
                     block.consume(cycle)
                 for block in blocks:

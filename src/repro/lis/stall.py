@@ -10,10 +10,11 @@ oracle (:mod:`repro.verify.perturb`) can demand that sink streams stay
 token-identical under any such stall plan.
 
 A :class:`LinkStall` names one link of a built
-:class:`~repro.lis.system.System` plus a cycle window; a
-:class:`StallInjector` enforces it by overriding the link's wires
-*after* every structural block produced its outputs: during a stalled
-cycle the stop wire is forced high and the data wire forced void.
+:class:`~repro.lis.system.System` plus a cycle window.  A stall plan is
+simulation data, not a block: ``Simulation(system, stalls)`` resolves
+it once (:func:`resolve_stall_plan`), and on each stalled cycle the
+simulator overrides the link's wires *after* every block produced its
+outputs: the stop wire is forced high and the data wire forced void.
 Both overrides together are what keeps the injection protocol-safe in
 the two-phase simulator: the producer observes stop and holds its
 token (ports and relay stations re-offer until the transfer fires),
@@ -36,8 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .signals import VOID, Block, Link
-from .system import System
+from .signals import Link
 
 #: A stall plan: zero or more link stalls, applied together.
 StallPlan = tuple["LinkStall", ...]
@@ -66,92 +66,34 @@ class LinkStall:
         return f"{self.link}@[{self.start},{self.end})"
 
 
-class StallInjector(Block):
-    """Forces one link to stall during a planned set of cycles.
-
-    Must be registered *after* every block that drives the link's
-    wires (:meth:`repro.lis.system.System.add_instrument` appends to
-    the block order), so its produce phase runs last and the override
-    wins the cycle.
-    """
-
-    def __init__(
-        self, name: str, link: Link, cycles: Iterable[int]
-    ) -> None:
-        super().__init__(name)
-        self.link = link
-        self._cycles = frozenset(int(c) for c in cycles)
-        self._data = link.data
-        self._stop = link.stop
-        self.stalled_cycles = 0
-
-    def produce(self, cycle: int) -> None:
-        if cycle in self._cycles:
-            self._data.value = VOID
-            self._stop.stop = True
-            self.stalled_cycles += 1
-
-    def consume(self, cycle: int) -> None:
-        pass
-
-    def commit(self) -> None:
-        pass
-
-    def reset(self) -> None:
-        self.stalled_cycles = 0
-
-
-def stall_windows(blocks: Iterable[Block]) -> tuple[tuple[int, int], ...]:
-    """The cycles the :class:`StallInjector` blocks among ``blocks``
-    override, as sorted ``[start, end)`` windows that neither overlap
-    nor touch."""
-    cycles = sorted(
-        set().union(
-            *(block._cycles for block in blocks
-              if isinstance(block, StallInjector))
-        )
-    )
+def resolve_stall_plan(
+    links: Iterable[Link], stalls: Sequence[LinkStall]
+) -> tuple[dict[int, tuple[Link, ...]], tuple[tuple[int, int], ...]]:
+    """``stalls`` resolved against ``links``: the links each stalled
+    cycle forces, and those cycles as sorted ``[start, end)`` windows
+    that neither overlap nor touch.  Stalls on one link merge
+    (overlapping windows union).  Raises :class:`ValueError` when a
+    stall names a link that is not among ``links``."""
+    by_name = {link.name: link for link in links}
+    forced: dict[int, dict[str, Link]] = {}
+    for stall in stalls:
+        link = by_name.get(stall.link)
+        if link is None:
+            raise ValueError(
+                f"stall plan references unknown link {stall.link!r}"
+            )
+        for cycle in range(stall.start, stall.end):
+            forced.setdefault(cycle, {})[stall.link] = link
     windows: list[tuple[int, int]] = []
-    for cycle in cycles:
+    for cycle in sorted(forced):
         if windows and windows[-1][1] == cycle:
             windows[-1] = (windows[-1][0], cycle + 1)
         else:
             windows.append((cycle, cycle + 1))
-    return tuple(windows)
-
-
-def apply_stall_plan(
-    system: System, stalls: Sequence[LinkStall]
-) -> list[StallInjector]:
-    """Attach one :class:`StallInjector` per stalled link of ``system``.
-
-    Call after the system is fully wired: injectors are appended to
-    the block order via :meth:`~repro.lis.system.System.add_instrument`
-    so their overrides run after every structural produce.  Stalls on
-    the same link merge into one injector (overlapping windows union).
-    Raises :class:`ValueError` when a stall names a link the system
-    does not have.
-    """
-    if not stalls:
-        return []
-    links = {link.name: link for link in system.links}
-    windows: dict[str, set[int]] = {}
-    for stall in stalls:
-        if stall.link not in links:
-            raise ValueError(
-                f"stall plan references unknown link {stall.link!r}"
-            )
-        windows.setdefault(stall.link, set()).update(
-            range(stall.start, stall.end)
-        )
-    injectors = []
-    for name in sorted(windows):
-        injector = StallInjector(
-            f"stall:{name}", links[name], windows[name]
-        )
-        system.add_instrument(injector)
-        injectors.append(injector)
-    return injectors
+    return (
+        {cycle: tuple(named.values()) for cycle, named in forced.items()},
+        tuple(windows),
+    )
 
 
 def derive_stall_plan(

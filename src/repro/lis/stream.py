@@ -19,6 +19,9 @@ class Source(Block):
     ``gaps``: optional cyclic availability pattern — ``True`` means a
     token *may* be offered this cycle, ``False`` models an upstream
     bubble (jitter).  An exhausted iterator means the stream ends.
+    :meth:`reset` rewinds the stream, so ``tokens`` must be an iterable
+    that yields it afresh per ``iter()`` call (a list, a ``range``);
+    a one-shot iterator runs once and cannot be reset.
     """
 
     def __init__(
@@ -32,6 +35,7 @@ class Source(Block):
         self.link = link
         self._data = link.data
         self._stop = link.stop
+        self._tokens = tokens
         self._iter: Iterator[Any] = iter(tokens)
         self._pending: Any = VOID
         self._gaps = list(gaps) if gaps is not None else [True]
@@ -71,6 +75,12 @@ class Source(Block):
             self._sent_this_cycle = False
 
     def reset(self) -> None:
+        if self._iter is self._tokens:
+            raise ValueError(
+                f"source {self.name!r} streams a one-shot iterator, "
+                "which cannot be rewound"
+            )
+        self._iter = iter(self._tokens)
         self._pending = VOID
         self._sent_this_cycle = False
         self.tokens_sent = 0

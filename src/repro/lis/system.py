@@ -59,7 +59,6 @@ class System:
         self.relay_stations: list[RelayStation] = []
         self.channels: list[Channel] = []
         self.links: list[Link] = []
-        self.instruments: list[Block] = []
         self._block_order: list[Block] = []
 
     # -- construction ---------------------------------------------------------
@@ -86,7 +85,7 @@ class System:
         self._block_order.extend(stations)
         # Segment links (the ``.seg{k}`` hops between relay stations)
         # are created by segment_channel, not _new_link; register them
-        # so instrumentation (e.g. stall injection) can address them.
+        # so a stall plan can address them.
         self.links.extend(station.downstream for station in stations)
 
     def connect(
@@ -171,17 +170,6 @@ class System:
             Channel(channel_name, producer.name, name, latency, stations)
         )
         return sink
-
-    def add_instrument(self, block: Block) -> Block:
-        """Register an instrumentation block (e.g. a
-        :class:`~repro.lis.stall.StallInjector`) appended after every
-        structural block, so its produce phase runs last each cycle
-        and may override link wires.  Call only once the system is
-        fully wired — structural blocks added afterwards would produce
-        after it again."""
-        self.instruments.append(block)
-        self._block_order.append(block)
-        return block
 
     # -- validation ---------------------------------------------------------------
 

@@ -28,14 +28,6 @@ class ComplexityModel:
     fsm_state_bits_binary: int
     fsm_state_bits_onehot: int
 
-    @property
-    def sp_word_width(self) -> int:
-        return self.sp_rom_bits // max(1, self.waits_effective)
-
-    @property
-    def waits_effective(self) -> int:
-        return max(1, self.waits)
-
 
 def analyze(schedule: IOSchedule) -> ComplexityModel:
     """Compute the analytic complexity profile of ``schedule``."""

@@ -179,6 +179,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "BatchConfig",
             "BatchReport",
             "BatchRunner",
+            "case_from_reproducer",
             "make_cases",
             "reproducer_dict",
             "run_cases_supervised",

@@ -35,7 +35,7 @@ from typing import Any, Mapping, Sequence
 from ..lis.pearl import Pearl
 from ..lis.shell import Shell
 from ..lis.simulator import Simulation
-from ..lis.stall import LinkStall, apply_stall_plan
+from ..lis.stall import LinkStall
 from ..lis.stream import Sink
 from ..lis.system import System
 from ..lis.throughput import MarkedGraph
@@ -355,10 +355,10 @@ def _simulate(
     stalls: Sequence[LinkStall],
     reference: str | None = None,
 ) -> StyleRun:
-    """Build, stall and simulate one system and harvest its run;
-    exceptions propagate.  With a ``reference`` style the system runs
-    both styles in lockstep (:func:`build_system`), and its spans carry
-    the reference as an attribute."""
+    """Build and simulate one system under ``stalls`` and harvest its
+    run; exceptions propagate.  With a ``reference`` style the system
+    runs both styles in lockstep (:func:`build_system`), and its spans
+    carry the reference as an attribute."""
     fields = {"style": style}
     if reference is not None:
         fields["reference"] = reference
@@ -367,12 +367,9 @@ def _simulate(
             topology, style, trace=trace, engine=engine,
             activations=activations, reference=reference,
         )
-        if stalls:
-            apply_stall_plan(system, stalls)
+        simulation = Simulation(system, stalls)
     with telemetry.span("simulate", **fields):
-        result = Simulation(system).run(
-            cycles, deadlock_window=deadlock_window
-        )
+        result = simulation.run(cycles, deadlock_window=deadlock_window)
     return StyleRun(
         streams={
             name: list(sink.received) for name, sink in sinks.items()
@@ -405,7 +402,7 @@ def simulate_topology(
     """Simulate ``topology`` under one style and harvest everything
     the oracle checks; a crash becomes an ``error`` record, never an
     exception.  ``stalls`` is an optional mid-run stall plan
-    (:mod:`repro.lis.stall`) applied once the system is wired."""
+    (:mod:`repro.lis.stall`) the simulation runs under."""
     try:
         return _simulate(
             topology, style, cycles, deadlock_window, engine, trace,

@@ -24,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..rtl.simulator import resolve_engine
 from ..sched.generate import (
@@ -32,7 +32,9 @@ from ..sched.generate import (
     TRAFFIC_MODES,
     TopologyProfile,
     random_topology,
+    topology_from_dict,
     topology_to_dict,
+    variant_from_dict,
     variant_to_dict,
 )
 from . import telemetry
@@ -300,6 +302,74 @@ def reproducer_dict(minimal: VerifyCase) -> dict:
             variant_to_dict(variant) for variant in minimal.variants
         ]
     return reproducer
+
+
+def case_from_reproducer(
+    data: Mapping[str, Any], defaults: Mapping[str, Any]
+) -> VerifyCase:
+    """The case a reproducer JSON (:func:`reproducer_dict`) replays.
+
+    Saved reproducers carry their run parameters; ``defaults`` (the
+    CLI's ``cycles``, ``deadlock_window``, ``engine``, ``perturb``,
+    ``perturb_floorplan``, ``perturb_styles`` and ``perturb_dynamic``)
+    only fill the gaps of hand-written topology files.  A non-None
+    ``defaults["engine"]`` overrides the recorded engine; otherwise
+    ``engine=None`` resolves exactly like :class:`BatchConfig`, so a
+    replay runs under the engine the failure was found with.
+    Reproducers from the retired ``"vectorized"`` engine replay under
+    ``"compiled"``: their outcomes were byte-identical by contract.
+    Their legacy ``"lanes"`` key is ignored.  Raises
+    :class:`ValueError` for an unknown perturb-styles mode.
+    """
+    recorded_engine = data.get("engine")
+    if recorded_engine == "vectorized":
+        recorded_engine = "compiled"
+    topology = topology_from_dict(data)
+    case = VerifyCase(
+        index=0,
+        seed=int(data.get("seed", 0)),
+        cycles=int(data.get("cycles", defaults["cycles"])),
+        topology=topology,
+        # Hand-written files without a style list get the styles their
+        # traffic regime would run with: regular-traffic topologies
+        # include the shift-register styles.
+        styles=(
+            tuple(data["styles"])
+            if "styles" in data
+            else styles_for_traffic(topology.traffic)
+        ),
+        deadlock_window=data.get(
+            "deadlock_window", defaults["deadlock_window"]
+        ),
+        engine=resolve_engine(
+            defaults["engine"]
+            if defaults["engine"] is not None
+            else recorded_engine
+        ),
+        perturb=int(data.get("perturb", defaults["perturb"])),
+        perturb_floorplan=bool(
+            data.get("perturb_floorplan", defaults["perturb_floorplan"])
+        ),
+        perturb_styles=str(
+            data.get("perturb_styles", defaults["perturb_styles"])
+        ),
+        perturb_dynamic=bool(
+            data.get("perturb_dynamic", defaults["perturb_dynamic"])
+        ),
+        # Pinned variants replay verbatim; without them ``perturb``
+        # re-derives them from the topology and seed.
+        variants=(
+            tuple(variant_from_dict(v) for v in data["variants"])
+            if "variants" in data
+            else None
+        ),
+    )
+    if case.perturb_styles not in PERTURB_STYLE_MODES:
+        raise ValueError(
+            f"unknown perturb-styles mode {case.perturb_styles!r}; "
+            f"choose from {PERTURB_STYLE_MODES}"
+        )
+    return case
 
 
 @dataclass

@@ -4,10 +4,12 @@
 generated run loop (:mod:`repro.lis.compile_fabric`); attaching a
 watcher pins the object-level reference loop.  Both must leave
 identical observable state — sink streams and arrival cycles, enable
-traces, ``SimulationResult`` fields, relay, port, source and injector
-counters, wire values, the cycle counter — and raise identical
-exceptions, over the golden wrapper styles, seeded random and regular
-topologies under every style, dynamic stall plans and deadlocks.
+traces, ``SimulationResult`` fields, relay, port and source counters,
+wire values, the cycle counter — and raise identical exceptions, over
+the golden wrapper styles, seeded random and regular topologies under
+every style, dynamic stall plans and deadlocks.  A lowered run must
+hand each stall cycle it reaches to the reference loop exactly once
+(``fabric.stall_cycles``).
 """
 
 from __future__ import annotations
@@ -32,13 +34,9 @@ from repro.core.wrappers import (
 from repro.lis import compile_fabric
 from repro.lis.pearl import FunctionPearl
 from repro.lis.shell import Shell
-from repro.lis.signals import VOID, Block
+from repro.lis.signals import VOID
 from repro.lis.simulator import Simulation
-from repro.lis.stall import (
-    LinkStall,
-    apply_stall_plan,
-    derive_stall_plan,
-)
+from repro.lis.stall import LinkStall, derive_stall_plan
 from repro.lis.stream import burst_gaps
 from repro.lis.system import System
 from repro.rtl.compile_sim import CompiledSimulator, cache_stats
@@ -95,10 +93,6 @@ def _snapshot(system: System, simulation: Simulation, result) -> dict:
             )
             for port in ports
         ],
-        "injectors": [
-            (block.name, block.stalled_cycles)
-            for block in system.instruments
-        ],
         "wires": [
             (link.name, link.data.value, link.stop.stop)
             for link in system.links
@@ -106,12 +100,15 @@ def _snapshot(system: System, simulation: Simulation, result) -> dict:
     }
 
 
-def _observe(system: System, reference: bool, runs=((CYCLES, WINDOW),)):
-    """Run ``system`` on one engine; a list with one snapshot (or the
-    exception text and cycle) per ``(cycles, window)`` run."""
+def _observe(
+    system: System, reference: bool, runs=((CYCLES, WINDOW),), stalls=()
+):
+    """Run ``system`` under ``stalls`` on one engine; a list with one
+    snapshot (or the exception text and cycle) per ``(cycles, window)``
+    run."""
     for shell in system.shells.values():
         shell.trace_enable = []
-    simulation = Simulation(system)
+    simulation = Simulation(system, stalls)
     if reference:
         simulation.add_watcher(lambda cycle: None)
     before = compile_fabric.cache_stats()
@@ -128,13 +125,26 @@ def _observe(system: System, reference: bool, runs=((CYCLES, WINDOW),)):
     after = compile_fabric.cache_stats()
     engine = "reference" if reference else "lowered"
     assert after[engine] - before[engine] == len(observed)
+    # The reference loop forces stalled links itself; a lowered run
+    # hands it each stall cycle below the last cycle reached, once.
+    stalled = after["stall_cycles"] - before["stall_cycles"]
+    if reference:
+        assert stalled == 0
+    elif isinstance(observed[-1], dict):
+        assert stalled == len({
+            cycle
+            for stall in stalls
+            for cycle in range(stall.start, stall.end)
+            if cycle < simulation.cycle
+        })
     return observed
 
 
-def _assert_parity(build, runs=((CYCLES, WINDOW),)):
-    """``build()`` returns a fresh System; both engines must agree."""
-    lowered = _observe(build(), reference=False, runs=runs)
-    reference = _observe(build(), reference=True, runs=runs)
+def _assert_parity(build, stalls=(), runs=((CYCLES, WINDOW),)):
+    """``build()`` returns a fresh System; both engines must agree on
+    it under the stall plan ``stalls``."""
+    lowered = _observe(build(), False, runs, stalls)
+    reference = _observe(build(), True, runs, stalls)
     assert lowered == reference
     return lowered
 
@@ -209,13 +219,11 @@ class TestGoldenStyles:
 # -- seeded topologies under every style ---------------------------------------
 
 
-def _topology_build(topology, style, activations=None, stalls=()):
+def _topology_build(topology, style, activations=None):
     def build():
         system, _shells, _sinks = build_system(
             topology, style, activations=activations
         )
-        if stalls:
-            apply_stall_plan(system, stalls)
         return system
 
     return build
@@ -243,9 +251,7 @@ class TestTopologies:
         )
         assert stalls
         for style in ("fsm", "sp", "rtl-sp", "rtl-fsm"):
-            _assert_parity(
-                _topology_build(topology, style, stalls=stalls)
-            )
+            _assert_parity(_topology_build(topology, style), stalls)
 
     def test_stall_over_the_whole_run(self):
         topology = random_topology(3, PROFILE_PRESETS["small"])
@@ -253,10 +259,8 @@ class TestTopologies:
         stalls = derive_stall_plan(
             names, random.Random(1), CYCLES, max_events=6, max_duration=90
         )
-        observed = _assert_parity(
-            _topology_build(topology, "fsm", stalls=stalls)
-        )
-        assert any(count for _name, count in observed[0]["injectors"])
+        build = _topology_build(topology, "fsm")
+        assert _stall_cycles_of(lambda: _assert_parity(build, stalls)) > 0
 
 
 # -- deadlocks, reruns, reset, fallbacks ----------------------------------------
@@ -277,26 +281,24 @@ def _passthrough_system(
 
 
 def _stalled_topology(*stalls, seed=3, style="fsm"):
-    """A build of a small seeded topology under a stall plan given as
-    ``(link index, start, duration)`` triples."""
+    """A build of a small seeded topology and a stall plan over it,
+    given as ``(link index, start, duration)`` triples."""
     topology = random_topology(seed, PROFILE_PRESETS["small"])
     links = topology_link_names(topology)
     plan = tuple(
         LinkStall(links[index % len(links)], start, duration)
         for index, start, duration in stalls
     )
-    return _topology_build(topology, style, stalls=plan)
+    return _topology_build(topology, style), plan
 
 
 def _stalled_passthrough(start, duration, tokens=5):
-    """The passthrough system with one stall on its source link."""
-
-    def build():
-        system = _passthrough_system(list(range(tokens)))
-        apply_stall_plan(system, [LinkStall("src->p.x", start, duration)])
-        return system
-
-    return build
+    """A build of the passthrough system and a stall plan of one
+    window on its source link."""
+    return (
+        lambda: _passthrough_system(list(range(tokens))),
+        (LinkStall("src->p.x", start, duration),),
+    )
 
 
 class TestRunContract:
@@ -311,14 +313,14 @@ class TestRunContract:
 
     def test_deadlock_window_zero_and_none(self):
         builds = [
-            lambda: _passthrough_system([1, 2]),
+            (lambda: _passthrough_system([1, 2]), ()),
             # A stall at cycle 0 runs first on the reference loop.
             _stalled_passthrough(0, 4, tokens=2),
             _stalled_passthrough(3, 4, tokens=2),
         ]
         for window in (0, 1, None):
-            for build in builds:
-                _assert_parity(build, runs=((40, window),))
+            for build, stalls in builds:
+                _assert_parity(build, stalls, runs=((40, window),))
 
     def test_portless_shell_has_no_wires(self):
         def build():
@@ -356,9 +358,9 @@ class TestRunContract:
         stalled = (LinkStall(links[0], 10, 6), LinkStall(links[-1], 40, 3))
 
         def observe(reference, stalls):
-            system = _topology_build(topology, "sp", stalls=stalls)()
-            first = _observe(system, reference)
-            simulation = Simulation(system)
+            system = _topology_build(topology, "sp")()
+            first = _observe(system, reference, stalls=stalls)
+            simulation = Simulation(system, stalls)
             if reference:
                 simulation.add_watcher(lambda cycle: None)
             simulation.run(55)
@@ -396,37 +398,9 @@ class TestRunContract:
         assert after["lowered"] == before["lowered"]
 
     def test_non_stock_blocks_take_the_reference_loop(self):
-        class Probe(Block):
-            def __init__(self):
-                super().__init__("probe")
-                self.cycles = []
-
-            def produce(self, cycle):
-                self.cycles.append(cycle)
-
-            def consume(self, cycle):
-                pass
-
-            def commit(self):
-                pass
-
-            def reset(self):
-                self.cycles.clear()
-
         class EagerShell(FSMWrapper):
             def consume(self, cycle):
                 Shell.consume(self, cycle)
-
-        system = _passthrough_system([1, 2, 3])
-        probe = system.add_instrument(Probe())
-        assert not compile_fabric.lowerable(system.blocks)
-        before = compile_fabric.cache_stats()
-        Simulation(system).run(12)
-        assert probe.cycles == list(range(12))
-        assert (
-            compile_fabric.cache_stats()["reference"] - before["reference"]
-            == 1
-        )
 
         schedule = IOSchedule(["x"], ["y"], [SyncPoint({"x"}, {"y"})])
         pearl = FunctionPearl("q", schedule, lambda i, p: {"y": p["x"]})
@@ -435,8 +409,13 @@ class TestRunContract:
         system.connect_source("src", [1], shell, "x")
         sink = system.connect_sink(shell, "y", "snk")
         assert not compile_fabric.lowerable(system.blocks)
+        before = compile_fabric.cache_stats()
         Simulation(system).run(12)
         assert sink.received == [1]
+        assert (
+            compile_fabric.cache_stats()["reference"] - before["reference"]
+            == 1
+        )
 
 
 # -- stall windows: the reference loop runs them, the lowered loop the rest ---
@@ -450,18 +429,18 @@ def _stall_cycles_of(run) -> int:
 
 class TestStallWindows:
     def test_stall_at_cycle_zero(self):
-        _assert_parity(_stalled_topology((0, 0, 5), (1, 0, 1)))
+        _assert_parity(*_stalled_topology((0, 0, 5), (1, 0, 1)))
 
     def test_stall_on_the_last_requested_cycle(self):
-        _assert_parity(_stalled_topology((0, CYCLES - 1, 1)))
+        _assert_parity(*_stalled_topology((0, CYCLES - 1, 1)))
 
     def test_window_runs_past_the_requested_cycles(self):
-        observed = _assert_parity(_stalled_topology((2, CYCLES - 10, 30)))
-        assert observed[0]["injectors"][0][1] == 10
+        build, stalls = _stalled_topology((2, CYCLES - 10, 30))
+        assert _stall_cycles_of(lambda: _assert_parity(build, stalls)) == 10
 
     def test_window_split_across_two_runs(self):
         observed = _assert_parity(
-            _stalled_topology((0, 45, 12), (1, 120, 3)),
+            *_stalled_topology((0, 45, 12), (1, 120, 3)),
             runs=((50, WINDOW), (100, WINDOW), (0, None), (60, None)),
         )
         assert [run["cycle"] for run in observed] == [50, 150, 150, 210]
@@ -469,13 +448,13 @@ class TestStallWindows:
     def test_adjacent_and_overlapping_windows(self):
         # Adjacent windows on two links, overlapping ones on a third.
         _assert_parity(
-            _stalled_topology((0, 20, 5), (1, 25, 5), (2, 60, 9), (2, 64, 9))
+            *_stalled_topology((0, 20, 5), (1, 25, 5), (2, 60, 9), (2, 64, 9))
         )
 
     @pytest.mark.parametrize("style", ["sp", "rtl-sp", "rtl-fsm"])
     def test_styles_under_boundary_windows(self, style):
         _assert_parity(
-            _stalled_topology(
+            *_stalled_topology(
                 (0, 0, 2), (1, 2, 3), (2, 90, 16), (0, CYCLES - 1, 4),
                 style=style,
             )
@@ -484,7 +463,7 @@ class TestStallWindows:
     def test_deadlock_fires_inside_a_stall_window(self):
         # The stall-free run deadlocks at cycle 15 (quiet from 8).
         observed = _assert_parity(
-            _stalled_passthrough(10, 10), runs=((500, 7),)
+            *_stalled_passthrough(10, 10), runs=((500, 7),)
         )
         assert observed[0]["result"]["deadlocked"]
         assert observed[0]["result"]["cycles"] == 15
@@ -493,23 +472,26 @@ class TestStallWindows:
         # Lowered [0, 10), reference [10, 12), lowered from 12: the
         # deadlock still fires at 15 only if the quiet count of the
         # first two segments carries into the third.
-        build = _stalled_passthrough(10, 2)
-        observed = _assert_parity(build, runs=((500, 7),))
+        build, stalls = _stalled_passthrough(10, 2)
+        observed = _assert_parity(build, stalls, runs=((500, 7),))
         assert observed[0]["result"]["deadlocked"]
         assert observed[0]["result"]["cycles"] == 15
-        simulation = Simulation(build())
+        simulation = Simulation(build(), stalls)
         stalled = _stall_cycles_of(lambda: simulation.run(500, 7))
         assert stalled == 2
 
     def test_stall_cycles_count_the_windows_run(self):
-        system = _stalled_topology((0, 5, 4), (1, 7, 4), (2, 150, 80))()
-        simulation = Simulation(system)
+        build, stalls = _stalled_topology(
+            (0, 5, 4), (1, 7, 4), (2, 150, 80)
+        )
+        simulation = Simulation(build(), stalls)
         assert simulation._stalls == ((5, 11), (150, 230))
         # [5, 11) and [150, 200) fall inside the run.
         assert _stall_cycles_of(lambda: simulation.run(CYCLES)) == 56
 
     def test_a_watcher_runs_everything_on_the_reference_loop(self):
-        simulation = Simulation(_stalled_topology((0, 5, 4))())
+        build, stalls = _stalled_topology((0, 5, 4))
+        simulation = Simulation(build(), stalls)
         seen = []
         simulation.add_watcher(seen.append)
         before = compile_fabric.cache_stats()
@@ -537,8 +519,8 @@ class TestStallWindows:
 
 
 def _corpus_builds():
-    """Systems of every style for 20 random and 20 regular topologies,
-    each with and without a dynamic stall plan."""
+    """Builds of every style for 20 random and 20 regular topologies,
+    each paired with no stall plan and with a dynamic one."""
     for seed in range(20):
         for profile, traffic in (("small", "random"), ("regular", "regular")):
             topology = random_topology(seed, PROFILE_PRESETS[profile])
@@ -552,16 +534,14 @@ def _corpus_builds():
             )
             for style in styles_for_traffic(traffic):
                 for plan in ((), stalls):
-                    yield _topology_build(topology, style, plans, plan)
+                    yield _topology_build(topology, style, plans), plan
 
 
 def _shape_system(
-    gaps=None, stalls=None, limit=None, plan=(),
-    swap_inputs=False, rewire=False,
+    gaps=None, stalls=None, limit=None, swap_inputs=False, rewire=False,
 ) -> System:
     """Two sources into one shell into one sink, every channel with a
-    relay station; each keyword changes one property of the system
-    (``plan`` is a stall plan, which leaves the shape as it is)."""
+    relay station; each keyword changes one property of the system."""
     schedule = IOSchedule(["a", "b"], ["y"], [SyncPoint({"a", "b"}, {"y"})])
     pearl = FunctionPearl("p", schedule, lambda i, p: {"y": p["a"]})
     system = System("shape")
@@ -571,8 +551,6 @@ def _shape_system(
     system.connect_sink(
         shell, "y", "snk", latency=2, stalls=stalls, limit=limit
     )
-    if plan:
-        apply_stall_plan(system, plan)
     if swap_inputs:
         shell.in_ports = dict(reversed(list(shell.in_ports.items())))
     if rewire:
@@ -641,8 +619,8 @@ class TestCodeCache:
 
     def test_equal_keys_iff_equal_source(self):
         texts: dict[tuple, set[str]] = {}
-        for build in _corpus_builds():
-            simulation = Simulation(build())
+        for build, plan in _corpus_builds():
+            simulation = Simulation(build(), plan)
             key = compile_fabric.lower_shape(simulation)
             texts.setdefault(key, set()).add(
                 compile_fabric.lower_source(simulation)
@@ -698,14 +676,13 @@ class TestCodeCache:
             tuple(LinkStall(name, 1, 2) for name in links),
         ]
         for plan in plans:
-            stalled = Simulation(_shape_system(plan=plan))
-            assert stalled.system.instruments
+            stalled = Simulation(_shape_system(), plan)
             assert compile_fabric.lower_shape(stalled) == key
             assert compile_fabric.lower_source(stalled) == source
         monkeypatch.setattr(compile_fabric, "_CODE_CACHE", OrderedDict())
         before = compile_fabric.cache_stats()
         Simulation(_shape_system()).run(20)
-        Simulation(_shape_system(plan=plans[2])).run(20)
+        Simulation(_shape_system(), plans[2]).run(20)
         after = compile_fabric.cache_stats()
         assert after["misses"] - before["misses"] == 1
         assert after["hits"] - before["hits"] == 1

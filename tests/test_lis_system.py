@@ -128,6 +128,27 @@ class TestSimulation:
         assert sink.received == []
         assert shell.enabled_cycles == 0
 
+    def test_reset_rewinds_sources(self):
+        system, _shell, sink = _simple_pipeline()
+        sim = Simulation(system)
+        sim.run(80)
+        first = list(sink.received)
+        assert first == list(range(50))
+        sim.reset()
+        sim.run(80)
+        assert sink.received == first
+
+    def test_reset_rejects_a_one_shot_source(self):
+        sched = IOSchedule(["x"], ["y"], [SyncPoint({"x"}, {"y"})])
+        system = System("once")
+        shell = system.add_patient(SPWrapper(make_passthrough_pearl(sched)))
+        system.connect_source("src", iter(range(50)), shell, "x")
+        system.connect_sink(shell, "y", "snk")
+        sim = Simulation(system)
+        sim.run(10)
+        with pytest.raises(ValueError, match="one-shot iterator"):
+            sim.reset()
+
     def test_watcher_called_every_cycle(self):
         system, _shell, _sink = _simple_pipeline()
         sim = Simulation(system)

@@ -33,6 +33,7 @@ from repro.verify import (
     CaseOutcome,
     Divergence,
     VerifyCase,
+    case_from_reproducer,
     reproducer_dict,
     run_case,
     shrink_case,
@@ -329,6 +330,41 @@ class TestReplayParameters:
         data = topology_to_dict(random_topology(1))
         case = self._replay(tmp_path, monkeypatch, data)
         assert case.styles == styles_for_traffic("random")
+
+
+class TestCaseFromReproducer:
+    """The reproducer reader sits beside its writer and inverts it."""
+
+    # Flag values that differ from every recorded parameter below.
+    DEFAULTS = dict(
+        cycles=999, deadlock_window=5, engine=None, perturb=7,
+        perturb_floorplan=True, perturb_styles="all",
+        perturb_dynamic=False,
+    )
+
+    def test_inverts_reproducer_dict(self):
+        topology = random_topology(3)
+        case = VerifyCase(
+            index=0, seed=3, cycles=120, topology=topology,
+            styles=("fsm", "sp"), deadlock_window=32, engine="interp",
+            perturb=1, perturb_dynamic=True,
+            variants=tuple(
+                derive_variants(topology, 1, seed=3, dynamic=True)
+            ),
+        )
+        data = json.loads(json.dumps(reproducer_dict(case)))
+        replayed = case_from_reproducer(data, self.DEFAULTS)
+        # Schedules compare by identity: compare the topology as data.
+        assert topology_to_dict(replayed.topology) == (
+            topology_to_dict(topology)
+        )
+        assert replace(replayed, topology=topology) == case
+
+    def test_unknown_perturb_styles_mode(self):
+        data = topology_to_dict(random_topology(1))
+        data["perturb_styles"] = "some"
+        with pytest.raises(ValueError, match="perturb-styles mode 'some'"):
+            case_from_reproducer(data, self.DEFAULTS)
 
 
 class TestShrinkBudget:

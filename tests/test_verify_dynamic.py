@@ -15,10 +15,10 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
+from repro.lis import compile_fabric
 from repro.lis.simulator import Simulation
 from repro.lis.stall import (
     LinkStall,
-    apply_stall_plan,
     derive_stall_plan,
     stall_from_dict,
     stall_to_dict,
@@ -45,6 +45,14 @@ from repro.verify import (
     shrink_case,
     simulate_topology,
 )
+
+
+def _stall_cycles_of(run) -> int:
+    """The stall cycles a lowered ``run()`` hands to the reference
+    loop (``fabric.stall_cycles``)."""
+    before = compile_fabric.cache_stats()["stall_cycles"]
+    run()
+    return compile_fabric.cache_stats()["stall_cycles"] - before
 
 
 def _case(topology, **kwargs):
@@ -93,40 +101,77 @@ class TestStallInjection:
             len(s) for s in stalled.streams.values()
         ) < sum(len(s) for s in baseline.streams.values())
 
-    def test_injector_counts_stalled_cycles(self):
-        topology = random_topology(4)
-        system, _shells, _sinks = build_system(topology, "fsm")
+    def test_stalled_cycles_are_counted(self):
+        system, _shells, _sinks = build_system(random_topology(4), "fsm")
         link = system.links[0].name
-        injectors = apply_stall_plan(
-            system, (LinkStall(link, start=10, duration=5),)
-        )
-        assert [i.link.name for i in injectors] == [link]
-        Simulation(system).run(50)
-        assert injectors[0].stalled_cycles == 5
-        assert system.instruments == injectors
+        simulation = Simulation(system, (LinkStall(link, 10, 5),))
+        assert _stall_cycles_of(lambda: simulation.run(50)) == 5
 
-    def test_overlapping_windows_merge_per_link(self):
-        topology = random_topology(4)
-        system, _shells, _sinks = build_system(topology, "fsm")
+    def test_overlapping_windows_count_once(self):
+        system, _shells, _sinks = build_system(random_topology(4), "fsm")
         link = system.links[0].name
-        injectors = apply_stall_plan(
+        simulation = Simulation(
             system,
             (
                 LinkStall(link, start=10, duration=5),
                 LinkStall(link, start=12, duration=6),
             ),
         )
-        assert len(injectors) == 1
-        Simulation(system).run(50)
-        assert injectors[0].stalled_cycles == 8  # union of [10,15)+[12,18)
+        # The union of [10, 15) and [12, 18).
+        assert _stall_cycles_of(lambda: simulation.run(50)) == 8
 
     def test_unknown_link_rejected(self):
         topology = random_topology(4)
         system, _shells, _sinks = build_system(topology, "fsm")
         with pytest.raises(ValueError, match="unknown link"):
-            apply_stall_plan(
-                system, (LinkStall("no-such-link", 1, 1),)
+            Simulation(system, (LinkStall("no-such-link", 1, 1),))
+
+    def test_step_honours_the_plan(self):
+        """``step`` forces the stalled links as ``run`` does: the same
+        streams and wires, and fewer tokens than an unstalled run."""
+        topology = random_topology(4)
+        stalls = tuple(
+            LinkStall(link, start=40, duration=50)
+            for link in topology_link_names(topology)
+        )
+
+        def observe(stalls, stepped):
+            system, _shells, sinks = build_system(topology, "fsm")
+            simulation = Simulation(system, stalls)
+            if stepped:
+                simulation.step(150)
+            else:
+                simulation.run(150)
+            return (
+                {name: list(sink.received) for name, sink in sinks.items()},
+                [(link.data.value, link.stop.stop) for link in system.links],
             )
+
+        stalled = observe(stalls, stepped=True)
+        assert stalled == observe(stalls, stepped=False)
+        moved = sum(map(len, stalled[0].values()))
+        assert moved < sum(map(len, observe((), True)[0].values()))
+
+    def test_stall_on_a_relay_hop(self):
+        """A ``.seg{k}`` link between two relay stations can stall: its
+        cycles are counted, and the streams only fall behind."""
+        for seed in range(20):
+            topology = random_topology(seed)
+            hops = [
+                name for name in topology_link_names(topology)
+                if ".seg" in name
+            ]
+            if hops:
+                break
+        assert hops
+        baseline = simulate_topology(topology, "fsm", 150, None)
+        system, _shells, sinks = build_system(topology, "fsm")
+        simulation = Simulation(system, (LinkStall(hops[0], 30, 12),))
+        assert _stall_cycles_of(lambda: simulation.run(150)) == 12
+        assert sum(map(len, baseline.streams.values())) > 0
+        for name, sink in sinks.items():
+            stream = list(sink.received)
+            assert stream == baseline.streams[name][: len(stream)]
 
     def test_stall_validation(self):
         with pytest.raises(ValueError):
@@ -396,6 +441,56 @@ class TestDynamicOracle:
             assert case.perturb_styles == "all"
 
 
+# -- reset and rerun -----------------------------------------------------------
+
+
+def _run_observed(simulation, sinks):
+    """Run 200 cycles (deadlock window 64); the sink streams and the
+    result fields a verify case compares."""
+    result = simulation.run(200, deadlock_window=64)
+    return (
+        {name: list(sink.received) for name, sink in sinks.items()},
+        result.cycles,
+        result.deadlocked,
+        result.shell_periods,
+    )
+
+
+class TestResetRerun:
+    """``Simulation.reset()`` returns a built system to its initial
+    state: sources rewind their token streams, so a rerun, under the
+    same stall plan or another one, equals a run of a fresh build."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rerun_equals_first_run(self, seed):
+        topology = random_topology(seed)
+        for style in ("fsm", "sp", "rtl-fsm"):
+            system, _shells, sinks = build_system(topology, style)
+            simulation = Simulation(system)
+            first = _run_observed(simulation, sinks)
+            simulation.reset()
+            assert _run_observed(simulation, sinks) == first, style
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reset_system_under_another_plan(self, seed):
+        topology = random_topology(seed)
+        links = topology_link_names(topology)
+        first, second = (
+            derive_stall_plan(links, random.Random(seed * 2 + k), 200)
+            for k in (0, 1)
+        )
+        for style in ("fsm", "sp", "rtl-fsm"):
+            system, _shells, sinks = build_system(topology, style)
+            simulation = Simulation(system, first)
+            _run_observed(simulation, sinks)
+            simulation.reset()
+            rerun = _run_observed(Simulation(system, second), sinks)
+            fresh, _shells, fresh_sinks = build_system(topology, style)
+            assert rerun == _run_observed(
+                Simulation(fresh, second), fresh_sinks
+            ), style
+
+
 # -- fabric code reuse ---------------------------------------------------------
 
 
@@ -407,7 +502,6 @@ class TestFabricReuse:
     def test_dynamic_variants_compile_no_shape(self, seed, monkeypatch):
         from collections import OrderedDict
 
-        from repro.lis import compile_fabric
         from repro.sched.generate import PROFILE_PRESETS
 
         topology = random_topology(seed, PROFILE_PRESETS["small"])
