@@ -30,6 +30,7 @@ from typing import Any, Callable, NoReturn, Sequence
 from ..lis.pearl import Pearl
 from ..lis.port import DEFAULT_PORT_DEPTH
 from ..lis.shell import Shell
+from ..lis.signals import checkpointed
 from ..lis.simulator import Simulation
 from ..lis.system import System
 # ``Simulator(...)`` imports its default engine on first construction;
@@ -46,6 +47,7 @@ class EquivalenceError(AssertionError):
     """Raised when RTL and expected behaviour diverge."""
 
 
+@checkpointed
 class RTLShell(Shell):
     """Patient process driven by simulated wrapper RTL.
 
@@ -170,6 +172,14 @@ class RTLShell(Shell):
         super().reset()
         self.rtl = Simulator(self.module, engine=self.engine)
         self._apply_reset()
+
+    # The bound driver survives a restore: it reads its state back
+    # from the restored env (see the simulators' ``load_state``).
+    def _decision_state(self) -> tuple:
+        return self.rtl.save_state()
+
+    def _load_decision(self, state: tuple) -> None:
+        self.rtl.load_state(state)
 
 
 # -- twin-system co-simulation -------------------------------------------------

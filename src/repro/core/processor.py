@@ -87,6 +87,30 @@ class SyncProcessor:
         self.stall_cycles = 0
         self.periods_completed = 0
 
+    def save_state(self) -> tuple:
+        """Everything :meth:`step` reads or writes, for
+        :meth:`load_state`."""
+        return (
+            self.state,
+            self.addr,
+            self.run_counter,
+            self.cycles,
+            self.enabled_cycles,
+            self.stall_cycles,
+            self.periods_completed,
+        )
+
+    def load_state(self, state: tuple) -> None:
+        (
+            self.state,
+            self.addr,
+            self.run_counter,
+            self.cycles,
+            self.enabled_cycles,
+            self.stall_cycles,
+            self.periods_completed,
+        ) = state
+
     @property
     def current_op(self) -> Operation:
         return self.program.ops[self.addr]

@@ -32,6 +32,7 @@ from typing import Sequence
 from ..lis.pearl import Pearl
 from ..lis.port import DEFAULT_PORT_DEPTH
 from ..lis.shell import ScriptEntry, Shell, ShellError, fifos_ready
+from ..lis.signals import checkpointed
 from .compiler import CompilerOptions, compile_schedule
 from .operations import SPProgram
 from .processor import SyncProcessor
@@ -53,6 +54,7 @@ def script_from_program(program: SPProgram) -> list[ScriptEntry]:
     ]
 
 
+@checkpointed
 class SPWrapper(Shell):
     """Patient process whose shell is a synchronization processor.
 
@@ -101,7 +103,14 @@ class SPWrapper(Shell):
         super().reset()
         self.processor.reset()
 
+    def _decision_state(self) -> tuple:
+        return self.processor.save_state()
 
+    def _load_decision(self, state: tuple) -> None:
+        self.processor.load_state(state)
+
+
+@checkpointed
 class FSMWrapper(Shell):
     """Singh & Theobald's Mealy-FSM wrapper.
 
@@ -118,6 +127,7 @@ class FSMWrapper(Shell):
         return fifos_ready(ins, outs)
 
 
+@checkpointed
 class CombinationalWrapper(Shell):
     """Carloni's original combinational-logic wrapper.
 
@@ -136,6 +146,7 @@ class CombinationalWrapper(Shell):
     _run_gate_ok = _sync_ready
 
 
+@checkpointed
 class ShiftRegisterWrapper(Shell):
     """Casu & Macchiarulo's static-scheduling wrapper.
 
@@ -222,6 +233,12 @@ class ShiftRegisterWrapper(Shell):
         super().reset()
         self._pattern_pos = 0
         self._prefix_pos = 0
+
+    def _decision_state(self) -> tuple:
+        return self._pattern_pos, self._prefix_pos
+
+    def _load_decision(self, state: tuple) -> None:
+        self._pattern_pos, self._prefix_pos = state
 
 
 WRAPPER_STYLES = {

@@ -35,12 +35,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".signals": (
             "VOID",
             "Block",
+            "CheckpointError",
             "DataWire",
             "Link",
             "StopWire",
             "is_void",
         ),
-        ".simulator": ("Simulation", "SimulationResult"),
+        ".simulator": ("Checkpoint", "Simulation", "SimulationResult"),
         ".stall": (
             "LinkStall",
             "derive_stall_plan",

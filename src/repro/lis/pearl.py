@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
+from .signals import checkpointed
+
 if TYPE_CHECKING:  # avoid runtime repro.core <-> repro.lis import cycle
     from ..core.schedule import IOSchedule
 
@@ -66,6 +68,15 @@ class Pearl:
         """Return internal state to power-up values."""
         self.local_cycle = 0
 
+    def save_state(self):
+        """The pearl's run state, for :meth:`load_state` (a
+        subclass with state of its own extends both, and declares
+        itself :func:`~repro.lis.signals.checkpointed`)."""
+        return self.local_cycle
+
+    def load_state(self, state) -> None:
+        self.local_cycle = state
+
     # -- shell-side bookkeeping ---------------------------------------------------
 
     def _clocked(self) -> None:
@@ -95,6 +106,7 @@ class FunctionPearl(Pearl):
         return self._fn(index, popped)
 
 
+@checkpointed
 class PassthroughPearl(Pearl):
     """Single-input single-output identity pearl (protocol tests)."""
 

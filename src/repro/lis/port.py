@@ -17,11 +17,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable
 
-from .signals import VOID, Block, Link, is_void
+from .signals import VOID, Block, Link, checkpointed, is_void
 
 DEFAULT_PORT_DEPTH = 2
 
 
+@checkpointed
 class InputPort(Block):
     """Receives tokens from a LIS link into a FIFO the wrapper pops.
 
@@ -123,11 +124,22 @@ class InputPort(Block):
         self.tokens_received = 0
         self.stall_cycles = 0
 
+    def save_state(self) -> tuple:
+        return tuple(self._fifo), self.tokens_received, self.stall_cycles
+
+    def load_state(self, state: tuple) -> None:
+        fifo, self.tokens_received, self.stall_cycles = state
+        self._fifo.clear()
+        self._fifo.extend(fifo)
+        self._popped = 0
+        self._arrived = VOID
+
     @property
     def occupancy(self) -> int:
         return len(self._fifo)
 
 
+@checkpointed
 class OutputPort(Block):
     """Buffers tokens the wrapper pushes until the LIS link drains them."""
 
@@ -194,6 +206,16 @@ class OutputPort(Block):
         self._sent_head = False
         self.tokens_sent = 0
         self.stall_cycles = 0
+
+    def save_state(self) -> tuple:
+        return tuple(self._fifo), self.tokens_sent, self.stall_cycles
+
+    def load_state(self, state: tuple) -> None:
+        fifo, self.tokens_sent, self.stall_cycles = state
+        self._fifo.clear()
+        self._fifo.extend(fifo)
+        self._pushed.clear()
+        self._sent_head = False
 
     @property
     def occupancy(self) -> int:

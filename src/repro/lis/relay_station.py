@@ -16,11 +16,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from .signals import VOID, Block, Link
+from .signals import VOID, Block, Link, checkpointed
 
 RELAY_CAPACITY = 2
 
 
+@checkpointed
 class RelayStation(Block):
     """One relay station between an upstream and a downstream link."""
 
@@ -82,6 +83,26 @@ class RelayStation(Block):
         self.tokens_forwarded = 0
         self.full_cycles = 0
         self.max_occupancy = 0
+
+    def save_state(self) -> tuple:
+        return (
+            tuple(self._buffer),
+            self.tokens_forwarded,
+            self.full_cycles,
+            self.max_occupancy,
+        )
+
+    def load_state(self, state: tuple) -> None:
+        (
+            buffer,
+            self.tokens_forwarded,
+            self.full_cycles,
+            self.max_occupancy,
+        ) = state
+        self._buffer.clear()
+        self._buffer.extend(buffer)
+        self._pop_head = False
+        self._arrived = VOID
 
     # -- inspection ------------------------------------------------------------
 

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .pearl import Pearl, PearlError
 from .port import DEFAULT_PORT_DEPTH, InputPort, OutputPort
-from .signals import Block, Link
+from .signals import Block, Link, declared
 
 if TYPE_CHECKING:  # avoid runtime repro.core <-> repro.lis import cycle
     from ..core.schedule import IOSchedule
@@ -273,6 +273,59 @@ class Shell(Block):
         self.enabled_cycles = 0
         self.stall_cycles = 0
         self.periods_completed = 0
+        if self.trace_enable is not None:
+            self.trace_enable.clear()
+
+    # -- checkpoints (repro.lis.signals.checkpointed subclasses) -------------
+
+    def save_state(self) -> tuple:
+        trace = self.trace_enable
+        return (
+            tuple(declared(port).save_state() for port in self._ports()),
+            declared(self.pearl).save_state(),
+            self._script_pos,
+            self._run_left,
+            self._running_point,
+            self._phase_next,
+            self.enabled_cycles,
+            self.stall_cycles,
+            self.periods_completed,
+            None if trace is None else tuple(trace),
+            self._decision_state(),
+        )
+
+    def load_state(self, state: tuple) -> None:
+        (
+            ports,
+            pearl,
+            self._script_pos,
+            self._run_left,
+            self._running_point,
+            self._phase_next,
+            self.enabled_cycles,
+            self.stall_cycles,
+            self.periods_completed,
+            trace,
+            decision,
+        ) = state
+        for port, saved in zip(self._ports(), ports):
+            port.load_state(saved)
+        self.pearl.load_state(pearl)
+        if trace is None:
+            self.trace_enable = None
+        elif self.trace_enable is None:
+            self.trace_enable = list(trace)
+        else:
+            self.trace_enable[:] = trace
+        self._load_decision(decision)
+
+    def _decision_state(self):
+        """The style's own decision state (None: the style keeps
+        none beyond the ports and the script position)."""
+        return None
+
+    def _load_decision(self, state) -> None:
+        """Put back what :meth:`_decision_state` returned."""
 
     # -- the wrapper step ---------------------------------------------------------------
 

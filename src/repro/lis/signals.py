@@ -108,6 +108,35 @@ class Link:
         return f"Link({self.name!r})"
 
 
+class CheckpointError(RuntimeError):
+    """Raised when an object's run state cannot be checkpointed."""
+
+
+_CHECKPOINTED: set[type] = set()
+
+
+def checkpointed(cls: type) -> type:
+    """Class decorator: ``cls.save_state()`` captures all run state of
+    an instance at a cycle boundary, and ``load_state(state)`` puts it
+    back in place (keeping every object that generated code binds:
+    FIFO deques, sink lists, RTL environments).  It covers exactly
+    ``cls``: a subclass may keep state its parent does not know, so it
+    cannot be checkpointed until it declares itself too."""
+    _CHECKPOINTED.add(cls)
+    return cls
+
+
+def declared(obj: Any) -> Any:
+    """``obj`` itself when its class is :func:`checkpointed`; raises
+    :class:`CheckpointError` otherwise."""
+    if type(obj) not in _CHECKPOINTED:
+        raise CheckpointError(
+            f"{type(obj).__name__} {getattr(obj, 'name', '')!r} "
+            "cannot be checkpointed"
+        )
+    return obj
+
+
 class Block:
     """Base class for everything the LIS simulator schedules.
 
@@ -116,6 +145,10 @@ class Block:
     * :meth:`produce` — drive all output wires from registered state;
     * :meth:`consume` — read input wires, decide next state;
     * :meth:`commit` — atomically adopt the next state.
+
+    Blocks that support :meth:`Simulation.checkpoint
+    <repro.lis.simulator.Simulation.checkpoint>` also implement
+    ``save_state``/``load_state`` and are :func:`checkpointed`.
     """
 
     def __init__(self, name: str) -> None:

@@ -25,6 +25,16 @@ stall-free stretches run the lowered loop, and each window runs the
 reference loop.  Both loops take and return the deadlock watch's quiet
 count, so a split run stops where an unsplit one would.  A run without
 a stall plan makes one lowered call.
+
+A :class:`Checkpoint` is the whole state of a system at a cycle
+boundary: every block's (``save_state``, for the classes
+:func:`~repro.lis.signals.checkpointed` declares), the wires, and
+the run's position and quiet count.  ``run(..., checkpoint_at=F)``
+pauses the run at cycle F to take one, and ``run(..., resume=c)``
+restores ``c`` and finishes the paused run from there.  Splitting a
+run is exact, so a run resumed from a checkpoint under another stall
+plan equals a run of a fresh build under that plan, provided the two
+plans force the same links before the checkpoint's cycle (checked).
 """
 
 from __future__ import annotations
@@ -33,9 +43,27 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .compile_fabric import Runner, count_stall_cycles, runner_for
-from .signals import VOID
+from .signals import VOID, CheckpointError, declared
 from .stall import LinkStall, resolve_stall_plan
 from .system import System
+
+
+@dataclass(frozen=True, eq=False)
+class Checkpoint:
+    """A system's state at cycle ``cycle`` of a run that started at
+    ``start``: ``quiet`` is the deadlock watch's count there, and
+    ``stopped`` says the run had already ended (deadlocked) by then.
+    ``forced`` holds the ``(cycle, link name)`` pairs the run's stall
+    plan forced before ``cycle``."""
+
+    system: System
+    start: int
+    cycle: int
+    quiet: int
+    stopped: bool
+    forced: frozenset
+    wires: tuple
+    blocks: tuple
 
 
 @dataclass
@@ -48,6 +76,11 @@ class SimulationResult:
     shell_periods: dict[str, int] = field(default_factory=dict)
     sink_tokens: dict[str, int] = field(default_factory=dict)
     deadlocked: bool = False
+    # The pause a run(checkpoint_at=...) took, when every block could
+    # checkpoint.
+    checkpoint: Checkpoint | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def utilization(self, shell_name: str) -> float:
         """Enabled fraction for ``shell_name``.
@@ -148,14 +181,15 @@ class Simulation:
             self.cycle = cycle
 
     def _split(
-        self, lowered: Runner, cycles: int, deadlock_window: int | None
-    ) -> tuple[int, bool]:
+        self,
+        lowered: Runner,
+        cycles: int,
+        deadlock_window: int | None,
+        quiet: int,
+    ) -> tuple[bool, int]:
         """Run ``cycles`` on the lowered loop, except the stall windows,
-        which run on the reference loop: ``(cycles executed,
-        deadlocked)``."""
-        start = self.cycle
-        end = start + cycles
-        quiet = 0
+        which run on the reference loop: ``(deadlocked, quiet)``."""
+        end = self.cycle + cycles
         for first, stop in self._stalls:
             first, stop = max(first, self.cycle), min(stop, end)
             if first >= stop:
@@ -165,36 +199,87 @@ class Simulation:
                     self, first - self.cycle, deadlock_window, quiet
                 )
                 if deadlocked:
-                    return self.cycle - start, True
+                    return True, quiet
             executed, deadlocked, quiet = self._reference(
                 stop - first, deadlock_window, quiet
             )
             count_stall_cycles(executed)
             if deadlocked:
-                return self.cycle - start, True
-        _, deadlocked, _ = lowered(
+                return True, quiet
+        _, deadlocked, quiet = lowered(
             self, end - self.cycle, deadlock_window, quiet
         )
-        return self.cycle - start, deadlocked
+        return deadlocked, quiet
+
+    def _advance(
+        self,
+        lowered: Runner | None,
+        cycles: int,
+        deadlock_window: int | None,
+        quiet: int,
+    ) -> tuple[bool, int]:
+        """One stretch of a run on the engine ``runner_for`` chose:
+        ``(deadlocked, quiet)``."""
+        if cycles <= 0:
+            return False, quiet
+        if lowered is None:
+            _, deadlocked, quiet = self._reference(
+                cycles, deadlock_window, quiet
+            )
+            return deadlocked, quiet
+        return self._split(lowered, cycles, deadlock_window, quiet)
 
     def run(
         self,
         cycles: int,
         deadlock_window: int | None = None,
+        checkpoint_at: int | None = None,
+        resume: Checkpoint | None = None,
     ) -> SimulationResult:
         """Run for ``cycles`` cycles; optionally stop early if no shell
-        fires for ``deadlock_window`` consecutive cycles."""
+        fires for ``deadlock_window`` consecutive cycles.
+
+        ``checkpoint_at`` pauses the run at that cycle (or where it
+        stops, if earlier) and returns a :class:`Checkpoint` of the
+        pause as the result's ``checkpoint`` (None when some block
+        cannot checkpoint).  ``resume`` restores a checkpoint of this
+        system (:meth:`restore`) and finishes the run it paused:
+        ``cycles`` and the result count from that run's start, and the
+        deadlock watch picks up its quiet count.  :class:`ValueError`
+        when this simulation's stall plan forces other links than the
+        paused run's did before the checkpoint."""
         lowered = runner_for(self)
-        if lowered is not None:
-            executed, deadlocked = self._split(
-                lowered, cycles, deadlock_window
+        quiet, deadlocked = 0, False
+        if resume is not None:
+            if self._forced_before(resume.start, resume.cycle) != (
+                resume.forced
+            ):
+                raise ValueError(
+                    "the stall plan differs from the checkpointed "
+                    "run's before its cycle"
+                )
+            self.restore(resume)
+            quiet, deadlocked = resume.quiet, resume.stopped
+        start = self.cycle if resume is None else resume.start
+        end = start + cycles
+        checkpoint = None
+        if checkpoint_at is not None and not deadlocked:
+            deadlocked, quiet = self._advance(
+                lowered,
+                min(checkpoint_at, end) - self.cycle,
+                deadlock_window,
+                quiet,
             )
-        else:
-            executed, deadlocked, _ = self._reference(
-                cycles, deadlock_window
+            try:
+                checkpoint = self._checkpoint(start, quiet, deadlocked)
+            except CheckpointError:
+                pass
+        if not deadlocked:
+            deadlocked, _ = self._advance(
+                lowered, end - self.cycle, deadlock_window, quiet
             )
         return SimulationResult(
-            cycles=executed,
+            cycles=self.cycle - start,
             shell_enabled={
                 name: shell.enabled_cycles
                 for name, shell in self.system.shells.items()
@@ -212,7 +297,58 @@ class Simulation:
                 for name, sink in self.system.sinks.items()
             },
             deadlocked=deadlocked,
+            checkpoint=checkpoint,
         )
+
+    # -- checkpoints ---------------------------------------------------------
+
+    def _forced_before(self, start: int, cycle: int) -> frozenset:
+        return frozenset(
+            (at, link.name)
+            for at, links in self._forced.items()
+            if start <= at < cycle
+            for link in links
+        )
+
+    def _checkpoint(
+        self, start: int, quiet: int, stopped: bool
+    ) -> Checkpoint:
+        return Checkpoint(
+            system=self.system,
+            start=start,
+            cycle=self.cycle,
+            quiet=quiet,
+            stopped=stopped,
+            forced=self._forced_before(start, self.cycle),
+            wires=tuple(
+                (link, link.data.value, link.stop.stop)
+                for link in self.system.links
+            ),
+            blocks=tuple(
+                (block, declared(block).save_state())
+                for block in self._blocks
+            ),
+        )
+
+    def checkpoint(self) -> Checkpoint:
+        """The system's state now, between runs (a later run starts
+        from it afresh).  Raises
+        :class:`~repro.lis.signals.CheckpointError` when a block, a
+        shell's port or pearl, or a style's decision state is not of a
+        :func:`~repro.lis.signals.checkpointed` class."""
+        return self._checkpoint(self.cycle, 0, False)
+
+    def restore(self, checkpoint: Checkpoint) -> None:
+        """Put the system back into ``checkpoint``'s state, in place:
+        as often as needed, and after any run or :meth:`reset`."""
+        if checkpoint.system is not self.system:
+            raise ValueError("the checkpoint is of another system")
+        for block, state in checkpoint.blocks:
+            block.load_state(state)
+        for link, value, stop in checkpoint.wires:
+            link.data.value = value
+            link.stop.stop = stop
+        self.cycle = checkpoint.cycle
 
     def run_until(
         self,

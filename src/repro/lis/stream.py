@@ -8,11 +8,20 @@ protocol — a source never sends while stop is asserted.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .signals import VOID, Block, Link, is_void
+from .signals import (
+    VOID,
+    Block,
+    CheckpointError,
+    Link,
+    checkpointed,
+    is_void,
+)
 
 
+@checkpointed
 class Source(Block):
     """Emits tokens from an iterator onto a link.
 
@@ -86,12 +95,29 @@ class Source(Block):
         self.tokens_sent = 0
         self.blocked_cycles = 0
 
+    def save_state(self) -> tuple:
+        if self._iter is self._tokens:
+            raise CheckpointError(
+                f"source {self.name!r} streams a one-shot iterator, "
+                "which cannot be rewound"
+            )
+        # Every token taken from the stream was sent, or is pending.
+        taken = self.tokens_sent + (self._pending is not VOID)
+        return taken, self._pending, self.tokens_sent, self.blocked_cycles
+
+    def load_state(self, state: tuple) -> None:
+        taken, self._pending, self.tokens_sent, self.blocked_cycles = state
+        self._iter = iter(self._tokens)
+        next(islice(self._iter, taken, taken), None)
+        self._sent_this_cycle = False
+
     @property
     def exhausted(self) -> bool:
         self._refill()
         return is_void(self._pending)
 
 
+@checkpointed
 class Sink(Block):
     """Consumes tokens from a link, recording them.
 
@@ -142,6 +168,18 @@ class Sink(Block):
         self.received.clear()
         self.first_arrival_cycle = None
         self.last_arrival_cycle = None
+
+    def save_state(self) -> tuple:
+        return (
+            tuple(self.received),
+            self.first_arrival_cycle,
+            self.last_arrival_cycle,
+        )
+
+    def load_state(self, state: tuple) -> None:
+        received, self.first_arrival_cycle, self.last_arrival_cycle = state
+        self.received[:] = received
+        self._accepted_this_cycle = VOID
 
     def throughput(self, cycles: int) -> float:
         """Tokens per cycle over a run of ``cycles``."""

@@ -841,6 +841,23 @@ class CompiledSimulator(Simulator):
             _ENGINE_STATS, *bound,
         )
 
+    # -- checkpoints ---------------------------------------------------------
+
+    def save_state(self) -> tuple:
+        """The env (materialized first) and cycle count, for
+        :meth:`load_state`."""
+        if self._pending is not None:
+            self._pending()
+        return tuple(self._env), self.cycle
+
+    def load_state(self, state: tuple) -> None:
+        """Put back a :meth:`save_state` snapshot, in place (bound
+        drivers hold the env).  The env is then current, so a bound
+        driver's next cycle re-reads its state from it."""
+        env, self.cycle = state
+        self._env[:] = env
+        self._pending = None
+
     # -- execution ---------------------------------------------------------------
 
     def settle(self) -> None:

@@ -316,6 +316,18 @@ class InterpSimulator(Simulator):
 
         return cycle
 
+    # -- checkpoints -----------------------------------------------------------
+
+    def save_state(self) -> tuple:
+        """The environment and cycle count, for :meth:`load_state`."""
+        return dict(self._env), self.cycle
+
+    def load_state(self, state: tuple) -> None:
+        """Put back a :meth:`save_state` snapshot, in place (the
+        evaluators hold the env)."""
+        env, self.cycle = state
+        self._env.update(env)
+
     # -- execution -------------------------------------------------------------
 
     def settle(self) -> None:

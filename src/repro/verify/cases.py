@@ -34,7 +34,8 @@ from typing import Any, Mapping, Sequence
 
 from ..lis.pearl import Pearl
 from ..lis.shell import Shell
-from ..lis.simulator import Simulation
+from ..lis.signals import checkpointed
+from ..lis.simulator import Checkpoint, Simulation
 from ..lis.stall import LinkStall
 from ..lis.stream import Sink
 from ..lis.system import System
@@ -81,6 +82,7 @@ _MIX = 0x9E3779B9
 _MASK = 0xFFFFFFFF
 
 
+@checkpointed
 class MixPearl(Pearl):
     """Deterministic token-mixing pearl.
 
@@ -122,6 +124,13 @@ class MixPearl(Pearl):
     def on_reset(self) -> None:
         super().on_reset()
         self._acc = self._initial_acc(self.name)
+
+    def save_state(self) -> tuple:
+        return super().save_state(), self._acc
+
+    def load_state(self, state: tuple) -> None:
+        super().load_state(state[0])
+        self._acc = state[1]
 
 
 def _credit_tokens(seed: int, channel_index: int, count: int) -> list[int]:
@@ -344,6 +353,45 @@ def relay_peak_occupancy(system: System) -> tuple[str, int] | None:
     return peak
 
 
+@dataclass(frozen=True)
+class BaseSystem:
+    """A base run's built system, paused at the case's first stall
+    cycle: what a dynamic variant under the same styles resumes from
+    instead of building and re-running its prefix."""
+
+    system: System
+    shells: dict[str, Shell]
+    sinks: dict[str, Sink]
+    checkpoint: Checkpoint
+    trace: bool
+    activations: Mapping[str, StaticActivation] | None
+
+
+#: A case's base systems by style pair (style, lockstep reference or
+#: None); it lives only as long as the case.
+BaseSystems = dict[tuple[str, str | None], BaseSystem]
+
+
+def _resumable(
+    bases: BaseSystems,
+    key: tuple[str, str | None],
+    trace: bool,
+    activations: Mapping[str, StaticActivation] | None,
+    stalls: Sequence[LinkStall],
+) -> BaseSystem | None:
+    """The base a run of ``key`` resumes from: built alike, traced if
+    this run traces, and paused no later than the plan's first stall."""
+    base = bases.get(key)
+    if (
+        base is None
+        or base.activations != activations
+        or (trace and not base.trace)
+        or any(stall.start < base.checkpoint.cycle for stall in stalls)
+    ):
+        return None
+    return base
+
+
 def _simulate(
     topology: SystemTopology,
     style: str,
@@ -354,26 +402,60 @@ def _simulate(
     activations: Mapping[str, StaticActivation] | None,
     stalls: Sequence[LinkStall],
     reference: str | None = None,
+    checkpoint_at: int | None = None,
+    bases: BaseSystems | None = None,
 ) -> StyleRun:
     """Build and simulate one system under ``stalls`` and harvest its
     run; exceptions propagate.  With a ``reference`` style the system
     runs both styles in lockstep (:func:`build_system`), and its spans
-    carry the reference as an attribute."""
+    carry the reference as an attribute.
+
+    With ``checkpoint_at`` the run pauses there for a checkpoint, and
+    the system goes into ``bases`` unless the run raises.  Without it,
+    ``bases`` holds the systems this run may resume from (see
+    :func:`run_styles`)."""
     fields = {"style": style}
     if reference is not None:
         fields["reference"] = reference
-    with telemetry.span("build", **fields):
-        system, shells, sinks = build_system(
-            topology, style, trace=trace, engine=engine,
-            activations=activations, reference=reference,
+    resume = None
+    if bases is not None and checkpoint_at is None:
+        base = _resumable(
+            bases, (style, reference), trace, activations, stalls
         )
+        if base is None:
+            telemetry.count("perturb.fresh_variant_runs")
+        else:
+            system, shells, sinks = base.system, base.shells, base.sinks
+            resume = base.checkpoint
+            telemetry.count("perturb.resumed_runs")
+            telemetry.count(
+                "perturb.resumed_cycles", resume.cycle - resume.start
+            )
+    if resume is None:
+        with telemetry.span("build", **fields):
+            system, shells, sinks = build_system(
+                topology, style, trace=trace, engine=engine,
+                activations=activations, reference=reference,
+            )
+            simulation = Simulation(system, stalls)
+    else:
         simulation = Simulation(system, stalls)
     with telemetry.span("simulate", **fields):
-        result = simulation.run(cycles, deadlock_window=deadlock_window)
+        result = simulation.run(
+            cycles,
+            deadlock_window=deadlock_window,
+            checkpoint_at=checkpoint_at,
+            resume=resume,
+        )
+    if checkpoint_at is not None and result.checkpoint is not None:
+        bases[style, reference] = BaseSystem(
+            system, shells, sinks, result.checkpoint, trace, activations
+        )
     return StyleRun(
         streams={
             name: list(sink.received) for name, sink in sinks.items()
         },
+        # A resumed base may trace although this run does not.
         traces=(
             {
                 name: list(shell.trace_enable or [])
@@ -398,15 +480,19 @@ def simulate_topology(
     trace: bool = False,
     activations: Mapping[str, StaticActivation] | None = None,
     stalls: Sequence[LinkStall] = (),
+    checkpoint_at: int | None = None,
+    bases: BaseSystems | None = None,
 ) -> StyleRun:
     """Simulate ``topology`` under one style and harvest everything
     the oracle checks; a crash becomes an ``error`` record, never an
     exception.  ``stalls`` is an optional mid-run stall plan
-    (:mod:`repro.lis.stall`) the simulation runs under."""
+    (:mod:`repro.lis.stall`) the simulation runs under;
+    ``checkpoint_at`` and ``bases`` are :func:`run_styles`' base-system
+    cache."""
     try:
         return _simulate(
             topology, style, cycles, deadlock_window, engine, trace,
-            activations, stalls,
+            activations, stalls, checkpoint_at=checkpoint_at, bases=bases,
         )
     except Exception as exc:  # any failure is a finding, not a crash
         return StyleRun(
@@ -425,6 +511,8 @@ def _simulate_lockstep(
     trace: bool,
     activations: Mapping[str, StaticActivation] | None,
     stalls: Sequence[LinkStall],
+    checkpoint_at: int | None,
+    bases: BaseSystems | None,
 ) -> StyleRun | None:
     """One lockstep run standing for both styles of a cycle-exact
     pair, or None when the styles disagreed or either raised (the
@@ -434,6 +522,7 @@ def _simulate_lockstep(
         return _simulate(
             topology, checked, cycles, deadlock_window, engine, trace,
             activations, stalls, reference=reference,
+            checkpoint_at=checkpoint_at, bases=bases,
         )
     except Exception:
         lockstep._STATS["fallbacks"] += 1
@@ -477,6 +566,8 @@ def run_styles(
     engine: str | None = None,
     stalls: Sequence[LinkStall] = (),
     trace: bool = True,
+    checkpoint_at: int | None = None,
+    bases: BaseSystems | None = None,
 ) -> dict[str, StyleRun]:
     """One :class:`StyleRun` per style, keyed in ``styles`` order — the
     registry fold the oracle pipeline consumes.
@@ -496,6 +587,16 @@ def run_styles(
     becomes each dependent style's ``error`` record.  Unknown style
     names become error records too (a finding for the oracles, never
     a crash).
+
+    The per-case base-system cache ``bases`` (keyed by style pair:
+    the style and its lockstep reference, or None) works two ways.
+    With ``checkpoint_at``, every run pauses at that cycle for a
+    checkpoint, and each system whose run did not raise is kept in
+    ``bases``.  Without it, a run whose style pair is in ``bases``
+    restores that checkpoint and simulates only the remaining cycles
+    under ``stalls`` instead of building a system; that is exact when
+    the topology is the cached one (up to its name) and ``stalls``
+    forces nothing before the checkpoint, which it checks.
     """
     partner: dict[str, tuple[str, str]] = {}
     for pair in lockstep_pairs(styles):
@@ -536,7 +637,7 @@ def run_styles(
         if pair is not None:
             run = _simulate_lockstep(
                 topology, *pair, cycles, deadlock_window, engine, trace,
-                activations, stalls,
+                activations, stalls, checkpoint_at, bases,
             )
             if run is not None:
                 for member in members:
@@ -552,6 +653,8 @@ def run_styles(
                 trace=trace,
                 activations=activations,
                 stalls=stalls,
+                checkpoint_at=checkpoint_at,
+                bases=bases,
             )
     return {style: runs[style] for style in styles}
 
@@ -566,10 +669,18 @@ def run_case(case: VerifyCase) -> CaseOutcome:
     seven.  The shift-register styles derive their static activation
     plan from the FSM reference run, rerunning it only when ``fsm`` is
     absent or ordered after them.
+
+    When the case has dynamic perturbation variants, every base run
+    pauses for a checkpoint at the earliest cycle any of them stalls,
+    and the perturbation oracle resumes those variants from the base
+    systems (see :func:`run_styles`) rather than re-running their
+    prefix: until its first stall a dynamic variant's run is its
+    base's, cycle for cycle.
     """
-    # Imported lazily: the oracle pipeline consumes this module's
-    # data types.
-    from .oracles import run_pipeline
+    # Imported lazily: the oracle pipeline and the perturbation oracle
+    # consume this module's data types.
+    from .oracles import default_pipeline, run_pipeline
+    from .perturb import PerturbationOracle, case_variants, first_stall
 
     with telemetry.span("case", case=case.index, seed=case.seed):
         outcome = CaseOutcome(
@@ -577,12 +688,19 @@ def run_case(case: VerifyCase) -> CaseOutcome:
             seed=case.seed,
             topology_stats=case.topology.stats(),
         )
+        variants = case_variants(case)
+        checkpoint_at = first_stall(case.topology, variants)
+        bases: BaseSystems | None = (
+            None if checkpoint_at is None else {}
+        )
         runs = run_styles(
             case.topology,
             case.styles,
             case.cycles,
             case.deadlock_window,
             engine=case.engine,
+            checkpoint_at=checkpoint_at,
+            bases=bases,
         )
         for style, run in runs.items():
             outcome.cycles_executed[style] = run.executed
@@ -597,5 +715,10 @@ def run_case(case: VerifyCase) -> CaseOutcome:
         # Per-oracle spans come from run_pipeline itself; perturbation
         # oracles re-simulate variants, so their simulate spans nest
         # inside (and are double-counted by) their oracle span.
-        run_pipeline(case, runs, outcome)
+        run_pipeline(
+            case, runs, outcome,
+            pipeline=default_pipeline(
+                perturbation=PerturbationOracle(variants, bases)
+            ),
+        )
     return outcome

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import NoReturn, Sequence
 
 from ..lis.shell import Shell
+from ..lis.signals import checkpointed, declared
 from .styles import cycle_exact_pairs, get_style
 
 __all__ = [
@@ -51,6 +52,7 @@ class LockstepDivergence(RuntimeError):
     """The two styles of a lockstep shell decided differently."""
 
 
+@checkpointed
 class LockstepShell(Shell):
     """One process under two styles' decisions at once.
 
@@ -105,6 +107,18 @@ class LockstepShell(Shell):
         super().reset()
         self.lead.reset()
         self.companion.reset()
+
+    def _decision_state(self) -> tuple:
+        # The two shells share this shell's ports and pearl; only their
+        # decision state is their own.
+        return (
+            declared(self.lead)._decision_state(),
+            declared(self.companion)._decision_state(),
+        )
+
+    def _load_decision(self, state: tuple) -> None:
+        self.lead._load_decision(state[0])
+        self.companion._load_decision(state[1])
 
 
 def lockstep_pairs(styles: Sequence[str]) -> tuple[tuple[str, str], ...]:

@@ -364,19 +364,26 @@ class AnalyticBoundsOracle(Oracle):
             )
 
 
-def default_pipeline() -> tuple[Oracle, ...]:
-    """The standard oracle pipeline, in check order."""
-    # Imported here: the perturbation oracle builds on the variant
-    # machinery, which itself uses this module's check primitives.
-    from .perturb import PerturbationOracle
+def default_pipeline(
+    perturbation: Oracle | None = None,
+) -> tuple[Oracle, ...]:
+    """The standard oracle pipeline, in check order; ``perturbation``
+    stands in for a plain :class:`~repro.verify.perturb.PerturbationOracle`
+    (:func:`~repro.verify.cases.run_case` passes one holding the case's
+    variants and base systems)."""
+    if perturbation is None:
+        # Imported here: the perturbation oracle builds on the variant
+        # machinery, which itself uses this module's check primitives.
+        from .perturb import PerturbationOracle
 
+        perturbation = PerturbationOracle()
     return (
         ExceptionOracle(),
         StreamPrefixOracle(),
         CycleExactOracle(),
         RelayOccupancyOracle(),
         AnalyticBoundsOracle(),
-        PerturbationOracle(),
+        perturbation,
     )
 
 

@@ -47,11 +47,13 @@ variant's stall plan too.
 
 from __future__ import annotations
 
-from typing import Mapping
+from dataclasses import replace
+from typing import Mapping, Sequence
 
 from ..sched.generate import SystemTopology, TopologyVariant, derive_variants
 from . import telemetry
 from .cases import (
+    BaseSystems,
     CaseOutcome,
     Divergence,
     StyleRun,
@@ -92,6 +94,31 @@ def case_variants(case: VerifyCase) -> tuple[TopologyVariant, ...]:
         floorplan=case.perturb_floorplan,
         dynamic=case.perturb_dynamic,
         horizon=case.cycles,
+    )
+
+
+def resumes_from(base: SystemTopology, variant: TopologyVariant) -> bool:
+    """True when ``variant`` can resume from its base's runs: a stall
+    plan over the base topology itself (equal up to its name), so the
+    variant's run is the base's until the plan's first stall."""
+    return bool(variant.stalls) and (
+        replace(variant.topology, name=base.name) == base
+    )
+
+
+def first_stall(
+    base: SystemTopology, variants: Sequence[TopologyVariant]
+) -> int | None:
+    """The earliest cycle a variant that :func:`resumes_from` ``base``
+    stalls at (where the case's base runs pause for a checkpoint), or
+    None when no variant resumes."""
+    return min(
+        (
+            min(stall.start for stall in variant.stalls)
+            for variant in variants
+            if resumes_from(base, variant)
+        ),
+        default=None,
     )
 
 
@@ -201,6 +228,8 @@ def check_perturbations(
     case: VerifyCase,
     runs: Mapping[str, StyleRun],
     outcome: CaseOutcome,
+    variants: Sequence[TopologyVariant] | None = None,
+    bases: BaseSystems | None = None,
 ) -> None:
     """Run every latency-perturbed variant of ``case`` and append any
     metamorphic divergences to ``outcome``.
@@ -212,8 +241,17 @@ def check_perturbations(
     already crashed in the style loop skips the perturbation checks
     entirely — the case is failing anyway, and re-running the
     deterministic crash would only duplicate the divergence.
+
+    ``variants`` defaults to :func:`case_variants`.  ``bases`` holds
+    the case's base systems paused at :func:`first_stall`; each
+    dynamic variant that :func:`resumes_from` the base resumes its
+    runs from them (:func:`repro.verify.cases.run_styles`) instead of
+    re-simulating the prefix.  The runs of other dynamic variants, or
+    of styles with no base system, build fresh and are counted as
+    ``perturb.fresh_variant_runs``.
     """
-    variants = case_variants(case)
+    if variants is None:
+        variants = case_variants(case)
     if not variants:
         return
     all_mode = case.perturb_styles == "all"
@@ -272,6 +310,14 @@ def check_perturbations(
     for variant in variants:
         bounds, slack = _variant_bounds(variant.topology)
         lowers = lowers_latency(case.topology, variant.topology)
+        resumable = None
+        if variant.kind == "dynamic":
+            resumable = (
+                bases
+                if bases is not None
+                and resumes_from(case.topology, variant)
+                else {}
+            )
         variant_runs = run_styles(
             variant.topology,
             styles,
@@ -282,6 +328,7 @@ def check_perturbations(
             # Traces are only consumed by the per-variant cycle-exact
             # pairs of all-styles mode.
             trace=all_mode,
+            bases=resumable,
         )
         for style in styles:
             run = variant_runs[style]
@@ -325,10 +372,23 @@ def check_perturbations(
 
 class PerturbationOracle(Oracle):
     """The metamorphic latency-perturbation checks, as one pipeline
-    stage (no-op for cases without perturbation)."""
+    stage (no-op for cases without perturbation).  ``variants`` and
+    ``bases`` are :func:`check_perturbations`' own: one case's, when
+    its runner already derived the variants and kept the base
+    systems."""
 
     name = "perturb"
 
+    def __init__(
+        self,
+        variants: Sequence[TopologyVariant] | None = None,
+        bases: BaseSystems | None = None,
+    ) -> None:
+        self.variants = variants
+        self.bases = bases
+
     def check(self, case, runs, outcome) -> None:
         if case.perturb or case.variants:
-            check_perturbations(case, runs, outcome)
+            check_perturbations(
+                case, runs, outcome, self.variants, self.bases
+            )

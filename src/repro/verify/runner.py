@@ -282,8 +282,10 @@ def reproducer_dict(minimal: VerifyCase) -> dict:
     reproducer["styles"] = list(minimal.styles)
     # Without these two, a replay would run under seed 0 and whatever
     # engine the replaying CLI defaults to — silently missing seed- or
-    # engine-dependent failures.
-    reproducer["seed"] = minimal.seed
+    # engine-dependent failures.  ``seed`` stays the topology's own
+    # (build_system derives credit tokens from it); the case seed,
+    # which seeds the perturbation variants, may differ from it.
+    reproducer["case_seed"] = minimal.seed
     reproducer["engine"] = minimal.engine
     if minimal.variants is not None or minimal.perturb:
         reproducer["perturb"] = (
@@ -318,7 +320,9 @@ def case_from_reproducer(
     replay runs under the engine the failure was found with.
     Reproducers from the retired ``"vectorized"`` engine replay under
     ``"compiled"``: their outcomes were byte-identical by contract.
-    Their legacy ``"lanes"`` key is ignored.  Raises
+    Their legacy ``"lanes"`` key is ignored.  The case seed is
+    ``case_seed``; reproducers written before it existed recorded the
+    case seed as ``seed``, which then seeds the topology too.  Raises
     :class:`ValueError` for an unknown perturb-styles mode.
     """
     recorded_engine = data.get("engine")
@@ -327,7 +331,7 @@ def case_from_reproducer(
     topology = topology_from_dict(data)
     case = VerifyCase(
         index=0,
-        seed=int(data.get("seed", 0)),
+        seed=int(data.get("case_seed", data.get("seed", 0))),
         cycles=int(data.get("cycles", defaults["cycles"])),
         topology=topology,
         # Hand-written files without a style list get the styles their

@@ -263,6 +263,9 @@ class Rollup:
         lockstep = _render_lockstep(self.counters)
         if lockstep:
             lines.append(lockstep)
+        resume = _render_resume(self.counters)
+        if resume:
+            lines.append(resume)
         skips = self.counters.get("perturb.vacuity_skips", 0)
         if skips:
             lines.append(
@@ -353,6 +356,22 @@ def _render_lockstep(counters: Mapping[str, float]) -> str:
     return (
         f"  lockstep: {runs:.0f} cycle-exact pair run(s), "
         f"{fallbacks:.0f} fell back to separate runs"
+    )
+
+
+def _render_resume(counters: Mapping[str, float]) -> str:
+    """The dynamic-variant line: runs resumed from their base run's
+    checkpoint (with the prefix cycles they did not re-simulate), and
+    runs that had to build fresh."""
+    resumed = counters.get("perturb.resumed_runs", 0)
+    fresh = counters.get("perturb.fresh_variant_runs", 0)
+    if not (resumed or fresh):
+        return ""
+    skipped = counters.get("perturb.resumed_cycles", 0)
+    return (
+        f"  perturb: {resumed:.0f} dynamic-variant run(s) resumed "
+        f"({skipped:.0f} prefix cycle(s) skipped), {fresh:.0f} built "
+        "fresh"
     )
 
 
@@ -682,6 +701,7 @@ def render_report(
             _render_rtl(rollup.counters),
             _render_fabric(rollup.counters),
             _render_lockstep(rollup.counters),
+            _render_resume(rollup.counters),
         )
         if line
     ]

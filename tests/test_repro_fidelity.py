@@ -30,10 +30,13 @@ from repro.sched.generate import (
     topology_to_dict,
 )
 from repro.verify import (
+    BatchConfig,
     CaseOutcome,
     Divergence,
     VerifyCase,
+    build_system,
     case_from_reproducer,
+    make_cases,
     reproducer_dict,
     run_case,
     shrink_case,
@@ -183,7 +186,7 @@ class TestWriteReplayMatrix:
         path = tmp_path / "case0_minimal.json"
         data = json.loads(path.read_text())
         assert data["engine"] == engine
-        assert data["seed"] == case.seed
+        assert data["case_seed"] == case.seed
         if mode == "perturb-dynamic":
             assert data["perturb_dynamic"] is True
             assert data["variants"]
@@ -359,6 +362,56 @@ class TestCaseFromReproducer:
             topology_to_dict(topology)
         )
         assert replace(replayed, topology=topology) == case
+
+    def test_replays_build_the_recorded_system(self):
+        """Coverage-guided topologies keep the seed of the topology
+        they were drawn or mutated from, which differs from their case
+        seed in 26 of these 40 cases.  Each replay builds the same
+        credit tokens (``build_system`` derives them from the topology
+        seed) and returns the original outcome."""
+
+        def credit_tokens(topology):
+            _system, shells, _sinks = build_system(topology, "fsm")
+            return {
+                (name, port.name): list(port._preload)
+                for name, shell in shells.items()
+                for port in shell.in_ports.values()
+            }
+
+        cases = [
+            case
+            for case in make_cases(
+                BatchConfig(cases=40, seed=0, gen="coverage")
+            )
+            if case.topology.seed != case.seed
+        ]
+        assert len(cases) == 26
+        # The CLI's own defaults: these unperturbed reproducers carry
+        # no perturbation keys.
+        defaults = dict(
+            cycles=300, deadlock_window=64, engine=None, perturb=0,
+            perturb_floorplan=False, perturb_styles="reference",
+            perturb_dynamic=False,
+        )
+        for case in cases:
+            data = json.loads(json.dumps(reproducer_dict(case)))
+            replayed = case_from_reproducer(data, defaults)
+            assert replayed.seed == case.seed
+            assert replayed.topology.seed == case.topology.seed
+            assert credit_tokens(replayed.topology) == (
+                credit_tokens(case.topology)
+            )
+            assert run_case(replace(replayed, index=case.index)) == (
+                run_case(case)
+            ), case.index
+
+    def test_legacy_reproducer_seed_seeds_both(self):
+        """A reproducer without ``case_seed`` replays as before: its
+        ``seed`` is the case seed and the topology's."""
+        data = topology_to_dict(random_topology(1))
+        data["seed"] = 31337
+        replayed = case_from_reproducer(data, self.DEFAULTS)
+        assert replayed.seed == replayed.topology.seed == 31337
 
     def test_unknown_perturb_styles_mode(self):
         data = topology_to_dict(random_topology(1))

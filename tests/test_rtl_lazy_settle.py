@@ -457,11 +457,18 @@ def test_kernels_run_only_at_construction_and_on_table_misses(monkeypatch):
     """Over real campaigns (regular traffic, and dynamic perturbation
     under four styles), ``settle`` runs twice per simulator (at
     construction and in the reset step) and ``edge`` once, plus one
-    each per transition a driver table computed: no observation and no
-    memoized cycle runs a kernel."""
-    calls = {"settle": 0, "edge": 0, "sims": 0}
+    each per transition a driver table computed, plus one ``settle``
+    per checkpoint that found the env stale (a dynamic variant's base
+    run pauses for one, and materializing is its only observation): no
+    other observation and no memoized cycle runs a kernel."""
+    calls = {"settle": 0, "edge": 0, "sims": 0, "materialized": 0}
     init_plan = compile_sim._Plan.__init__
     init_sim = CompiledSimulator.__init__
+    save_state = CompiledSimulator.save_state
+
+    def counting_save(sim):
+        calls["materialized"] += sim._pending is not None
+        return save_state(sim)
 
     def counting_plan(plan, elab):
         init_plan(plan, elab)
@@ -482,6 +489,7 @@ def test_kernels_run_only_at_construction_and_on_table_misses(monkeypatch):
     )
     monkeypatch.setattr(compile_sim._Plan, "__init__", counting_plan)
     monkeypatch.setattr(CompiledSimulator, "__init__", counting_sim)
+    monkeypatch.setattr(CompiledSimulator, "save_state", counting_save)
     before = cache_stats()["transitions"]
     for cases, config in (
         (8, {"profile": "regular"}),
@@ -499,5 +507,8 @@ def test_kernels_run_only_at_construction_and_on_table_misses(monkeypatch):
         assert report.ok
     transitions = cache_stats()["transitions"] - before
     assert transitions > 0
-    assert calls["settle"] == 2 * calls["sims"] + transitions
+    assert calls["materialized"] > 0
+    assert calls["settle"] == (
+        2 * calls["sims"] + transitions + calls["materialized"]
+    )
     assert calls["edge"] == calls["sims"] + transitions

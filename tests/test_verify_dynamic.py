@@ -444,22 +444,35 @@ class TestDynamicOracle:
 # -- reset and rerun -----------------------------------------------------------
 
 
-def _run_observed(simulation, sinks):
+def _run_observed(simulation, sinks, shells=None):
     """Run 200 cycles (deadlock window 64); the sink streams and the
-    result fields a verify case compares."""
+    result fields a verify case compares, plus the shells' enable
+    traces when ``shells`` is given."""
     result = simulation.run(200, deadlock_window=64)
     return (
         {name: list(sink.received) for name, sink in sinks.items()},
         result.cycles,
         result.deadlocked,
         result.shell_periods,
+        {
+            name: list(shell.trace_enable)
+            for name, shell in (shells or {}).items()
+        },
     )
+
+
+#: (style, lockstep reference) builds the reset tests cover.
+_RESET_BUILDS = (
+    ("fsm", None), ("sp", None), ("rtl-fsm", None),
+    ("rtl-fsm", "fsm"), ("rtl-sp", "sp"),
+)
 
 
 class TestResetRerun:
     """``Simulation.reset()`` returns a built system to its initial
-    state: sources rewind their token streams, so a rerun, under the
-    same stall plan or another one, equals a run of a fresh build."""
+    state: sources rewind their token streams and traced shells start
+    a new enable trace, so a rerun, under the same stall plan or
+    another one, equals a run of a fresh build."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rerun_equals_first_run(self, seed):
@@ -472,6 +485,25 @@ class TestResetRerun:
             assert _run_observed(simulation, sinks) == first, style
 
     @pytest.mark.parametrize("seed", range(20))
+    def test_traced_rerun_equals_a_fresh_build(self, seed):
+        topology = random_topology(seed)
+        for style, reference in _RESET_BUILDS:
+            system, shells, sinks = build_system(
+                topology, style, trace=True, reference=reference
+            )
+            simulation = Simulation(system)
+            first = _run_observed(simulation, sinks, shells)
+            simulation.reset()
+            assert all(shell.trace_enable == [] for shell in shells.values())
+            rerun = _run_observed(simulation, sinks, shells)
+            fresh, fresh_shells, fresh_sinks = build_system(
+                topology, style, trace=True, reference=reference
+            )
+            assert rerun == first == _run_observed(
+                Simulation(fresh), fresh_sinks, fresh_shells
+            ), (style, reference)
+
+    @pytest.mark.parametrize("seed", range(20))
     def test_reset_system_under_another_plan(self, seed):
         topology = random_topology(seed)
         links = topology_link_names(topology)
@@ -479,16 +511,20 @@ class TestResetRerun:
             derive_stall_plan(links, random.Random(seed * 2 + k), 200)
             for k in (0, 1)
         )
-        for style in ("fsm", "sp", "rtl-fsm"):
-            system, _shells, sinks = build_system(topology, style)
+        for style, reference in _RESET_BUILDS:
+            system, shells, sinks = build_system(
+                topology, style, trace=True, reference=reference
+            )
             simulation = Simulation(system, first)
-            _run_observed(simulation, sinks)
+            _run_observed(simulation, sinks, shells)
             simulation.reset()
-            rerun = _run_observed(Simulation(system, second), sinks)
-            fresh, _shells, fresh_sinks = build_system(topology, style)
+            rerun = _run_observed(Simulation(system, second), sinks, shells)
+            fresh, fresh_shells, fresh_sinks = build_system(
+                topology, style, trace=True, reference=reference
+            )
             assert rerun == _run_observed(
-                Simulation(fresh, second), fresh_sinks
-            ), style
+                Simulation(fresh, second), fresh_sinks, fresh_shells
+            ), (style, reference)
 
 
 # -- fabric code reuse ---------------------------------------------------------
