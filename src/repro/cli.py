@@ -551,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES,
         help=(
             "RTL simulation backend for the rtl-* styles (default: "
-            "compiled, or the REPRO_RTL_ENGINE environment override); "
-            "'interp' is the reference tree-walking evaluator"
+            "compiled); 'interp' is the reference tree-walking "
+            "evaluator"
         ),
     )
     verify.add_argument(

@@ -75,7 +75,6 @@ class RTLShell(Shell):
     ) -> None:
         super().__init__(pearl, port_depth)
         self.module = module
-        self.engine = engine
         self.rtl = Simulator(module, engine=engine)
         if program is not None:
             self._script = script_from_program(program)
@@ -94,14 +93,12 @@ class RTLShell(Shell):
             1 | entry.in_mask << 1 | entry.out_mask << self._push_shift
             for entry in self._script
         ]
-        self._apply_reset()
-
-    def _apply_reset(self) -> None:
+        # Power-up: one cycle with rst high.
         self.rtl.poke("rst", 1)
         self.rtl.step()
         self.rtl.poke("rst", 0)
-        # Ports bind after construction and reset() replaces the
-        # simulator, so the driver is (re)bound at the next wrapper step.
+        # Ports bind after construction, so the driver binds at the
+        # first wrapper step.
         self._drive: Callable[[], int] | None = None
 
     def _bind_driver(self) -> Callable[[], int]:
@@ -167,11 +164,6 @@ class RTLShell(Shell):
             f"(pop={entry.in_mask:#x}, push={entry.out_mask:#x}) at "
             f"script position {position}"
         )
-
-    def reset(self) -> None:
-        super().reset()
-        self.rtl = Simulator(self.module, engine=self.engine)
-        self._apply_reset()
 
     # The bound driver survives a restore: it reads its state back
     # from the restored env (see the simulators' ``load_state``).

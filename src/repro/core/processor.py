@@ -78,15 +78,6 @@ class SyncProcessor:
             False, 0, 0, None, SPState.RESET, 0
         )
 
-    def reset(self) -> None:
-        self.state = SPState.RESET
-        self.addr = 0
-        self.run_counter = 0
-        self.cycles = 0
-        self.enabled_cycles = 0
-        self.stall_cycles = 0
-        self.periods_completed = 0
-
     def save_state(self) -> tuple:
         """Everything :meth:`step` reads or writes, for
         :meth:`load_state`."""

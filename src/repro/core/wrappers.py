@@ -99,10 +99,6 @@ class SPWrapper(Shell):
         # The processor's FREE_RUN state ignores readiness.
         return self.processor.step(0, 0).enable
 
-    def reset(self) -> None:
-        super().reset()
-        self.processor.reset()
-
     def _decision_state(self) -> tuple:
         return self.processor.save_state()
 
@@ -228,11 +224,6 @@ class ShiftRegisterWrapper(Shell):
 
     def _run_gate_ok(self, cycle: int) -> bool:
         return self._next_fire()
-
-    def reset(self) -> None:
-        super().reset()
-        self._pattern_pos = 0
-        self._prefix_pos = 0
 
     def _decision_state(self) -> tuple:
         return self._pattern_pos, self._prefix_pos

@@ -62,11 +62,6 @@ class FIRPearl(Pearl):
                 self.coefficients[phase] * self._delay_line[phase]
             )
 
-    def on_reset(self) -> None:
-        super().on_reset()
-        self._delay_line = [0] * len(self.coefficients)
-        self._accumulator = 0
-
 
 def fir_reference(
     samples: Sequence[int], coefficients: Sequence[int]

@@ -294,9 +294,3 @@ class RSDecoderPearl(Pearl):
         except RSError:
             self._corrected = list(self._word[: self.codec.code.k])
             self._errors = -1
-
-    def on_reset(self) -> None:
-        super().on_reset()
-        self._word = []
-        self._corrected = []
-        self._errors = 0

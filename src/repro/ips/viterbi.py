@@ -259,9 +259,3 @@ class ViterbiPearl(Pearl):
         # The burst models the sequential ACS/traceback datapath; count
         # the work cycles so tests can assert the 198-cycle budget.
         self._run_work += 1
-
-    def on_reset(self) -> None:
-        super().on_reset()
-        self.decoder.reset()
-        self._released = []
-        self._run_work = 0

@@ -30,7 +30,7 @@ lowers a validated system into one straight-line Python function
 Pearls and wrapper decisions stay callbacks, called in block order, so
 the first exception a run raises is the one the reference loop raises.
 Counters and state are written back to the block objects in a
-``finally`` block: results, reruns, ``reset()`` and inspection see
+``finally`` block: results, reruns, checkpoints and inspection see
 what the reference loop leaves behind.
 
 :func:`runner_for` decides the engine per run: the lowering applies

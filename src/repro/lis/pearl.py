@@ -64,10 +64,6 @@ class Pearl:
         """One free-run cycle after sync point ``index`` (``phase`` counts
         from 0).  Default: pure internal computation, nothing to model."""
 
-    def on_reset(self) -> None:
-        """Return internal state to power-up values."""
-        self.local_cycle = 0
-
     def save_state(self):
         """The pearl's run state, for :meth:`load_state` (a
         subclass with state of its own extends both, and declares

@@ -45,7 +45,6 @@ class InputPort(Block):
         self._fifo: deque[Any] = deque()
         self._popped = 0
         self._arrived: Any = VOID
-        self._preload: list[Any] = []
         self.tokens_received = 0
         self.stall_cycles = 0
 
@@ -55,9 +54,10 @@ class InputPort(Block):
         """Place initial tokens in the FIFO — the reset-time marking of
         the channel (credit tokens that make feedback loops live).
 
-        The marking is part of the power-up state: :meth:`reset`
-        restores it.  Raises :class:`ValueError` if the marking exceeds
-        the port depth or contains VOID.
+        The marking is part of the power-up state, which a checkpoint
+        taken before the first run restores.  Raises
+        :class:`ValueError` if the marking exceeds the port depth or
+        contains VOID.
         """
         values = list(values)
         if any(is_void(value) for value in values):
@@ -69,7 +69,6 @@ class InputPort(Block):
                 f"{len(self._fifo)} already present)"
             )
         self._fifo.extend(values)
-        self._preload.extend(values)
 
     @property
     def not_empty(self) -> bool:
@@ -115,14 +114,6 @@ class InputPort(Block):
         if self._arrived is not VOID:
             self._fifo.append(self._arrived)
             self._arrived = VOID
-
-    def reset(self) -> None:
-        self._fifo.clear()
-        self._fifo.extend(self._preload)
-        self._popped = 0
-        self._arrived = VOID
-        self.tokens_received = 0
-        self.stall_cycles = 0
 
     def save_state(self) -> tuple:
         return tuple(self._fifo), self.tokens_received, self.stall_cycles
@@ -199,13 +190,6 @@ class OutputPort(Block):
         if self._pushed:
             self._fifo.extend(self._pushed)
             self._pushed.clear()
-
-    def reset(self) -> None:
-        self._fifo.clear()
-        self._pushed.clear()
-        self._sent_head = False
-        self.tokens_sent = 0
-        self.stall_cycles = 0
 
     def save_state(self) -> tuple:
         return tuple(self._fifo), self.tokens_sent, self.stall_cycles

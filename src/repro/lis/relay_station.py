@@ -76,14 +76,6 @@ class RelayStation(Block):
             self._buffer.append(self._arrived)
             self._arrived = VOID
 
-    def reset(self) -> None:
-        self._buffer.clear()
-        self._pop_head = False
-        self._arrived = VOID
-        self.tokens_forwarded = 0
-        self.full_cycles = 0
-        self.max_occupancy = 0
-
     def save_state(self) -> tuple:
         return (
             tuple(self._buffer),

@@ -262,20 +262,6 @@ class Shell(Block):
         for port in self._ports():
             port.commit()
 
-    def reset(self) -> None:
-        for port in self._ports():
-            port.reset()
-        self.pearl.on_reset()
-        self._script_pos = 0
-        self._run_left = 0
-        self._running_point = 0
-        self._phase_next = 0
-        self.enabled_cycles = 0
-        self.stall_cycles = 0
-        self.periods_completed = 0
-        if self.trace_enable is not None:
-            self.trace_enable.clear()
-
     # -- checkpoints (repro.lis.signals.checkpointed subclasses) -------------
 
     def save_state(self) -> tuple:

@@ -163,9 +163,5 @@ class Block:
     def commit(self) -> None:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Return to the power-up state."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

@@ -35,6 +35,10 @@ restores ``c`` and finishes the paused run from there.  Splitting a
 run is exact, so a run resumed from a checkpoint under another stall
 plan equals a run of a fresh build under that plan, provided the two
 plans force the same links before the checkpoint's cycle (checked).
+Checkpoints are also the one way to rewind a system: take
+``power_up = simulation.checkpoint()`` before the first run, and
+``simulation.restore(power_up)`` returns the system to its power-up
+state, so a rerun equals a fresh build's run.
 """
 
 from __future__ import annotations
@@ -340,7 +344,7 @@ class Simulation:
 
     def restore(self, checkpoint: Checkpoint) -> None:
         """Put the system back into ``checkpoint``'s state, in place:
-        as often as needed, and after any run or :meth:`reset`."""
+        as often as needed, and after any run."""
         if checkpoint.system is not self.system:
             raise ValueError("the checkpoint is of another system")
         for block, state in checkpoint.blocks:
@@ -366,8 +370,3 @@ class Simulation:
             self.step()
             executed += 1
         return executed
-
-    def reset(self) -> None:
-        for block in self.system.blocks:
-            block.reset()
-        self.cycle = 0

@@ -28,9 +28,10 @@ class Source(Block):
     ``gaps``: optional cyclic availability pattern — ``True`` means a
     token *may* be offered this cycle, ``False`` models an upstream
     bubble (jitter).  An exhausted iterator means the stream ends.
-    :meth:`reset` rewinds the stream, so ``tokens`` must be an iterable
-    that yields it afresh per ``iter()`` call (a list, a ``range``);
-    a one-shot iterator runs once and cannot be reset.
+    A checkpoint restore rewinds the stream, so ``tokens`` must be an
+    iterable that yields it afresh per ``iter()`` call (a list, a
+    ``range``); a one-shot iterator runs once and cannot be
+    checkpointed.
     """
 
     def __init__(
@@ -82,18 +83,6 @@ class Source(Block):
             self._pending = VOID
             self.tokens_sent += 1
             self._sent_this_cycle = False
-
-    def reset(self) -> None:
-        if self._iter is self._tokens:
-            raise ValueError(
-                f"source {self.name!r} streams a one-shot iterator, "
-                "which cannot be rewound"
-            )
-        self._iter = iter(self._tokens)
-        self._pending = VOID
-        self._sent_this_cycle = False
-        self.tokens_sent = 0
-        self.blocked_cycles = 0
 
     def save_state(self) -> tuple:
         if self._iter is self._tokens:
@@ -162,12 +151,6 @@ class Sink(Block):
         if self._accepted_this_cycle is not VOID:
             self.received.append(self._accepted_this_cycle)
             self._accepted_this_cycle = VOID
-
-    def reset(self) -> None:
-        self._accepted_this_cycle = VOID
-        self.received.clear()
-        self.first_arrival_cycle = None
-        self.last_arrival_cycle = None
 
     def save_state(self) -> tuple:
         return (

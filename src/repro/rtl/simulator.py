@@ -25,8 +25,8 @@ Two interchangeable engines implement these semantics:
   the semantic oracle the compiled engine is differentially tested
   against.
 
-``Simulator(design)`` dispatches on the ``engine`` argument (or the
-``REPRO_RTL_ENGINE`` environment variable); both engines expose the
+``Simulator(design)`` dispatches on the ``engine`` argument (None
+means ``DEFAULT_ENGINE``); both engines expose the
 identical ``poke``/``peek``/``peek_flat``/``settle``/``step``/``cycle``
 surface, plus ``fifo_driver``: one function per clock cycle of a
 FIFO-interfaced wrapper, which is how ``RTLShell`` drives either
@@ -35,7 +35,6 @@ engine.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Mapping, Sequence
 
 from .ast import Expr, Signal
@@ -51,9 +50,9 @@ class SimulationError(RuntimeError):
 
 
 def resolve_engine(engine: str | None) -> str:
-    """Normalize an engine request (None -> env override -> default)."""
+    """Normalize an engine request (None -> the default)."""
     if engine is None:
-        engine = os.environ.get("REPRO_RTL_ENGINE") or DEFAULT_ENGINE
+        engine = DEFAULT_ENGINE
     if engine not in ENGINES:
         raise ValueError(
             f"unknown RTL engine {engine!r}; choose from {ENGINES}"

@@ -93,18 +93,14 @@ class MixPearl(Pearl):
 
     def __init__(self, name: str, schedule) -> None:
         super().__init__(name, schedule)
-        self._acc = self._initial_acc(name)
+        acc = 0
+        for char in name:
+            acc = (acc * 31 + ord(char)) & _MASK
+        self._acc = acc
         self._outputs = [
             tuple(enumerate(sorted(point.outputs)))
             for point in schedule.points
         ]
-
-    @staticmethod
-    def _initial_acc(name: str) -> int:
-        acc = 0
-        for char in name:
-            acc = (acc * 31 + ord(char)) & _MASK
-        return acc
 
     def on_sync(
         self, index: int, popped: Mapping[str, Any]
@@ -120,10 +116,6 @@ class MixPearl(Pearl):
             port: (acc ^ (bit * _MIX)) & _MASK
             for bit, port in self._outputs[index]
         }
-
-    def on_reset(self) -> None:
-        super().on_reset()
-        self._acc = self._initial_acc(self.name)
 
     def save_state(self) -> tuple:
         return super().save_state(), self._acc
@@ -250,7 +242,7 @@ class VerifyCase:
     styles: tuple[str, ...] = DEFAULT_STYLES
     deadlock_window: int | None = 64
     # RTL simulation backend for rtl-* styles; None follows the
-    # simulator default (including the REPRO_RTL_ENGINE override).
+    # simulator default.
     engine: str | None = None
     # Metamorphic latency perturbation (repro.verify.perturb): derive
     # this many latency-perturbed variants of the topology (seeded by

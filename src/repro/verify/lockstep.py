@@ -103,11 +103,6 @@ class LockstepShell(Shell):
             self._diverged(cycle)
         return enabled
 
-    def reset(self) -> None:
-        super().reset()
-        self.lead.reset()
-        self.companion.reset()
-
     def _decision_state(self) -> tuple:
         # The two shells share this shell's ports and pearl; only their
         # decision state is their own.

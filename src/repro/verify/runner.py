@@ -80,10 +80,8 @@ class BatchConfig:
     * ``shrink`` — minimize failing cases into replayable topology-JSON
       reproducers;
     * ``engine`` — RTL simulation backend for the RTL-in-the-loop
-      styles (``"compiled"`` / ``"interp"``); ``None`` resolves once
-      at construction through the simulator default (so the
-      ``REPRO_RTL_ENGINE`` environment override applies to verify
-      runs);
+      styles (``"compiled"`` / ``"interp"``); ``None`` resolves to
+      the simulator's ``DEFAULT_ENGINE`` at construction;
     * ``perturb`` / ``perturb_floorplan`` — metamorphic latency
       perturbation (:mod:`repro.verify.perturb`): derive this many
       latency-perturbed variants per case and demand stream
@@ -176,8 +174,8 @@ class BatchConfig:
                 f"unknown generator strategy {self.gen!r}; choose "
                 f"from {GEN_MODES}"
             )
-        # Pin the resolved engine in the (frozen) config so the batch
-        # is deterministic even if workers see a different environment.
+        # Pin the resolved engine in the (frozen) config, so cases,
+        # reproducers and the summary name it.
         object.__setattr__(
             self, "engine", resolve_engine(self.engine)
         )

@@ -80,10 +80,3 @@ class TestFiltering:
         assert _run(samples, coeffs, SPWrapper) == _run(
             samples, coeffs, FSMWrapper
         )
-
-    def test_reset(self):
-        pearl = FIRPearl("f", (1, 2))
-        pearl._delay_line = [9, 9]
-        pearl.on_reset()
-        assert pearl._delay_line == [0, 0]
-        assert pearl._accumulator == 0

@@ -194,10 +194,3 @@ class TestPearlInSystem:
         err_sink = system.connect_sink(shell, "err_out", "err_snk")
         Simulation(system).run(3000)
         assert err_sink.received == [-1]
-
-    def test_pearl_reset(self):
-        pearl = RSDecoderPearl("rs", SMALL)
-        pearl._word = [1, 2, 3]
-        pearl.on_reset()
-        assert pearl._word == []
-        assert pearl.local_cycle == 0

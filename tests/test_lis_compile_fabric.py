@@ -363,10 +363,9 @@ class TestRunContract:
             simulation = Simulation(system, stalls)
             if reference:
                 simulation.add_watcher(lambda cycle: None)
+            power_up = simulation.checkpoint()
             simulation.run(55)
-            simulation.reset()
-            for shell in system.shells.values():
-                shell.trace_enable = []
+            simulation.restore(power_up)
             result = simulation.run(CYCLES, deadlock_window=WINDOW)
             return first, _snapshot(system, simulation, result)
 

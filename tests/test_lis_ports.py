@@ -80,8 +80,9 @@ class TestInputPort:
 
     def test_reset_clears(self):
         port = InputPort("p", Link("l"))
+        power_up = port.save_state()
         _cycle(port, 5)
-        port.reset()
+        port.load_state(power_up)
         assert not port.not_empty
         assert port.tokens_received == 0
 
@@ -167,9 +168,10 @@ class TestOutputPort:
 
     def test_reset_clears(self):
         port = OutputPort("p", Link("l"))
+        power_up = port.save_state()
         port.push(1)
         port.commit()
-        port.reset()
+        port.load_state(power_up)
         assert port.occupancy == 0
         assert port.tokens_sent == 0
 

@@ -160,8 +160,9 @@ class TestStreamIntegrity:
 
     def test_reset(self):
         h = _Harness(1)
+        power_up = h.stations[0].save_state()
         h.step(True, False)
-        h.stations[0].reset()
+        h.stations[0].load_state(power_up)
         assert h.stations[0].occupancy == 0
         assert h.stations[0].tokens_forwarded == 0
 
@@ -255,6 +256,7 @@ class TestOccupancyInvariant:
 
     def test_max_occupancy_survives_drain_and_clears_on_reset(self):
         h = _AggressiveHarness(1)
+        power_up = h.stations[0].save_state()
         h.step(True, False)
         h.step(True, False)
         assert h.stations[0].max_occupancy == RELAY_CAPACITY
@@ -262,7 +264,7 @@ class TestOccupancyInvariant:
             h.step(False, True)
         assert h.stations[0].occupancy == 0
         assert h.stations[0].max_occupancy == RELAY_CAPACITY
-        h.stations[0].reset()
+        h.stations[0].load_state(power_up)
         assert h.stations[0].max_occupancy == 0
 
     @given(

@@ -31,12 +31,14 @@ class TestResetState:
 
     def test_reset_returns_to_power_up(self):
         sp = _processor([SyncPoint({"a"}, run=3)])
+        power_up = sp.save_state()
+        first = sp.step(ALL_READY_IN, ALL_READY_OUT)
         sp.step(ALL_READY_IN, ALL_READY_OUT)
-        sp.step(ALL_READY_IN, ALL_READY_OUT)
-        sp.reset()
+        sp.load_state(power_up)
         assert sp.state is SPState.RESET
         assert sp.addr == 0
         assert sp.cycles == 0
+        assert sp.step(ALL_READY_IN, ALL_READY_OUT) == first
 
 
 class TestReadOpState:

@@ -373,7 +373,7 @@ class TestCaseFromReproducer:
         def credit_tokens(topology):
             _system, shells, _sinks = build_system(topology, "fsm")
             return {
-                (name, port.name): list(port._preload)
+                (name, port.name): list(port._fifo)
                 for name, shell in shells.items()
                 for port in shell.in_ports.values()
             }

@@ -183,12 +183,6 @@ class TestRunCaseEngineParity:
 
 
 class TestEngineDispatch:
-    @pytest.fixture(autouse=True)
-    def _clear_engine_env(self, monkeypatch):
-        # These tests assert the built-in default; don't let an outer
-        # REPRO_RTL_ENGINE (itself under test below) skew them.
-        monkeypatch.delenv("REPRO_RTL_ENGINE", raising=False)
-
     def test_default_is_compiled(self):
         m = Module("m")
         m.assign(m.output("y"), m.input("a"))
@@ -200,21 +194,6 @@ class TestEngineDispatch:
         sim = Simulator(m, engine="interp")
         assert isinstance(sim, InterpSimulator)
         assert sim.engine == "interp"
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RTL_ENGINE", "interp")
-        m = Module("m")
-        m.assign(m.output("y"), m.input("a"))
-        assert isinstance(Simulator(m), InterpSimulator)
-
-    def test_env_var_reaches_verify_config(self, monkeypatch):
-        from repro.verify import BatchConfig
-
-        monkeypatch.setenv("REPRO_RTL_ENGINE", "interp")
-        assert BatchConfig().engine == "interp"
-        monkeypatch.delenv("REPRO_RTL_ENGINE")
-        assert BatchConfig().engine == "compiled"
-        assert BatchConfig(engine="interp").engine == "interp"
 
     def test_unknown_engine_rejected(self):
         m = Module("m")

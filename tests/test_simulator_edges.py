@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.wrappers import FSMWrapper, SPWrapper
-from repro.lis.pearl import FunctionPearl
+from repro.lis.pearl import FunctionPearl, PassthroughPearl
 from repro.lis.simulator import Simulation
 from repro.lis.system import System
 from repro.lis.throughput import system_marked_graph
@@ -136,15 +136,11 @@ class TestFastPathEquivalence:
 
     def _ring(self):
         schedule = _passthrough_schedule()
-
-        def make(name):
-            return FunctionPearl(
-                name, schedule, lambda i, p: {"y": p["x"]}
-            )
-
         system = System("ring")
         shells = [
-            system.add_patient(SPWrapper(make(f"n{k}")))
+            system.add_patient(
+                SPWrapper(PassthroughPearl(f"n{k}", schedule))
+            )
             for k in range(3)
         ]
         for k in range(3):
@@ -183,10 +179,12 @@ class TestChannelMarking:
         shell = shells[0]
         port = shell.in_ports["x"]
         assert port.occupancy == 1
-        Simulation(system).run(50)
-        for block in system.blocks:
-            block.reset()
+        simulation = Simulation(system)
+        power_up = simulation.checkpoint()
+        simulation.run(50)
+        simulation.restore(power_up)
         assert port.occupancy == 1  # marking is power-up state
+        assert list(port._fifo) == [7]
 
     def test_marking_overflow_rejected(self):
         schedule = _passthrough_schedule()

@@ -77,8 +77,9 @@ class TestMixPearl:
         node = topology.processes[0]
         pearl = MixPearl(node.name, node.schedule)
         popped = {n: 3 for n in node.schedule.points[0].inputs}
+        power_up = pearl.save_state()
         first = pearl.on_sync(0, popped)
-        pearl.on_reset()
+        pearl.load_state(power_up)
         assert pearl.on_sync(0, popped) == first
 
 
@@ -287,10 +288,9 @@ class TestBatchRunner:
         with pytest.raises(ValueError):
             BatchConfig(profile="galactic")
 
-    def test_profile_presets_shape_the_cases(self, monkeypatch):
+    def test_profile_presets_shape_the_cases(self):
         from repro.sched.generate import PROFILE_PRESETS
 
-        monkeypatch.delenv("REPRO_RTL_ENGINE", raising=False)
         assert set(PROFILE_PRESETS) == {
             "small", "soc", "stress", "regular"
         }

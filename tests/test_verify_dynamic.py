@@ -24,6 +24,7 @@ from repro.lis.stall import (
     stall_to_dict,
 )
 from repro.sched.generate import (
+    PROFILE_PRESETS,
     TopologyVariant,
     derive_variants,
     random_topology,
@@ -45,6 +46,7 @@ from repro.verify import (
     shrink_case,
     simulate_topology,
 )
+from repro.verify import cases
 
 
 def _stall_cycles_of(run) -> int:
@@ -441,7 +443,7 @@ class TestDynamicOracle:
             assert case.perturb_styles == "all"
 
 
-# -- reset and rerun -----------------------------------------------------------
+# -- power-up restore and rerun -----------------------------------------------
 
 
 def _run_observed(simulation, sinks, shells=None):
@@ -461,18 +463,47 @@ def _run_observed(simulation, sinks, shells=None):
     )
 
 
-#: (style, lockstep reference) builds the reset tests cover.
+#: (style, lockstep reference) builds the random-topology tests cover.
 _RESET_BUILDS = (
-    ("fsm", None), ("sp", None), ("rtl-fsm", None),
-    ("rtl-fsm", "fsm"), ("rtl-sp", "sp"),
+    ("fsm", None), ("sp", None), ("combinational", None),
+    ("rtl-fsm", None), ("rtl-fsm", "fsm"), ("rtl-sp", "sp"),
 )
+#: The shift-register builds of the regular-topology test.
+_REGULAR_BUILDS = (
+    ("shiftreg", None), ("rtl-shiftreg", None),
+    ("rtl-shiftreg", "shiftreg"),
+)
+_ENGINES = ("compiled", "interp")
+
+
+def _restored_rerun(topology, style, reference, engine, **build):
+    """Run a traced build, restore the checkpoint taken before the run
+    and rerun; (first run, rerun, a fresh build's run)."""
+    system, shells, sinks = build_system(
+        topology, style, trace=True, engine=engine, reference=reference,
+        **build,
+    )
+    simulation = Simulation(system)
+    power_up = simulation.checkpoint()
+    first = _run_observed(simulation, sinks, shells)
+    simulation.restore(power_up)
+    assert all(shell.trace_enable == [] for shell in shells.values())
+    rerun = _run_observed(simulation, sinks, shells)
+    fresh, fresh_shells, fresh_sinks = build_system(
+        topology, style, trace=True, engine=engine, reference=reference,
+        **build,
+    )
+    return first, rerun, _run_observed(
+        Simulation(fresh), fresh_sinks, fresh_shells
+    )
 
 
 class TestResetRerun:
-    """``Simulation.reset()`` returns a built system to its initial
-    state: sources rewind their token streams and traced shells start
-    a new enable trace, so a rerun, under the same stall plan or
-    another one, equals a run of a fresh build."""
+    """A checkpoint taken before the first run holds the power-up
+    state: restoring it rewinds sources, refills the channel markings
+    and starts traced shells on a new enable trace, so a rerun, under
+    the same stall plan or another one, equals a run of a fresh
+    build."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rerun_equals_first_run(self, seed):
@@ -480,28 +511,33 @@ class TestResetRerun:
         for style in ("fsm", "sp", "rtl-fsm"):
             system, _shells, sinks = build_system(topology, style)
             simulation = Simulation(system)
+            power_up = simulation.checkpoint()
             first = _run_observed(simulation, sinks)
-            simulation.reset()
+            simulation.restore(power_up)
             assert _run_observed(simulation, sinks) == first, style
 
     @pytest.mark.parametrize("seed", range(20))
     def test_traced_rerun_equals_a_fresh_build(self, seed):
         topology = random_topology(seed)
         for style, reference in _RESET_BUILDS:
-            system, shells, sinks = build_system(
-                topology, style, trace=True, reference=reference
-            )
-            simulation = Simulation(system)
-            first = _run_observed(simulation, sinks, shells)
-            simulation.reset()
-            assert all(shell.trace_enable == [] for shell in shells.values())
-            rerun = _run_observed(simulation, sinks, shells)
-            fresh, fresh_shells, fresh_sinks = build_system(
-                topology, style, trace=True, reference=reference
-            )
-            assert rerun == first == _run_observed(
-                Simulation(fresh), fresh_sinks, fresh_shells
-            ), (style, reference)
+            for engine in _ENGINES:
+                first, rerun, fresh = _restored_rerun(
+                    topology, style, reference, engine
+                )
+                assert rerun == first == fresh, (style, reference, engine)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_regular_topology_rerun_equals_a_fresh_build(self, seed):
+        topology = random_topology(seed, PROFILE_PRESETS["regular"])
+        activations = cases._plan_activations(topology, 200, 64, {})
+        for style, reference in _REGULAR_BUILDS:
+            for engine in _ENGINES:
+                first, rerun, fresh = _restored_rerun(
+                    topology, style, reference, engine,
+                    activations=activations,
+                )
+                assert rerun == first == fresh, (style, reference, engine)
+                assert any(first[0].values()), (style, reference, engine)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reset_system_under_another_plan(self, seed):
@@ -512,19 +548,24 @@ class TestResetRerun:
             for k in (0, 1)
         )
         for style, reference in _RESET_BUILDS:
-            system, shells, sinks = build_system(
-                topology, style, trace=True, reference=reference
-            )
-            simulation = Simulation(system, first)
-            _run_observed(simulation, sinks, shells)
-            simulation.reset()
-            rerun = _run_observed(Simulation(system, second), sinks, shells)
-            fresh, fresh_shells, fresh_sinks = build_system(
-                topology, style, trace=True, reference=reference
-            )
-            assert rerun == _run_observed(
-                Simulation(fresh, second), fresh_sinks, fresh_shells
-            ), (style, reference)
+            for engine in _ENGINES:
+                system, shells, sinks = build_system(
+                    topology, style, trace=True, engine=engine,
+                    reference=reference,
+                )
+                simulation = Simulation(system, first)
+                power_up = simulation.checkpoint()
+                _run_observed(simulation, sinks, shells)
+                simulation = Simulation(system, second)
+                simulation.restore(power_up)
+                rerun = _run_observed(simulation, sinks, shells)
+                fresh, fresh_shells, fresh_sinks = build_system(
+                    topology, style, trace=True, engine=engine,
+                    reference=reference,
+                )
+                assert rerun == _run_observed(
+                    Simulation(fresh, second), fresh_sinks, fresh_shells
+                ), (style, reference, engine)
 
 
 # -- fabric code reuse ---------------------------------------------------------
@@ -537,8 +578,6 @@ class TestFabricReuse:
     @pytest.mark.parametrize("seed", (0, 4))
     def test_dynamic_variants_compile_no_shape(self, seed, monkeypatch):
         from collections import OrderedDict
-
-        from repro.sched.generate import PROFILE_PRESETS
 
         topology = random_topology(seed, PROFILE_PRESETS["small"])
         case = _case(

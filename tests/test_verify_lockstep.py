@@ -146,8 +146,9 @@ class TestParity:
         assert after["reference"] == before["reference"]
 
     def test_reset_then_rerun(self):
-        # reset() must reset both decisions too (the SP processor, the
-        # RTL simulator), or the rerun would diverge.
+        # Restoring the power-up checkpoint must restore both decisions
+        # too (the SP processor, the RTL simulator), or the rerun would
+        # diverge.
         topology = random_topology(6)
 
         def observe(style, reference=None):
@@ -155,10 +156,9 @@ class TestParity:
                 topology, style, trace=True, reference=reference
             )
             simulation = Simulation(system)
+            power_up = simulation.checkpoint()
             simulation.run(55)
-            simulation.reset()
-            for shell in shells.values():
-                shell.trace_enable = []
+            simulation.restore(power_up)
             simulation.run(CYCLES, deadlock_window=WINDOW)
             return (
                 {name: shell.trace_enable for name, shell in shells.items()},

@@ -217,19 +217,25 @@ class TestResumeParity:
         assert resumed[0].deadlocked and resumed[0].cycles == 91
 
     def test_restore_after_reset_and_between_runs(self):
+        """A run checkpoint restores after a power-up restore and a
+        short run; a checkpoint taken between runs restarts from its
+        cycle."""
         topology = _small(5)
         plan = _plan(topology, 5)
         first = min(stall.start for stall in plan)
-        built, checkpoint = _base(topology, "rtl-fsm", "fsm", None, first)
-        simulation = Simulation(built[0])
-        simulation.reset()
+        system, shells, sinks = build_system(
+            topology, "rtl-fsm", trace=True, reference="fsm"
+        )
+        simulation = Simulation(system)
+        power_up = simulation.checkpoint()
+        result = simulation.run(CYCLES, WINDOW, checkpoint_at=first)
+        built, checkpoint = (system, shells, sinks), result.checkpoint
+        simulation.restore(power_up)
         simulation.run(37)
         assert _resumed(built, checkpoint, plan) == _fresh(
             topology, "rtl-fsm", "fsm", None, plan
         )
-        # A checkpoint taken between runs restarts from its cycle.
-        simulation = Simulation(built[0])
-        simulation.reset()
+        simulation.restore(power_up)
         simulation.run(50)
         between = simulation.checkpoint()
         tail = simulation.run(70)

@@ -6,8 +6,8 @@ per-cycle driver) instead of the ``not_empty``/``not_full``
 properties.  An input is then ready when its deque is non-empty, which
 equals ``not_empty`` only because nothing has been popped yet when a
 wrapper step starts; these tests pin that, under both the lowered
-fabric and the reference loop, and check that ``RTLShell`` rebinds its
-driver to the new simulator after ``reset()``.
+fabric and the reference loop, and check that ``RTLShell`` keeps its
+simulator and bound driver across a checkpoint restore.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.lis import compile_fabric
+from repro.rtl import compile_sim
 from repro.lis.simulator import Simulation
 from repro.sched.generate import PROFILE_PRESETS, random_topology
 from repro.verify.cases import build_system
@@ -71,35 +72,44 @@ def test_nothing_popped_or_pushed_at_wrapper_step_start(
         assert any(sink.received for sink in sinks.values()), style
 
 
-def _run_reset_rerun(style: str, engine: str):
-    """Streams of a run, then of a rerun after ``reset()``, plus the
-    shells and their first simulators; ``engine="interp"`` drives the
-    RTL by name."""
+def _run_restore_rerun(style: str, engine: str):
+    """Streams of a run, then of a rerun after restoring the power-up
+    checkpoint, plus the shells, the (simulator, driver) pairs their
+    first run bound and the compiled transitions the rerun learned;
+    ``engine="interp"`` drives the RTL by name."""
     system, shells, sinks = build_system(
         random_topology(6), style, engine=engine
     )
     simulation = Simulation(system)
+    power_up = simulation.checkpoint()
     simulation.run(CYCLES)
     first = {name: list(sink.received) for name, sink in sinks.items()}
-    sims = {name: shell.rtl for name, shell in shells.items()}
-    simulation.reset()
-    for shell in shells.values():
-        assert shell._drive is None
+    bound = {name: (shell.rtl, shell._drive) for name, shell in shells.items()}
+    simulation.restore(power_up)
+    before = compile_sim.cache_stats()["transitions"]
     simulation.run(CYCLES)
+    learned = compile_sim.cache_stats()["transitions"] - before
     second = {name: list(sink.received) for name, sink in sinks.items()}
-    return first, second, shells, sims
+    return first, second, shells, bound, learned
 
 
 @pytest.mark.parametrize("style", ["rtl-sp", "rtl-fsm"])
-def test_rtl_shell_rebinds_slots_after_reset(style):
-    first, second, shells, sims = _run_reset_rerun(style, "compiled")
+def test_rtl_shell_keeps_its_driver_across_a_restore(style):
+    first, second, shells, bound, learned = _run_restore_rerun(
+        style, "compiled"
+    )
     for name, shell in shells.items():
-        assert shell.rtl is not sims[name]
-        assert shell._drive is not None
-        # One reset edge plus one edge per cycle, on each simulator: the
-        # rebound driver clocks the new one, not the discarded one.
-        assert sims[name].cycle == shell.rtl.cycle == 1 + CYCLES
-    # A stale driver would drive the discarded simulator and diverge
-    # from the by-name engine.
-    assert (first, second) == _run_reset_rerun(style, "interp")[:2]
+        rtl, drive = bound[name]
+        assert drive is not None
+        assert shell.rtl is rtl and shell._drive is drive
+        # The restore rewound the simulator to just after the reset
+        # edge; the rerun added one edge per cycle.
+        assert shell.rtl.cycle == 1 + CYCLES
+    # The rerun repeats the first run's transitions, all of them
+    # already in the kept driver's table.
+    assert learned == 0
+    assert first == second
     assert any(second.values())
+    # The kept driver must drive the restored state, as the by-name
+    # engine does.
+    assert (first, second) == _run_restore_rerun(style, "interp")[:2]
