@@ -1,20 +1,20 @@
 """Compiled-vs-interpreted RTL simulation engine benchmark.
 
 Both engines simulate the same SP *golden* wrapper (the reference
-schedule of ``tests/test_rtl_golden.py``) against port FIFOs (deques)
-refilled each cycle from one seeded FIFO-status stimulus, each driven
-the way :class:`repro.core.equivalence.RTLShell` drives it: one call
-per cycle of the engine's ``fifo_driver`` function.  The compiled
-engine's is generated code bound to the deques; the interpreter's
+schedule of ``tests/test_rtl_golden.py``) under one seeded FIFO-status
+stimulus, each driven the way :class:`repro.core.equivalence.RTLShell`
+drives it: one call per cycle of the engine's ``fifo_driver``
+function with that cycle's status bits (the readiness word).  The
+compiled engine's is generated code; the interpreter's
 (``--engine interp``) runs by name — poke every
-``not_empty``/``not_full`` input from the deques, settle, peek every
+``not_empty``/``not_full`` input from its bit, settle, peek every
 strobe into the strobe word, step.  Both engines must return the same
 strobe-word checksum.  The acceptance bar is a >= 10x speedup for the
 compiled engine; cycles/second for both engines is tracked in the
 written artifact.
 
 The compiled driver memoizes the wrapper's transitions: it runs the
-kernels only on a first-seen (state, FIFO status) pair, so its
+kernels only on a first-seen (state, status bits) pair, so its
 cycles/second figure includes memo hits and mostly measures them.  The
 artifact records how many transitions the driver tables computed
 (``transitions``) over how many tables (``tables``, one per round).
@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from collections import deque
 
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.synthesis import synthesize_wrapper
@@ -64,32 +63,16 @@ _STATUS_INPUTS = (
     "y_not_full",
     "status_not_full",
 )
-_N_INPUTS = 2  # the *_not_empty inputs lead _STATUS_INPUTS
 _STROBES = ("ip_enable", "a_pop", "b_pop", "y_push", "status_push")
 
 
-def _stimulus(cycles: int) -> list[tuple[int, ...]]:
+def _stimulus(cycles: int) -> list[int]:
+    """Per cycle, the status bits (bit ``k`` is ``_STATUS_INPUTS[k]``)."""
     rng = random.Random(20050307)
     return [
-        tuple(rng.getrandbits(1) for _ in _STATUS_INPUTS)
+        sum(rng.getrandbits(1) << k for k in range(len(_STATUS_INPUTS)))
         for _ in range(cycles)
     ]
-
-
-def _fifos():
-    """One deque per status input (outputs: depth-1 FIFOs with no
-    pushes pending), as RTLShell binds its ports."""
-    return [deque() for _ in _STATUS_INPUTS]
-
-
-def _feed(fifos, statuses) -> None:
-    """Refill the FIFOs so each status input reads its stimulus bit:
-    an input FIFO holds a token when ready, an output FIFO is full
-    when not ready."""
-    for index, (fifo, value) in enumerate(zip(fifos, statuses)):
-        fifo.clear()
-        if value == (index < _N_INPUTS):
-            fifo.append(0)
 
 
 def _reset(sim) -> None:
@@ -98,26 +81,11 @@ def _reset(sim) -> None:
     sim.poke("rst", 0)
 
 
-def _driver(sim, fifos):
-    """The engine's per-cycle function over the deques, bound once."""
-    return sim.fifo_driver(
-        list(zip(_STATUS_INPUTS[:_N_INPUTS], fifos)),
-        [
-            (name, fifo, (), 1)
-            for name, fifo in zip(
-                _STATUS_INPUTS[_N_INPUTS:], fifos[_N_INPUTS:]
-            )
-        ],
-        _STROBES,
-    )
-
-
-def _drive(cycle, fifos, stimulus) -> int:
+def _drive(cycle, stimulus) -> int:
     """Run the stimulus; returns a checksum over the strobe words."""
     checksum = 0
-    for statuses in stimulus:
-        _feed(fifos, statuses)
-        checksum = (checksum * 33 + cycle()) & 0xFFFFFFFF
+    for bits in stimulus:
+        checksum = (checksum * 33 + cycle(bits)) & 0xFFFFFFFF
     return checksum
 
 
@@ -131,18 +99,16 @@ def _time_pair(module, stimulus):
     """
     interp_sim = InterpSimulator(module)
     _reset(interp_sim)
-    fifos = _fifos()
-    interp_cycle = _driver(interp_sim, fifos)
+    interp_cycle = interp_sim.fifo_driver(_STATUS_INPUTS, _STROBES)
     started = time.perf_counter()
-    interp_sum = _drive(interp_cycle, fifos, stimulus)
+    interp_sum = _drive(interp_cycle, stimulus)
     interp_elapsed = time.perf_counter() - started
 
     compiled_sim = CompiledSimulator(module)
     _reset(compiled_sim)
-    fifos = _fifos()
-    compiled_cycle = _driver(compiled_sim, fifos)
+    compiled_cycle = compiled_sim.fifo_driver(_STATUS_INPUTS, _STROBES)
     started = time.perf_counter()
-    compiled_sum = _drive(compiled_cycle, fifos, stimulus)
+    compiled_sum = _drive(compiled_cycle, stimulus)
     compiled_elapsed = time.perf_counter() - started
 
     assert interp_sum == compiled_sum, (

@@ -6,12 +6,12 @@ Two pieces:
   cycle-accurately simulating a *generated wrapper module* (SP, FSM or
   shift-register RTL).  Each cycle is one call of the simulator's
   ``fifo_driver`` function (the same interface under both RTL
-  engines), which drives the RTL's ``not_empty``/``not_full`` inputs
-  from the real FIFO ports and returns the strobe word.  The shell
-  fires when the RTL raises ``ip_enable`` and cross-checks every
-  ``pop``/``push`` strobe against the expected script — any
-  divergence raises :class:`EquivalenceError` with the offending
-  cycle.  The pops, pushes and pearl calls themselves are
+  engines) with the shell's readiness word, whose bits are the RTL's
+  ``*_not_empty``/``*_not_full`` inputs in port order; it returns the
+  strobe word.  The shell fires when the RTL raises ``ip_enable`` and
+  cross-checks every ``pop``/``push`` strobe against the expected
+  script — any divergence raises :class:`EquivalenceError` with the
+  offending cycle.  The pops, pushes and pearl calls themselves are
   :class:`~repro.lis.shell.Shell`'s one firing protocol.
 * :func:`co_simulate` — runs a behavioural wrapper and an RTL wrapper
   in twin systems fed identical stimuli and compares their cycle-level
@@ -97,43 +97,35 @@ class RTLShell(Shell):
         self.rtl.poke("rst", 1)
         self.rtl.step()
         self.rtl.poke("rst", 0)
-        # Ports bind after construction, so the driver binds at the
-        # first wrapper step.
-        self._drive: Callable[[], int] | None = None
+        # The driver binds at the first wrapper step.
+        self._drive: Callable[[int], int] | None = None
 
-    def _bind_driver(self) -> Callable[[], int]:
+    def _bind_driver(self) -> Callable[[int], int]:
         """Bind (as ``_drive``) and return the simulator's per-cycle
-        function returning the strobe word
-        (:meth:`~repro.rtl.compile_sim.CompiledSimulator.fifo_driver`),
-        fed from the port FIFOs."""
-        rtl = self.rtl
+        function (``fifo_driver``).  The readiness word's bits, in
+        order, are the wrapper's ``*_not_empty`` then ``*_not_full``
+        inputs, so the function takes the word as it is and returns
+        the strobe word."""
         schedule = self.pearl.schedule
-        # A wrapper step starts with nothing popped this cycle (ports
-        # drop their pops at commit), so not_empty is a non-empty FIFO.
-        not_empty = [
-            (f"{sanitize(name)}_not_empty", self.in_ports[name]._fifo)
-            for name in schedule.inputs
-        ]
-        not_full = []
-        for name in schedule.outputs:
-            port = self.out_ports[name]
-            signal = f"{sanitize(name)}_not_full"
-            not_full.append((signal, port._fifo, port._pushed, port.depth))
-        self._drive = rtl.fifo_driver(
-            not_empty, not_full, self._strobe_names
+        self._drive = self.rtl.fifo_driver(
+            [
+                *(f"{sanitize(n)}_not_empty" for n in schedule.inputs),
+                *(f"{sanitize(n)}_not_full" for n in schedule.outputs),
+            ],
+            self._strobe_names,
         )
         return self._drive
 
-    def _sync_ready(self, cycle: int) -> bool:
-        word = (self._drive or self._bind_driver())()
+    def _sync_ready(self, cycle: int, ready: int) -> bool:
+        word = (self._drive or self._bind_driver())(ready)
         if word == self._script_words[self._script_pos]:
             return True
         if word:
             self._diverged(cycle, word, free_run=False)
         return False
 
-    def _run_gate_ok(self, cycle: int) -> bool:
-        word = (self._drive or self._bind_driver())()
+    def _run_gate_ok(self, cycle: int, ready: int) -> bool:
+        word = (self._drive or self._bind_driver())(ready)
         if word == 1:
             return True
         if word:

@@ -3,8 +3,9 @@
 The firing protocol (pops, ``on_sync``, the output-contract check,
 pushes, free-run cycles, periods, counters and trace) lives once in
 :class:`~repro.lis.shell.Shell`; a style here supplies only its
-per-cycle decision through ``_sync_ready``/``_run_gate_ok`` and, for
-the SP, the script it walks:
+per-cycle decision through ``_sync_ready``/``_run_gate_ok`` (both
+called with the cycle and the readiness word) and, for the SP, the
+script it walks:
 
 * :class:`SPWrapper` — the paper's contribution: a synchronization
   processor executing a compiled operation program from its operations
@@ -22,6 +23,10 @@ the SP, the script it walks:
 All four run the same pearl and the same functional schedule inside the
 same LIS simulation, so throughput/latency differences measured by the
 benches are attributable purely to the synchronization policy.
+
+Every decision reads the shell's *readiness word* (see
+:mod:`repro.lis.shell`): bit *i* set when schedule input *i* is not
+empty, bit *n_in + j* when schedule output *j* is not full.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Sequence
 
 from ..lis.pearl import Pearl
 from ..lis.port import DEFAULT_PORT_DEPTH
-from ..lis.shell import ScriptEntry, Shell, ShellError, fifos_ready
+from ..lis.shell import ScriptEntry, Shell, ShellError
 from ..lis.signals import checkpointed
 from .compiler import CompilerOptions, compile_schedule
 from .operations import SPProgram
@@ -51,6 +56,15 @@ def script_from_program(program: SPProgram) -> list[ScriptEntry]:
             first_phase=op.first_phase,
         )
         for op in program.ops
+    ]
+
+
+def _need_masks(shell: Shell) -> list[int]:
+    """Per script entry, the readiness-word bits its fire pops or
+    pushes: ``in_mask | out_mask << n_in``."""
+    return [
+        entry.in_mask | entry.out_mask << shell._n_in
+        for entry in shell._script
     ]
 
 
@@ -82,20 +96,15 @@ class SPWrapper(Shell):
         self.program = compile_schedule(pearl.schedule, options)
         self._script = script_from_program(self.program)
         self.processor = SyncProcessor(self.program)
+        self._in_all = (1 << self._n_in) - 1
 
-    def _sync_ready(self, cycle: int) -> bool:
-        ins, outs, _entries = self._ready_cache or self._readiness()
-        in_ready = 0
-        for bit, fifo in enumerate(ins):
-            if fifo:
-                in_ready |= 1 << bit
-        out_ready = 0
-        for bit, (fifo, pushed, depth) in enumerate(outs):
-            if len(fifo) + len(pushed) < depth:
-                out_ready |= 1 << bit
-        return self.processor.step(in_ready, out_ready).enable
+    def _sync_ready(self, cycle: int, ready: int) -> bool:
+        # The processor's own not_empty / not_full words.
+        return self.processor.step(
+            ready & self._in_all, ready >> self._n_in
+        ).enable
 
-    def _run_gate_ok(self, cycle: int) -> bool:
+    def _run_gate_ok(self, cycle: int, ready: int) -> bool:
         # The processor's FREE_RUN state ignores readiness.
         return self.processor.step(0, 0).enable
 
@@ -117,10 +126,15 @@ class FSMWrapper(Shell):
 
     style = "fsm"
 
-    def _sync_ready(self, cycle: int) -> bool:
-        views = self._ready_cache or self._readiness()
-        ins, outs = views[2][self._script_pos]
-        return fifos_ready(ins, outs)
+    def __init__(
+        self, pearl: Pearl, port_depth: int = DEFAULT_PORT_DEPTH
+    ) -> None:
+        super().__init__(pearl, port_depth)
+        self._needs = _need_masks(self)
+
+    def _sync_ready(self, cycle: int, ready: int) -> bool:
+        need = self._needs[self._script_pos]
+        return ready & need == need
 
 
 @checkpointed
@@ -135,9 +149,14 @@ class CombinationalWrapper(Shell):
 
     style = "combinational"
 
-    def _sync_ready(self, cycle: int) -> bool:
-        ins, outs, _entries = self._ready_cache or self._readiness()
-        return fifos_ready(ins, outs)
+    def __init__(
+        self, pearl: Pearl, port_depth: int = DEFAULT_PORT_DEPTH
+    ) -> None:
+        super().__init__(pearl, port_depth)
+        self._all = (1 << self._n_in + len(pearl.schedule.outputs)) - 1
+
+    def _sync_ready(self, cycle: int, ready: int) -> bool:
+        return ready == self._all
 
     _run_gate_ok = _sync_ready
 
@@ -188,6 +207,7 @@ class ShiftRegisterWrapper(Shell):
         self._pattern_pos = 0
         self._prefix_pos = 0
         self._pattern_fires = any(self.pattern)
+        self._needs = _need_masks(self)
 
     def _next_fire(self) -> bool:
         if self._prefix_pos < len(self.prefix):
@@ -200,29 +220,33 @@ class ShiftRegisterWrapper(Shell):
         self._pattern_pos = (self._pattern_pos + 1) % len(self.pattern)
         return fire
 
-    def _sync_ready(self, cycle: int) -> bool:
+    def _sync_ready(self, cycle: int, ready: int) -> bool:
         if not self._next_fire():
             return False
-        pops, pushes = self._fires()[self._script_pos][2:4]
-        for name, port in pops:
-            if not port.not_empty:
+        need = self._needs[self._script_pos]
+        missing = need & ~ready
+        if not missing:
+            return True
+        # Name the first port the static schedule found unready.
+        schedule = self.pearl.schedule
+        for bit, name in enumerate(schedule.inputs):
+            if missing >> bit & 1:
                 raise ShellError(
                     f"static schedule violated: {self.name!r} input "
                     f"{name!r} empty at cycle {cycle} (irregular "
                     "stream — shift-register wrappers require "
                     "perfectly regular environments)"
                 )
-        for name, port in pushes:
-            if not port.not_full:
-                raise ShellError(
-                    f"static schedule violated: {self.name!r} output "
-                    f"{name!r} full at cycle {cycle} (downstream "
-                    "backpressure — shift-register wrappers cannot "
-                    "absorb it)"
-                )
-        return True
+        lowest = (missing & -missing).bit_length() - 1
+        name = schedule.outputs[lowest - self._n_in]
+        raise ShellError(
+            f"static schedule violated: {self.name!r} output "
+            f"{name!r} full at cycle {cycle} (downstream "
+            "backpressure — shift-register wrappers cannot "
+            "absorb it)"
+        )
 
-    def _run_gate_ok(self, cycle: int) -> bool:
+    def _run_gate_ok(self, cycle: int, ready: int) -> bool:
         return self._next_fire()
 
     def _decision_state(self) -> tuple:

@@ -15,10 +15,13 @@ lowers a validated system into one straight-line Python function
   and have their commit fused into their consume.  That is sound
   because a consume reads only wires that every produce already drove,
   and nothing else observes those registers mid-cycle;
-* shell ports keep their ``deque`` FIFOs, because wrappers still call
-  ``pop``/``push``/``not_empty``/``not_full``.  A port's consume and
-  commit run right after its own shell's ``_wrapper_step``, the only
-  code that observes the port;
+* shell ports keep their ``deque`` FIFOs, because the firing protocol
+  still calls ``pop``/``push``.  Each shell's readiness word is built
+  inline from the FIFO locals (a non-empty input deque, an output
+  deque below its depth: nothing is popped or pushed before the step)
+  and handed to ``_wrapper_step``.  A port's consume and commit run
+  right after its own shell's ``_wrapper_step``, the only code that
+  observes the port;
 * a stall plan never reaches the generated loop: it is
   :class:`~repro.lis.simulator.Simulation` data, and
   ``Simulation.run`` hands each window of stall cycles to the
@@ -235,7 +238,10 @@ def _in_store(port: InputPort, received: int, stalled: int):
 
 
 def _out_load(port: OutputPort) -> tuple:
-    return port._fifo, port._pushed, port.tokens_sent, port.stall_cycles
+    return (
+        port._fifo, port._pushed, port.depth, port.tokens_sent,
+        port.stall_cycles,
+    )
 
 
 def _out_store(port: OutputPort, sent: int, stalled: int):
@@ -282,7 +288,9 @@ def _walk(simulation: "Simulation") -> tuple[tuple, list, list, list]:
     on (always-on source gaps; sink limit / always-accepting pattern;
     each shell port's direction) — then the ``B`` positions of the
     shells whose enabled cycles the deadlock watch sums, then the three
-    binding counts.  :func:`_generate` reads nothing else."""
+    binding counts.  :func:`_generate` reads nothing else.  Each shell
+    port's readiness-word mask is data, bound in ``B`` right after the
+    port, so the key (and the text) stays the parent's structure."""
     bound: list = []
     data: list = []
     stop: list = []
@@ -327,12 +335,13 @@ def _walk(simulation: "Simulation") -> tuple[tuple, list, list, list]:
         else:
             shells[id(block)] = o
             ports = []
-            for port in block._ports():
+            for port, bit in zip(block._ports(), block._port_bits()):
                 ports.append((
                     type(port) is InputPort, len(bound),
                     wire(port._data, data), wire(port._stop, stop),
                 ))
                 append(port)
+                append(1 << bit)
             blocks.append(("shell", o, tuple(ports)))
     total = tuple(shells[id(shell)] for shell in simulation._shells)
     shape = (tuple(blocks), total, len(bound), len(data), len(stop))
@@ -392,18 +401,26 @@ def _generate(shape: tuple) -> str:
             add(consume, _SINK_STEP, **f)
         else:
             steps = []
+            ready = []
             for is_input, port, d, s in entry[2]:
+                mask = f"b{port + 1}"  # bound right after the port
                 if is_input:
                     f = fields(port, d, s, "in", "f D rx st", "rx st")
                     add(produce, "{s} = {p}F = len({p}f) >= {p}D", **f)
                     steps.append(_IN_STEP.format(**f))
+                    ready.append(f"({mask} if {f['p']}f else 0)")
                 else:
-                    f = fields(port, d, s, "out", "f pu tx st", "tx st")
+                    f = fields(
+                        port, d, s, "out", "f pu D tx st", "tx st"
+                    )
                     add(produce, "{d} = {p}f[0] if {p}f else V", **f)
                     steps.append(_OUT_STEP.format(**f))
+                    ready.append(
+                        f"({mask} if len({f['p']}f) < {f['p']}D else 0)"
+                    )
             step = f"b{o}_ws"
             prologue.append(f"{step} = b{o}._wrapper_step")
-            consume.append(f"{step}(cycle)")
+            consume.append(f"{step}(cycle, {' | '.join(ready) or 0})")
             for text in steps:
                 consume.extend(text.splitlines())
 

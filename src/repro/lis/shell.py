@@ -13,12 +13,17 @@ the output-contract check, pushes, run counter) or grants one
 free-run cycle (``pearl.on_run``), then keeps the periods, the
 enabled/stall counters and the enable trace.  A wrapper style supplies
 only the per-cycle decision, through two hooks called exactly once
-per cycle with the cycle number: :meth:`Shell._sync_ready` when the
-next entry is due and :meth:`Shell._run_gate_ok` during free-run
-cycles.  A decision reads only the ports, the script position
-(``_script_pos``) and the style's own state, which is what lets
-:class:`repro.verify.lockstep.LockstepShell` take two styles'
-decisions inside one shell.  The styles live in
+per cycle with the cycle number and the *readiness word*:
+:meth:`Shell._sync_ready` when the next entry is due and
+:meth:`Shell._run_gate_ok` during free-run cycles.  The readiness word
+is the paper's FIFO status word: bit *i* is set when schedule input
+*i* is not empty and bit *n_in + j* when schedule output *j* is not
+full, the order of the RTL wrappers' ``*_not_empty``/``*_not_full``
+inputs.  It is taken at the start of the wrapper step, before anything
+is popped or pushed that cycle.  A decision reads only that word, the
+script position (``_script_pos``) and the style's own state, which is
+what lets :class:`repro.verify.lockstep.LockstepShell` hand one word to
+two styles' decisions inside one shell.  The styles live in
 :mod:`repro.core.wrappers` (and :class:`~repro.core.equivalence.RTLShell`):
 
 * ``SPWrapper`` / ``FSMWrapper`` — test only the current sync point's
@@ -75,29 +80,9 @@ def script_from_schedule(schedule: "IOSchedule") -> list[ScriptEntry]:
     ]
 
 
-def fifos_ready(inputs, outputs) -> bool:
-    """Every input FIFO non-empty and every output FIFO below depth
-    (views from :meth:`Shell._readiness`)."""
-    for fifo in inputs:
-        if not fifo:
-            return False
-    for fifo, pushed, depth in outputs:
-        if len(fifo) + len(pushed) >= depth:
-            return False
-    return True
-
-
 def _masked(pairs: list[tuple], mask: int) -> tuple:
     """The pairs whose bit is set in ``mask`` (bit *i* = pair *i*)."""
     return tuple(pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
-
-
-def _in_views(ports) -> tuple:
-    return tuple(port._fifo for port in ports)
-
-
-def _out_views(ports) -> tuple:
-    return tuple((port._fifo, port._pushed, port.depth) for port in ports)
 
 
 class Shell(Block):
@@ -120,6 +105,8 @@ class Shell(Block):
         self.in_ports: dict[str, InputPort] = {}
         self.out_ports: dict[str, OutputPort] = {}
         self._script = script_from_schedule(pearl.schedule)
+        # Readiness-word bits below this one are inputs' (see consume).
+        self._n_in = len(pearl.schedule.inputs)
         self._script_pos = 0
         self._run_left = 0
         self._running_point = 0
@@ -129,8 +116,8 @@ class Shell(Block):
         self.periods_completed = 0
         self.trace_enable: list[bool] | None = None
         self._port_cache: list[InputPort | OutputPort] | None = None
+        self._bit_cache: list[int] | None = None
         self._fire_cache: list[tuple] | None = None
-        self._ready_cache: tuple | None = None
 
     # -- wiring ------------------------------------------------------------------
 
@@ -147,7 +134,7 @@ class Shell(Block):
             f"{self.name}.{port_name}", link, self.port_depth
         )
         self.in_ports[port_name] = port
-        self._port_cache = self._fire_cache = self._ready_cache = None
+        self._port_cache = self._bit_cache = self._fire_cache = None
         return port
 
     def bind_output(self, port_name: str, link: Link) -> OutputPort:
@@ -163,7 +150,7 @@ class Shell(Block):
             f"{self.name}.{port_name}", link, self.port_depth
         )
         self.out_ports[port_name] = port
-        self._port_cache = self._fire_cache = self._ready_cache = None
+        self._port_cache = self._bit_cache = self._fire_cache = None
         return port
 
     def check_bound(self) -> None:
@@ -186,6 +173,20 @@ class Shell(Block):
                 *self.out_ports.values(),
             ]
         return ports
+
+    def _port_bits(self) -> list[int]:
+        """Each port's readiness-word bit, in :meth:`_ports` order."""
+        bits = self._bit_cache
+        if bits is None:
+            schedule = self.pearl.schedule
+            bits = self._bit_cache = [
+                *(schedule.inputs.index(name) for name in self.in_ports),
+                *(
+                    self._n_in + schedule.outputs.index(name)
+                    for name in self.out_ports
+                ),
+            ]
+        return bits
 
     def _fires(self) -> list[tuple]:
         """Per script entry, resolved against the bound ports (which
@@ -212,36 +213,14 @@ class Shell(Block):
                 ))
         return table
 
-    def _readiness(self) -> tuple:
-        """FIFO views for readiness tests: ``(inputs, outputs, per script
-        entry (inputs, outputs))``, in schedule order, with input FIFO
-        deques and output ``(fifo, pushed, depth)`` triples.  Tests run
-        at the start of a wrapper step, before anything is popped that
-        cycle (ports drop their pops at commit), so an input is ready
-        exactly when its deque is non-empty."""
-        views = self._ready_cache
-        if views is None:
-            schedule = self.pearl.schedule
-            views = self._ready_cache = (
-                _in_views(self.in_ports[n] for n in schedule.inputs),
-                _out_views(self.out_ports[n] for n in schedule.outputs),
-                [
-                    (
-                        _in_views(port for _n, port in fire[2]),
-                        _out_views(port for _n, port in fire[3]),
-                    )
-                    for fire in self._fires()
-                ],
-            )
-        return views
-
     # -- the style's decision (overridden by wrapper styles) ------------------
 
-    def _sync_ready(self, cycle: int) -> bool:
-        """May the next script entry fire this cycle?"""
+    def _sync_ready(self, cycle: int, ready: int) -> bool:
+        """May the next script entry fire this cycle, given the
+        readiness word ``ready``?"""
         raise NotImplementedError
 
-    def _run_gate_ok(self, cycle: int) -> bool:
+    def _run_gate_ok(self, cycle: int, ready: int) -> bool:
         """May a free-run cycle proceed this cycle?  The paper's SP and
         the FSM grant free-run cycles unconditionally; Carloni's
         combinational wrapper keeps testing every port."""
@@ -254,9 +233,17 @@ class Shell(Block):
             port.produce(cycle)
 
     def consume(self, cycle: int) -> None:
-        for port in self._ports():
+        # A port's consume touches neither its FIFO nor its pops and
+        # pushes, so the word is the one the step starts with.
+        ports = self._port_cache or self._ports()
+        bits = self._bit_cache or self._port_bits()
+        inputs = self._n_in
+        ready = 0
+        for port, bit in zip(ports, bits):
             port.consume(cycle)
-        self._wrapper_step(cycle)
+            if port.not_empty if bit < inputs else port.not_full:
+                ready |= 1 << bit
+        self._wrapper_step(cycle, ready)
 
     def commit(self) -> None:
         for port in self._ports():
@@ -315,16 +302,16 @@ class Shell(Block):
 
     # -- the wrapper step ---------------------------------------------------------------
 
-    def _wrapper_step(self, cycle: int) -> None:
+    def _wrapper_step(self, cycle: int, ready: int) -> None:
         pearl = self.pearl
         if self._run_left:
-            enabled = self._run_gate_ok(cycle)
+            enabled = self._run_gate_ok(cycle, ready)
             if enabled:
                 pearl.on_run(self._running_point, self._phase_next)
                 self._phase_next += 1
                 self._run_left -= 1
         else:
-            enabled = self._sync_ready(cycle)
+            enabled = self._sync_ready(cycle, ready)
             if enabled:
                 fires = self._fire_cache or self._fires()
                 position = self._script_pos

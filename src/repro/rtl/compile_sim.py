@@ -24,7 +24,9 @@ Lowering pipeline (:func:`compile_design`):
 4. **emit** — register sampling and commits are unrolled into a
    registers-only ``edge`` body (sample all, commit all), ROMs become
    padded tuple lookups, and the emitter lists the slots each of the
-   two functions writes.
+   two functions writes.  The pair is emitted inside a factory whose
+   parameters are the kernel's literal values and ROM images (see
+   "Compile cache" below).
 
 The one invariant: the env is current — it holds what the
 interpreter's would — unless a driver's ``materialize`` is pending.
@@ -35,43 +37,54 @@ another driver) runs a pending ``materialize`` first.
 
 Bound per-cycle drivers: :meth:`CompiledSimulator.fifo_driver` hands a
 FIFO-interfaced wrapper driver (``RTLShell``) one function that runs a
-whole cycle — write the readiness inputs from the FIFOs, settle, pack
-the strobe outputs into one word, clock the edge — and leaves the
-cycle counter and every observation exactly as ``settle()`` then
-``step()`` would.  Its code is generated once per *slot layout* and
-cached in a small LRU; the FIFOs, the env and the kernel functions are
-bound per call.  The interpreter's
+whole cycle — write the status inputs from the bits it is called
+with, settle, pack the strobe outputs into one word, clock the edge —
+and leaves the cycle counter and every observation exactly as
+``settle()`` then ``step()`` would.  ``RTLShell`` calls it with its
+readiness word, whose bits are the wrapper's ``*_not_empty`` then
+``*_not_full`` inputs.  Its code is generated once per *slot layout*
+and cached in a small LRU; the env and the kernel functions are bound
+per call.  The interpreter's
 :meth:`~repro.rtl.simulator.InterpSimulator.fifo_driver` has the same
 signature and semantics, run by name through ``poke``/``peek``, and
 stays the unmemoized reference.
 
-Memoized transitions: a bound driver packs its FIFO readiness into an
-int of input bits and looks up ``(state id, input bits) -> (strobe
-word, next state id)`` in a table of its own; only a missing
-transition loads the state into the env and runs ``settle`` and
-``edge``.  The state is the tuple of every slot ``settle`` does not
-write and the driver does not drive: all registers (inert ones too),
-top-level inputs such as ``rst`` and undriven wires.  ``settle`` writes
-every combinational slot (constant-folded ones too) in dependency
-order, so it reads only state slots, driven inputs and slots it has
-already written; ``edge`` writes only registers.  A cycle's strobe word
-and next state are therefore a pure function of (state, input bits),
-and the table is exact.  States are kept as ids into a per-table list
-(shift-register rings are wide ints; no env is stored per state).  One
-table is built per binding, so per ``RTLShell`` run, and dies with its
-simulator: no cap, no eviction.  On a hit the env is not touched; the
-driver leaves a pending ``materialize``, which writes the current
-state and the last cycle's input bits back and settles once, so every
-view equals the interpreter's, and the next driver call takes its
-state from the env again.
+Memoized transitions: a bound driver looks its input bits up in a
+table of its own, ``(state id, input bits) -> (strobe word, next state
+id)``; only a missing transition loads the state into the env and
+runs ``settle`` and ``edge``.  The state is the tuple of every slot
+``settle`` does not write and the driver does not drive: all registers
+(inert ones too), top-level inputs such as ``rst`` and undriven wires.
+``settle`` writes every combinational slot (constant-folded ones too)
+in dependency order, so it reads only state slots, driven inputs and
+slots it has already written; ``edge`` writes only registers.  A
+cycle's strobe word and next state are therefore a pure function of
+(state, input bits), and the table is exact.  States are kept as ids
+into a per-table list (shift-register rings are wide ints; no env is
+stored per state).  One table is built per binding, so per
+``RTLShell`` run, and dies with its simulator: no cap, no eviction.
+On a hit the env is not touched; the driver leaves a pending
+``materialize``, which writes the current state and the last cycle's
+input bits back and settles once, so every view equals the
+interpreter's, and the next driver call takes its state from the env
+again.
 
-Compile cache: the full per-module plan (kernels plus name/slot/mask
-tables) is memoized by module identity, so re-simulating the same
-:class:`Module` object — e.g. an ``RTLShell`` reset, or a wrapper
-module shared by equal schedules — skips elaboration and compilation
-entirely.  The memo entry carries an identity snapshot of the
-hierarchy's structural elements, so a module mutated after compilation
-is transparently re-elaborated instead of served stale.
+Compile cache, two levels.  The full per-module plan (kernels plus
+name/slot/mask tables) is memoized by module identity, so re-simulating
+the same :class:`Module` object — e.g. a wrapper module shared by
+equal schedules — skips elaboration entirely.  The memo entry carries
+an identity snapshot of the hierarchy's structural elements, so a
+module mutated after compilation is transparently re-elaborated
+instead of served stale.  Below it, the emitter writes no literal value
+into the kernel source: every integer that may differ between modules
+(constants, masks, shift amounts, register reset values, ROM lengths)
+becomes a placeholder parameter, and ROM images are parameters too.
+Modules that differ only in such values — shift-register rings and
+prefixes, SP operation memories — therefore emit one text, which is
+compiled once per process in a bounded LRU (:data:`KERNEL_CACHE_MAX`)
+and bound to each plan's own values.  The kernels run only at
+construction and on transition-table misses, so binding costs nothing
+per cycle.
 """
 
 from __future__ import annotations
@@ -114,7 +127,33 @@ def _mask(width: int) -> int:
 # ``_lower`` returns either ("c", value) for a compile-time constant
 # (already masked to the node's width) or ("s", source) for a Python
 # fragment that yields a masked int.  Fragments are parenthesized, so
-# composition never needs precedence analysis.
+# composition never needs precedence analysis.  A fragment never spells
+# out a value that varies between kernels (constants, masks, shift
+# amounts): it asks ``lit`` for a placeholder name bound to the value
+# (see :class:`_Literals`), so kernels that differ only in such values
+# share one source text.
+
+
+class _Literals:
+    """The integer literals of one kernel source, bound as data.
+    Calling the instance with a value returns a fresh placeholder name
+    (``c0``, ``c1``, ...) for the source and records the value under
+    it, in order."""
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: list[int] = []
+
+    def __call__(self, value: int) -> str:
+        self.values.append(int(value))
+        return f"c{len(self.values) - 1}"
+
+    def text(self, part: tuple[str, int | str]) -> str:
+        """A lowered part as source: a fragment as is, a constant as a
+        placeholder."""
+        kind, value = part
+        return self(value) if kind == "c" else value
 
 
 def _const_eval(expr: Expr, parts: list[tuple[str, int | str]]) -> int:
@@ -144,6 +183,7 @@ def _lower(
     expr: Expr,
     local: dict[int, int],
     const_slots: dict[int, int],
+    lit: _Literals,
 ) -> tuple[str, int | str]:
     if isinstance(expr, Signal):
         slot = local[id(expr)]
@@ -153,7 +193,9 @@ def _lower(
     if isinstance(expr, Const):
         return ("c", expr.value)
 
-    parts = [_lower(child, local, const_slots) for child in expr.children()]
+    parts = [
+        _lower(child, local, const_slots, lit) for child in expr.children()
+    ]
     if all(kind == "c" for kind, _ in parts):
         return ("c", _const_eval(expr, parts))
 
@@ -161,15 +203,15 @@ def _lower(
         (_, x) = parts[0]
         n = expr.operand.width
         if expr.op == "~":
-            return ("s", f"(~{x} & {_mask(n)})")
+            return ("s", f"(~{x} & {lit(_mask(n))})")
         if expr.op == "&":
-            return ("s", f"+({x} == {_mask(n)})")
+            return ("s", f"+({x} == {lit(_mask(n))})")
         if expr.op == "|":
             return ("s", f"+({x} != 0)")
         return ("s", f"(({x}).bit_count() & 1)")  # ^ reduction
 
     if isinstance(expr, BinOp):
-        return _lower_binop(expr, parts)
+        return _lower_binop(expr, parts, lit)
 
     if isinstance(expr, Ternary):
         ckind, cond = parts[0]
@@ -177,29 +219,32 @@ def _lower(
             return parts[1] if cond else parts[2]
         return (
             "s",
-            f"({parts[1][1]} if {cond} else {parts[2][1]})",
+            f"({lit.text(parts[1])} if {cond} else {lit.text(parts[2])})",
         )
 
     if isinstance(expr, BitSelect):
         (_, x) = parts[0]
         if expr.index == 0:
             return ("s", f"({x} & 1)")
-        return ("s", f"({x} >> {expr.index} & 1)")
+        return ("s", f"({x} >> {lit(expr.index)} & 1)")
 
     if isinstance(expr, Slice):
         (_, x) = parts[0]
         if expr.lsb == 0:
-            return ("s", f"({x} & {_mask(expr.width)})")
-        return ("s", f"({x} >> {expr.lsb} & {_mask(expr.width)})")
+            return ("s", f"({x} & {lit(_mask(expr.width))})")
+        return (
+            "s",
+            f"({x} >> {lit(expr.lsb)} & {lit(_mask(expr.width))})",
+        )
 
     if isinstance(expr, Concat):
-        return _lower_concat(expr, parts)
+        return _lower_concat(expr, parts, lit)
 
     raise TypeError(f"cannot lower {type(expr).__name__}")
 
 
 def _lower_binop(
-    expr: BinOp, parts: list[tuple[str, int | str]]
+    expr: BinOp, parts: list[tuple[str, int | str]], lit: _Literals
 ) -> tuple[str, int | str]:
     op = expr.op
     (lk, a), (rk, b) = parts
@@ -217,33 +262,29 @@ def _lower_binop(
                 return other
             if op == "|" and c == m:
                 return ("c", m)
-        return ("s", f"({a} {op} {b})")
-    if op in ("+", "-"):
+    elif op in ("+", "-"):
         if rk == "c" and b == 0:
             return parts[0]
         if op == "+" and lk == "c" and a == 0:
             return parts[1]
-        return ("s", f"(({a} {op} {b}) & {m})")
-    if op == "<<":
-        if rk == "c":
-            if b == 0:
-                return parts[0]
-            if b >= expr.width:
-                return ("c", 0)
-        return ("s", f"(({a} << {b}) & {m})")
+    elif op in ("<<", ">>") and rk == "c":
+        if b == 0:
+            return parts[0]
+        if b >= (expr.width if op == "<<" else expr.left.width):
+            return ("c", 0)
+    x, y = lit.text(parts[0]), lit.text(parts[1])
+    if op in ("&", "|", "^"):
+        return ("s", f"({x} {op} {y})")
+    if op in ("+", "-", "<<"):
+        return ("s", f"(({x} {op} {y}) & {lit(m)})")
     if op == ">>":
-        if rk == "c":
-            if b == 0:
-                return parts[0]
-            if b >= expr.left.width:
-                return ("c", 0)
-        return ("s", f"({a} >> {b})")
+        return ("s", f"({x} >> {y})")
     # Comparison: unary plus coerces the bool to a stored int.
-    return ("s", f"+({a} {op} {b})")
+    return ("s", f"+({x} {op} {y})")
 
 
 def _lower_concat(
-    expr: Concat, parts: list[tuple[str, int | str]]
+    expr: Concat, parts: list[tuple[str, int | str]], lit: _Literals
 ) -> tuple[str, int | str]:
     terms: list[str] = []
     const_acc = 0
@@ -255,9 +296,9 @@ def _lower_concat(
         elif shift == 0:
             terms.append(str(value))
         else:
-            terms.append(f"({value} << {shift})")
+            terms.append(f"({value} << {lit(shift)})")
     if const_acc:
-        terms.append(str(const_acc))
+        terms.append(lit(const_acc))
     if not terms:
         return ("c", 0)
     if len(terms) == 1:
@@ -433,18 +474,23 @@ def _structure(design: Design) -> tuple:
     )
 
 
-# Engine counters, process-local like the plan memo they describe.
-# ``hits`` counts plans reused from the memo, ``misses`` plans compiled
-# and ``compile_ms`` the wall-clock milliseconds spent exec-compiling
-# them.  ``tables`` counts per-cycle driver bindings (each builds one
-# transition table) and ``transitions`` the kernel runs on a table miss.
+# Engine counters, process-local like the caches they describe.
+# ``plans`` counts plans elaborated (plan-memo misses), ``misses`` the
+# kernel sources compiled for them (kernel-cache misses) and
+# ``compile_ms`` the wall-clock milliseconds spent exec-compiling those;
+# ``hits`` counts the consults that compiled nothing (plans reused from
+# the memo, and elaborated plans whose kernel text was cached), so
+# ``hits + misses`` is every plan consult.  ``tables`` counts per-cycle
+# driver bindings (each builds one transition table) and
+# ``transitions`` the kernel runs on a table miss.
 _ENGINE_STATS: dict[str, float] = {}
 
 
 def reset_cache_stats() -> None:
-    """Zero every engine counter (the plan memo itself is kept)."""
+    """Zero every engine counter (the caches themselves are kept)."""
     _ENGINE_STATS.update(
-        hits=0, misses=0, compile_ms=0.0, transitions=0, tables=0
+        hits=0, misses=0, compile_ms=0.0, plans=0, transitions=0,
+        tables=0,
     )
 
 
@@ -453,7 +499,7 @@ reset_cache_stats()
 
 def cache_stats() -> dict[str, float]:
     """Snapshot of the engine counters: ``hits``, ``misses``,
-    ``compile_ms``, ``transitions``, ``tables``.  Counters are
+    ``compile_ms``, ``plans``, ``transitions``, ``tables``.  Counters are
     cumulative per process; pair with :func:`reset_cache_stats` (or
     diff two snapshots) to scope a measurement."""
     return dict(_ENGINE_STATS)
@@ -463,18 +509,20 @@ def _emit_comb_line(
     item: _CombItem,
     const_slots: dict[int, int],
     rom_tables: list[tuple[int, ...]],
+    lit: _Literals,
 ) -> str:
     if item.rom is None:
-        kind, value = _lower(item.expr, item.local, const_slots)
+        kind, value = _lower(item.expr, item.local, const_slots, lit)
         if kind == "c":
             const_slots[item.target] = int(value)
+            value = lit(value)
         return f"e[{item.target}] = {value}"
     rom = item.rom
-    akind, addr = _lower(item.expr, item.local, const_slots)
+    akind, addr = _lower(item.expr, item.local, const_slots, lit)
     if akind == "c":
         value = rom.read(int(addr))
         const_slots[item.target] = value
-        return f"e[{item.target}] = {value}"
+        return f"e[{item.target}] = {lit(value)}"
     index = len(rom_tables)
     if rom.addr.width <= _ROM_PAD_LIMIT:
         # Pad to the full address space: the address slot is already
@@ -488,12 +536,12 @@ def _emit_comb_line(
     rom_tables.append(rom.contents)
     return (
         f"e[{item.target}] = _rom{index}[_a] "
-        f"if (_a := {addr}) < {len(rom.contents)} else 0"
+        f"if (_a := {addr}) < {lit(len(rom.contents))} else 0"
     )
 
 
 def _emit_reg_lines(
-    regs: list[_RegItem], const_slots: dict[int, int]
+    regs: list[_RegItem], const_slots: dict[int, int], lit: _Literals
 ) -> tuple[list[str], list[int]]:
     """Sample-then-commit lines reproducing the interpreter's register
     semantics (reset wins, a deasserted enable holds, else load), and
@@ -505,12 +553,12 @@ def _emit_reg_lines(
         reg = item.reg
         target = item.target
         reset = (
-            _lower(reg.reset, item.local, const_slots)
+            _lower(reg.reset, item.local, const_slots, lit)
             if reg.reset is not None
             else None
         )
         enable = (
-            _lower(reg.enable, item.local, const_slots)
+            _lower(reg.enable, item.local, const_slots, lit)
             if reg.enable is not None
             else None
         )
@@ -521,18 +569,22 @@ def _emit_reg_lines(
                 enable = None  # enable tied high: plain load
             elif reset is None:
                 continue  # enable tied low, no reset: inert register
-        if enable is not None and enable[0] == "c":
-            sample = f"e[{target}]"  # tied low; only the reset can act
+        if reset is not None and reset[0] == "c":
+            sample = lit(reg.reset_value)  # tied high: unconditional
         else:
-            sample = str(_lower(reg.next, item.local, const_slots)[1])
-            if enable is not None:
-                sample = f"({sample} if {enable[1]} else e[{target}])"
-        if reset is not None:
-            if reset[0] == "c":  # tied high: unconditional reset
-                sample = str(reg.reset_value)
+            if enable is not None and enable[0] == "c":
+                sample = f"e[{target}]"  # tied low; only reset acts
             else:
+                sample = lit.text(
+                    _lower(reg.next, item.local, const_slots, lit)
+                )
+                if enable is not None:
+                    sample = (
+                        f"({sample} if {enable[1]} else e[{target}])"
+                    )
+            if reset is not None:
                 sample = (
-                    f"({reg.reset_value} if {reset[1]} else {sample})"
+                    f"({lit(reg.reset_value)} if {reset[1]} else {sample})"
                 )
         name = f"t{len(samples)}"
         samples.append(f"{name} = {sample}")
@@ -543,54 +595,91 @@ def _emit_reg_lines(
 
 def _emit(
     elab: _Elaboration,
-) -> tuple[str, list[tuple[int, ...]], list[int], list[int]]:
-    """Lower a scheduled elaboration to (kernel source, ROM images,
-    slots ``settle`` writes, slots ``edge`` writes)."""
+) -> tuple[str, list[int], list[tuple[int, ...]], list[int], list[int]]:
+    """Lower a scheduled elaboration to (kernel source, its literal
+    values, ROM images, slots ``settle`` writes, slots ``edge``
+    writes).  The source defines ``_kernels(c0, ..., _rom0, ...)``,
+    which returns the ``(settle, edge)`` pair bound to the values it
+    is called with."""
     const_slots: dict[int, int] = {}
     rom_tables: list[tuple[int, ...]] = []
+    lit = _Literals()
     items = [elab.comb[i] for i in elab.schedule()]
     settle_lines = [
-        _emit_comb_line(item, const_slots, rom_tables) for item in items
+        _emit_comb_line(item, const_slots, rom_tables, lit)
+        for item in items
     ]
-    reg_lines, clocked = _emit_reg_lines(elab.regs, const_slots)
+    reg_lines, clocked = _emit_reg_lines(elab.regs, const_slots, lit)
 
     def body(lines: list[str], indent: str) -> str:
         if not lines:
             return f"{indent}pass"
         return "\n".join(indent + line for line in lines)
 
+    params = [
+        *(f"c{k}" for k in range(len(lit.values))),
+        *(f"_rom{k}" for k in range(len(rom_tables))),
+    ]
     source = "\n".join(
         [
-            "def _settle(e):",
-            body(settle_lines, "    "),
+            f"def _kernels({', '.join(params)}):",
+            "    def _settle(e):",
+            body(settle_lines, "        "),
             "",
-            "def _edge(e):",
-            body(reg_lines, "    "),
+            "    def _edge(e):",
+            body(reg_lines, "        "),
+            "",
+            "    return _settle, _edge",
             "",
         ]
     )
-    return source, rom_tables, [item.target for item in items], clocked
+    return (
+        source, lit.values, rom_tables, [item.target for item in items],
+        clocked,
+    )
+
+
+#: Cap on cached kernel factories (one per distinct kernel source,
+#: see :class:`_Plan`); beyond it the least recently used is evicted.
+KERNEL_CACHE_MAX = 64
+
+_KERNEL_CACHE: OrderedDict[str, Callable] = OrderedDict()
 
 
 class _Plan:
     """Everything a :class:`CompiledSimulator` needs for one module:
-    the exec'd ``settle``/``edge`` kernel pair, ``free`` (ascending,
+    the ``settle``/``edge`` kernel pair, ``free`` (ascending,
     every slot ``settle`` does not write), ``clocked`` (the slots
     ``edge`` writes: the live registers), the name -> slot table and
-    the per-slot width masks."""
+    the per-slot width masks.
+
+    The kernel source carries no literal value, so modules that differ
+    only in constants, masks, ROM images or register reset values
+    (shift-register rings, SP operation memories) emit one text.  It is
+    compiled once per process (:data:`KERNEL_CACHE_MAX` texts kept),
+    and each plan calls the cached factory with its own literals and
+    ROM images."""
 
     __slots__ = ("settle", "edge", "free", "clocked", "name_slot", "masks")
 
     def __init__(self, elab: _Elaboration) -> None:
-        source, rom_tables, settled, clocked = _emit(elab)
-        namespace: dict = {
-            f"_rom{k}": table for k, table in enumerate(rom_tables)
-        }
-        started = time.perf_counter()
-        exec(compile(source, _code_filename("rtl"), "exec"), namespace)
-        _ENGINE_STATS["compile_ms"] += (time.perf_counter() - started) * 1e3
-        self.settle = namespace["_settle"]
-        self.edge = namespace["_edge"]
+        source, literals, rom_tables, settled, clocked = _emit(elab)
+        kernels = _KERNEL_CACHE.get(source)
+        if kernels is None:
+            _ENGINE_STATS["misses"] += 1
+            started = time.perf_counter()
+            namespace: dict = {}
+            exec(compile(source, _code_filename("rtl"), "exec"), namespace)
+            _ENGINE_STATS["compile_ms"] += (
+                time.perf_counter() - started
+            ) * 1e3
+            kernels = _KERNEL_CACHE[source] = namespace["_kernels"]
+            if len(_KERNEL_CACHE) > KERNEL_CACHE_MAX:
+                _KERNEL_CACHE.popitem(last=False)
+        else:
+            _ENGINE_STATS["hits"] += 1
+            _KERNEL_CACHE.move_to_end(source)
+        self.settle, self.edge = kernels(*literals, *rom_tables)
         written = set(settled)
         self.free = tuple(
             slot for slot in range(len(elab.names)) if slot not in written
@@ -611,7 +700,7 @@ def compile_design(design: Design | Module) -> _Plan:
     if memoized is not None and memoized[0] == structure:
         _ENGINE_STATS["hits"] += 1
         return memoized[1]
-    _ENGINE_STATS["misses"] += 1
+    _ENGINE_STATS["plans"] += 1
     plan = _Plan(_Elaboration(design))
     _PLAN_MEMO[design.top] = (structure, plan)
     return plan
@@ -623,50 +712,39 @@ _DRIVER_CACHE: OrderedDict[tuple, Callable] = OrderedDict()
 
 
 def _driver_factory(layout: tuple) -> Callable:
-    """The ``bind(sim, env, settle, edge, keys, stats, *fifos)`` factory
-    for one slot layout ``(not_empty slots, not_full slots, strobe
-    slots)``, generated and compiled on first use.
+    """The ``bind(sim, env, settle, edge, keys, stats)`` factory for one
+    slot layout ``(input slots, strobe slots)``, generated and compiled
+    on first use.
 
     ``bind`` builds one transition table and returns the per-cycle
-    function.  The table maps ``(state id, input bits)`` to ``(strobe
-    word, next state id)``; a state is the tuple of the ``keys`` slots
-    and its id indexes ``states``.  Only a missing transition runs the
-    kernels, loading the state first unless the env still holds it
-    (``held``: hits never touch the env).  ``materialize`` writes the
-    current state and the last cycle's input bits back into the env and
-    settles it; while it is ``sim._pending`` the env is stale, and any
-    other value there means the env is current, so the next cycle takes
-    its state from the env."""
+    function ``cycle(bits)``: bit *k* of ``bits`` is the value of the
+    *k*-th input.  The table maps ``(state id, input bits)`` to
+    ``(strobe word, next state id)``; a state is the tuple of the
+    ``keys`` slots and its id indexes ``states``.  Only a missing
+    transition runs the kernels, loading the state first unless the env
+    still holds it (``held``: hits never touch the env).
+    ``materialize`` writes the current state and the last cycle's input
+    bits back into the env and settles it; while it is ``sim._pending``
+    the env is stale, and any other value there means the env is
+    current, so the next cycle takes its state from the env."""
     factory = _DRIVER_CACHE.get(layout)
     if factory is not None:
         _DRIVER_CACHE.move_to_end(layout)
         return factory
-    not_empty, not_full, strobes = layout
-    params = []
-    ready = []
-    for k in range(len(not_empty)):
-        params.append(f"i{k}")
-        ready.append(f"i{k}")
-    for k in range(len(not_full)):
-        params += [f"o{k}", f"u{k}", f"n{k}"]
-        ready.append(f"len(o{k}) + len(u{k}) < n{k}")
-    bits = " | ".join(
-        f"({1 << bit} if {cond} else 0)" for bit, cond in enumerate(ready)
-    )
+    inputs, strobes = layout
     puts = [
         f"        env[{slot}] = inputs >> {bit} & 1"
         if bit else f"        env[{slot}] = inputs & 1"
-        for bit, slot in enumerate((*not_empty, *not_full))
+        for bit, slot in enumerate(inputs)
     ]
     word = " | ".join(
         f"env[{slot}] << {bit}" if bit else f"env[{slot}]"
         for bit, slot in enumerate(strobes)
     )
-    key = f"sid << {len(ready)} | bits"
+    key = f"sid << {len(inputs)} | bits"
     source = "\n".join(
         [
-            "def bind(sim, env, settle, edge, keys, stats, "
-            f"{', '.join(params)}):",
+            "def bind(sim, env, settle, edge, keys, stats):",
             "    table = {}",
             "    states = []",
             "    ids = {}",
@@ -694,14 +772,14 @@ def _driver_factory(layout: tuple) -> Callable:
             "        load(sid)",
             "        settle(env)",
             "",
-            "    def cycle():",
+            "    def cycle(ready):",
             "        nonlocal sid, bits, held",
             "        if sim._pending is not materialize:",
             "            if sim._pending is not None:",
             "                sim._pending()",
             "            sid = held = intern()",
             "            sim._pending = materialize",
-            f"        bits = {bits or 0}",
+            "        bits = ready",
             f"        hit = table.get({key})",
             "        if hit is None:",
             "            if held != sid:",
@@ -795,50 +873,36 @@ class CompiledSimulator(Simulator):
     # -- bound per-cycle driving -----------------------------------------------
 
     def fifo_driver(
-        self,
-        not_empty: Sequence[tuple[str, Sequence]],
-        not_full: Sequence[tuple[str, Sequence, Sequence, int]],
-        strobes: Sequence[str],
-    ) -> Callable[[], int]:
+        self, inputs: Sequence[str], strobes: Sequence[str]
+    ) -> Callable[[int], int]:
         """One function that runs a whole clock cycle of a
         FIFO-interfaced wrapper and returns its strobe word.
 
-        ``not_empty`` pairs a 1-bit input with a FIFO: the input reads 1
-        when the FIFO is non-empty.  ``not_full`` binds a 1-bit input to
-        ``(fifo, pending, depth)``: it reads 1 while ``len(fifo) +
-        len(pending) < depth``.  Each call writes those inputs from the
-        FIFOs as they are at that moment, settles, packs the 1-bit
-        top-level outputs ``strobes`` into one int (bit ``k`` is
-        ``strobes[k]``), clocks one edge and returns the word, leaving
-        :attr:`cycle` and every observation as :meth:`settle` then
-        :meth:`step` would.  The function stays bound to this
-        simulator.
+        The function takes the wrapper's status bits as one int: bit
+        ``k`` is the value of the 1-bit input ``inputs[k]`` (for
+        ``RTLShell``, the ``*_not_empty`` then ``*_not_full`` inputs,
+        which is its readiness word).  Each call writes those inputs,
+        settles, packs the 1-bit top-level outputs ``strobes`` into one
+        int (bit ``k`` is ``strobes[k]``), clocks one edge and returns
+        the word, leaving :attr:`cycle` and every observation as
+        :meth:`settle` then :meth:`step` would.  The function stays
+        bound to this simulator.
 
         The function memoizes the wrapper's transitions in a table of
         its own (see the module docstring): the kernels run only on a
         first-seen (state, input bits) pair, and the env is written
         back only when something observes it."""
-        slot = self.slot
         plan = self._plan
-        not_empty_slots = tuple(slot(name) for name, _fifo in not_empty)
-        not_full_slots = tuple(slot(entry[0]) for entry in not_full)
-        driven = {*not_empty_slots, *not_full_slots}
+        input_slots = tuple(self.slot(name) for name in inputs)
         # A driven slot is overwritten before every settle, so its value
         # is part of the state only when the edge writes it too.
         keys = tuple(
-            s for s in plan.free if s not in driven or s in plan.clocked
+            s for s in plan.free
+            if s not in input_slots or s in plan.clocked
         )
-        layout = (
-            not_empty_slots,
-            not_full_slots,
-            tuple(slot(name) for name in strobes),
-        )
-        bound = [fifo for _name, fifo in not_empty]
-        for _name, fifo, pending, depth in not_full:
-            bound += (fifo, pending, depth)
+        layout = (input_slots, tuple(self.slot(name) for name in strobes))
         return _driver_factory(layout)(
-            self, self._env, plan.settle, plan.edge, keys,
-            _ENGINE_STATS, *bound,
+            self, self._env, plan.settle, plan.edge, keys, _ENGINE_STATS
         )
 
     # -- checkpoints ---------------------------------------------------------

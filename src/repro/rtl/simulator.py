@@ -18,9 +18,10 @@ Two interchangeable engines implement these semantics:
 
 * ``"compiled"`` (default) — :mod:`repro.rtl.compile_sim` lowers the
   flattened design to one straight-line Python ``settle``/``edge``
-  function pair, compiled once per :class:`Module` and memoized; its
-  ``fifo_driver`` memoizes a wrapper's transitions and runs the pair
-  only on a first-seen (state, FIFO status) pair;
+  function pair, elaborated once per :class:`Module` and compiled once
+  per kernel text; its ``fifo_driver`` memoizes a wrapper's
+  transitions and runs the pair only on a first-seen (state, FIFO
+  status bits) pair;
 * ``"interp"`` — the reference tree-walking evaluator below, kept as
   the semantic oracle the compiled engine is differentially tested
   against.
@@ -287,24 +288,20 @@ class InterpSimulator(Simulator):
         return sorted(self._env)
 
     def fifo_driver(
-        self,
-        not_empty: Sequence[tuple[str, Sequence]],
-        not_full: Sequence[tuple[str, Sequence, Sequence, int]],
-        strobes: Sequence[str],
-    ) -> Callable[[], int]:
+        self, inputs: Sequence[str], strobes: Sequence[str]
+    ) -> Callable[[int], int]:
         """One function that runs a whole clock cycle and returns the
-        strobe word, by name: poke the readiness inputs from the FIFOs,
-        settle, peek ``strobes`` into the word (bit ``k`` is
-        ``strobes[k]``), step.  Signature and semantics are those of
+        strobe word, by name: poke bit ``k`` of its argument into
+        ``inputs[k]``, settle, peek ``strobes`` into the word (bit
+        ``k`` is ``strobes[k]``), step.  Signature and semantics are
+        those of
         :meth:`~repro.rtl.compile_sim.CompiledSimulator.fifo_driver`."""
         poke = self.poke
         peek = self.peek
 
-        def cycle() -> int:
-            for name, fifo in not_empty:
-                poke(name, 1 if fifo else 0)
-            for name, fifo, pending, depth in not_full:
-                poke(name, 1 if len(fifo) + len(pending) < depth else 0)
+        def cycle(bits: int) -> int:
+            for bit, name in enumerate(inputs):
+                poke(name, bits >> bit & 1)
             self.settle()
             word = 0
             for bit, name in enumerate(strobes):

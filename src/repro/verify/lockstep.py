@@ -58,11 +58,11 @@ class LockstepShell(Shell):
 
     The lockstep shell owns the ports, the pearl and the firing
     protocol; ``lead`` and ``companion`` are shells of the two styles
-    built around the same pearl, used for their decisions only.  They
-    read the FIFOs through the lockstep shell's ``in_ports`` /
-    ``out_ports`` maps (shared, not copied) and see its script
-    position before each decision.  Both scripts must be equal entry
-    for entry, or construction raises :class:`LockstepDivergence`.
+    built around the same pearl, used for their decisions only.  Both
+    decide from the one readiness word the lockstep shell's step
+    starts with and see its script position before each decision, so
+    neither binds a port.  Both scripts must be equal entry for entry,
+    or construction raises :class:`LockstepDivergence`.
     """
 
     style = "lockstep"
@@ -77,9 +77,6 @@ class LockstepShell(Shell):
         self._script = lead._script
         self.lead = lead
         self.companion = companion
-        for shell in (lead, companion):
-            shell.in_ports = self.in_ports
-            shell.out_ports = self.out_ports
 
     def _diverged(self, cycle: int) -> NoReturn:
         raise LockstepDivergence(
@@ -87,19 +84,19 @@ class LockstepShell(Shell):
             f"{self.companion.style} decided differently"
         )
 
-    def _sync_ready(self, cycle: int) -> bool:
+    def _sync_ready(self, cycle: int, ready: int) -> bool:
         lead, companion = self.lead, self.companion
         lead._script_pos = companion._script_pos = self._script_pos
-        enabled = lead._sync_ready(cycle)
-        if companion._sync_ready(cycle) != enabled:
+        enabled = lead._sync_ready(cycle, ready)
+        if companion._sync_ready(cycle, ready) != enabled:
             self._diverged(cycle)
         return enabled
 
-    def _run_gate_ok(self, cycle: int) -> bool:
+    def _run_gate_ok(self, cycle: int, ready: int) -> bool:
         lead, companion = self.lead, self.companion
         lead._script_pos = companion._script_pos = self._script_pos
-        enabled = lead._run_gate_ok(cycle)
-        if companion._run_gate_ok(cycle) != enabled:
+        enabled = lead._run_gate_ok(cycle, ready)
+        if companion._run_gate_ok(cycle, ready) != enabled:
             self._diverged(cycle)
         return enabled
 

@@ -87,14 +87,21 @@ def case_variants(case: VerifyCase) -> tuple[TopologyVariant, ...]:
         return case.variants
     if case.perturb <= 0:
         return ()
-    return derive_variants(
-        case.topology,
-        case.perturb,
-        seed=case.seed,
-        floorplan=case.perturb_floorplan,
-        dynamic=case.perturb_dynamic,
-        horizon=case.cycles,
-    )
+    # Derived once per case object: ``run_case`` and the coverage
+    # report both ask.  The memo is not a dataclass field, so equality
+    # and reproducers ignore it, and ``replace`` starts a case without.
+    memo = vars(case)
+    variants = memo.get("_derived_variants")
+    if variants is None:
+        variants = memo["_derived_variants"] = derive_variants(
+            case.topology,
+            case.perturb,
+            seed=case.seed,
+            floorplan=case.perturb_floorplan,
+            dynamic=case.perturb_dynamic,
+            horizon=case.cycles,
+        )
+    return variants
 
 
 def resumes_from(base: SystemTopology, variant: TopologyVariant) -> bool:

@@ -298,8 +298,10 @@ class Rollup:
 
 
 def _render_rtl(counters: Mapping[str, float]) -> str:
-    """The RTL-engine summary line: plan reuse and compiles, then the
-    transitions the bound drivers' tables computed."""
+    """The RTL-engine summary line: plan consults that compiled nothing
+    (hits) and kernel compiles (misses), the kernel forms compiled for
+    the plans elaborated, then the transitions the bound drivers'
+    tables computed."""
     hits = counters.get("rtl.cache.hits", 0)
     misses = counters.get("rtl.cache.misses", 0)
     if not (hits or misses):
@@ -307,8 +309,14 @@ def _render_rtl(counters: Mapping[str, float]) -> str:
     line = (
         f"  rtl plan cache: {hits:.0f} hit(s) / {misses:.0f} miss(es) "
         f"({100.0 * hits / (hits + misses):.0f}% reused), "
-        f"{counters.get('rtl.cache.compile_ms', 0):.1f}ms compiling"
     )
+    plans = counters.get("rtl.cache.plans", 0)
+    if plans:
+        line += (
+            f"{misses:.0f} kernel form(s) compiled for {plans:.0f} "
+            "plan(s), "
+        )
+    line += f"{counters.get('rtl.cache.compile_ms', 0):.1f}ms compiling"
     tables = counters.get("rtl.cache.tables", 0)
     if tables:
         line += (

@@ -9,6 +9,7 @@ hierarchical designs, and the pruned-net corner cases.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -20,13 +21,14 @@ from repro.core.rtlgen import (
 )
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.synthesis import SYNTH_STYLES, synthesize_wrapper
+from repro.rtl import compile_sim
 from repro.rtl.compile_sim import (
     CompiledSimulator,
     cache_stats,
     compile_design,
     reset_cache_stats,
 )
-from repro.rtl.module import Design, Module
+from repro.rtl.module import Assign, Design, Module
 from repro.rtl.simulator import (
     InterpSimulator,
     SimulationError,
@@ -275,8 +277,6 @@ class TestKernelCache:
         assert InterpSimulator(m).flat_names() == second.flat_names()
         # Direct list surgery (an existing pattern in this repo's
         # tests) must invalidate too, not just the builder methods.
-        from repro.rtl.module import Assign
-
         m.assigns[0] = Assign(y, a + 3)
         third = Simulator(m)
         third.poke_settle("a", 1)
@@ -299,11 +299,116 @@ class TestKernelCache:
         assert [sim.peek("data") for sim in sims] == [2, 3]
 
 
+@pytest.fixture
+def cold_kernels(monkeypatch):
+    """An empty process-wide kernel cache and zeroed counters, so the
+    forms a test compiles count as misses."""
+    monkeypatch.setattr(compile_sim, "_KERNEL_CACHE", OrderedDict())
+    reset_cache_stats()
+
+
+def _kernel_counts(before: dict) -> dict:
+    after = cache_stats()
+    return {key: after[key] - before[key] for key in ("plans", "misses")}
+
+
+class TestKernelForms:
+    """Kernel sources carry no literal value: modules that differ only
+    in constants, ROM images or reset values share one compile, and
+    each plan binds its own values."""
+
+    _SCHEDULE = IOSchedule(
+        ["a"],
+        ["y"],
+        [
+            SyncPoint({"a"}, frozenset(), run=1),
+            SyncPoint(frozenset(), {"y"}),
+        ],
+    )
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (([1, 1, 1, 0, 0, 0], ()), ([1, 0, 1, 1, 0, 0, 0, 0], ())),
+            (([1, 1, 1, 0], [0, 1]), ([1, 0, 1, 1, 0], [1, 0])),
+        ],
+        ids=["ring", "ring-and-prefix"],
+    )
+    def test_shiftreg_rings_share_one_compile(
+        self, cold_kernels, first, second
+    ):
+        modules = [
+            generate_shiftreg_wrapper(
+                self._SCHEDULE, activation=ring, prefix=prefix,
+                name=f"sr{index}",
+            )
+            for index, (ring, prefix) in enumerate((first, second))
+        ]
+        before = cache_stats()
+        plans = [compile_design(module) for module in modules]
+        assert _kernel_counts(before) == {"plans": 2, "misses": 1}
+        assert plans[0].settle.__code__ is plans[1].settle.__code__
+        for index, module in enumerate(modules):
+            _assert_parity(module, cycles=40, seed=index)
+
+    def test_sp_rom_images_share_code_but_read_their_own(
+        self, cold_kernels
+    ):
+        schedules = [
+            IOSchedule(["a", "b"], ["y"], [
+                SyncPoint({"a"}, frozenset(), run=1),
+                SyncPoint({"b"}, {"y"}, run=2),
+            ]),
+            IOSchedule(["a", "b"], ["y"], [
+                SyncPoint({"a", "b"}, frozenset(), run=3),
+                SyncPoint(frozenset(), {"y"}),
+            ]),
+        ]
+        modules = [
+            generate_sp_wrapper(
+                compile_schedule(schedule, CompilerOptions(fuse=False)),
+                schedule=schedule,
+                name=f"sp{index}",
+            )
+            for index, schedule in enumerate(schedules)
+        ]
+        images = [
+            [rom.contents for rom in module.roms]
+            + [rom.contents for i in module.instances for rom in i.module.roms]
+            for module in modules
+        ]
+        assert images[0] != images[1]
+        before = cache_stats()
+        plans = [compile_design(module) for module in modules]
+        assert _kernel_counts(before) == {"plans": 2, "misses": 1}
+        assert plans[0].settle.__code__ is plans[1].settle.__code__
+        assert plans[0].settle is not plans[1].settle
+        for index, module in enumerate(modules):
+            _assert_parity(module, cycles=60, seed=index)
+
+    def test_mutated_module_still_reelaborates(self, cold_kernels):
+        """A mutation to a cached form (the same text with another
+        literal) elaborates a new plan bound to the new value."""
+        m = Module("bump")
+        a = m.input("a", 4)
+        y = m.output("y", 4)
+        m.assign(y, a + 1)
+        before = cache_stats()
+        first = CompiledSimulator(m)
+        m.assigns[0] = Assign(y, a + 3)
+        second = CompiledSimulator(m)
+        assert _kernel_counts(before) == {"plans": 2, "misses": 1}
+        for sim in (first, second):
+            sim.poke_settle("a", 1)
+        assert (first.peek("y"), second.peek("y")) == (2, 4)
+        assert compile_design(m) is second._plan
+
+
 class TestCacheStats:
     @staticmethod
     def _counter(name: str) -> Module:
-        # A fresh module: its first compile is always a miss (the plan
-        # memo is keyed by module identity).
+        # A fresh module: its first compile always elaborates a plan
+        # (the plan memo is keyed by module identity).
         m = Module(name)
         m.add_clock()
         rst = m.input("rst")
@@ -312,32 +417,42 @@ class TestCacheStats:
         m.register(count, count + 1, enable=en, reset=rst)
         return m
 
-    def test_fresh_compile_counts_a_timed_miss(self):
-        reset_cache_stats()
+    def test_fresh_compile_counts_a_timed_miss(self, cold_kernels):
         compile_design(self._counter("cs0"))
         stats = cache_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 0
+        assert (stats["plans"], stats["misses"], stats["hits"]) == (1, 1, 0)
         assert stats["compile_ms"] > 0
 
-    def test_plan_memo_hit_is_separate_from_kernel_hits(self):
-        # A plan-memo hit is the only reuse: it counts a hit and
-        # compiles no kernel.  A structural twin is a second compile.
-        reset_cache_stats()
+    def test_plan_memo_hit_is_separate_from_kernel_hits(self, cold_kernels):
+        # A plan-memo hit elaborates nothing; a structural twin
+        # elaborates a plan but finds its kernel text compiled.  Either
+        # way no kernel compiles, and the consult counts a hit.
         m = self._counter("cs3")
         compile_design(m)
         compile_design(m)  # same object, unchanged: plan memo
-        compile_design(self._counter("cs3b"))
+        compile_design(self._counter("cs3b"))  # same text: kernel cache
         stats = cache_stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
+        assert (stats["plans"], stats["misses"], stats["hits"]) == (2, 1, 2)
+        assert stats["hits"] + stats["misses"] == 3
+
+    def test_kernel_cache_is_bounded(self, cold_kernels, monkeypatch):
+        monkeypatch.setattr(compile_sim, "KERNEL_CACHE_MAX", 2)
+        for outputs in (1, 2, 3):  # three forms
+            m = Module(f"fan{outputs}")
+            a = m.input("a", 4)
+            for k in range(outputs):
+                m.assign(m.output(f"y{k}", 4), ~a)
+            compile_design(m)
+        assert cache_stats()["misses"] == 3
+        assert len(compile_sim._KERNEL_CACHE) == 2
 
     def test_reset_zeroes_every_counter(self):
         compile_design(self._counter("cs4"))
         reset_cache_stats()
         stats = cache_stats()
         assert set(stats) == {
-            "hits", "misses", "compile_ms", "transitions", "tables",
+            "hits", "misses", "compile_ms", "plans", "transitions",
+            "tables",
         }
         assert all(value == 0 for value in stats.values())
 

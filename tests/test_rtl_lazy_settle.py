@@ -6,7 +6,8 @@ interpreter's does; the only deferred env state is a bound
 equal the interpreter's: ``peek``, ``peek_flat``, a poke followed by a
 peek (the "pre-poke" view), ``step(n > 1)``, a peek of a net that feeds
 nothing, and the per-cycle function ``fifo_driver`` returns, which
-must also equal the interpreter's own ``fifo_driver``.  The compiled
+must also equal the interpreter's own ``fifo_driver`` when both are
+called with the same status bits every cycle.  The compiled
 driver memoizes the wrapper's transitions and writes its state back
 into the env only when something observes it, so the driver tests
 also observe between driven cycles, poke a non-driven input (``rst``)
@@ -189,23 +190,13 @@ def test_fifo_driver_equals_settle_then_step():
         sim.poke("rst", 1)
         sim.step()
         sim.poke("rst", 0)
-    fifo, out_fifo, pending = [], [], []
-    cycle = driven.fifo_driver(
-        [("in_not_empty", fifo)],
-        [("out_not_full", out_fifo, pending, 2)],
-        ["fire", "low", "in_not_empty"],
-    )
+    inputs = ("in_not_empty", "out_not_full")
+    cycle = driven.fifo_driver(inputs, ["fire", "low", "in_not_empty"])
     for _ in range(30):
-        fifo[:] = [0] * rng.randrange(2)
-        out_fifo[:] = [0] * rng.randrange(3)
-        pending[:] = [0] * rng.randrange(2)
-        ready = {
-            "in_not_empty": int(bool(fifo)),
-            "out_not_full": int(len(out_fifo) + len(pending) < 2),
-        }
+        bits = rng.getrandbits(2)
         for sim in (interp, stepped):
-            for name, value in ready.items():
-                sim.poke(name, value)
+            for bit, name in enumerate(inputs):
+                sim.poke(name, bits >> bit & 1)
             sim.settle()
         expected = sum(
             interp.peek(name) << bit
@@ -213,7 +204,7 @@ def test_fifo_driver_equals_settle_then_step():
         )
         for sim in (interp, stepped):
             sim.step()
-        assert cycle() == expected
+        assert cycle(bits) == expected
         assert driven.cycle == stepped.cycle
         assert _flat_view(driven) == _flat_view(interp)
 
@@ -264,8 +255,9 @@ def _planned_shiftreg_wrapper(seed: int, index: int) -> Module:
 
 class _Harness:
     """One wrapper under both engines, each driven through its own
-    ``fifo_driver`` from one set of port FIFOs (named as ``RTLShell``
-    binds them) refilled at random every cycle."""
+    ``fifo_driver`` with the same random status bits every cycle: the
+    wrapper's ``*_not_empty`` then ``*_not_full`` inputs, the order of
+    ``RTLShell``'s readiness word."""
 
     def __init__(self, module: Module, seed: int) -> None:
         ports = [p.name for p in module.input_ports]
@@ -278,16 +270,11 @@ class _Harness:
             for n in ports if n.endswith("_not_full")
         ]
         self.rng = random.Random(seed)
-        self.ins = [[] for _ in inputs]
-        self.outs = [([], []) for _ in outputs]
-        not_empty = [
-            (f"{name}_not_empty", fifo)
-            for name, fifo in zip(inputs, self.ins)
+        status = [
+            *(f"{name}_not_empty" for name in inputs),
+            *(f"{name}_not_full" for name in outputs),
         ]
-        not_full = [
-            (f"{name}_not_full", fifo, pending, 2)
-            for name, (fifo, pending) in zip(outputs, self.outs)
-        ]
+        self.width = len(status)
         strobes = [
             "ip_enable",
             *(f"{name}_pop" for name in inputs),
@@ -300,7 +287,7 @@ class _Harness:
             sim.poke("rst", 1)
             sim.step()
             sim.poke("rst", 0)
-            self.drivers.append(sim.fifo_driver(not_empty, not_full, strobes))
+            self.drivers.append(sim.fifo_driver(status, strobes))
         self.fired = 0
 
     @property
@@ -312,18 +299,14 @@ class _Harness:
         assert _flat_view(self.compiled) == _flat_view(self.interp), label
 
     def drive(self, cycles: int, observe_every: int = 1) -> None:
-        """Run ``cycles`` driven cycles on both engines, comparing the
-        strobe word and cycle counter every cycle and the full flat
-        view every ``observe_every`` cycles."""
+        """Run ``cycles`` driven cycles on both engines with the same
+        status bits, comparing the strobe word and cycle counter every
+        cycle and the full flat view every ``observe_every`` cycles."""
         interp_cycle, compiled_cycle = self.drivers
         for cycle in range(cycles):
-            for fifo in self.ins:
-                fifo[:] = [0] * self.rng.randrange(2)
-            for fifo, pending in self.outs:
-                fifo[:] = [0] * self.rng.randrange(3)
-                pending[:] = [0] * self.rng.randrange(2)
-            word = interp_cycle()
-            assert compiled_cycle() == word, cycle
+            bits = self.rng.getrandbits(self.width)
+            word = interp_cycle(bits)
+            assert compiled_cycle(bits) == word, cycle
             assert self.compiled.cycle == self.interp.cycle, cycle
             if (cycle + 1) % observe_every == 0:
                 self.assert_views_equal(cycle)
@@ -353,8 +336,8 @@ def _wrapper_cases():
 
 @pytest.mark.parametrize("build", _wrapper_cases())
 def test_interp_fifo_driver_equals_compiled(build):
-    """Both engines' ``fifo_driver`` functions, fed from the same
-    FIFOs, return equal strobe words and leave equal cycle counters
+    """Both engines' ``fifo_driver`` functions, called with the same
+    status bits, return equal strobe words and leave equal cycle counters
     and flat views every cycle: golden wrappers, the SP/FSM wrappers
     of seeded random topologies and the planned shift-register
     wrappers of seeded regular topologies."""
@@ -425,30 +408,23 @@ def test_two_simulators_keep_independent_tables():
     assert cache_stats()["transitions"] - start == computed > 0
 
 
-
 def test_driver_may_drive_a_register():
     """A driven signal the edge also writes stays part of the state:
     its post-edge value, not the driven bit, is what an observation
     sees."""
     module = _handshake()
     rng = random.Random(4)
-    fifos = [[], []]
     sims = (InterpSimulator(module), CompiledSimulator(module))
     drivers = [
-        sim.fifo_driver(
-            [("state", fifos[0]), ("in_not_empty", fifos[1])],
-            [],
-            ["fire", "low"],
-        )
+        sim.fifo_driver(["state", "in_not_empty"], ["fire", "low"])
         for sim in sims
     ]
     for cycle in range(36):
-        for fifo in fifos:
-            fifo[:] = [0] * rng.randrange(2)
+        bits = rng.getrandbits(2)
         if cycle % 6 == 0:
             for sim in sims:
                 sim.poke("out_not_full", cycle % 12 == 0)
-        assert drivers[1]() == drivers[0](), cycle
+        assert drivers[1](bits) == drivers[0](bits), cycle
         if cycle % 4 == 3:
             assert _flat_view(sims[1]) == _flat_view(sims[0]), cycle
 

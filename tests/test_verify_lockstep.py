@@ -192,8 +192,8 @@ def _flipping(monkeypatch, victim: str, at: int) -> None:
     every run sees the same bug)."""
     real = RTLShell._sync_ready
 
-    def flipped(self, cycle):
-        enabled = real(self, cycle)
+    def flipped(self, cycle, ready):
+        enabled = real(self, cycle, ready)
         if self.name != victim or cycle < at or hasattr(self, "flipped"):
             return enabled
         self.flipped = cycle

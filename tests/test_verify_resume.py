@@ -347,10 +347,10 @@ class TestRunStylesResume:
         )
         decide = LockstepShell._sync_ready
 
-        def diverging(shell, cycle):
+        def diverging(shell, cycle, ready):
             if cycle >= first + 5:
                 shell._diverged(cycle)
-            return decide(shell, cycle)
+            return decide(shell, cycle, ready)
 
         variant = replace(topology, name=topology.name + "~dynamic0")
 

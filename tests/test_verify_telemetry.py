@@ -13,11 +13,14 @@ renders a loaded stream deterministically.
 from __future__ import annotations
 
 import json
+import weakref
+from collections import OrderedDict
 
 import pytest
 
 import repro.cli as cli
 import repro.verify.runner as runner_mod
+from repro.rtl import compile_sim
 from repro.verify import (
     BatchConfig,
     BatchRunner,
@@ -271,6 +274,44 @@ def test_rtl_line_counts_driver_transitions():
         "0.0ms compiling; "
         "180 transition(s) computed over 6 driver table(s)"
     ) in rollup.render().splitlines()
+
+
+def test_rtl_line_counts_kernel_forms_per_plan():
+    rollup = Rollup()
+    for name, n in (
+        ("rtl.cache.hits", 30), ("rtl.cache.misses", 10),
+        ("rtl.cache.plans", 25), ("rtl.cache.compile_ms", 8.0),
+    ):
+        rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
+    assert (
+        "  rtl plan cache: 30 hit(s) / 10 miss(es) (75% reused), "
+        "10 kernel form(s) compiled for 25 plan(s), 8.0ms compiling"
+    ) in rollup.render().splitlines()
+
+
+def test_cli_reports_kernel_forms_per_plan(tmp_path, capsys, monkeypatch):
+    # Regular traffic elaborates a plan per distinct wrapper module;
+    # modules that differ only in literals share a kernel compile.
+    # Cold caches, so the count does not hang on earlier tests.
+    monkeypatch.setattr(compile_sim, "_KERNEL_CACHE", OrderedDict())
+    monkeypatch.setattr(
+        compile_sim, "_PLAN_MEMO", weakref.WeakKeyDictionary()
+    )
+    events = tmp_path / "events.jsonl"
+    metrics = tmp_path / "metrics.json"
+    code = cli.main([
+        "verify", "--cases", "6", "--traffic", "regular",
+        "--events", str(events), "--metrics-json", str(metrics),
+    ])
+    assert code == 0
+    counters = json.loads(metrics.read_text())["counters"]
+    compiles = counters["rtl.cache.misses"]
+    plans = counters["rtl.cache.plans"]
+    assert 0 < compiles < plans
+    clause = f"{compiles:.0f} kernel form(s) compiled for {plans:.0f} plan(s)"
+    assert clause in capsys.readouterr().out
+    assert cli.main(["report", str(events)]) == 0
+    assert clause in capsys.readouterr().out
 
 
 def test_cli_metrics_carry_driver_table_counts(tmp_path, capsys):

@@ -1,12 +1,14 @@
-"""Wrapper readiness read straight from the port FIFOs.
+"""The readiness word every wrapper decision reads.
 
-FSM, SP, combinational and RTL-in-the-loop shells test readiness on the
-port deques they bind once (``Shell._readiness``, the ``RTLShell``
-per-cycle driver) instead of the ``not_empty``/``not_full``
-properties.  An input is then ready when its deque is non-empty, which
-equals ``not_empty`` only because nothing has been popped yet when a
-wrapper step starts; these tests pin that, under both the lowered
-fabric and the reference loop, and check that ``RTLShell`` keeps its
+A shell's decision hooks (``_sync_ready``/``_run_gate_ok``) receive one
+int per cycle: bit *i* set when schedule input *i* is not empty, bit
+*n_in + j* when schedule output *j* is not full.  The reference loop
+builds it in ``Shell.consume`` and the lowered fabric inline from its
+FIFO locals, which equals the ports' ``not_empty``/``not_full`` only
+because nothing has been popped or pushed yet when a wrapper step
+starts.  These tests pin that word, for every style and lockstep pair
+(whose lead and companion must both receive it), under both fabric
+engines and both RTL engines, and check that ``RTLShell`` keeps its
 simulator and bound driver across a checkpoint restore.
 """
 
@@ -19,26 +21,60 @@ from repro.rtl import compile_sim
 from repro.lis.simulator import Simulation
 from repro.sched.generate import PROFILE_PRESETS, random_topology
 from repro.verify.cases import build_system
+from repro.verify.lockstep import lockstep_pairs
 from repro.verify.regular import plan_topology_activations
 from repro.verify.styles import styles_for_traffic
 
 CYCLES = 150
 
 
-def _watch_step_starts(shells, starts: list) -> None:
-    """Record, at every wrapper-step start, whether any input port has
-    popped or any output port has pushed this cycle already."""
+def _port_word(shell) -> int:
+    """The readiness word the ports' own properties give."""
+    schedule = shell.pearl.schedule
+    bits = [
+        *(shell.in_ports[name].not_empty for name in schedule.inputs),
+        *(shell.out_ports[name].not_full for name in schedule.outputs),
+    ]
+    return sum(bool(bit) << k for k, bit in enumerate(bits))
+
+
+def _watch_decisions(shells, log: dict) -> None:
+    """At every wrapper-step start, record the port word and whether
+    any port has popped or pushed this cycle already; at every
+    decision (of each shell, and of a lockstep shell's lead and
+    companion) record whether it received that word."""
     for shell in shells.values():
+        deciders = [shell]
+        if hasattr(shell, "lead"):
+            deciders += [shell.lead, shell.companion]
+        log["deciders"] += len(deciders)
+        word = []
         step = shell._wrapper_step
 
-        def checked(cycle, shell=shell, step=step):
-            starts.append(
-                any(p._popped for p in shell.in_ports.values())
-                or any(p._pushed for p in shell.out_ports.values())
-            )
-            step(cycle)
+        def started(cycle, ready, shell=shell, step=step, word=word):
+            word[:] = [_port_word(shell)]
+            log["steps"] += 1
+            log["dirty"] += any(
+                p._popped for p in shell.in_ports.values()
+            ) or any(p._pushed for p in shell.out_ports.values())
+            log["nonzero"] += word[0] != 0
+            step(cycle, ready)
 
-        shell._wrapper_step = checked
+        shell._wrapper_step = started
+        for decider in deciders:
+            for hook in ("_sync_ready", "_run_gate_ok"):
+                def received(cycle, ready, decide=getattr(decider, hook),
+                             word=word):
+                    log["decisions"] += 1
+                    log["wrong"] += ready != word[0]
+                    return decide(cycle, ready)
+
+                setattr(decider, hook, received)
+
+
+def _variants(styles):
+    """Every style alone, then every lockstep pair (style, reference)."""
+    return [(style, None) for style in styles] + list(lockstep_pairs(styles))
 
 
 @pytest.mark.parametrize("reference", [False, True])
@@ -49,27 +85,46 @@ def _watch_step_starts(shells, starts: list) -> None:
 def test_nothing_popped_or_pushed_at_wrapper_step_start(
     seed, profile, traffic, reference
 ):
+    """Each decision receives the port word of its step's start, and
+    nothing is popped or pushed before it, under both RTL engines."""
     topology = random_topology(seed, PROFILE_PRESETS[profile])
     activations = (
         plan_topology_activations(topology, CYCLES)
         if traffic == "regular"
         else None
     )
-    for style in styles_for_traffic(traffic):
-        system, shells, sinks = build_system(
-            topology, style, activations=activations
-        )
-        starts: list[bool] = []
-        _watch_step_starts(shells, starts)
-        simulation = Simulation(system)
-        if reference:
-            simulation.add_watcher(lambda cycle: None)
-        before = compile_fabric.cache_stats()
-        simulation.run(CYCLES, deadlock_window=64)
-        engine = "reference" if reference else "lowered"
-        assert compile_fabric.cache_stats()[engine] == before[engine] + 1
-        assert starts and not any(starts), style
-        assert any(sink.received for sink in sinks.values()), style
+    for engine in ("compiled", "interp"):
+        for style, pair in _variants(styles_for_traffic(traffic)):
+            _check_decisions(
+                topology, style, pair, engine, activations, reference
+            )
+
+
+def _check_decisions(topology, style, pair, engine, activations, reference):
+    """Run one style (or lockstep pair) under one RTL engine and fabric
+    engine, checking every decision's word."""
+    label = f"{style}+{pair}/{engine}" if pair else f"{style}/{engine}"
+    system, shells, sinks = build_system(
+        topology, style, engine=engine, activations=activations,
+        reference=pair,
+    )
+    log = dict.fromkeys(
+        ("deciders", "steps", "dirty", "nonzero", "decisions", "wrong"), 0
+    )
+    _watch_decisions(shells, log)
+    simulation = Simulation(system)
+    if reference:
+        simulation.add_watcher(lambda cycle: None)
+    before = compile_fabric.cache_stats()
+    simulation.run(CYCLES, deadlock_window=64)
+    fabric = "reference" if reference else "lowered"
+    assert compile_fabric.cache_stats()[fabric] == before[fabric] + 1
+    assert log["steps"] and not log["dirty"], label
+    assert log["nonzero"] and not log["wrong"], label
+    # One decision per step by the shell, its lead and companion.
+    per_shell = log["deciders"] // len(shells)
+    assert log["decisions"] == log["steps"] * per_shell, label
+    assert any(sink.received for sink in sinks.values()), label
 
 
 def _run_restore_rerun(style: str, engine: str):
