@@ -23,7 +23,7 @@ inputs.  It is taken at the start of the wrapper step, before anything
 is popped or pushed that cycle.  A decision reads only that word, the
 script position (``_script_pos``) and the style's own state, which is
 what lets :class:`repro.verify.lockstep.LockstepShell` hand one word to
-two styles' decisions inside one shell.  The styles live in
+several styles' decisions inside one shell.  The styles live in
 :mod:`repro.core.wrappers` (and :class:`~repro.core.equivalence.RTLShell`):
 
 * ``SPWrapper`` / ``FSMWrapper`` — test only the current sync point's

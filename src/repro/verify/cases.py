@@ -9,7 +9,7 @@ wrapper styles come from the registry (:mod:`repro.verify.styles`, one
 :class:`~repro.verify.styles.StyleSpec` per style) and the checks from
 the oracle pipeline (:mod:`repro.verify.oracles`), so :func:`run_case`
 is just ``run_styles`` (a registry fold over the case's style list,
-running each cycle-exact pair once in lockstep,
+running the cycle-exact pairs in lockstep groups,
 :mod:`repro.verify.lockstep`) followed by ``run_pipeline`` (an oracle
 fold over the resulting runs).
 Adding a wrapper style or an invariant never touches this file.
@@ -42,7 +42,7 @@ from ..lis.system import System
 from ..lis.throughput import MarkedGraph
 from ..sched.generate import SystemTopology, TopologyVariant
 from . import lockstep, telemetry
-from .lockstep import LockstepShell, lockstep_pairs
+from .lockstep import LockstepShell, Riders, lockstep_groups
 from .regular import StaticActivation, plan_topology_activations
 from .styles import (
     ALL_STYLES,
@@ -138,6 +138,7 @@ def build_system(
     engine: str | None = None,
     activations: Mapping[str, StaticActivation] | None = None,
     reference: str | None = None,
+    riders: Riders | None = None,
 ) -> tuple[System, dict[str, Shell], dict[str, Sink]]:
     """Instantiate ``topology`` with wrappers of ``style``.
 
@@ -153,11 +154,16 @@ def build_system(
     With a ``reference`` style every shell is a
     :class:`~repro.verify.lockstep.LockstepShell` led by ``style`` and
     checked against ``reference`` each cycle; the system keeps the
-    name of ``style``.
+    name of ``style``.  ``riders`` (with a ``reference`` only) is the
+    system's :class:`~repro.verify.lockstep.Riders` record: every shell
+    also takes the decisions of its style pairs, which ride along until
+    they detach.
     """
     specs = [get_style(style)]
     if reference is not None:
         specs.append(get_style(reference))
+        if riders is not None:
+            specs.extend(get_style(s) for pair in riders.pairs for s in pair)
     system = System(f"{topology.name}:{style}")
     shells: dict[str, Shell] = {}
     for node in topology.processes:
@@ -175,7 +181,11 @@ def build_system(
             )
             for spec in specs
         ]
-        shell = built[0] if reference is None else LockstepShell(*built)
+        shell = built[0]
+        if reference is not None:
+            shell = LockstepShell(
+                shell, built[1], list(zip(built[2::2], built[3::2])), riders
+            )
         if trace:
             shell.trace_enable = []
         system.add_patient(shell)
@@ -357,16 +367,20 @@ class BaseSystem:
     checkpoint: Checkpoint
     trace: bool
     activations: Mapping[str, StaticActivation] | None
+    # A lockstep group's rider record (None for a pair or a style).
+    riders: Riders | None = None
 
 
-#: A case's base systems by style pair (style, lockstep reference or
-#: None); it lives only as long as the case.
-BaseSystems = dict[tuple[str, str | None], BaseSystem]
+#: A case's base systems by the styles each stands for at its
+#: checkpoint: the style, its lockstep reference, then the styles of
+#: the rider pairs still riding there.  It lives only as long as the
+#: case.
+BaseSystems = dict[tuple[str, ...], BaseSystem]
 
 
 def _resumable(
     bases: BaseSystems,
-    key: tuple[str, str | None],
+    key: tuple[str, ...],
     trace: bool,
     activations: Mapping[str, StaticActivation] | None,
     stalls: Sequence[LinkStall],
@@ -394,44 +408,59 @@ def _simulate(
     activations: Mapping[str, StaticActivation] | None,
     stalls: Sequence[LinkStall],
     reference: str | None = None,
+    riders: Sequence[tuple[str, str]] = (),
     checkpoint_at: int | None = None,
     bases: BaseSystems | None = None,
-) -> StyleRun:
+) -> tuple[StyleRun, tuple[str, ...]]:
     """Build and simulate one system under ``stalls`` and harvest its
-    run; exceptions propagate.  With a ``reference`` style the system
-    runs both styles in lockstep (:func:`build_system`), and its spans
-    carry the reference as an attribute.
+    run, with the styles of the rider pairs that rode to its end;
+    exceptions propagate.  With a ``reference`` style the system runs
+    both styles in lockstep, with ``riders`` riding along
+    (:func:`build_system`), and its spans carry the reference and the
+    riders' styles as attributes.
 
     With ``checkpoint_at`` the run pauses there for a checkpoint, and
-    the system goes into ``bases`` unless the run raises.  Without it,
-    ``bases`` holds the systems this run may resume from (see
-    :func:`run_styles`)."""
-    fields = {"style": style}
-    if reference is not None:
-        fields["reference"] = reference
+    the system goes into ``bases`` unless the run raises, keyed by the
+    riders still riding at the checkpoint.  Without it, ``bases`` holds
+    the systems this run may resume from (see :func:`run_styles`): the
+    group's own, else one of its primary pair, whose riders had
+    detached."""
+    primary = (style,) if reference is None else (style, reference)
+    rode = tuple(s for pair in riders for s in pair)
+    detach = Riders(riders) if riders else None
     resume = None
     if bases is not None and checkpoint_at is None:
-        base = _resumable(
-            bases, (style, reference), trace, activations, stalls
-        )
+        for key in (primary + rode, primary) if rode else (primary,):
+            base = _resumable(bases, key, trace, activations, stalls)
+            if base is not None:
+                break
         if base is None:
             telemetry.count("perturb.fresh_variant_runs")
         else:
             system, shells, sinks = base.system, base.shells, base.sinks
+            detach, rode = base.riders, key[len(primary):]
             resume = base.checkpoint
             telemetry.count("perturb.resumed_runs")
             telemetry.count(
                 "perturb.resumed_cycles", resume.cycle - resume.start
             )
+    fields: dict[str, Any] = {"style": style}
+    if reference is not None:
+        fields["reference"] = reference
+    if rode:
+        fields["riders"] = rode
     if resume is None:
         with telemetry.span("build", **fields):
             system, shells, sinks = build_system(
                 topology, style, trace=trace, engine=engine,
                 activations=activations, reference=reference,
+                riders=detach,
             )
             simulation = Simulation(system, stalls)
     else:
         simulation = Simulation(system, stalls)
+    if rode and (resume is not None or detach.riding):
+        lockstep._STATS["grouped"] += 1
     with telemetry.span("simulate", **fields):
         result = simulation.run(
             cycles,
@@ -439,11 +468,22 @@ def _simulate(
             checkpoint_at=checkpoint_at,
             resume=resume,
         )
+    if detach is not None:
+        # A resumed run counts only what detached after its checkpoint.
+        start = -1 if resume is None else resume.cycle
+        for at in detach.detached:
+            if at is not None and at >= start:
+                lockstep.count_detach(at)
     if checkpoint_at is not None and result.checkpoint is not None:
-        bases[style, reference] = BaseSystem(
-            system, shells, sinks, result.checkpoint, trace, activations
+        key = primary
+        if detach is not None:
+            key += detach.riding_at(result.checkpoint.cycle)
+        bases[key] = BaseSystem(
+            system, shells, sinks, result.checkpoint, trace, activations,
+            detach,
         )
-    return StyleRun(
+    carried = () if detach is None else detach.riding_at()
+    run = StyleRun(
         streams={
             name: list(sink.received) for name, sink in sinks.items()
         },
@@ -461,6 +501,7 @@ def _simulate(
         relay_peak=relay_peak_occupancy(system),
         deadlocked=result.deadlocked,
     )
+    return run, carried
 
 
 def simulate_topology(
@@ -485,40 +526,12 @@ def simulate_topology(
         return _simulate(
             topology, style, cycles, deadlock_window, engine, trace,
             activations, stalls, checkpoint_at=checkpoint_at, bases=bases,
-        )
+        )[0]
     except Exception as exc:  # any failure is a finding, not a crash
         return StyleRun(
             streams={}, traces={}, periods={}, executed=0,
             error=f"{type(exc).__name__}: {exc}",
         )
-
-
-def _simulate_lockstep(
-    topology: SystemTopology,
-    checked: str,
-    reference: str,
-    cycles: int,
-    deadlock_window: int | None,
-    engine: str | None,
-    trace: bool,
-    activations: Mapping[str, StaticActivation] | None,
-    stalls: Sequence[LinkStall],
-    checkpoint_at: int | None,
-    bases: BaseSystems | None,
-) -> StyleRun | None:
-    """One lockstep run standing for both styles of a cycle-exact
-    pair, or None when the styles disagreed or either raised (the
-    caller then simulates them separately)."""
-    lockstep._STATS["runs"] += 1
-    try:
-        return _simulate(
-            topology, checked, cycles, deadlock_window, engine, trace,
-            activations, stalls, reference=reference,
-            checkpoint_at=checkpoint_at, bases=bases,
-        )
-    except Exception:
-        lockstep._STATS["fallbacks"] += 1
-        return None
 
 
 def _plan_activations(
@@ -564,14 +577,17 @@ def run_styles(
     """One :class:`StyleRun` per style, keyed in ``styles`` order — the
     registry fold the oracle pipeline consumes.
 
-    Each cycle-exact pair (:func:`repro.verify.lockstep.lockstep_pairs`)
-    is simulated once, in lockstep, and both styles get that run.  If
-    the pair disagrees on any decision or either style raises, the
-    lockstep run is discarded and both styles are simulated separately
-    through :func:`simulate_topology`, which also runs every unpaired
-    style; so every divergence and error text is a separate run's.
-    Pairs and single styles run in the order their first style
-    appears.
+    The cycle-exact pairs run in lockstep groups
+    (:func:`repro.verify.lockstep.lockstep_groups`): one system per
+    group, its first pair the primary and the rest riders, and every
+    style of a pair that stayed on gets that run.  If the primary pair
+    disagrees on any decision or anything raises, the run is discarded
+    and the primary's styles are simulated separately through
+    :func:`simulate_topology`, which also runs every unpaired style.
+    A rider pair that detached (or every rider of a discarded run)
+    then runs as a group of its own, with the same fallback; so every
+    divergence and error text is a separate run's.  Groups and single
+    styles run in the order their first style appears.
 
     Styles that need a planned static activation (the registry's
     ``needs_activation`` flag) trigger one per-topology planning pass,
@@ -580,27 +596,68 @@ def run_styles(
     names become error records too (a finding for the oracles, never
     a crash).
 
-    The per-case base-system cache ``bases`` (keyed by style pair:
-    the style and its lockstep reference, or None) works two ways.
+    The per-case base-system cache ``bases`` (keyed by the styles a
+    system stands for at its checkpoint: the style, its lockstep
+    reference and the riders still riding there) works two ways.
     With ``checkpoint_at``, every run pauses at that cycle for a
     checkpoint, and each system whose run did not raise is kept in
-    ``bases``.  Without it, a run whose style pair is in ``bases``
-    restores that checkpoint and simulates only the remaining cycles
-    under ``stalls`` instead of building a system; that is exact when
-    the topology is the cached one (up to its name) and ``stalls``
-    forces nothing before the checkpoint, which it checks.
+    ``bases``: a group whose riders detached before the checkpoint
+    under its primary pair alone.  Without it, a run whose styles are
+    in ``bases`` (a group's, else its primary pair's) restores that
+    checkpoint and simulates only the remaining cycles under
+    ``stalls`` instead of building a system; that is exact when the
+    topology is the cached one (up to its name) and ``stalls`` forces
+    nothing before the checkpoint, which it checks.
     """
-    partner: dict[str, tuple[str, str]] = {}
-    for pair in lockstep_pairs(styles):
-        partner[pair[0]] = partner[pair[1]] = pair
+    group_of: dict[str, tuple[tuple[str, str], ...]] = {}
+    for group in lockstep_groups(styles):
+        for pair in group:
+            group_of.update(dict.fromkeys(pair, group))
     runs: dict[str, StyleRun] = {}
     activations: dict[str, StaticActivation] | None = None
     planning_error: str | None = None
+
+    def separately(style: str) -> StyleRun:
+        return simulate_topology(
+            topology,
+            style,
+            cycles,
+            deadlock_window,
+            engine=engine,
+            trace=trace,
+            activations=activations,
+            stalls=stalls,
+            checkpoint_at=checkpoint_at,
+            bases=bases,
+        )
+
+    def lockstepped(
+        group: tuple[tuple[str, str], ...]
+    ) -> dict[str, StyleRun]:
+        (checked, reference), riders = group[0], group[1:]
+        lockstep._STATS["runs"] += 1
+        try:
+            run, carried = _simulate(
+                topology, checked, cycles, deadlock_window, engine, trace,
+                activations, stalls, reference=reference, riders=riders,
+                checkpoint_at=checkpoint_at, bases=bases,
+            )
+        except Exception:
+            lockstep._STATS["fallbacks"] += 1
+            found = {style: separately(style) for style in group[0]}
+            carried = ()
+        else:
+            found = dict.fromkeys((checked, reference, *carried), run)
+        for pair in riders:
+            if pair[0] not in carried:
+                found.update(lockstepped((pair,)))
+        return found
+
     for style in styles:
         if style in runs:
             continue
-        pair = partner.get(style)
-        members = [s for s in styles if s in pair] if pair else [style]
+        group = group_of.get(style)
+        members = [s for pair in group for s in pair] if group else [style]
         try:
             needs_activation = get_style(style).needs_activation
         except ValueError:
@@ -626,28 +683,10 @@ def run_styles(
                         error=planning_error,
                     )
                 continue
-        if pair is not None:
-            run = _simulate_lockstep(
-                topology, *pair, cycles, deadlock_window, engine, trace,
-                activations, stalls, checkpoint_at, bases,
-            )
-            if run is not None:
-                for member in members:
-                    runs[member] = run
-                continue
-        for member in members:
-            runs[member] = simulate_topology(
-                topology,
-                member,
-                cycles,
-                deadlock_window,
-                engine=engine,
-                trace=trace,
-                activations=activations,
-                stalls=stalls,
-                checkpoint_at=checkpoint_at,
-                bases=bases,
-            )
+        if group is None:
+            runs[style] = separately(style)
+        else:
+            runs.update(lockstepped(group))
     return {style: runs[style] for style in styles}
 
 
@@ -655,12 +694,13 @@ def run_case(case: VerifyCase) -> CaseOutcome:
     """Execute every style of one case and fold the oracle pipeline
     over the results.
 
-    Styles run through :func:`run_styles`: each cycle-exact pair is
-    one lockstep simulation unless it falls back to two separate ones,
-    so the regular style set simulates four systems per case, not
-    seven.  The shift-register styles derive their static activation
-    plan from the FSM reference run, rerunning it only when ``fsm`` is
-    absent or ordered after them.
+    Styles run through :func:`run_styles`: the cycle-exact pairs run
+    as lockstep groups, ``rtl-fsm``/``fsm`` riding on ``rtl-sp``/``sp``
+    unless it detaches, so the regular style set simulates three
+    systems per case (four when the riders detach), not seven.  The
+    shift-register styles derive their static activation plan from
+    the FSM reference run, rerunning it only when ``fsm`` is absent or
+    ordered after them.
 
     When the case has dynamic perturbation variants, every base run
     pauses for a checkpoint at the earliest cycle any of them stalls,

@@ -23,7 +23,9 @@ relay worker-side records over its result pipes):
   (``generate``/``build``/``simulate``/``oracle``/``case``/
   ``shrink``); ``build`` and ``simulate`` spans carry a ``style``
   field (a lockstep pair's spans carry the checked style plus a
-  ``reference`` field), ``case`` and ``shrink`` spans a ``case`` index;
+  ``reference`` field, and a lockstep group's the styles of its rider
+  pairs as a ``riders`` field), ``case`` and ``shrink`` spans a
+  ``case`` index;
 * ``count`` — ``{kind, name, t, n}``: a monotonic counter increment
   (``supervise.*``, ``fault.*``, ``corpus.*``, ``rtl.*``,
   ``fabric.*``, ``lockstep.*``, ``shrink.*``);
@@ -355,16 +357,36 @@ def _render_fabric(counters: Mapping[str, float]) -> str:
 
 
 def _render_lockstep(counters: Mapping[str, float]) -> str:
-    """The lockstep summary line: cycle-exact pairs simulated once,
-    and how many of those runs were discarded for separate runs."""
+    """The lockstep summary line: lockstep systems simulated, how many
+    of those runs were discarded for separate runs, how many carried
+    rider pairs, and the rider pairs detached, by the cycle they
+    detached at (the first three cycles)."""
     runs = counters.get("lockstep.runs", 0)
     if not runs:
         return ""
     fallbacks = counters.get("lockstep.fallbacks", 0)
-    return (
+    line = (
         f"  lockstep: {runs:.0f} cycle-exact pair run(s), "
         f"{fallbacks:.0f} fell back to separate runs"
     )
+    grouped = counters.get("lockstep.grouped", 0)
+    detached = sorted(
+        (int(name.rpartition(".")[2]), n)
+        for name, n in counters.items()
+        if name.startswith("lockstep.detached.")
+    )
+    if grouped or detached:
+        line += (
+            f"; {grouped:.0f} system(s) carried rider pairs, "
+            f"{sum(n for _cycle, n in detached):.0f} rider pair(s) "
+            "detached"
+        )
+    if detached:
+        shown = ", ".join(
+            f"{n:.0f} at cycle {cycle}" for cycle, n in detached[:3]
+        )
+        line += f" ({shown}{', ...' if len(detached) > 3 else ''})"
+    return line
 
 
 def _render_resume(counters: Mapping[str, float]) -> str:
@@ -551,9 +573,11 @@ def engine_stats() -> dict[str, float]:
     per engine), ``fabric.stall_cycles`` (cycles lowered runs handed
     to the reference loop because a stall injector was due) plus
     ``fabric.cache.*``, and
-    :func:`repro.verify.lockstep.lockstep_stats` (cycle-exact pairs
-    simulated in lockstep, and lockstep runs discarded for separate
-    runs) as ``lockstep.runs``/``lockstep.fallbacks``.
+    :func:`repro.verify.lockstep.lockstep_stats` (lockstep systems
+    simulated, lockstep runs discarded for separate runs, systems that
+    carried rider pairs, and rider pairs detached by cycle) as
+    ``lockstep.runs``/``lockstep.fallbacks``/``lockstep.grouped``/
+    ``lockstep.detached.<cycle>``.
     The modules are imported lazily so probes never drag the engines
     in."""
     from ..lis.compile_fabric import cache_stats as fabric_stats

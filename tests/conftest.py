@@ -84,3 +84,38 @@ def make_passthrough_pearl(schedule: IOSchedule) -> FunctionPearl:
 @pytest.fixture
 def adder_pearl(simple_schedule):
     return make_adder_pearl(simple_schedule)
+
+
+def hold_one_fire(
+    monkeypatch, shell_class, victim: str, at: int, only=None
+) -> None:
+    """Make every ``shell_class`` shell of process ``victim`` hold back
+    its first fire from cycle ``at`` on by one cycle: the decision is
+    taken again, with the decision state it started from, on a
+    readiness word of zeros (empty inputs, full outputs), as if the
+    wrapper had seen no room that cycle.  The style's own run stays
+    consistent (an RTL wrapper sees the zeros too, so its strobes match
+    the missed fire), so the flip shows as a trace difference, not an
+    exception.  Each shell marks the cycle it held at as ``held``
+    (every run builds fresh shells, so every run sees the same bug).
+    ``only``, when given, picks the shells affected."""
+    decide = shell_class._sync_ready
+
+    def held(self, cycle, ready):
+        if (
+            self.name != victim
+            or cycle < at
+            or hasattr(self, "held")
+            or (only is not None and not only(self))
+        ):
+            return decide(self, cycle, ready)
+        state = self._decision_state()
+        if not decide(self, cycle, ready):
+            return False
+        self._load_decision(state)
+        enabled = decide(self, cycle, 0)
+        if not enabled:
+            self.held = cycle
+        return enabled
+
+    monkeypatch.setattr(shell_class, "_sync_ready", held)

@@ -47,6 +47,7 @@ from repro.verify import (
     simulate_topology,
 )
 from repro.verify import cases
+from repro.verify.lockstep import LockstepShell, Riders
 
 
 def _stall_cycles_of(run) -> int:
@@ -460,28 +461,45 @@ def _run_observed(simulation, sinks, shells=None):
             name: list(shell.trace_enable)
             for name, shell in (shells or {}).items()
         },
+        # Where a lockstep group's riders detached.
+        {
+            name: list(shell.detach.detached)
+            for name, shell in (shells or {}).items()
+            if isinstance(shell, LockstepShell)
+        },
     )
 
 
-#: (style, lockstep reference) builds the random-topology tests cover.
+#: (style, lockstep reference, rider pairs) builds the random-topology
+#: tests cover.
+_GROUP = ("rtl-sp", "sp", (("rtl-fsm", "fsm"),))
 _RESET_BUILDS = (
-    ("fsm", None), ("sp", None), ("combinational", None),
-    ("rtl-fsm", None), ("rtl-fsm", "fsm"), ("rtl-sp", "sp"),
+    ("fsm", None, ()), ("sp", None, ()), ("combinational", None, ()),
+    ("rtl-fsm", None, ()), ("rtl-fsm", "fsm", ()), ("rtl-sp", "sp", ()),
+    _GROUP,
 )
 #: The shift-register builds of the regular-topology test.
 _REGULAR_BUILDS = (
-    ("shiftreg", None), ("rtl-shiftreg", None),
-    ("rtl-shiftreg", "shiftreg"),
+    ("shiftreg", None, ()), ("rtl-shiftreg", None, ()),
+    ("rtl-shiftreg", "shiftreg", ()),
 )
 _ENGINES = ("compiled", "interp")
 
 
-def _restored_rerun(topology, style, reference, engine, **build):
+def _build(topology, style, reference, riders, **build):
+    """``build_system`` with ``riders`` riding along (a fresh
+    :class:`Riders` record per build)."""
+    return build_system(
+        topology, style, trace=True, reference=reference,
+        riders=Riders(riders) if riders else None, **build,
+    )
+
+
+def _restored_rerun(topology, style, reference, riders, engine, **build):
     """Run a traced build, restore the checkpoint taken before the run
     and rerun; (first run, rerun, a fresh build's run)."""
-    system, shells, sinks = build_system(
-        topology, style, trace=True, engine=engine, reference=reference,
-        **build,
+    system, shells, sinks = _build(
+        topology, style, reference, riders, engine=engine, **build
     )
     simulation = Simulation(system)
     power_up = simulation.checkpoint()
@@ -489,9 +507,8 @@ def _restored_rerun(topology, style, reference, engine, **build):
     simulation.restore(power_up)
     assert all(shell.trace_enable == [] for shell in shells.values())
     rerun = _run_observed(simulation, sinks, shells)
-    fresh, fresh_shells, fresh_sinks = build_system(
-        topology, style, trace=True, engine=engine, reference=reference,
-        **build,
+    fresh, fresh_shells, fresh_sinks = _build(
+        topology, style, reference, riders, engine=engine, **build
     )
     return first, rerun, _run_observed(
         Simulation(fresh), fresh_sinks, fresh_shells
@@ -519,25 +536,43 @@ class TestResetRerun:
     @pytest.mark.parametrize("seed", range(20))
     def test_traced_rerun_equals_a_fresh_build(self, seed):
         topology = random_topology(seed)
-        for style, reference in _RESET_BUILDS:
+        for build in _RESET_BUILDS:
             for engine in _ENGINES:
                 first, rerun, fresh = _restored_rerun(
-                    topology, style, reference, engine
+                    topology, *build, engine
                 )
-                assert rerun == first == fresh, (style, reference, engine)
+                assert rerun == first == fresh, (build, engine)
+
+    @pytest.mark.parametrize("seed, detached", [(0, [0]), (1, [None])])
+    def test_restore_reattaches_detached_riders(self, seed, detached):
+        """Topology seed 0's rider pair detaches at cycle 0 (the SP's
+        reset cycle), seed 1's never: a power-up restore puts it back
+        on, so the rerun detaches it again, at the same cycle."""
+        topology = random_topology(seed)
+        system, shells, sinks = _build(topology, *_GROUP)
+        simulation = Simulation(system)
+        power_up = simulation.checkpoint()
+        first = _run_observed(simulation, sinks, shells)
+        assert all(
+            shell.detach.detached == detached for shell in shells.values()
+        )
+        simulation.restore(power_up)
+        assert all(
+            shell.detach.detached == [None] for shell in shells.values()
+        )
+        assert _run_observed(simulation, sinks, shells) == first
 
     @pytest.mark.parametrize("seed", range(20))
     def test_regular_topology_rerun_equals_a_fresh_build(self, seed):
         topology = random_topology(seed, PROFILE_PRESETS["regular"])
         activations = cases._plan_activations(topology, 200, 64, {})
-        for style, reference in _REGULAR_BUILDS:
+        for build in _REGULAR_BUILDS:
             for engine in _ENGINES:
                 first, rerun, fresh = _restored_rerun(
-                    topology, style, reference, engine,
-                    activations=activations,
+                    topology, *build, engine, activations=activations,
                 )
-                assert rerun == first == fresh, (style, reference, engine)
-                assert any(first[0].values()), (style, reference, engine)
+                assert rerun == first == fresh, (build, engine)
+                assert any(first[0].values()), (build, engine)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reset_system_under_another_plan(self, seed):
@@ -547,11 +582,10 @@ class TestResetRerun:
             derive_stall_plan(links, random.Random(seed * 2 + k), 200)
             for k in (0, 1)
         )
-        for style, reference in _RESET_BUILDS:
+        for build in _RESET_BUILDS:
             for engine in _ENGINES:
-                system, shells, sinks = build_system(
-                    topology, style, trace=True, engine=engine,
-                    reference=reference,
+                system, shells, sinks = _build(
+                    topology, *build, engine=engine
                 )
                 simulation = Simulation(system, first)
                 power_up = simulation.checkpoint()
@@ -559,13 +593,12 @@ class TestResetRerun:
                 simulation = Simulation(system, second)
                 simulation.restore(power_up)
                 rerun = _run_observed(simulation, sinks, shells)
-                fresh, fresh_shells, fresh_sinks = build_system(
-                    topology, style, trace=True, engine=engine,
-                    reference=reference,
+                fresh, fresh_shells, fresh_sinks = _build(
+                    topology, *build, engine=engine
                 )
                 assert rerun == _run_observed(
                     Simulation(fresh, second), fresh_sinks, fresh_shells
-                ), (style, reference, engine)
+                ), (build, engine)
 
 
 # -- fabric code reuse ---------------------------------------------------------

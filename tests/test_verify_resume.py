@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.equivalence import RTLShell
 from repro.core.schedule import IOSchedule, SyncPoint
 from repro.core.wrappers import FSMWrapper
 from repro.lis.pearl import FunctionPearl, PassthroughPearl
@@ -39,17 +40,24 @@ from repro.verify import (
 )
 from repro.verify import lockstep, perturb
 from repro.verify.cases import relay_peak_occupancy
-from repro.verify.lockstep import LockstepShell
+from repro.verify.lockstep import LockstepShell, Riders
+from tests.conftest import hold_one_fire as _holding
 
 CYCLES = 300
 WINDOW = 64
 #: The perturb-dynamic benchmark workload's styles.
 STYLES = ("fsm", "sp", "rtl-sp", "rtl-fsm")
 #: Every single style and lockstep pair those styles build.
+#: Every single style, lockstep pair and lockstep group (style,
+#: reference, rider pairs) those styles build.
 BUILDS = (
-    ("fsm", None), ("sp", None), ("rtl-sp", None), ("rtl-fsm", None),
-    ("rtl-sp", "sp"), ("rtl-fsm", "fsm"),
+    ("fsm", None, ()), ("sp", None, ()), ("rtl-sp", None, ()),
+    ("rtl-fsm", None, ()), ("rtl-sp", "sp", ()), ("rtl-fsm", "fsm", ()),
+    ("rtl-sp", "sp", (("rtl-fsm", "fsm"),)),
 )
+#: Those styles' lockstep group as a base-system key: the primary
+#: pair, then its rider.
+GROUP = ("rtl-sp", "sp", "rtl-fsm", "fsm")
 
 
 def _small(seed):
@@ -112,23 +120,32 @@ def _observe(system, shells, sinks, result):
             )
             for name, shell in shells.items()
         },
+        # Where a lockstep group's riders detached.
+        [
+            list(shell.detach.detached)
+            for shell in shells.values()
+            if isinstance(shell, LockstepShell)
+        ],
     )
 
 
-def _fresh(topology, style, reference, engine, plan):
-    built = build_system(
-        topology, style, trace=True, engine=engine, reference=reference
+def _build(topology, style, reference, riders, engine):
+    return build_system(
+        topology, style, trace=True, engine=engine, reference=reference,
+        riders=Riders(riders) if riders else None,
     )
+
+
+def _fresh(topology, style, reference, riders, engine, plan):
+    built = _build(topology, style, reference, riders, engine)
     result = Simulation(built[0], plan).run(CYCLES, WINDOW)
     return _observe(*built, result)
 
 
-def _base(topology, style, reference, engine, pause):
+def _base(topology, style, reference, riders, engine, pause):
     """A built base system and the checkpoint its run took at
     ``pause``."""
-    built = build_system(
-        topology, style, trace=True, engine=engine, reference=reference
-    )
+    built = _build(topology, style, reference, riders, engine)
     result = Simulation(built[0]).run(CYCLES, WINDOW, checkpoint_at=pause)
     assert result.checkpoint is not None
     return built, result.checkpoint
@@ -153,14 +170,12 @@ class TestResumeParity:
         topology = _small(seed)
         plan = _plan(topology, seed)
         first = min(stall.start for stall in plan)
-        for style, reference in BUILDS:
-            for engine in _engines(style):
-                built, checkpoint = _base(
-                    topology, style, reference, engine, first
-                )
+        for build in BUILDS:
+            for engine in _engines(build[0]):
+                built, checkpoint = _base(topology, *build, engine, first)
                 assert _resumed(built, checkpoint, plan) == _fresh(
-                    topology, style, reference, engine, plan
-                ), (style, reference, engine)
+                    topology, *build, engine, plan
+                ), (build, engine)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_variants_resume_from_one_checkpoint(self, seed):
@@ -170,39 +185,51 @@ class TestResumeParity:
         topology = _small(seed)
         plans = [_plan(topology, seed * 7 + k) for k in range(2)]
         first = min(stall.start for plan in plans for stall in plan)
-        for style, reference in BUILDS:
-            for engine in _engines(style):
-                built, checkpoint = _base(
-                    topology, style, reference, engine, first
-                )
+        for build in BUILDS:
+            for engine in _engines(build[0]):
+                built, checkpoint = _base(topology, *build, engine, first)
                 for plan in (*plans, plans[0]):
                     assert _resumed(built, checkpoint, plan) == _fresh(
-                        topology, style, reference, engine, plan
-                    ), (style, reference, engine)
+                        topology, *build, engine, plan
+                    ), (build, engine)
+
+    @pytest.mark.parametrize("seed, riding", [(0, False), (4, True)])
+    def test_group_and_detached_bases(self, seed, riding):
+        """Topology ``small`` seed 0's rider pair detaches at cycle 0,
+        before the checkpoint (a detached base); seed 4's still rides
+        there (a group base).  Either resumes exactly, under both RTL
+        engines, with its riders where the checkpoint left them."""
+        topology = _small(seed)
+        plan = _plan(topology, seed)
+        first = min(stall.start for stall in plan)
+        group = BUILDS[-1]
+        for engine in ("compiled", "interp"):
+            built, checkpoint = _base(topology, *group, engine, first)
+            resumed = _resumed(built, checkpoint, plan)
+            assert resumed == _fresh(topology, *group, engine, plan)
+            assert resumed[-1][0] == ([None] if riding else [0])
 
     def test_first_stall_at_cycle_zero(self):
         topology = _small(2)
         link = topology_link_names(topology)[0]
         plan = (LinkStall(link, 0, 5), LinkStall(link, 40, 3))
-        for style, reference in BUILDS:
-            built, checkpoint = _base(topology, style, reference, None, 0)
+        for build in BUILDS:
+            built, checkpoint = _base(topology, *build, None, 0)
             assert checkpoint.cycle == 0
             assert _resumed(built, checkpoint, plan) == _fresh(
-                topology, style, reference, None, plan
-            ), (style, reference)
+                topology, *build, None, plan
+            ), build
 
     def test_stall_window_starting_at_the_checkpoint(self):
         topology = _small(3)
         links = topology_link_names(topology)
         plan = (LinkStall(links[0], 120, 9), LinkStall(links[-1], 125, 2))
-        for style, reference in BUILDS:
-            built, checkpoint = _base(
-                topology, style, reference, None, 120
-            )
+        for build in BUILDS:
+            built, checkpoint = _base(topology, *build, None, 120)
             assert checkpoint.cycle == 120 and not checkpoint.stopped
             assert _resumed(built, checkpoint, plan) == _fresh(
-                topology, style, reference, None, plan
-            ), (style, reference)
+                topology, *build, None, plan
+            ), build
 
     def test_base_deadlocks_before_the_first_stall(self):
         """Topology ``small`` seed 1 deadlocks at cycle 91 under fsm:
@@ -210,10 +237,10 @@ class TestResumeParity:
         stalling later stops there too."""
         topology = _small(1)
         plan = (LinkStall(topology_link_names(topology)[0], 150, 4),)
-        built, checkpoint = _base(topology, "fsm", None, None, 150)
+        built, checkpoint = _base(topology, "fsm", None, (), None, 150)
         assert checkpoint.stopped and checkpoint.cycle == 91
         resumed = _resumed(built, checkpoint, plan)
-        assert resumed == _fresh(topology, "fsm", None, None, plan)
+        assert resumed == _fresh(topology, "fsm", None, (), None, plan)
         assert resumed[0].deadlocked and resumed[0].cycles == 91
 
     def test_restore_after_reset_and_between_runs(self):
@@ -233,7 +260,7 @@ class TestResumeParity:
         simulation.restore(power_up)
         simulation.run(37)
         assert _resumed(built, checkpoint, plan) == _fresh(
-            topology, "rtl-fsm", "fsm", None, plan
+            topology, "rtl-fsm", "fsm", (), None, plan
         )
         simulation.restore(power_up)
         simulation.run(50)
@@ -248,14 +275,14 @@ class TestResumeContract:
     def test_plan_stalling_before_the_checkpoint_is_rejected(self):
         topology = _small(0)
         link = topology_link_names(topology)[0]
-        built, checkpoint = _base(topology, "fsm", None, None, 100)
+        built, checkpoint = _base(topology, "fsm", None, (), None, 100)
         simulation = Simulation(built[0], (LinkStall(link, 99, 2),))
         with pytest.raises(ValueError, match="stall plan differs"):
             simulation.run(CYCLES, WINDOW, resume=checkpoint)
 
     def test_checkpoint_of_another_system_is_rejected(self):
         topology = _small(0)
-        _built, checkpoint = _base(topology, "fsm", None, None, 100)
+        _built, checkpoint = _base(topology, "fsm", None, (), None, 100)
         other, _shells, _sinks = build_system(topology, "fsm")
         with pytest.raises(ValueError, match="another system"):
             Simulation(other).restore(checkpoint)
@@ -319,7 +346,9 @@ class TestRunStylesResume:
         assert base_runs == run_styles(
             topology, STYLES, CYCLES, WINDOW, engine=engine
         )
-        assert set(bases) == {("rtl-sp", "sp"), ("rtl-fsm", "fsm")}
+        # A group base, or (riders detached before the checkpoint) a
+        # detached base under the primary pair beside the rider pair's.
+        assert set(bases) in ({GROUP}, {GROUP[:2], GROUP[2:]})
         variant = replace(topology, name=topology.name + "~dynamic0")
         for plan in plans:
             resumed = run_styles(
@@ -336,39 +365,69 @@ class TestRunStylesResume:
     ):
         """A resumed lockstep run that diverges after the checkpoint
         falls back to separate runs, exactly as a fresh one does; the
-        base system then serves the next variant again."""
-        topology = _small(4)
-        plans = [_plan(topology, k) for k in (40, 41)]
-        first = min(stall.start for plan in plans for stall in plan)
-        bases = {}
-        run_styles(
-            topology, STYLES, CYCLES, WINDOW,
-            checkpoint_at=first, bases=bases,
+        base system then serves the next variant again.  Seed 4's
+        riders ride to the end: a group base."""
+        _fall_back_after_the_checkpoint(monkeypatch, 4)
+
+    def test_detached_base_falling_back_after_the_checkpoint(
+        self, monkeypatch
+    ):
+        """The same from a detached base: seed 0's riders detach at
+        cycle 0, so the primary pair's base and the rider pair's own
+        base each fall back."""
+        _fall_back_after_the_checkpoint(monkeypatch, 0)
+
+
+def _fall_back_after_the_checkpoint(monkeypatch, seed):
+    """Resume the variants of topology ``small`` ``seed`` with one
+    process's RTL fires held back after the checkpoint, and compare
+    with fresh builds."""
+    topology = _small(seed)
+    plans = [_plan(topology, k) for k in (40, 41)]
+    first = min(stall.start for plan in plans for stall in plan)
+    bases = {}
+    run_styles(
+        topology, STYLES, CYCLES, WINDOW,
+        checkpoint_at=first, bases=bases,
+    )
+    assert set(bases) == (
+        {GROUP[:2], GROUP[2:]} if seed == 0 else {GROUP}
+    )
+    variant = replace(topology, name=topology.name + "~dynamic0")
+
+    def variant_runs(plan, **kwargs):
+        before = lockstep.lockstep_stats()
+        runs = run_styles(
+            variant, STYLES, CYCLES, WINDOW, stalls=plan, **kwargs
         )
-        decide = LockstepShell._sync_ready
+        after = lockstep.lockstep_stats()
+        return runs, {
+            k: after[k] - before.get(k, 0)
+            for k in after
+            if after[k] != before.get(k, 0)
+        }
 
-        def diverging(shell, cycle, ready):
-            if cycle >= first + 5:
-                shell._diverged(cycle)
-            return decide(shell, cycle, ready)
-
-        variant = replace(topology, name=topology.name + "~dynamic0")
-
-        def variant_runs(plan, **kwargs):
-            before = lockstep.lockstep_stats()
-            runs = run_styles(
-                variant, STYLES, CYCLES, WINDOW, stalls=plan, **kwargs
-            )
-            after = lockstep.lockstep_stats()
-            return runs, {k: after[k] - before[k] for k in after}
-
-        with monkeypatch.context() as patch:
-            patch.setattr(LockstepShell, "_sync_ready", diverging)
-            resumed = variant_runs(plans[0], bases=bases)
-            fresh = variant_runs(plans[0])
-        assert resumed == fresh
-        assert resumed[1] == {"runs": 2, "fallbacks": 2}
-        assert variant_runs(plans[1], bases=bases) == variant_runs(plans[1])
+    with monkeypatch.context() as patch:
+        # Every RTL shell of one process holds back one fire after
+        # the checkpoint, so both RTL styles disagree with their
+        # references: the group falls back, then the rider pair.
+        _holding(patch, RTLShell, topology.processes[0].name, first + 5)
+        resumed = variant_runs(plans[0], bases=bases)
+        fresh = variant_runs(plans[0])
+    assert resumed[0] == fresh[0]
+    assert resumed[1]["runs"] == resumed[1]["fallbacks"] == 2
+    # The separate runs show the flip itself, not an exception.
+    runs = resumed[0]
+    for checked, reference in (GROUP[:2], GROUP[2:]):
+        assert runs[checked].error is runs[reference].error is None
+        assert runs[checked].traces != runs[reference].traces
+    # A detached base resumes without its riders, which a fresh
+    # build still carries until cycle 0: only the runs must match.
+    again, fresh = variant_runs(plans[1], bases=bases), variant_runs(
+        plans[1]
+    )
+    assert again[0] == fresh[0]
+    assert again[1]["runs"] == fresh[1]["runs"]
 
 
 # -- whole cases --------------------------------------------------------------
@@ -404,27 +463,39 @@ class TestCaseResume:
     def test_outcomes_equal_fresh_variants(self, engine, monkeypatch):
         cases = _dynamic_cases(8, 27, engine=engine)
         resumed, counters, spans = _observed(cases)
-        # Every base and dynamic-variant run of a case: two lockstep
-        # pairs each.
-        assert counters["perturb.resumed_runs"] == 2 * len(cases)
+        # Each case has one dynamic variant, which resumes every system
+        # its base runs built: the group, and the rider pair when its
+        # riders detached.  Both kinds occur.
+        runs = counters["perturb.resumed_runs"]
+        assert len(cases) < runs < 2 * len(cases)
         assert counters["perturb.resumed_cycles"] > 0
         assert "perturb.fresh_variant_runs" not in counters
-        # A resumed run emits a simulate span but builds nothing.
-        assert spans == {"build": 4 * len(cases), "simulate": 6 * len(cases)}
         monkeypatch.setattr(perturb, "first_stall", lambda *args: None)
-        fresh, counters, spans = _observed(cases)
+        fresh, fresh_counters, fresh_spans = _observed(cases)
         assert fresh == resumed
-        assert counters["perturb.fresh_variant_runs"] == 2 * len(cases)
-        assert spans == {"build": 6 * len(cases), "simulate": 6 * len(cases)}
+        # The fresh path builds those systems instead.
+        assert fresh_counters["perturb.fresh_variant_runs"] == runs
+        # A resumed run emits a simulate span but builds nothing.
+        assert spans == {
+            "build": fresh_spans["build"] - runs,
+            "simulate": fresh_spans["simulate"],
+        }
 
     def test_resumed_cycles_are_the_skipped_prefixes(self):
         (case,) = _dynamic_cases(1, 31)
         (variant,) = [v for v in perturb.case_variants(case) if v.stalls]
         first = min(stall.start for stall in variant.stalls)
+        before = lockstep.lockstep_stats()
         _outcomes, counters, _spans = _observed([case])
-        # Unless a base run stopped earlier, both pairs skip [0, first).
-        assert counters["perturb.resumed_cycles"] <= 2 * first
-        assert counters["perturb.resumed_runs"] == 2
+        # Unless a base run stopped earlier, each resumed system skips
+        # [0, first): here only the group's, whose riders rode to the
+        # end of the base run and of both variants.
+        assert lockstep.lockstep_stats() == {
+            **before, "runs": before["runs"] + 3,
+            "grouped": before["grouped"] + 3,
+        }
+        assert counters["perturb.resumed_runs"] == 1
+        assert counters["perturb.resumed_cycles"] <= first
 
     def test_reference_mode_builds_fresh(self):
         """``--perturb-styles reference`` runs variants under ``fsm``
@@ -459,7 +530,16 @@ class TestCaseResume:
         finally:
             telemetry.deactivate()
         assert report.ok
-        assert session.rollup.counters["perturb.resumed_runs"] == 6
-        assert "perturb: 6 dynamic-variant run(s) resumed" in (
-            session.rollup.render()
+        counters = session.rollup.counters
+        resumed = counters["perturb.resumed_runs"]
+        # One resumed group per case, plus a rider pair per case whose
+        # riders detached before the checkpoint.
+        assert 3 < resumed <= 6
+        summary = session.rollup.render()
+        assert f"perturb: {resumed:.0f} dynamic-variant run(s) resumed" in (
+            summary
         )
+        assert (
+            f"{counters['lockstep.grouped']:.0f} system(s) carried "
+            "rider pairs"
+        ) in summary

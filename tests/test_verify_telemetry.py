@@ -407,19 +407,66 @@ def test_lockstep_line_counts_pair_runs_and_fallbacks():
     ) in rollup.render().splitlines()
 
 
+def test_lockstep_line_counts_riders_and_detach_cycles():
+    rollup = Rollup()
+    for name, n in (
+        ("lockstep.runs", 14), ("lockstep.grouped", 10),
+        ("lockstep.detached.0", 3), ("lockstep.detached.37", 1),
+    ):
+        rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
+    assert (
+        "  lockstep: 14 cycle-exact pair run(s), 0 fell back to "
+        "separate runs; 10 system(s) carried rider pairs, 4 rider "
+        "pair(s) detached (3 at cycle 0, 1 at cycle 37)"
+    ) in rollup.render().splitlines()
+    for cycle in (120, 9):
+        rollup.add({
+            "kind": "count", "name": f"lockstep.detached.{cycle}",
+            "t": 0.0, "n": 1,
+        })
+    assert rollup.render().count(
+        "6 rider pair(s) detached (3 at cycle 0, 1 at cycle 9, 1 at "
+        "cycle 37, ...)"
+    ) == 1
+
+
 def test_cli_metrics_carry_lockstep_counts(tmp_path, capsys):
-    # Two random-traffic cases: rtl-sp/sp and rtl-fsm/fsm run in
-    # lockstep once per case.
+    # Two random-traffic cases: one lockstep group per case, rtl-sp/sp
+    # with rtl-fsm/fsm riding along; a rider pair that detaches runs
+    # as a pair of its own.
     metrics = tmp_path / "metrics.json"
+    events = tmp_path / "events.jsonl"
     code = cli.main([
         "verify", "--cases", "2", "--cycles", "60",
-        "--metrics-json", str(metrics),
+        "--metrics-json", str(metrics), "--events", str(events),
     ])
     assert code == 0
     counters = json.loads(metrics.read_text())["counters"]
-    assert counters["lockstep.runs"] == 4
+    detached = {
+        name: n for name, n in counters.items()
+        if name.startswith("lockstep.detached.")
+    }
+    assert counters["lockstep.grouped"] == 2
+    assert counters["lockstep.runs"] == 2 + sum(detached.values())
     assert counters.get("lockstep.fallbacks", 0) == 0
-    assert "lockstep: 4 cycle-exact pair run(s)" in capsys.readouterr().out
+    (line,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  lockstep:")
+    ]
+    assert line.startswith(
+        f"  lockstep: {counters['lockstep.runs']:.0f} cycle-exact pair "
+        "run(s), 0 fell back to separate runs; 2 system(s) carried "
+        "rider pairs"
+    )
+    assert cli.main(["report", str(events)]) == 0
+    assert line in capsys.readouterr().out
+    spans = [
+        record for record in read_events(events)[1]
+        if record["kind"] == "span" and record.get("reference") == "sp"
+    ]
+    assert spans and all(
+        span["riders"] == ["rtl-fsm", "fsm"] for span in spans
+    )
 
 
 @pytest.mark.parametrize("engine", ["compiled", "interp"])

@@ -6,8 +6,9 @@ int per cycle: bit *i* set when schedule input *i* is not empty, bit
 builds it in ``Shell.consume`` and the lowered fabric inline from its
 FIFO locals, which equals the ports' ``not_empty``/``not_full`` only
 because nothing has been popped or pushed yet when a wrapper step
-starts.  These tests pin that word, for every style and lockstep pair
-(whose lead and companion must both receive it), under both fabric
+starts.  These tests pin that word, for every style, lockstep pair
+(whose lead and companion must both receive it) and lockstep group
+(whose riders receive it too, while they ride), under both fabric
 engines and both RTL engines, and check that ``RTLShell`` keeps its
 simulator and bound driver across a checkpoint restore.
 """
@@ -21,7 +22,7 @@ from repro.rtl import compile_sim
 from repro.lis.simulator import Simulation
 from repro.sched.generate import PROFILE_PRESETS, random_topology
 from repro.verify.cases import build_system
-from repro.verify.lockstep import lockstep_pairs
+from repro.verify.lockstep import Riders, lockstep_groups, lockstep_pairs
 from repro.verify.regular import plan_topology_activations
 from repro.verify.styles import styles_for_traffic
 
@@ -41,12 +42,15 @@ def _port_word(shell) -> int:
 def _watch_decisions(shells, log: dict) -> None:
     """At every wrapper-step start, record the port word and whether
     any port has popped or pushed this cycle already; at every
-    decision (of each shell, and of a lockstep shell's lead and
-    companion) record whether it received that word."""
+    decision (of each shell, of a lockstep shell's lead and companion,
+    and of its riders, counted apart) record whether it received that
+    word."""
     for shell in shells.values():
         deciders = [shell]
+        riders = []
         if hasattr(shell, "lead"):
             deciders += [shell.lead, shell.companion]
+            riders = [rider for pair in shell.riders for rider in pair]
         log["deciders"] += len(deciders)
         word = []
         step = shell._wrapper_step
@@ -61,11 +65,12 @@ def _watch_decisions(shells, log: dict) -> None:
             step(cycle, ready)
 
         shell._wrapper_step = started
-        for decider in deciders:
+        for decider in deciders + riders:
+            count = "decisions" if decider in deciders else "rides"
             for hook in ("_sync_ready", "_run_gate_ok"):
                 def received(cycle, ready, decide=getattr(decider, hook),
-                             word=word):
-                    log["decisions"] += 1
+                             word=word, count=count):
+                    log[count] += 1
                     log["wrong"] += ready != word[0]
                     return decide(cycle, ready)
 
@@ -73,8 +78,14 @@ def _watch_decisions(shells, log: dict) -> None:
 
 
 def _variants(styles):
-    """Every style alone, then every lockstep pair (style, reference)."""
-    return [(style, None) for style in styles] + list(lockstep_pairs(styles))
+    """Every style alone, every lockstep pair (style, reference), then
+    every lockstep group with riders (style, reference, rider pairs)."""
+    return (
+        [(style, None, ()) for style in styles]
+        + [(*pair, ()) for pair in lockstep_pairs(styles)]
+        + [(*group[0], group[1:]) for group in lockstep_groups(styles)
+           if len(group) > 1]
+    )
 
 
 @pytest.mark.parametrize("reference", [False, True])
@@ -94,22 +105,26 @@ def test_nothing_popped_or_pushed_at_wrapper_step_start(
         else None
     )
     for engine in ("compiled", "interp"):
-        for style, pair in _variants(styles_for_traffic(traffic)):
+        for build in _variants(styles_for_traffic(traffic)):
             _check_decisions(
-                topology, style, pair, engine, activations, reference
+                topology, *build, engine, activations, reference
             )
 
 
-def _check_decisions(topology, style, pair, engine, activations, reference):
-    """Run one style (or lockstep pair) under one RTL engine and fabric
-    engine, checking every decision's word."""
-    label = f"{style}+{pair}/{engine}" if pair else f"{style}/{engine}"
+def _check_decisions(
+    topology, style, pair, riders, engine, activations, reference
+):
+    """Run one style (or lockstep pair or group) under one RTL engine
+    and fabric engine, checking every decision's word."""
+    label = f"{style}+{pair}{riders}/{engine}"
+    detach = Riders(riders) if riders else None
     system, shells, sinks = build_system(
         topology, style, engine=engine, activations=activations,
-        reference=pair,
+        reference=pair, riders=detach,
     )
     log = dict.fromkeys(
-        ("deciders", "steps", "dirty", "nonzero", "decisions", "wrong"), 0
+        ("deciders", "steps", "dirty", "nonzero", "decisions", "rides",
+         "wrong"), 0,
     )
     _watch_decisions(shells, log)
     simulation = Simulation(system)
@@ -124,6 +139,14 @@ def _check_decisions(topology, style, pair, engine, activations, reference):
     # One decision per step by the shell, its lead and companion.
     per_shell = log["deciders"] // len(shells)
     assert log["decisions"] == log["steps"] * per_shell, label
+    # And one by each rider while it rides: on every step when it
+    # never detaches, else at least its detaching decision.
+    if detach is None:
+        assert not log["rides"], label
+    elif detach.riding:
+        assert log["rides"] == log["steps"] * 2 * len(riders), label
+    else:
+        assert 0 < log["rides"] < log["steps"] * 2 * len(riders), label
     assert any(sink.received for sink in sinks.values()), label
 
 
