@@ -70,6 +70,7 @@ __all__ = [
     "StyleRun",
     "VerifyCase",
     "build_system",
+    "first_clean_style",
     "relay_peak_occupancy",
     "run_case",
     "run_styles",
@@ -137,7 +138,6 @@ def build_system(
     trace: bool = False,
     engine: str | None = None,
     activations: Mapping[str, StaticActivation] | None = None,
-    reference: str | None = None,
     riders: Riders | None = None,
 ) -> tuple[System, dict[str, Shell], dict[str, Sink]]:
     """Instantiate ``topology`` with wrappers of ``style``.
@@ -151,19 +151,15 @@ def build_system(
     it).  The shift-register styles (``shiftreg`` / ``rtl-shiftreg``)
     additionally need ``activations`` — per-process static activation
     plans from :func:`repro.verify.regular.plan_topology_activations`.
-    With a ``reference`` style every shell is a
-    :class:`~repro.verify.lockstep.LockstepShell` led by ``style`` and
-    checked against ``reference`` each cycle; the system keeps the
-    name of ``style``.  ``riders`` (with a ``reference`` only) is the
-    system's :class:`~repro.verify.lockstep.Riders` record: every shell
-    also takes the decisions of its style pairs, which ride along until
-    they detach.
+    With ``riders``, the system's
+    :class:`~repro.verify.lockstep.Riders` record, every shell is a
+    :class:`~repro.verify.lockstep.LockstepShell` led by ``style`` that
+    also takes the decisions of the record's styles, which ride along
+    until they detach; the system keeps the name of ``style``.
     """
     specs = [get_style(style)]
-    if reference is not None:
-        specs.append(get_style(reference))
-        if riders is not None:
-            specs.extend(get_style(s) for pair in riders.pairs for s in pair)
+    if riders is not None:
+        specs.extend(get_style(rider) for rider in riders.styles)
     system = System(f"{topology.name}:{style}")
     shells: dict[str, Shell] = {}
     for node in topology.processes:
@@ -182,10 +178,8 @@ def build_system(
             for spec in specs
         ]
         shell = built[0]
-        if reference is not None:
-            shell = LockstepShell(
-                shell, built[1], list(zip(built[2::2], built[3::2])), riders
-            )
+        if riders is not None:
+            shell = LockstepShell(shell, built[1:], riders)
         if trace:
             shell.trace_enable = []
         system.add_patient(shell)
@@ -358,8 +352,8 @@ def relay_peak_occupancy(system: System) -> tuple[str, int] | None:
 @dataclass(frozen=True)
 class BaseSystem:
     """A base run's built system, paused at the case's first stall
-    cycle: what a dynamic variant under the same styles resumes from
-    instead of building and re-running its prefix."""
+    cycle: what a dynamic variant under the same lead style resumes
+    from instead of building and re-running its prefix."""
 
     system: System
     shells: dict[str, Shell]
@@ -367,27 +361,27 @@ class BaseSystem:
     checkpoint: Checkpoint
     trace: bool
     activations: Mapping[str, StaticActivation] | None
-    # A lockstep group's rider record (None for a pair or a style).
+    # A lockstep system's rider record (None for a style run alone).
     riders: Riders | None = None
 
 
-#: A case's base systems by the styles each stands for at its
-#: checkpoint: the style, its lockstep reference, then the styles of
-#: the rider pairs still riding there.  It lives only as long as the
-#: case.
-BaseSystems = dict[tuple[str, ...], BaseSystem]
+#: A case's base systems by their lead style; each stands for its lead
+#: and the styles still riding at its checkpoint.  It lives only as
+#: long as the case.
+BaseSystems = dict[str, BaseSystem]
 
 
 def _resumable(
     bases: BaseSystems,
-    key: tuple[str, ...],
+    style: str,
     trace: bool,
     activations: Mapping[str, StaticActivation] | None,
     stalls: Sequence[LinkStall],
 ) -> BaseSystem | None:
-    """The base a run of ``key`` resumes from: built alike, traced if
-    this run traces, and paused no later than the plan's first stall."""
-    base = bases.get(key)
+    """The base a run led by ``style`` resumes from: built alike,
+    traced if this run traces, and paused no later than the plan's
+    first stall."""
+    base = bases.get(style)
     if (
         base is None
         or base.activations != activations
@@ -407,61 +401,54 @@ def _simulate(
     trace: bool,
     activations: Mapping[str, StaticActivation] | None,
     stalls: Sequence[LinkStall],
-    reference: str | None = None,
-    riders: Sequence[tuple[str, str]] = (),
+    riders: Sequence[str] = (),
     checkpoint_at: int | None = None,
     bases: BaseSystems | None = None,
 ) -> tuple[StyleRun, tuple[str, ...]]:
-    """Build and simulate one system under ``stalls`` and harvest its
-    run, with the styles of the rider pairs that rode to its end;
-    exceptions propagate.  With a ``reference`` style the system runs
-    both styles in lockstep, with ``riders`` riding along
-    (:func:`build_system`), and its spans carry the reference and the
-    riders' styles as attributes.
+    """Build and simulate one system led by ``style`` under ``stalls``
+    and harvest its run, with the styles that rode to its end;
+    exceptions propagate.  With ``riders`` the system runs them in
+    lockstep with ``style`` (:func:`build_system`), and its spans carry
+    the styles riding at their start as a ``riders`` attribute.
 
     With ``checkpoint_at`` the run pauses there for a checkpoint, and
-    the system goes into ``bases`` unless the run raises, keyed by the
-    riders still riding at the checkpoint.  Without it, ``bases`` holds
-    the systems this run may resume from (see :func:`run_styles`): the
-    group's own, else one of its primary pair, whose riders had
-    detached."""
-    primary = (style,) if reference is None else (style, reference)
-    rode = tuple(s for pair in riders for s in pair)
+    the system goes into ``bases`` under ``style`` unless the run
+    raises.  Without it, ``bases`` holds the systems this run may
+    resume from (see :func:`run_styles`); a resumed run carries the
+    styles its base's run carried at the checkpoint, whatever
+    ``riders`` asks for."""
     detach = Riders(riders) if riders else None
     resume = None
     if bases is not None and checkpoint_at is None:
-        for key in (primary + rode, primary) if rode else (primary,):
-            base = _resumable(bases, key, trace, activations, stalls)
-            if base is not None:
-                break
+        base = _resumable(bases, style, trace, activations, stalls)
         if base is None:
             telemetry.count("perturb.fresh_variant_runs")
         else:
             system, shells, sinks = base.system, base.shells, base.sinks
-            detach, rode = base.riders, key[len(primary):]
-            resume = base.checkpoint
+            detach, resume = base.riders, base.checkpoint
             telemetry.count("perturb.resumed_runs")
             telemetry.count(
                 "perturb.resumed_cycles", resume.cycle - resume.start
             )
-    fields: dict[str, Any] = {"style": style}
-    if reference is not None:
-        fields["reference"] = reference
-    if rode:
-        fields["riders"] = rode
     if resume is None:
-        with telemetry.span("build", **fields):
+        with telemetry.span("build", style=style, **(
+            {"riders": tuple(riders)} if riders else {}
+        )):
             system, shells, sinks = build_system(
                 topology, style, trace=trace, engine=engine,
-                activations=activations, reference=reference,
-                riders=detach,
+                activations=activations, riders=detach,
             )
             simulation = Simulation(system, stalls)
     else:
         simulation = Simulation(system, stalls)
-    if rode and (resume is not None or detach.riding):
-        lockstep._STATS["grouped"] += 1
-    with telemetry.span("simulate", **fields):
+    # The first cycle this run simulates, and who rides into it.
+    start = 0 if resume is None else resume.cycle
+    riding = () if detach is None else detach.riding_at(start)
+    if len(riding) > 1:
+        lockstep.count("grouped")
+    with telemetry.span("simulate", style=style, **(
+        {"riders": riding} if riding else {}
+    )):
         result = simulation.run(
             cycles,
             deadlock_window=deadlock_window,
@@ -470,19 +457,14 @@ def _simulate(
         )
     if detach is not None:
         # A resumed run counts only what detached after its checkpoint.
-        start = -1 if resume is None else resume.cycle
         for at in detach.detached:
-            if at is not None and at >= start:
+            if at is not None and at >= (-1 if resume is None else start):
                 lockstep.count_detach(at)
     if checkpoint_at is not None and result.checkpoint is not None:
-        key = primary
-        if detach is not None:
-            key += detach.riding_at(result.checkpoint.cycle)
-        bases[key] = BaseSystem(
+        bases[style] = BaseSystem(
             system, shells, sinks, result.checkpoint, trace, activations,
             detach,
         )
-    carried = () if detach is None else detach.riding_at()
     run = StyleRun(
         streams={
             name: list(sink.received) for name, sink in sinks.items()
@@ -501,7 +483,7 @@ def _simulate(
         relay_peak=relay_peak_occupancy(system),
         deadlocked=result.deadlocked,
     )
-    return run, carried
+    return run, () if detach is None else detach.riding_at()
 
 
 def simulate_topology(
@@ -577,17 +559,15 @@ def run_styles(
     """One :class:`StyleRun` per style, keyed in ``styles`` order — the
     registry fold the oracle pipeline consumes.
 
-    The cycle-exact pairs run in lockstep groups
-    (:func:`repro.verify.lockstep.lockstep_groups`): one system per
-    group, its first pair the primary and the rest riders, and every
-    style of a pair that stayed on gets that run.  If the primary pair
-    disagrees on any decision or anything raises, the run is discarded
-    and the primary's styles are simulated separately through
-    :func:`simulate_topology`, which also runs every unpaired style.
-    A rider pair that detached (or every rider of a discarded run)
-    then runs as a group of its own, with the same fallback; so every
-    divergence and error text is a separate run's.  Groups and single
-    styles run in the order their first style appears.
+    Styles run in their lockstep groups
+    (:func:`repro.verify.lockstep.lockstep_groups`), in the order their
+    first style appears: one system per group, led by its first style,
+    and the lead and every style that rode to the end get that run.
+    The styles that detached regroup the same way and run again; if
+    the run raises, the lead runs alone (through
+    :func:`simulate_topology`, like a style in no pair) and all the
+    others regroup.  So every divergence and error text is a separate
+    run's.
 
     Styles that need a planned static activation (the registry's
     ``needs_activation`` flag) trigger one per-topology planning pass,
@@ -596,28 +576,22 @@ def run_styles(
     names become error records too (a finding for the oracles, never
     a crash).
 
-    The per-case base-system cache ``bases`` (keyed by the styles a
-    system stands for at its checkpoint: the style, its lockstep
-    reference and the riders still riding there) works two ways.
-    With ``checkpoint_at``, every run pauses at that cycle for a
-    checkpoint, and each system whose run did not raise is kept in
-    ``bases``: a group whose riders detached before the checkpoint
-    under its primary pair alone.  Without it, a run whose styles are
-    in ``bases`` (a group's, else its primary pair's) restores that
-    checkpoint and simulates only the remaining cycles under
-    ``stalls`` instead of building a system; that is exact when the
+    The per-case base-system cache ``bases`` (keyed by lead style,
+    each base standing for the styles riding at its checkpoint) works
+    two ways.  With ``checkpoint_at``, every run pauses at that cycle
+    for a checkpoint, and each system whose run did not raise is kept
+    in ``bases``.  Without it, a run whose lead has a base there
+    restores that checkpoint and simulates only the remaining cycles
+    under ``stalls`` instead of building a system; the styles that
+    did not ride at the checkpoint regroup.  That is exact when the
     topology is the cached one (up to its name) and ``stalls`` forces
     nothing before the checkpoint, which it checks.
     """
-    group_of: dict[str, tuple[tuple[str, str], ...]] = {}
-    for group in lockstep_groups(styles):
-        for pair in group:
-            group_of.update(dict.fromkeys(pair, group))
     runs: dict[str, StyleRun] = {}
     activations: dict[str, StaticActivation] | None = None
     planning_error: str | None = None
 
-    def separately(style: str) -> StyleRun:
+    def separately(style: str, bases: BaseSystems | None) -> StyleRun:
         return simulate_topology(
             topology,
             style,
@@ -631,35 +605,33 @@ def run_styles(
             bases=bases,
         )
 
-    def lockstepped(
-        group: tuple[tuple[str, str], ...]
-    ) -> dict[str, StyleRun]:
-        (checked, reference), riders = group[0], group[1:]
-        lockstep._STATS["runs"] += 1
+    def simulate_group(group: tuple[str, ...]) -> None:
+        lead, riders = group[0], group[1:]
+        if not riders:
+            runs[lead] = separately(lead, bases)
+            return
+        lockstep.count("runs")
         try:
             run, carried = _simulate(
-                topology, checked, cycles, deadlock_window, engine, trace,
-                activations, stalls, reference=reference, riders=riders,
-                checkpoint_at=checkpoint_at, bases=bases,
+                topology, lead, cycles, deadlock_window, engine, trace,
+                activations, stalls, riders, checkpoint_at, bases,
             )
         except Exception:
-            lockstep._STATS["fallbacks"] += 1
-            found = {style: separately(style) for style in group[0]}
-            carried = ()
-        else:
-            found = dict.fromkeys((checked, reference, *carried), run)
-        for pair in riders:
-            if pair[0] not in carried:
-                found.update(lockstepped((pair,)))
-        return found
+            lockstep.count("fallbacks")
+            # A variant's lead alone builds fresh: the base it may have
+            # resumed from carries the riders again.
+            resuming = bases is not None and checkpoint_at is None
+            run, carried = separately(lead, {} if resuming else bases), ()
+        runs[lead] = run
+        runs.update((style, run) for style in carried if style in riders)
+        for regrouped in lockstep_groups(
+            [style for style in riders if style not in runs]
+        ):
+            simulate_group(regrouped)
 
-    for style in styles:
-        if style in runs:
-            continue
-        group = group_of.get(style)
-        members = [s for pair in group for s in pair] if group else [style]
+    for group in lockstep_groups(styles):
         try:
-            needs_activation = get_style(style).needs_activation
+            needs_activation = get_style(group[0]).needs_activation
         except ValueError:
             needs_activation = False  # simulate_topology records it
         if needs_activation and activations is None:
@@ -677,17 +649,29 @@ def run_styles(
             if planning_error is not None:
                 # Planning is per-topology, not per-style: don't retry
                 # it for the second shift-register style.
-                for member in members:
-                    runs[member] = StyleRun(
+                for style in group:
+                    runs[style] = StyleRun(
                         streams={}, traces={}, periods={}, executed=0,
                         error=planning_error,
                     )
                 continue
-        if group is None:
-            runs[style] = separately(style)
-        else:
-            runs.update(lockstepped(group))
+        simulate_group(group)
     return {style: runs[style] for style in styles}
+
+
+def first_clean_style(
+    styles: Sequence[str], runs: Mapping[str, StyleRun]
+) -> str | None:
+    """The first of ``styles`` whose run in ``runs`` did not raise: the
+    style the stream checks compare the others with."""
+    return next(
+        (
+            style
+            for style in styles
+            if style in runs and runs[style].error is None
+        ),
+        None,
+    )
 
 
 def run_case(case: VerifyCase) -> CaseOutcome:
@@ -695,9 +679,10 @@ def run_case(case: VerifyCase) -> CaseOutcome:
     over the results.
 
     Styles run through :func:`run_styles`: the cycle-exact pairs run
-    as lockstep groups, ``rtl-fsm``/``fsm`` riding on ``rtl-sp``/``sp``
-    unless it detaches, so the regular style set simulates three
-    systems per case (four when the riders detach), not seven.  The
+    as lockstep groups, ``sp``, ``rtl-fsm`` and ``fsm`` riding on
+    ``rtl-sp`` unless they detach, so the regular style set simulates
+    three systems per case (four when the FSM pair detaches and
+    regroups), not seven.  The
     shift-register styles derive their static activation plan from
     the FSM reference run, rerunning it only when ``fsm`` is absent or
     ordered after them.
@@ -736,9 +721,7 @@ def run_case(case: VerifyCase) -> CaseOutcome:
         )
         for style, run in runs.items():
             outcome.cycles_executed[style] = run.executed
-        reference = next(
-            (s for s in case.styles if runs[s].error is None), None
-        )
+        reference = first_clean_style(case.styles, runs)
         if reference is not None:
             outcome.sink_tokens = sum(
                 len(stream)

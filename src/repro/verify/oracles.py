@@ -44,6 +44,7 @@ from .cases import (
     Divergence,
     StyleRun,
     VerifyCase,
+    first_clean_style,
     topology_marked_graph,
 )
 from .styles import cycle_exact_pairs
@@ -88,10 +89,12 @@ def check_stream_prefixes(
     outcome: CaseOutcome,
 ) -> None:
     """Every non-error run's sink streams against the reference
-    style's, on the common prefix."""
+    style's, on the common prefix.  A style whose run is the reference
+    run itself (one lockstep system stood for both) is not compared:
+    that would count a run checked against itself."""
     ref = runs[reference]
     for style, run in runs.items():
-        if style == reference or run.error is not None:
+        if run is ref or run.error is not None:
             continue
         compare_stream_prefixes(
             "streams", reference, style, ref.streams, run.streams,
@@ -259,20 +262,6 @@ class Oracle:
         return f"{type(self).__name__}()"
 
 
-def _reference_of(
-    case: VerifyCase, runs: Mapping[str, StyleRun]
-) -> str | None:
-    """The first style in case order that ran cleanly."""
-    return next(
-        (
-            style
-            for style in case.styles
-            if style in runs and runs[style].error is None
-        ),
-        None,
-    )
-
-
 class ExceptionOracle(Oracle):
     """Every style that crashed (its run carries an ``error``) is a
     divergence — a crash in any wrapper style is a finding, never a
@@ -297,7 +286,7 @@ class StreamPrefixOracle(Oracle):
     name = "streams"
 
     def check(self, case, runs, outcome) -> None:
-        reference = _reference_of(case, runs)
+        reference = first_clean_style(case.styles, runs)
         if reference is None:
             return
         check_stream_prefixes(runs, reference, outcome)

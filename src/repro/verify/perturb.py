@@ -195,14 +195,17 @@ def _check_variant_progress(
     storage on a system that already runs out of buffering can
     legitimately deadlock before the first token, so the guard is
     skipped (and counted as ``perturb.vacuity_skips``) and the variant
-    goes on to the remaining checks."""
-    moved = sum(len(stream) for stream in run.streams.values())
-    if base_tokens == 0 or moved > 0:
+    goes on to the remaining checks.  Every guard applied counts as a
+    check."""
+    if base_tokens == 0:
         return True
-    if base_deadlocked and lowers:
+    moved = sum(len(stream) for stream in run.streams.values())
+    if not moved and base_deadlocked and lowers:
         telemetry.count("perturb.vacuity_skips")
         return True
     outcome.checks += 1
+    if moved:
+        return True
     outcome.divergences.append(
         Divergence(
             "perturb-streams",

@@ -22,10 +22,10 @@ relay worker-side records over its result pipes):
 * ``span``  — ``{kind, name, t, dur_s, ...fields}``: a timed region
   (``generate``/``build``/``simulate``/``oracle``/``case``/
   ``shrink``); ``build`` and ``simulate`` spans carry a ``style``
-  field (a lockstep pair's spans carry the checked style plus a
-  ``reference`` field, and a lockstep group's the styles of its rider
-  pairs as a ``riders`` field), ``case`` and ``shrink`` spans a
-  ``case`` index;
+  field (a lockstep system's spans carry its lead style, plus its
+  riding styles as a ``riders`` field: those it was built with, and
+  those riding when its simulation starts), ``case`` and ``shrink``
+  spans a ``case`` index;
 * ``count`` — ``{kind, name, t, n}``: a monotonic counter increment
   (``supervise.*``, ``fault.*``, ``corpus.*``, ``rtl.*``,
   ``fabric.*``, ``lockstep.*``, ``shrink.*``);
@@ -358,16 +358,16 @@ def _render_fabric(counters: Mapping[str, float]) -> str:
 
 def _render_lockstep(counters: Mapping[str, float]) -> str:
     """The lockstep summary line: lockstep systems simulated, how many
-    of those runs were discarded for separate runs, how many carried
-    rider pairs, and the rider pairs detached, by the cycle they
-    detached at (the first three cycles)."""
+    of those runs raised (their lead then ran alone), how many carried
+    more than one cycle-exact pair, and the styles detached, by the
+    cycle they detached at (the first three cycles)."""
     runs = counters.get("lockstep.runs", 0)
     if not runs:
         return ""
     fallbacks = counters.get("lockstep.fallbacks", 0)
     line = (
-        f"  lockstep: {runs:.0f} cycle-exact pair run(s), "
-        f"{fallbacks:.0f} fell back to separate runs"
+        f"  lockstep: {runs:.0f} lockstep system run(s), "
+        f"{fallbacks:.0f} raised and ran their lead alone"
     )
     grouped = counters.get("lockstep.grouped", 0)
     detached = sorted(
@@ -377,8 +377,8 @@ def _render_lockstep(counters: Mapping[str, float]) -> str:
     )
     if grouped or detached:
         line += (
-            f"; {grouped:.0f} system(s) carried rider pairs, "
-            f"{sum(n for _cycle, n in detached):.0f} rider pair(s) "
+            f"; {grouped:.0f} system(s) carried several pairs, "
+            f"{sum(n for _cycle, n in detached):.0f} style(s) "
             "detached"
         )
     if detached:
@@ -574,8 +574,9 @@ def engine_stats() -> dict[str, float]:
     to the reference loop because a stall injector was due) plus
     ``fabric.cache.*``, and
     :func:`repro.verify.lockstep.lockstep_stats` (lockstep systems
-    simulated, lockstep runs discarded for separate runs, systems that
-    carried rider pairs, and rider pairs detached by cycle) as
+    simulated, lockstep runs that raised so their lead ran alone,
+    systems that carried more than one cycle-exact pair, and styles
+    detached by cycle) as
     ``lockstep.runs``/``lockstep.fallbacks``/``lockstep.grouped``/
     ``lockstep.detached.<cycle>``.
     The modules are imported lazily so probes never drag the engines

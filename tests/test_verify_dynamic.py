@@ -470,36 +470,33 @@ def _run_observed(simulation, sinks, shells=None):
     )
 
 
-#: (style, lockstep reference, rider pairs) builds the random-topology
-#: tests cover.
-_GROUP = ("rtl-sp", "sp", (("rtl-fsm", "fsm"),))
+#: (lead style, riding styles) builds the random-topology tests cover.
+_GROUP = ("rtl-sp", ("sp", "rtl-fsm", "fsm"))
 _RESET_BUILDS = (
-    ("fsm", None, ()), ("sp", None, ()), ("combinational", None, ()),
-    ("rtl-fsm", None, ()), ("rtl-fsm", "fsm", ()), ("rtl-sp", "sp", ()),
-    _GROUP,
+    ("fsm", ()), ("sp", ()), ("combinational", ()), ("rtl-fsm", ()),
+    ("rtl-fsm", ("fsm",)), ("rtl-sp", ("sp",)), _GROUP,
 )
 #: The shift-register builds of the regular-topology test.
 _REGULAR_BUILDS = (
-    ("shiftreg", None, ()), ("rtl-shiftreg", None, ()),
-    ("rtl-shiftreg", "shiftreg", ()),
+    ("shiftreg", ()), ("rtl-shiftreg", ()), ("rtl-shiftreg", ("shiftreg",)),
 )
 _ENGINES = ("compiled", "interp")
 
 
-def _build(topology, style, reference, riders, **build):
+def _build(topology, style, riders, **build):
     """``build_system`` with ``riders`` riding along (a fresh
     :class:`Riders` record per build)."""
     return build_system(
-        topology, style, trace=True, reference=reference,
+        topology, style, trace=True,
         riders=Riders(riders) if riders else None, **build,
     )
 
 
-def _restored_rerun(topology, style, reference, riders, engine, **build):
+def _restored_rerun(topology, style, riders, engine, **build):
     """Run a traced build, restore the checkpoint taken before the run
     and rerun; (first run, rerun, a fresh build's run)."""
     system, shells, sinks = _build(
-        topology, style, reference, riders, engine=engine, **build
+        topology, style, riders, engine=engine, **build
     )
     simulation = Simulation(system)
     power_up = simulation.checkpoint()
@@ -508,7 +505,7 @@ def _restored_rerun(topology, style, reference, riders, engine, **build):
     assert all(shell.trace_enable == [] for shell in shells.values())
     rerun = _run_observed(simulation, sinks, shells)
     fresh, fresh_shells, fresh_sinks = _build(
-        topology, style, reference, riders, engine=engine, **build
+        topology, style, riders, engine=engine, **build
     )
     return first, rerun, _run_observed(
         Simulation(fresh), fresh_sinks, fresh_shells
@@ -543,11 +540,13 @@ class TestResetRerun:
                 )
                 assert rerun == first == fresh, (build, engine)
 
-    @pytest.mark.parametrize("seed, detached", [(0, [0]), (1, [None])])
+    @pytest.mark.parametrize(
+        "seed, detached", [(0, [None, 0, 0]), (1, [None] * 3)]
+    )
     def test_restore_reattaches_detached_riders(self, seed, detached):
-        """Topology seed 0's rider pair detaches at cycle 0 (the SP's
-        reset cycle), seed 1's never: a power-up restore puts it back
-        on, so the rerun detaches it again, at the same cycle."""
+        """Topology seed 0's FSM styles detach at cycle 0 (the SP's
+        reset cycle), seed 1's never: a power-up restore puts them back
+        on, so the rerun detaches them again, at the same cycle."""
         topology = random_topology(seed)
         system, shells, sinks = _build(topology, *_GROUP)
         simulation = Simulation(system)
@@ -558,7 +557,8 @@ class TestResetRerun:
         )
         simulation.restore(power_up)
         assert all(
-            shell.detach.detached == [None] for shell in shells.values()
+            shell.detach.detached == [None] * 3
+            for shell in shells.values()
         )
         assert _run_observed(simulation, sinks, shells) == first
 

@@ -1,13 +1,15 @@
-"""Lockstep simulation of cycle-exact style pairs and groups.
+"""Lockstep simulation of cycle-exact styles, grouped.
 
 ``run_styles`` simulates the cycle-exact pairs in lockstep groups, with
-:class:`~repro.verify.lockstep.LockstepShell` shells taking both
-styles' decisions every cycle (and those of the rider pairs riding
-along), and falls back to separate runs when the primary pair
-disagrees or anything raises; a rider pair that disagrees detaches and
-runs as a pair of its own.  Its result must equal simulating every
-style separately through ``simulate_topology``, field by field, and
-keep the order of ``styles``.
+:class:`~repro.verify.lockstep.LockstepShell` shells taking the lead
+style's decisions every cycle and those of the styles riding along.
+One rule: a riding style that decides differently from the lead or
+raises in a decision detaches by itself (before cycle 0 when it walks
+a different script) and regroups with the other detached styles; a
+run that raises runs its lead alone and regroups the rest.  The
+result must equal simulating every style separately through
+``simulate_topology``, field by field, and keep the order of
+``styles``.
 """
 
 from __future__ import annotations
@@ -36,11 +38,9 @@ from repro.verify.cases import (
     simulate_topology,
 )
 from repro.verify.lockstep import (
-    LockstepDivergence,
     LockstepShell,
     Riders,
     lockstep_groups,
-    lockstep_pairs,
     lockstep_stats,
 )
 from repro.verify.regular import plan_topology_activations
@@ -51,9 +51,9 @@ from tests.conftest import hold_one_fire
 CYCLES = 200
 WINDOW = 64
 DYNAMIC_STYLES = ("fsm", "sp", "rtl-sp", "rtl-fsm")
-#: Topologies (random profile) whose rider pair rtl-fsm/fsm detaches
-#: from the primary rtl-sp/sp at cycle 0 (the SP's reset cycle), and
-#: ones it rides to the end.
+#: Topologies (random profile) whose FSM styles rtl-fsm and fsm detach
+#: from the rtl-sp lead at cycle 0 (the SP's reset cycle), and ones
+#: they ride to the end.
 DETACHING_SEEDS = (0, 3)
 RIDING_SEEDS = (2, 4)
 
@@ -61,8 +61,8 @@ RIDING_SEEDS = (2, 4)
 def _separately(
     topology, styles, engine=None, stalls=(), trace=True, activations=None
 ) -> dict[str, StyleRun]:
-    """Every style simulated on its own, the way ``run_styles`` falls
-    back (shift-register styles get the FSM-planned activation)."""
+    """Every style simulated on its own (shift-register styles get the
+    FSM-planned activation)."""
     if activations is None and any(
         style in SHIFTREG_STYLES for style in styles
     ):
@@ -101,15 +101,16 @@ def _moved(before: dict, after: dict) -> dict[str, int]:
 
 
 def _lockstepped(topology, styles, **kwargs) -> dict[str, StyleRun]:
-    """``run_styles`` with every group in lockstep and no fallback: one
-    run per group, plus one per rider pair that detached."""
+    """``run_styles`` with every group in lockstep and no run raising:
+    one run per group with riders, plus at most one per two detached
+    styles (a regrouped pair)."""
     before = lockstep_stats()
     runs = run_styles(topology, styles, CYCLES, WINDOW, **kwargs)
     moved = _moved(before, lockstep_stats())
-    groups = lockstep_groups(styles)
+    groups = [group for group in lockstep_groups(styles) if len(group) > 1]
     assert "fallbacks" not in moved
-    assert moved["runs"] == len(groups) + moved.get("detached", 0)
-    assert moved.get("grouped", 0) <= sum(len(g) > 1 for g in groups)
+    assert 0 <= moved["runs"] - len(groups) <= moved.get("detached", 0) / 2
+    assert moved.get("grouped", 0) <= sum(len(g) > 2 for g in groups)
     return runs
 
 
@@ -160,7 +161,7 @@ class TestParity:
 
     def test_lockstep_shells_take_the_lowered_fabric(self):
         system, shells, _sinks = build_system(
-            random_topology(2), "rtl-sp", reference="sp"
+            random_topology(2), "rtl-sp", riders=Riders(("sp",))
         )
         assert system.name.endswith(":rtl-sp")
         assert all(type(s) is LockstepShell for s in shells.values())
@@ -177,9 +178,10 @@ class TestParity:
         # diverge.
         topology = random_topology(6)
 
-        def observe(style, reference=None):
+        def observe(style, *riders):
             system, shells, sinks = build_system(
-                topology, style, trace=True, reference=reference
+                topology, style, trace=True,
+                riders=Riders(riders) if riders else None,
             )
             simulation = Simulation(system)
             power_up = simulation.checkpoint()
@@ -200,13 +202,13 @@ class TestParity:
         finally:
             telemetry.deactivate()
         spans = [
-            (r["name"], r["style"], r.get("reference"))
+            (r["name"], r["style"], r.get("riders"))
             for r in session.drain()
             if r["kind"] == "span"
         ]
         assert spans == [
-            ("build", "rtl-fsm", "fsm"),
-            ("simulate", "rtl-fsm", "fsm"),
+            ("build", "rtl-fsm", ("fsm",)),
+            ("simulate", "rtl-fsm", ("fsm",)),
             ("build", "sp", None),
             ("simulate", "sp", None),
         ]
@@ -219,24 +221,47 @@ class TestParity:
         finally:
             telemetry.deactivate()
         spans = [
-            (r["name"], r["style"], r.get("reference"), r.get("riders"))
+            (r["name"], r["style"], r.get("riders"))
             for r in session.drain()
             if r["kind"] == "span"
         ]
+        # Styles that detach at cycle 0 still rode into it.
         group = [
-            ("build", "rtl-sp", "sp", ("rtl-fsm", "fsm")),
-            ("simulate", "rtl-sp", "sp", ("rtl-fsm", "fsm")),
+            ("build", "rtl-sp", ("sp", "rtl-fsm", "fsm")),
+            ("simulate", "rtl-sp", ("sp", "rtl-fsm", "fsm")),
         ]
         detached = [
-            ("build", "rtl-fsm", "fsm", None),
-            ("simulate", "rtl-fsm", "fsm", None),
+            ("build", "rtl-fsm", ("fsm",)),
+            ("simulate", "rtl-fsm", ("fsm",)),
         ]
         assert spans == group + (detached if seed in DETACHING_SEEDS else [])
 
 
+def _group_runs(topology, styles=None, **kwargs):
+    """run_styles over ``styles`` (default: the random style set), with
+    the lockstep counters that moved and the cycles styles detached
+    at."""
+    styles = styles_for_traffic("random") if styles is None else styles
+    before = lockstep_stats()
+    runs = run_styles(topology, styles, CYCLES, WINDOW, **kwargs)
+    after = lockstep_stats()
+    cycles = [
+        int(key.rpartition(".")[2])
+        for key, n in after.items()
+        if key.startswith("detached.") and n != before.get(key, 0)
+    ]
+    return runs, _moved(before, after), cycles
+
+
 class TestFallback:
+    """What a disagreement or an exception does: a riding style
+    detaches on its own; a run that raises runs its lead alone."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_rtl_decision_flip(self, monkeypatch, seed):
+        """Every RTL shell of one process holds back a fire: rtl-fsm
+        still agrees with the rtl-sp lead (or, regrouped, leads), and
+        sp and fsm detach on their own, with nothing raising."""
         topology = random_topology(seed)
         # From cycle 20 on: seed 1 deadlocks at cycle 91, its last fire
         # well before cycle 30.
@@ -244,12 +269,13 @@ class TestFallback:
             monkeypatch, RTLShell, topology.processes[0].name, 20
         )
         styles = styles_for_traffic("random")
-        before = lockstep_stats()
-        runs = run_styles(topology, styles, CYCLES, WINDOW)
-        fallbacks = lockstep_stats()["fallbacks"] - before["fallbacks"]
-        assert fallbacks >= 1
+        runs, moved, cycles = _group_runs(topology)
+        assert "fallbacks" not in moved
+        assert max(cycles) >= 20
         separate = _separately(topology, styles)
         _assert_same(runs, separate)
+        assert runs["rtl-sp"] is not runs["sp"]
+        assert runs["rtl-fsm"] is not runs["fsm"]
         # The separate runs show the flip itself: both RTL styles fire
         # one cycle late, and nothing raises.
         for checked, reference in (("rtl-sp", "sp"), ("rtl-fsm", "fsm")):
@@ -258,6 +284,10 @@ class TestFallback:
             assert separate[checked].traces != separate[reference].traces
 
     def test_behavioural_side_exception(self, monkeypatch):
+        """The behavioural rider raises in its decision, and in the
+        same cycle the RTL lead pushes into a full port: the run raises,
+        so the lead runs alone and the rider regroups on its own; each
+        separate run reports its own exception."""
         # Activations planned for the unstalled topology, run under a
         # stall plan: the shift-register shells fire into an irregular
         # stream, and the behavioural one raises.
@@ -271,74 +301,100 @@ class TestFallback:
             max_events=4, max_duration=30,
         )
         styles = ("shiftreg", "rtl-shiftreg")
-        before = lockstep_stats()
-        runs = run_styles(topology, styles, CYCLES, WINDOW, stalls=stalls)
-        assert lockstep_stats()["fallbacks"] == before["fallbacks"] + 1
+        runs, moved, _cycles = _group_runs(
+            topology, styles, stalls=stalls
+        )
+        assert moved == {"runs": 1, "fallbacks": 1}
         _assert_same(
             runs,
             _separately(topology, styles, stalls=stalls, activations=plans),
         )
         assert "static schedule violated" in runs["shiftreg"].error
+        assert "push on full output port" in runs["rtl-shiftreg"].error
 
-    def test_different_scripts_refuse_lockstep(self):
-        topology = random_topology(4)
-        node = topology.processes[0]
-        pearl = MixPearl(node.name, node.schedule)
-        lead, companion = FSMWrapper(pearl), SPWrapper(pearl)
-        first = companion._script[0]
-        companion._script = [
-            dataclasses.replace(first, run=first.run + 1),
-            *companion._script[1:],
-        ]
-        with pytest.raises(LockstepDivergence, match="different scripts"):
-            LockstepShell(lead, companion)
+    @pytest.mark.parametrize("seed", DETACHING_SEEDS + RIDING_SEEDS)
+    def test_lead_exception_runs_the_lead_alone(self, monkeypatch, seed):
+        """The rtl-sp lead raises: its run is discarded, rtl-sp runs
+        alone and reports it, sp runs alone, and the FSM styles regroup
+        as a pair led by rtl-fsm."""
+        topology = random_topology(seed)
+        clean = _group_runs(topology)[0]
+        decide = RTLShell._sync_ready
+
+        def raising(self, cycle, ready):
+            if cycle >= 25 and self.module.name == "sp_wrapper":
+                raise RuntimeError("lead bug")
+            return decide(self, cycle, ready)
+
+        monkeypatch.setattr(RTLShell, "_sync_ready", raising)
+        runs, moved, _cycles = _group_runs(topology)
+        assert moved["fallbacks"] == 1 and moved["runs"] == 2
+        assert runs["rtl-sp"].error == "RuntimeError: lead bug"
+        for style in ("sp", "rtl-fsm", "fsm", "combinational"):
+            assert runs[style] == clean[style]
+        assert runs["rtl-fsm"] is runs["fsm"] is not runs["sp"]
+        _assert_same(
+            runs, _separately(topology, styles_for_traffic("random"))
+        )
+
+    def test_different_scripts_refuse_lockstep(self, monkeypatch):
+        """``sp`` walking another script than its ``rtl-sp`` lead on one
+        process detaches before cycle 0 (counted at cycle 0) and runs
+        alone; the other styles ride on."""
+        topology = random_topology(RIDING_SEEDS[0])
+        victim = topology.processes[0].name
+        build = SPWrapper.__init__
+
+        def rescripted(self, pearl, *args, **kwargs):
+            build(self, pearl, *args, **kwargs)
+            if pearl.name == victim:
+                first = self._script[0]
+                self._script = [
+                    dataclasses.replace(first, run=first.run + 1),
+                    *self._script[1:],
+                ]
+
+        monkeypatch.setattr(SPWrapper, "__init__", rescripted)
+        runs, moved, cycles = _group_runs(topology)
+        assert moved == {"runs": 1, "grouped": 1, "detached": 1}
+        assert cycles == [0]
+        assert runs["rtl-sp"] is runs["rtl-fsm"] is runs["fsm"]
+        assert runs["sp"] is not runs["rtl-sp"]
+        _assert_same(
+            runs, _separately(topology, styles_for_traffic("random"))
+        )
 
     def test_rider_with_a_different_script_detaches_before_cycle_0(self):
         topology = random_topology(4)
         node = topology.processes[0]
         pearl = MixPearl(node.name, node.schedule)
-        rider = FSMWrapper(pearl), FSMWrapper(pearl)
-        first = rider[1]._script[0]
-        rider[1]._script = [
+        riders = FSMWrapper(pearl), SPWrapper(pearl), FSMWrapper(pearl)
+        first = riders[1]._script[0]
+        riders[1]._script = [
             dataclasses.replace(first, run=first.run + 1),
-            *rider[1]._script[1:],
+            *riders[1]._script[1:],
         ]
-        riders = Riders((("fsm", "fsm"),))
-        shell = LockstepShell(
-            FSMWrapper(pearl), FSMWrapper(pearl), [rider], riders
-        )
-        assert shell.detach is riders
-        assert riders.detached == [-1] and riders.riding == ()
-
+        detach = Riders(("fsm", "sp", "fsm"))
+        shell = LockstepShell(FSMWrapper(pearl), riders, detach)
+        assert shell.detach is detach
+        assert detach.detached == [None, -1, None]
+        assert detach.riding == (0, 2)
+        assert detach.riding_at(0) == ("fsm", "fsm")
 
 
 class TestRiders:
-    def _group_runs(self, topology, **kwargs):
-        """run_styles over the random style set, with the lockstep
-        counters that moved and the cycles riders detached at."""
-        styles = styles_for_traffic("random")
-        before = lockstep_stats()
-        runs = run_styles(topology, styles, CYCLES, WINDOW, **kwargs)
-        after = lockstep_stats()
-        cycles = [
-            int(key.rpartition(".")[2])
-            for key, n in after.items()
-            if key.startswith("detached.") and n != before.get(key, 0)
-        ]
-        return runs, _moved(before, after), cycles
-
     @pytest.mark.parametrize("engine", ["compiled", "interp"])
     @pytest.mark.parametrize("seed", DETACHING_SEEDS + RIDING_SEEDS)
     def test_detaching_and_riding_groups(self, seed, engine):
         topology = random_topology(seed)
-        runs, moved, cycles = self._group_runs(topology, engine=engine)
+        runs, moved, cycles = _group_runs(topology, engine=engine)
         _assert_same(
             runs,
             _separately(topology, styles_for_traffic("random"), engine),
         )
         if seed in DETACHING_SEEDS:
             assert cycles == [0]
-            assert moved == {"runs": 2, "grouped": 1, "detached": 1}
+            assert moved == {"runs": 2, "grouped": 1, "detached": 2}
             assert runs["rtl-fsm"] is runs["fsm"] is not runs["sp"]
         else:
             assert moved == {"runs": 1, "grouped": 1}
@@ -348,20 +404,20 @@ class TestRiders:
     @pytest.mark.parametrize("seed", RIDING_SEEDS)
     def test_flip_in_a_rider_pair(self, monkeypatch, seed):
         """Both FSM styles of one process hold back a fire at cycle 30
-        (the two agree, so their pair is sound): the rider pair detaches
-        from the SP lead, the primary pair's runs are unchanged, the
-        rider pair's own lockstep run shows the late fire, and nothing
-        falls back."""
+        (the two agree, so their pair is sound): both detach from the
+        SP lead, the SP styles' runs are unchanged, the regrouped FSM
+        pair's own lockstep run shows the late fire, and nothing
+        raises."""
         topology = random_topology(seed)
-        clean = self._group_runs(topology)[0]
+        clean = _group_runs(topology)[0]
         victim = topology.processes[0].name
         hold_one_fire(monkeypatch, FSMWrapper, victim, 30)
         hold_one_fire(
             monkeypatch, RTLShell, victim, 30,
             only=lambda shell: shell.module.name == "fsm_wrapper",
         )
-        runs, moved, cycles = self._group_runs(topology)
-        assert moved == {"runs": 2, "grouped": 1, "detached": 1}
+        runs, moved, cycles = _group_runs(topology)
+        assert moved == {"runs": 2, "grouped": 1, "detached": 2}
         assert cycles[0] >= 30
         for style in ("sp", "rtl-sp", "combinational"):
             assert runs[style] == clean[style]
@@ -374,32 +430,53 @@ class TestRiders:
 
     @pytest.mark.parametrize("seed", RIDING_SEEDS)
     def test_flip_in_one_rider_decision(self, monkeypatch, seed):
-        """Only ``fsm`` holds back a fire: the rider pair detaches, the
-        primary pair's runs are unchanged, and the rider pair's own
-        lockstep run falls back to separate runs, which report the
+        """Only ``fsm`` holds back a fire: ``fsm`` detaches alone, the
+        other styles ride on unchanged, and its own run reports the
         trace difference with no exception."""
         topology = random_topology(seed)
-        clean = self._group_runs(topology)[0]
+        clean = _group_runs(topology)[0]
         hold_one_fire(
             monkeypatch, FSMWrapper, topology.processes[0].name, 30
         )
-        runs, moved, cycles = self._group_runs(topology)
-        assert moved == {
-            "runs": 2, "grouped": 1, "detached": 1, "fallbacks": 1,
-        }
+        runs, moved, cycles = _group_runs(topology)
+        assert moved == {"runs": 1, "grouped": 1, "detached": 1}
+        assert cycles[0] >= 30
         for style in ("sp", "rtl-sp", "rtl-fsm", "combinational"):
             assert runs[style] == clean[style]
+        assert runs["rtl-fsm"] is runs["rtl-sp"] is not runs["fsm"]
         assert runs["fsm"].error is None
         assert runs["fsm"].traces != runs["rtl-fsm"].traces
         _assert_same(
             runs, _separately(topology, styles_for_traffic("random"))
         )
 
+    @pytest.mark.parametrize("seed", DETACHING_SEEDS + RIDING_SEEDS)
+    def test_held_fire_in_the_lead_s_reference(self, monkeypatch, seed):
+        """``sp``, the reference of the ``rtl-sp`` lead, holds back a
+        fire: ``sp`` detaches alone, no run raises, and its own run
+        shows the trace difference with no exception."""
+        topology = random_topology(seed)
+        clean = _group_runs(topology)[0]
+        hold_one_fire(
+            monkeypatch, SPWrapper, topology.processes[0].name, 20
+        )
+        runs, moved, cycles = _group_runs(topology)
+        assert "fallbacks" not in moved
+        assert max(cycles) >= 20
+        assert moved["detached"] == (3 if seed in DETACHING_SEEDS else 1)
+        for style in ("rtl-sp", "rtl-fsm", "fsm", "combinational"):
+            assert runs[style] == clean[style]
+        assert runs["sp"].error is None
+        assert runs["sp"].traces != runs["rtl-sp"].traces
+        _assert_same(
+            runs, _separately(topology, styles_for_traffic("random"))
+        )
+
     def test_rider_exception_detaches(self, monkeypatch):
-        """A rider decision that raises detaches its pair; the pair's
-        own runs then report the exception."""
+        """A riding decision that raises detaches that style alone; its
+        own run then reports the exception."""
         topology = random_topology(RIDING_SEEDS[0])
-        clean = self._group_runs(topology)[0]
+        clean = _group_runs(topology)[0]
         decide = FSMWrapper._sync_ready
 
         def raising(self, cycle, ready):
@@ -408,12 +485,15 @@ class TestRiders:
             return decide(self, cycle, ready)
 
         monkeypatch.setattr(FSMWrapper, "_sync_ready", raising)
-        runs, moved, cycles = self._group_runs(topology)
-        assert moved == {
-            "runs": 2, "grouped": 1, "detached": 1, "fallbacks": 1,
-        }
-        assert runs["sp"] == clean["sp"]
+        runs, moved, cycles = _group_runs(topology)
+        assert moved == {"runs": 1, "grouped": 1, "detached": 1}
+        assert cycles == [40]
+        for style in ("sp", "rtl-sp", "rtl-fsm", "combinational"):
+            assert runs[style] == clean[style]
         assert runs["fsm"].error == "RuntimeError: rider bug"
+        _assert_same(
+            runs, _separately(topology, styles_for_traffic("random"))
+        )
 
 
 class TestOrder:
@@ -432,24 +512,33 @@ class TestOrder:
         _assert_same(runs, _separately(topology, styles))
 
     def test_pairs(self):
-        assert lockstep_pairs(styles_for_traffic("regular")) == (
-            ("rtl-sp", "sp"),
+        # Each cycle-exact pair joins its group checked style first; a
+        # style in no pair is a group of its own.
+        assert lockstep_groups(("rtl-fsm", "fsm", "combinational")) == (
             ("rtl-fsm", "fsm"),
-            ("rtl-shiftreg", "shiftreg"),
+            ("combinational",),
         )
         # shiftreg needs a planned activation and fsm does not.
-        assert lockstep_pairs(("fsm", "shiftreg")) == ()
-        assert lockstep_pairs(("rtl-fsm", "no-such-style")) == ()
+        assert lockstep_groups(("fsm", "shiftreg")) == (
+            ("fsm",), ("shiftreg",),
+        )
+        assert lockstep_groups(("rtl-fsm", "no-such-style")) == (
+            ("rtl-fsm",), ("no-such-style",),
+        )
+        # The styles left over after a detach regroup the same way.
+        assert lockstep_groups(("sp", "rtl-fsm", "fsm")) == (
+            ("sp",), ("rtl-fsm", "fsm"),
+        )
 
     def test_groups(self):
         assert lockstep_groups(styles_for_traffic("regular")) == (
-            (("rtl-sp", "sp"), ("rtl-fsm", "fsm")),
-            (("rtl-shiftreg", "shiftreg"),),
+            ("rtl-sp", "sp", "rtl-fsm", "fsm"),
+            ("combinational",),
+            ("rtl-shiftreg", "shiftreg"),
         )
-        # The first pair in styles order is the primary.
+        # The first pair in styles order leads, in order of first
+        # appearance of any member.
         assert lockstep_groups(("rtl-fsm", "sp", "fsm", "rtl-sp")) == (
-            (("rtl-fsm", "fsm"), ("rtl-sp", "sp")),
+            ("rtl-fsm", "fsm", "rtl-sp", "sp"),
         )
-        assert lockstep_groups(("fsm", "rtl-fsm")) == (
-            (("rtl-fsm", "fsm"),),
-        )
+        assert lockstep_groups(("fsm", "rtl-fsm")) == (("rtl-fsm", "fsm"),)

@@ -47,17 +47,16 @@ CYCLES = 300
 WINDOW = 64
 #: The perturb-dynamic benchmark workload's styles.
 STYLES = ("fsm", "sp", "rtl-sp", "rtl-fsm")
-#: Every single style and lockstep pair those styles build.
-#: Every single style, lockstep pair and lockstep group (style,
-#: reference, rider pairs) those styles build.
+#: Every single style, lockstep pair and lockstep group (lead style,
+#: riding styles) those styles build.
 BUILDS = (
-    ("fsm", None, ()), ("sp", None, ()), ("rtl-sp", None, ()),
-    ("rtl-fsm", None, ()), ("rtl-sp", "sp", ()), ("rtl-fsm", "fsm", ()),
-    ("rtl-sp", "sp", (("rtl-fsm", "fsm"),)),
+    ("fsm", ()), ("sp", ()), ("rtl-sp", ()), ("rtl-fsm", ()),
+    ("rtl-sp", ("sp",)), ("rtl-fsm", ("fsm",)),
+    ("rtl-sp", ("sp", "rtl-fsm", "fsm")),
 )
-#: Those styles' lockstep group as a base-system key: the primary
-#: pair, then its rider.
-GROUP = ("rtl-sp", "sp", "rtl-fsm", "fsm")
+#: The base-system keys of those styles: the group's lead, and the
+#: regrouped FSM pair's when its styles detached before the checkpoint.
+GROUP_BASES = ({"rtl-sp"}, {"rtl-sp", "rtl-fsm"})
 
 
 def _small(seed):
@@ -129,23 +128,23 @@ def _observe(system, shells, sinks, result):
     )
 
 
-def _build(topology, style, reference, riders, engine):
+def _build(topology, style, riders, engine):
     return build_system(
-        topology, style, trace=True, engine=engine, reference=reference,
+        topology, style, trace=True, engine=engine,
         riders=Riders(riders) if riders else None,
     )
 
 
-def _fresh(topology, style, reference, riders, engine, plan):
-    built = _build(topology, style, reference, riders, engine)
+def _fresh(topology, style, riders, engine, plan):
+    built = _build(topology, style, riders, engine)
     result = Simulation(built[0], plan).run(CYCLES, WINDOW)
     return _observe(*built, result)
 
 
-def _base(topology, style, reference, riders, engine, pause):
+def _base(topology, style, riders, engine, pause):
     """A built base system and the checkpoint its run took at
     ``pause``."""
-    built = _build(topology, style, reference, riders, engine)
+    built = _build(topology, style, riders, engine)
     result = Simulation(built[0]).run(CYCLES, WINDOW, checkpoint_at=pause)
     assert result.checkpoint is not None
     return built, result.checkpoint
@@ -195,8 +194,8 @@ class TestResumeParity:
 
     @pytest.mark.parametrize("seed, riding", [(0, False), (4, True)])
     def test_group_and_detached_bases(self, seed, riding):
-        """Topology ``small`` seed 0's rider pair detaches at cycle 0,
-        before the checkpoint (a detached base); seed 4's still rides
+        """Topology ``small`` seed 0's FSM styles detach at cycle 0,
+        before the checkpoint (a detached base); seed 4's still ride
         there (a group base).  Either resumes exactly, under both RTL
         engines, with its riders where the checkpoint left them."""
         topology = _small(seed)
@@ -207,7 +206,9 @@ class TestResumeParity:
             built, checkpoint = _base(topology, *group, engine, first)
             resumed = _resumed(built, checkpoint, plan)
             assert resumed == _fresh(topology, *group, engine, plan)
-            assert resumed[-1][0] == ([None] if riding else [0])
+            assert resumed[-1][0] == (
+                [None] * 3 if riding else [None, 0, 0]
+            )
 
     def test_first_stall_at_cycle_zero(self):
         topology = _small(2)
@@ -237,10 +238,10 @@ class TestResumeParity:
         stalling later stops there too."""
         topology = _small(1)
         plan = (LinkStall(topology_link_names(topology)[0], 150, 4),)
-        built, checkpoint = _base(topology, "fsm", None, (), None, 150)
+        built, checkpoint = _base(topology, "fsm", (), None, 150)
         assert checkpoint.stopped and checkpoint.cycle == 91
         resumed = _resumed(built, checkpoint, plan)
-        assert resumed == _fresh(topology, "fsm", None, (), None, plan)
+        assert resumed == _fresh(topology, "fsm", (), None, plan)
         assert resumed[0].deadlocked and resumed[0].cycles == 91
 
     def test_restore_after_reset_and_between_runs(self):
@@ -251,7 +252,7 @@ class TestResumeParity:
         plan = _plan(topology, 5)
         first = min(stall.start for stall in plan)
         system, shells, sinks = build_system(
-            topology, "rtl-fsm", trace=True, reference="fsm"
+            topology, "rtl-fsm", trace=True, riders=Riders(("fsm",))
         )
         simulation = Simulation(system)
         power_up = simulation.checkpoint()
@@ -260,7 +261,7 @@ class TestResumeParity:
         simulation.restore(power_up)
         simulation.run(37)
         assert _resumed(built, checkpoint, plan) == _fresh(
-            topology, "rtl-fsm", "fsm", (), None, plan
+            topology, "rtl-fsm", ("fsm",), None, plan
         )
         simulation.restore(power_up)
         simulation.run(50)
@@ -275,14 +276,14 @@ class TestResumeContract:
     def test_plan_stalling_before_the_checkpoint_is_rejected(self):
         topology = _small(0)
         link = topology_link_names(topology)[0]
-        built, checkpoint = _base(topology, "fsm", None, (), None, 100)
+        built, checkpoint = _base(topology, "fsm", (), None, 100)
         simulation = Simulation(built[0], (LinkStall(link, 99, 2),))
         with pytest.raises(ValueError, match="stall plan differs"):
             simulation.run(CYCLES, WINDOW, resume=checkpoint)
 
     def test_checkpoint_of_another_system_is_rejected(self):
         topology = _small(0)
-        _built, checkpoint = _base(topology, "fsm", None, (), None, 100)
+        _built, checkpoint = _base(topology, "fsm", (), None, 100)
         other, _shells, _sinks = build_system(topology, "fsm")
         with pytest.raises(ValueError, match="another system"):
             Simulation(other).restore(checkpoint)
@@ -346,9 +347,10 @@ class TestRunStylesResume:
         assert base_runs == run_styles(
             topology, STYLES, CYCLES, WINDOW, engine=engine
         )
-        # A group base, or (riders detached before the checkpoint) a
-        # detached base under the primary pair beside the rider pair's.
-        assert set(bases) in ({GROUP}, {GROUP[:2], GROUP[2:]})
+        # A group base, or (the FSM styles detached before the
+        # checkpoint) a base for the rest of the group beside the
+        # regrouped FSM pair's.
+        assert set(bases) in GROUP_BASES
         variant = replace(topology, name=topology.name + "~dynamic0")
         for plan in plans:
             resumed = run_styles(
@@ -360,28 +362,61 @@ class TestRunStylesResume:
                 stalls=plan,
             )
 
-    def test_lockstep_pair_falling_back_after_the_checkpoint(
+    def test_riders_detaching_after_the_checkpoint(self, monkeypatch):
+        """A resumed lockstep run whose riders disagree after the
+        checkpoint detaches them, exactly as a fresh one does; the base
+        system then serves the next variant again.  Seed 4's FSM
+        styles ride to the end: a group base."""
+        _detach_after_the_checkpoint(monkeypatch, 4)
+
+    def test_detached_base_riders_detaching_after_the_checkpoint(
         self, monkeypatch
     ):
-        """A resumed lockstep run that diverges after the checkpoint
-        falls back to separate runs, exactly as a fresh one does; the
-        base system then serves the next variant again.  Seed 4's
-        riders ride to the end: a group base."""
-        _fall_back_after_the_checkpoint(monkeypatch, 4)
+        """The same from a detached base: seed 0's FSM styles detach at
+        cycle 0, so the group's base and the regrouped FSM pair's base
+        each lose a rider."""
+        _detach_after_the_checkpoint(monkeypatch, 0)
 
-    def test_detached_base_falling_back_after_the_checkpoint(
-        self, monkeypatch
-    ):
-        """The same from a detached base: seed 0's riders detach at
-        cycle 0, so the primary pair's base and the rider pair's own
-        base each fall back."""
-        _fall_back_after_the_checkpoint(monkeypatch, 0)
+    @pytest.mark.parametrize("seed", (0, 4))
+    def test_lead_raising_after_the_checkpoint(self, monkeypatch, seed):
+        """A resumed run whose lead raises after the checkpoint runs
+        the lead alone, built fresh, and regroups the rest, exactly as
+        a fresh variant does; the base serves the next variant
+        again."""
+        topology, plans, bases, variant_runs = _variant_setup(seed)
+        first = min(stall.start for plan in plans for stall in plan)
+        victim = topology.processes[0].name
+        decide = RTLShell._sync_ready
+
+        def raising(self, cycle, ready):
+            if (
+                self.name == victim
+                and cycle > first + 5
+                and self.module.name == "sp_wrapper"
+            ):
+                raise RuntimeError("lead bug")
+            return decide(self, cycle, ready)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RTLShell, "_sync_ready", raising)
+            resumed = variant_runs(plans[0], bases=bases)
+            fresh = variant_runs(plans[0])
+        assert resumed[0] == fresh[0]
+        assert resumed[0]["rtl-sp"].error == "RuntimeError: lead bug"
+        assert all(
+            resumed[0][style].error is None for style in STYLES[:2] + STYLES[3:]
+        )
+        assert resumed[1]["fallbacks"] == 1
+        assert set(bases) in GROUP_BASES and "rtl-sp" in bases
+        again = variant_runs(plans[1], bases=bases)
+        assert again[0] == variant_runs(plans[1])[0]
 
 
-def _fall_back_after_the_checkpoint(monkeypatch, seed):
-    """Resume the variants of topology ``small`` ``seed`` with one
-    process's RTL fires held back after the checkpoint, and compare
-    with fresh builds."""
+def _variant_setup(seed):
+    """Topology ``small`` ``seed``, two stall plans, the base systems
+    its ``STYLES`` runs kept at their earliest first stall, and a
+    function running a dynamic variant under a plan: (runs, the
+    lockstep counters that moved)."""
     topology = _small(seed)
     plans = [_plan(topology, k) for k in (40, 41)]
     first = min(stall.start for plan in plans for stall in plan)
@@ -390,9 +425,7 @@ def _fall_back_after_the_checkpoint(monkeypatch, seed):
         topology, STYLES, CYCLES, WINDOW,
         checkpoint_at=first, bases=bases,
     )
-    assert set(bases) == (
-        {GROUP[:2], GROUP[2:]} if seed == 0 else {GROUP}
-    )
+    assert set(bases) == GROUP_BASES[seed == 0]
     variant = replace(topology, name=topology.name + "~dynamic0")
 
     def variant_runs(plan, **kwargs):
@@ -407,21 +440,33 @@ def _fall_back_after_the_checkpoint(monkeypatch, seed):
             if after[k] != before.get(k, 0)
         }
 
+    return topology, plans, bases, variant_runs
+
+
+def _detach_after_the_checkpoint(monkeypatch, seed):
+    """Resume the variants of topology ``small`` ``seed`` with one
+    process's RTL fires held back after the checkpoint, and compare
+    with fresh builds."""
+    topology, plans, bases, variant_runs = _variant_setup(seed)
+    first = min(stall.start for plan in plans for stall in plan)
     with monkeypatch.context() as patch:
         # Every RTL shell of one process holds back one fire after
-        # the checkpoint, so both RTL styles disagree with their
-        # references: the group falls back, then the rider pair.
+        # the checkpoint: rtl-fsm agrees with the rtl-sp lead, or with
+        # its own lead once regrouped, and sp and fsm detach.
         _holding(patch, RTLShell, topology.processes[0].name, first + 5)
         resumed = variant_runs(plans[0], bases=bases)
         fresh = variant_runs(plans[0])
     assert resumed[0] == fresh[0]
-    assert resumed[1]["runs"] == resumed[1]["fallbacks"] == 2
+    assert "fallbacks" not in resumed[1]
+    assert sum(
+        n for key, n in resumed[1].items() if key.startswith("detached.")
+    ) == 2
     # The separate runs show the flip itself, not an exception.
     runs = resumed[0]
-    for checked, reference in (GROUP[:2], GROUP[2:]):
+    for checked, reference in (("rtl-sp", "sp"), ("rtl-fsm", "fsm")):
         assert runs[checked].error is runs[reference].error is None
         assert runs[checked].traces != runs[reference].traces
-    # A detached base resumes without its riders, which a fresh
+    # A detached base resumes without the FSM styles, which a fresh
     # build still carries until cycle 0: only the runs must match.
     again, fresh = variant_runs(plans[1], bases=bases), variant_runs(
         plans[1]
@@ -464,8 +509,8 @@ class TestCaseResume:
         cases = _dynamic_cases(8, 27, engine=engine)
         resumed, counters, spans = _observed(cases)
         # Each case has one dynamic variant, which resumes every system
-        # its base runs built: the group, and the rider pair when its
-        # riders detached.  Both kinds occur.
+        # its base runs built: the group, and the regrouped FSM pair
+        # when the FSM styles detached.  Both kinds occur.
         runs = counters["perturb.resumed_runs"]
         assert len(cases) < runs < 2 * len(cases)
         assert counters["perturb.resumed_cycles"] > 0
@@ -532,8 +577,8 @@ class TestCaseResume:
         assert report.ok
         counters = session.rollup.counters
         resumed = counters["perturb.resumed_runs"]
-        # One resumed group per case, plus a rider pair per case whose
-        # riders detached before the checkpoint.
+        # One resumed group per case, plus a regrouped FSM pair per
+        # case whose FSM styles detached before the checkpoint.
         assert 3 < resumed <= 6
         summary = session.rollup.render()
         assert f"perturb: {resumed:.0f} dynamic-variant run(s) resumed" in (
@@ -541,5 +586,5 @@ class TestCaseResume:
         )
         assert (
             f"{counters['lockstep.grouped']:.0f} system(s) carried "
-            "rider pairs"
+            "several pairs"
         ) in summary

@@ -402,8 +402,8 @@ def test_lockstep_line_counts_pair_runs_and_fallbacks():
     for name, n in (("lockstep.runs", 12), ("lockstep.fallbacks", 2)):
         rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
     assert (
-        "  lockstep: 12 cycle-exact pair run(s), 2 fell back to "
-        "separate runs"
+        "  lockstep: 12 lockstep system run(s), 2 raised and ran their "
+        "lead alone"
     ) in rollup.render().splitlines()
 
 
@@ -415,9 +415,9 @@ def test_lockstep_line_counts_riders_and_detach_cycles():
     ):
         rollup.add({"kind": "count", "name": name, "t": 0.0, "n": n})
     assert (
-        "  lockstep: 14 cycle-exact pair run(s), 0 fell back to "
-        "separate runs; 10 system(s) carried rider pairs, 4 rider "
-        "pair(s) detached (3 at cycle 0, 1 at cycle 37)"
+        "  lockstep: 14 lockstep system run(s), 0 raised and ran their "
+        "lead alone; 10 system(s) carried several pairs, 4 style(s) "
+        "detached (3 at cycle 0, 1 at cycle 37)"
     ) in rollup.render().splitlines()
     for cycle in (120, 9):
         rollup.add({
@@ -425,15 +425,15 @@ def test_lockstep_line_counts_riders_and_detach_cycles():
             "t": 0.0, "n": 1,
         })
     assert rollup.render().count(
-        "6 rider pair(s) detached (3 at cycle 0, 1 at cycle 9, 1 at "
+        "6 style(s) detached (3 at cycle 0, 1 at cycle 9, 1 at "
         "cycle 37, ...)"
     ) == 1
 
 
 def test_cli_metrics_carry_lockstep_counts(tmp_path, capsys):
-    # Two random-traffic cases: one lockstep group per case, rtl-sp/sp
-    # with rtl-fsm/fsm riding along; a rider pair that detaches runs
-    # as a pair of its own.
+    # Two random-traffic cases: one lockstep group per case, led by
+    # rtl-sp with sp, rtl-fsm and fsm riding; FSM styles that detach
+    # regroup as a pair led by rtl-fsm.
     metrics = tmp_path / "metrics.json"
     events = tmp_path / "events.jsonl"
     code = cli.main([
@@ -446,27 +446,31 @@ def test_cli_metrics_carry_lockstep_counts(tmp_path, capsys):
         name: n for name, n in counters.items()
         if name.startswith("lockstep.detached.")
     }
+    spans = [
+        record for record in read_events(events)[1]
+        if record["kind"] == "span" and record["name"] == "simulate"
+    ]
+    regrouped = [span for span in spans if span["style"] == "rtl-fsm"]
     assert counters["lockstep.grouped"] == 2
-    assert counters["lockstep.runs"] == 2 + sum(detached.values())
+    assert counters["lockstep.runs"] == 2 + len(regrouped)
+    assert sum(detached.values()) == 2 * len(regrouped)
     assert counters.get("lockstep.fallbacks", 0) == 0
     (line,) = [
         line for line in capsys.readouterr().out.splitlines()
         if line.startswith("  lockstep:")
     ]
     assert line.startswith(
-        f"  lockstep: {counters['lockstep.runs']:.0f} cycle-exact pair "
-        "run(s), 0 fell back to separate runs; 2 system(s) carried "
-        "rider pairs"
+        f"  lockstep: {counters['lockstep.runs']:.0f} lockstep system "
+        "run(s), 0 raised and ran their lead alone; 2 system(s) carried "
+        "several pairs"
     )
     assert cli.main(["report", str(events)]) == 0
     assert line in capsys.readouterr().out
-    spans = [
-        record for record in read_events(events)[1]
-        if record["kind"] == "span" and record.get("reference") == "sp"
-    ]
-    assert spans and all(
-        span["riders"] == ["rtl-fsm", "fsm"] for span in spans
+    groups = [span for span in spans if span["style"] == "rtl-sp"]
+    assert len(groups) == 2 and all(
+        span["riders"] == ["sp", "rtl-fsm", "fsm"] for span in groups
     )
+    assert all(span["riders"] == ["fsm"] for span in regrouped)
 
 
 @pytest.mark.parametrize("engine", ["compiled", "interp"])
@@ -637,8 +641,8 @@ def test_cli_report_renders_engine_paths(tmp_path, capsys):
     assert (
         "engine paths:\n"
         "  lis fabric: 8 lowered / 0 reference run(s)\n"
-        "  lockstep: 6 cycle-exact pair run(s), 0 fell back to separate "
-        "runs\n"
+        "  lockstep: 6 lockstep system run(s), 0 raised and ran their "
+        "lead alone\n"
         "slowest cases"
     ) in out
 

@@ -7,10 +7,10 @@ builds it in ``Shell.consume`` and the lowered fabric inline from its
 FIFO locals, which equals the ports' ``not_empty``/``not_full`` only
 because nothing has been popped or pushed yet when a wrapper step
 starts.  These tests pin that word, for every style, lockstep pair
-(whose lead and companion must both receive it) and lockstep group
-(whose riders receive it too, while they ride), under both fabric
-engines and both RTL engines, and check that ``RTLShell`` keeps its
-simulator and bound driver across a checkpoint restore.
+and lockstep group (whose lead must receive it, and every riding style
+too, while it rides), under both fabric engines and both RTL engines,
+and check that ``RTLShell`` keeps its simulator and bound driver
+across a checkpoint restore.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from repro.rtl import compile_sim
 from repro.lis.simulator import Simulation
 from repro.sched.generate import PROFILE_PRESETS, random_topology
 from repro.verify.cases import build_system
-from repro.verify.lockstep import Riders, lockstep_groups, lockstep_pairs
+from repro.verify.lockstep import Riders, lockstep_groups
 from repro.verify.regular import plan_topology_activations
-from repro.verify.styles import styles_for_traffic
+from repro.verify.styles import cycle_exact_pairs, styles_for_traffic
 
 CYCLES = 150
 
@@ -42,15 +42,14 @@ def _port_word(shell) -> int:
 def _watch_decisions(shells, log: dict) -> None:
     """At every wrapper-step start, record the port word and whether
     any port has popped or pushed this cycle already; at every
-    decision (of each shell, of a lockstep shell's lead and companion,
-    and of its riders, counted apart) record whether it received that
-    word."""
+    decision (of each shell, of a lockstep shell's lead, and of its
+    riders, counted apart) record whether it received that word."""
     for shell in shells.values():
         deciders = [shell]
         riders = []
         if hasattr(shell, "lead"):
-            deciders += [shell.lead, shell.companion]
-            riders = [rider for pair in shell.riders for rider in pair]
+            deciders.append(shell.lead)
+            riders = list(shell.riders)
         log["deciders"] += len(deciders)
         word = []
         step = shell._wrapper_step
@@ -78,14 +77,21 @@ def _watch_decisions(shells, log: dict) -> None:
 
 
 def _variants(styles):
-    """Every style alone, every lockstep pair (style, reference), then
-    every lockstep group with riders (style, reference, rider pairs)."""
-    return (
-        [(style, None, ()) for style in styles]
-        + [(*pair, ()) for pair in lockstep_pairs(styles)]
-        + [(*group[0], group[1:]) for group in lockstep_groups(styles)
-           if len(group) > 1]
-    )
+    """Every style alone, every cycle-exact pair that runs in lockstep
+    (checked style leading, its reference riding), then every lockstep
+    group with more than one rider, as (lead, riders)."""
+    pairs = [
+        group
+        for reference, checked in cycle_exact_pairs(tuple(styles))
+        for group in lockstep_groups((checked, reference))
+        if len(group) > 1
+    ]
+    groups = [
+        group for group in lockstep_groups(styles) if len(group) > 2
+    ]
+    return [(style, ()) for style in styles] + [
+        (group[0], group[1:]) for group in pairs + groups
+    ]
 
 
 @pytest.mark.parametrize("reference", [False, True])
@@ -112,15 +118,15 @@ def test_nothing_popped_or_pushed_at_wrapper_step_start(
 
 
 def _check_decisions(
-    topology, style, pair, riders, engine, activations, reference
+    topology, style, riders, engine, activations, reference
 ):
     """Run one style (or lockstep pair or group) under one RTL engine
     and fabric engine, checking every decision's word."""
-    label = f"{style}+{pair}{riders}/{engine}"
+    label = f"{style}+{riders}/{engine}"
     detach = Riders(riders) if riders else None
     system, shells, sinks = build_system(
         topology, style, engine=engine, activations=activations,
-        reference=pair, riders=detach,
+        riders=detach,
     )
     log = dict.fromkeys(
         ("deciders", "steps", "dirty", "nonzero", "decisions", "rides",
@@ -136,17 +142,17 @@ def _check_decisions(
     assert compile_fabric.cache_stats()[fabric] == before[fabric] + 1
     assert log["steps"] and not log["dirty"], label
     assert log["nonzero"] and not log["wrong"], label
-    # One decision per step by the shell, its lead and companion.
+    # One decision per step by the shell and its lead.
     per_shell = log["deciders"] // len(shells)
     assert log["decisions"] == log["steps"] * per_shell, label
-    # And one by each rider while it rides: on every step when it
-    # never detaches, else at least its detaching decision.
+    # And one by each rider while it rides: on every step when none
+    # detaches, else fewer, but at least the detaching decision.
     if detach is None:
         assert not log["rides"], label
-    elif detach.riding:
-        assert log["rides"] == log["steps"] * 2 * len(riders), label
+    elif detach.riding_at() == detach.styles:
+        assert log["rides"] == log["steps"] * len(riders), label
     else:
-        assert 0 < log["rides"] < log["steps"] * 2 * len(riders), label
+        assert 0 < log["rides"] < log["steps"] * len(riders), label
     assert any(sink.received for sink in sinks.values()), label
 
 
