@@ -431,9 +431,8 @@ def _simulate(
                 "perturb.resumed_cycles", resume.cycle - resume.start
             )
     if resume is None:
-        with telemetry.span("build", style=style, **(
-            {"riders": tuple(riders)} if riders else {}
-        )):
+        fields = {"riders": tuple(riders)} if riders else {}
+        with telemetry.span("build", style=style, **fields):
             system, shells, sinks = build_system(
                 topology, style, trace=trace, engine=engine,
                 activations=activations, riders=detach,
@@ -441,14 +440,13 @@ def _simulate(
             simulation = Simulation(system, stalls)
     else:
         simulation = Simulation(system, stalls)
-    # The first cycle this run simulates, and who rides into it.
-    start = 0 if resume is None else resume.cycle
-    riding = () if detach is None else detach.riding_at(start)
+    # The styles riding into the first cycle this run simulates.
+    since = -1 if resume is None else resume.cycle
+    riding = () if detach is None else detach.riding_at(max(since, 0))
     if len(riding) > 1:
         lockstep.count("grouped")
-    with telemetry.span("simulate", style=style, **(
-        {"riders": riding} if riding else {}
-    )):
+    fields = {"riders": riding} if riding else {}
+    with telemetry.span("simulate", style=style, **fields):
         result = simulation.run(
             cycles,
             deadlock_window=deadlock_window,
@@ -458,7 +456,7 @@ def _simulate(
     if detach is not None:
         # A resumed run counts only what detached after its checkpoint.
         for at in detach.detached:
-            if at is not None and at >= (-1 if resume is None else start):
+            if at is not None and at >= since:
                 lockstep.count_detach(at)
     if checkpoint_at is not None and result.checkpoint is not None:
         bases[style] = BaseSystem(
