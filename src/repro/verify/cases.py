@@ -603,30 +603,6 @@ def run_styles(
             bases=bases,
         )
 
-    def simulate_group(group: tuple[str, ...]) -> None:
-        lead, riders = group[0], group[1:]
-        if not riders:
-            runs[lead] = separately(lead, bases)
-            return
-        lockstep.count("runs")
-        try:
-            run, carried = _simulate(
-                topology, lead, cycles, deadlock_window, engine, trace,
-                activations, stalls, riders, checkpoint_at, bases,
-            )
-        except Exception:
-            lockstep.count("fallbacks")
-            # A variant's lead alone builds fresh: the base it may have
-            # resumed from carries the riders again.
-            resuming = bases is not None and checkpoint_at is None
-            run, carried = separately(lead, {} if resuming else bases), ()
-        runs[lead] = run
-        runs.update((style, run) for style in carried if style in riders)
-        for regrouped in lockstep_groups(
-            [style for style in riders if style not in runs]
-        ):
-            simulate_group(regrouped)
-
     for group in lockstep_groups(styles):
         try:
             needs_activation = get_style(group[0]).needs_activation
@@ -653,7 +629,31 @@ def run_styles(
                         error=planning_error,
                     )
                 continue
-        simulate_group(group)
+        # A loop, not a recursion: a self-referencing closure would keep
+        # each case's runs and base systems alive until a full collection.
+        groups = [group]
+        while groups:
+            lead, *riders = groups.pop(0)
+            if not riders:
+                runs[lead] = separately(lead, bases)
+                continue
+            lockstep.count("runs")
+            try:
+                run, carried = _simulate(
+                    topology, lead, cycles, deadlock_window, engine, trace,
+                    activations, stalls, riders, checkpoint_at, bases,
+                )
+            except Exception:
+                lockstep.count("fallbacks")
+                # A variant's lead alone builds fresh: the base it may
+                # have resumed from carries the riders again.
+                resuming = bases is not None and checkpoint_at is None
+                run, carried = separately(lead, {} if resuming else bases), ()
+            runs[lead] = run
+            runs.update((style, run) for style in carried if style in riders)
+            groups += lockstep_groups(
+                [style for style in riders if style not in runs]
+            )
     return {style: runs[style] for style in styles}
 
 

@@ -147,40 +147,43 @@ class LockstepShell(Shell):
             if shell._script != self._script:
                 detach.drop(index, -1)
 
+    # Both hooks carry the riders inline: a shared helper would cost a
+    # call per decision, on the hottest path of every lockstep run.
     def _sync_ready(self, cycle: int, ready: int) -> bool:
-        lead = self.lead
-        lead._script_pos = self._script_pos
-        enabled = lead._sync_ready(cycle, ready)
-        if self.detach.riding:
-            self._carry("_sync_ready", cycle, ready, enabled)
-        return enabled
-
-    def _run_gate_ok(self, cycle: int, ready: int) -> bool:
-        lead = self.lead
-        lead._script_pos = self._script_pos
-        enabled = lead._run_gate_ok(cycle, ready)
-        if self.detach.riding:
-            self._carry("_run_gate_ok", cycle, ready, enabled)
-        return enabled
-
-    def _carry(
-        self, hook: str, cycle: int, ready: int, enabled: bool
-    ) -> None:
-        """Take every riding style's ``hook`` decision; detach a style
-        that disagrees with the lead's ``enabled`` or raises."""
-        detach = self.detach
         position = self._script_pos
+        lead = self.lead
+        lead._script_pos = position
+        enabled = lead._sync_ready(cycle, ready)
+        detach = self.detach
         for index in detach.riding:
             shell = self.riders[index]
             shell._script_pos = position
             try:
-                agrees = getattr(shell, hook)(cycle, ready) == enabled
+                if shell._sync_ready(cycle, ready) == enabled:
+                    continue
             except Exception:
                 # The style's own run raises this again and reports it;
                 # this run goes on without the style.
-                agrees = False
-            if not agrees:
-                detach.drop(index, cycle)
+                pass
+            detach.drop(index, cycle)
+        return enabled
+
+    def _run_gate_ok(self, cycle: int, ready: int) -> bool:
+        position = self._script_pos
+        lead = self.lead
+        lead._script_pos = position
+        enabled = lead._run_gate_ok(cycle, ready)
+        detach = self.detach
+        for index in detach.riding:
+            shell = self.riders[index]
+            shell._script_pos = position
+            try:
+                if shell._run_gate_ok(cycle, ready) == enabled:
+                    continue
+            except Exception:
+                pass  # as in _sync_ready
+            detach.drop(index, cycle)
+        return enabled
 
     def _decision_state(self) -> tuple:
         # The shells share this shell's ports and pearl; only their

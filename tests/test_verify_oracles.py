@@ -109,6 +109,21 @@ class TestStreamPrefixOracle:
         assert outcome.divergences[0].check == "streams"
         assert outcome.divergences[0].style == "sp"
 
+    def test_a_shared_run_is_not_compared_with_itself(self):
+        """One lockstep system can stand for several styles: a style
+        whose run is the reference run itself adds no check, while an
+        equal but separate run is still compared."""
+        case = _case(styles=("fsm", "rtl-fsm", "sp"))
+        shared = _run(streams={"snk0": [1, 2], "snk1": [3]})
+        runs = {
+            "fsm": shared,
+            "rtl-fsm": shared,
+            "sp": _run(streams={"snk0": [1, 2], "snk1": [3]}),
+        }
+        outcome = _outcome()
+        StreamPrefixOracle().check(case, runs, outcome)
+        assert outcome.ok and outcome.checks == 2
+
     def test_all_errored_runs_skip_silently(self):
         case = _case(styles=("fsm", "sp"))
         runs = {"fsm": _run(error="x"), "sp": _run(error="y")}

@@ -38,7 +38,9 @@ from repro.verify import (
     simulate_topology,
 )
 from repro.verify import telemetry
+from repro.verify.cases import CaseOutcome, StyleRun
 from repro.verify.perturb import (
+    _check_variant_progress,
     lowers_latency,
     perturb_style_set,
     reference_style,
@@ -386,6 +388,37 @@ class TestVacuityExemption:
         assert any(
             "moved no tokens" in d.detail for d in outcome.divergences
         )
+
+
+class TestVacuityGuardCounts:
+    """The vacuity guard is one check each time it applies: passed or
+    failed, but not when the base moved nothing or the exemption
+    skips it."""
+
+    @pytest.mark.parametrize(
+        "base_tokens, deadlocked, lowers, moved, checks, passes",
+        [
+            (0, False, False, 0, 0, True),
+            (5, False, False, 3, 1, True),
+            (5, True, True, 3, 1, True),
+            (5, True, True, 0, 0, True),
+            (5, False, True, 0, 1, False),
+            (5, True, False, 0, 1, False),
+        ],
+    )
+    def test_counts(
+        self, base_tokens, deadlocked, lowers, moved, checks, passes
+    ):
+        run = StyleRun(
+            streams={"snk0": list(range(moved))}, traces={}, periods={},
+            executed=50,
+        )
+        outcome = CaseOutcome(index=0, seed=0)
+        assert _check_variant_progress(
+            "dynamic0", base_tokens, deadlocked, lowers, run, outcome
+        ) is passes
+        assert outcome.checks == checks
+        assert outcome.ok is passes
 
 
 def _tampered_variant(topology):

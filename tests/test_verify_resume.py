@@ -404,7 +404,8 @@ class TestRunStylesResume:
         assert resumed[0] == fresh[0]
         assert resumed[0]["rtl-sp"].error == "RuntimeError: lead bug"
         assert all(
-            resumed[0][style].error is None for style in STYLES[:2] + STYLES[3:]
+            resumed[0][style].error is None
+            for style in ("fsm", "sp", "rtl-fsm")
         )
         assert resumed[1]["fallbacks"] == 1
         assert set(bases) in GROUP_BASES and "rtl-sp" in bases
