@@ -399,10 +399,22 @@ class TestRunStylesResume:
 
         with monkeypatch.context() as patch:
             patch.setattr(RTLShell, "_sync_ready", raising)
-            resumed = variant_runs(plans[0], bases=bases)
+            session = telemetry.activate(
+                telemetry.TelemetrySession(buffered=True)
+            )
+            try:
+                resumed = variant_runs(plans[0], bases=bases)
+            finally:
+                telemetry.deactivate()
             fresh = variant_runs(plans[0])
         assert resumed[0] == fresh[0]
         assert resumed[0]["rtl-sp"].error == "RuntimeError: lead bug"
+        # The lead alone is a system of its own, not the base again.
+        assert ("build", "rtl-sp", None) in [
+            (r["name"], r["style"], r.get("riders"))
+            for r in session.drain()
+            if r["kind"] == "span"
+        ]
         assert all(
             resumed[0][style].error is None
             for style in ("fsm", "sp", "rtl-fsm")
